@@ -4,8 +4,8 @@ CHAOS_SEED ?= 42
 FUZZ_SEED ?= 42
 
 .PHONY: all build test chaos fuzz-smoke trace-check equiv-check report-check \
-	serve-smoke telemetry-check bench-diff check bench bench-formation \
-	bench-serve bench-sim bench-all clean
+	serve-smoke telemetry-check perf-check bench-diff check bench \
+	bench-formation bench-serve bench-sim bench-all clean
 
 all: build
 
@@ -80,6 +80,17 @@ serve-smoke: build
 telemetry-check: build
 	dune exec tools/telemetry_check.exe
 
+# Benchmark smoke: one short untraced run each of the paper-micro and
+# spec-gen workloads of perf/ (see perf/README.md).  Every run
+# byte-checks its warmup rep against perf/golden/, and the gate fails
+# unless the result line (the last line on stdout) reads "correct": true.
+perf-check: build
+	@for w in paper-micro spec-gen; do \
+	  line=$$(bash perf/run.sh --workload $$w --seed 0 --seconds 5 --trace 0 | tail -n 1); \
+	  echo "perf-check $$w: $$line"; \
+	  case "$$line" in *'"correct": true'*) ;; *) exit 1 ;; esac; \
+	done
+
 # Fresh formation + serve benches vs the committed BENCH_*.json
 # baselines.  Warn-only: wall clocks vary across machines; counters that
 # collapse to zero or outputs that diverge are called out.  The fresh
@@ -95,7 +106,7 @@ bench-diff: build
 	dune exec tools/bench_diff.exe -- BENCH_sim.json _build/bench/BENCH_sim.json
 
 check: build test chaos fuzz-smoke trace-check equiv-check report-check \
-	serve-smoke telemetry-check bench-diff
+	serve-smoke telemetry-check perf-check bench-diff
 
 # Full-sweep benchmark of the staged engine (writes BENCH_sweep.json).
 bench: build

@@ -25,11 +25,25 @@ type t = {
       (* loop header -> (trip count -> occurrences) *)
 }
 
+(* The collector works on a dense renumbering of the profiled CFG that
+   its caller (the functional simulator's decoder) supplies: slot [s] is
+   block [ids.(s)], and edge [e] is the [e]-th distinct (source slot,
+   target slot) pair.  Recording is then array arithmetic with no
+   hashing and no allocation on the per-block path; loop-header and
+   back-edge flags are looked up once, at creation.  [finish] converts
+   to the hashtable form every consumer reads. *)
+module IntTbl = Hashtbl.Make (Int)
+
 type collector = {
-  profile : t;
-  loops : Loops.t option;
-  mutable prev : int option;
-  active_trips : (int, int) Hashtbl.t;  (* header -> iterations so far *)
+  ids : int array;  (* slot -> block id *)
+  counts : int array;  (* slot -> executions *)
+  edge_src : int array;
+  edge_dst : int array;
+  edge_n : int array;  (* edge -> traversals *)
+  header : bool array;  (* slot heads a natural loop *)
+  back : bool array;  (* edge closes a natural loop *)
+  trips : int array;  (* header slot -> back edges of the open episode; -1: none *)
+  hists : int IntTbl.t option array;  (* header slot -> trips -> occurrences *)
 }
 
 let empty () =
@@ -39,69 +53,98 @@ let empty () =
     trip_histograms = Hashtbl.create 8;
   }
 
-let collector ?loops () =
-  { profile = empty (); loops; prev = None; active_trips = Hashtbl.create 8 }
-
-let incr_tbl tbl key =
-  Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-
-let record_trip p ~header ~trips =
-  let hist =
-    match Hashtbl.find_opt p.trip_histograms header with
-    | Some h -> h
-    | None ->
-      let h = Hashtbl.create 8 in
-      Hashtbl.add p.trip_histograms header h;
-      h
+let collector ?loops ~ids ~edges () =
+  let n = Array.length ids in
+  let edge_src = Array.map fst edges and edge_dst = Array.map snd edges in
+  let header, back =
+    match loops with
+    | None -> (Array.make n false, Array.make (Array.length edges) false)
+    | Some l ->
+      ( Array.map (Loops.is_loop_header l) ids,
+        Array.map
+          (fun (s, d) -> Loops.is_back_edge l ~src:ids.(s) ~dst:ids.(d))
+          edges )
   in
-  incr_tbl hist trips
+  {
+    ids;
+    counts = Array.make n 0;
+    edge_src;
+    edge_dst;
+    edge_n = Array.make (Array.length edges) 0;
+    header;
+    back;
+    trips = Array.make n (-1);
+    hists = Array.make n None;
+  }
 
 (* Trip count = number of back-edge traversals per loop entry, which for a
    test-at-top (while) loop equals the number of body iterations.  Entries
    that exit without iterating record a trip count of zero — the peeling
    policy needs to see those. *)
-let flush_trip c header =
-  match Hashtbl.find_opt c.active_trips header with
-  | Some n ->
-    record_trip c.profile ~header ~trips:n;
-    Hashtbl.remove c.active_trips header
-  | None -> ()
+let record_trip c h trips =
+  let hist =
+    match c.hists.(h) with
+    | Some t -> t
+    | None ->
+      let t = IntTbl.create 8 in
+      c.hists.(h) <- Some t;
+      t
+  in
+  match IntTbl.find hist trips with
+  | n -> IntTbl.replace hist trips (n + 1)
+  | exception Not_found -> IntTbl.add hist trips 1
 
-(** Record the execution of block [id], arriving from the previously
-    recorded block (if any). *)
-let record_block c id =
-  incr_tbl c.profile.block_counts id;
-  (match c.prev with
-  | Some src ->
-    let n =
-      1 + Option.value ~default:0 (EdgeTbl.find_opt c.profile.edge_counts (src, id))
-    in
-    EdgeTbl.replace c.profile.edge_counts (src, id) n;
-    (match c.loops with
-    | Some loops when Loops.is_loop_header loops id ->
-      if Loops.is_back_edge loops ~src ~dst:id then
-        incr_tbl c.active_trips id
-      else begin
-        (* fresh entry into the loop: close any previous episode *)
-        flush_trip c id;
-        Hashtbl.replace c.active_trips id 0
-      end
-    | Some _ | None -> ())
-  | None ->
-    (* first block of the run; may itself be a loop header *)
-    match c.loops with
-    | Some loops when Loops.is_loop_header loops id ->
-      Hashtbl.replace c.active_trips id 0
-    | Some _ | None -> ());
-  c.prev <- Some id
+(** The run starts in slot [s]; it may itself be a loop header. *)
+let record_entry c s =
+  c.counts.(s) <- c.counts.(s) + 1;
+  if c.header.(s) then c.trips.(s) <- 0
 
-(** Close all in-flight trip-count episodes; call at end of run. *)
+(** The run follows edge [e] into its target slot. *)
+let record_edge c e =
+  let d = c.edge_dst.(e) in
+  c.counts.(d) <- c.counts.(d) + 1;
+  c.edge_n.(e) <- c.edge_n.(e) + 1;
+  if c.header.(d) then begin
+    let open_ = c.trips.(d) in
+    if c.back.(e) then c.trips.(d) <- max open_ 0 + 1
+    else begin
+      (* fresh entry into the loop: close any previous episode *)
+      if open_ >= 0 then record_trip c d open_;
+      c.trips.(d) <- 0
+    end
+  end
+
+(** Close all in-flight trip-count episodes and build the profile; call
+    at end of run. *)
 let finish c =
-  Hashtbl.iter
-    (fun header n -> record_trip c.profile ~header ~trips:n)
-    c.active_trips;
-  Hashtbl.reset c.active_trips;
-  c.profile
+  let p = empty () in
+  Array.iteri
+    (fun s open_ ->
+      if open_ >= 0 then begin
+        record_trip c s open_;
+        c.trips.(s) <- -1
+      end)
+    c.trips;
+  Array.iteri
+    (fun s n -> if n > 0 then Hashtbl.replace p.block_counts c.ids.(s) n)
+    c.counts;
+  Array.iteri
+    (fun e n ->
+      if n > 0 then
+        EdgeTbl.replace p.edge_counts
+          (c.ids.(c.edge_src.(e)), c.ids.(c.edge_dst.(e)))
+          n)
+    c.edge_n;
+  Array.iteri
+    (fun s hist ->
+      Option.iter
+        (fun t ->
+          let h = Hashtbl.create 8 in
+          IntTbl.iter (Hashtbl.replace h) t;
+          Hashtbl.replace p.trip_histograms c.ids.(s) h)
+        hist)
+    c.hists;
+  p
 
 let block_count p id = Option.value ~default:0 (Hashtbl.find_opt p.block_counts id)
 

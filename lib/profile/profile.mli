@@ -19,15 +19,23 @@ type collector
 
 val empty : unit -> t
 
-val collector : ?loops:Loops.t -> unit -> collector
-(** Loop information enables trip-count histograms. *)
+val collector :
+  ?loops:Loops.t -> ids:int array -> edges:(int * int) array -> unit -> collector
+(** A collector over a dense renumbering of the profiled CFG: slot [s]
+    stands for block [ids.(s)], and edge [e] for the transition from slot
+    [fst edges.(e)] to slot [snd edges.(e)].  Each (source, target) pair
+    must appear at most once.  Loop information enables trip-count
+    histograms. *)
 
-val record_block : collector -> int -> unit
-(** Record the execution of a block, arriving from the previously
-    recorded block (if any). *)
+val record_entry : collector -> int -> unit
+(** The run starts in the given slot. *)
+
+val record_edge : collector -> int -> unit
+(** The run follows the given edge into its target slot. *)
 
 val finish : collector -> t
-(** Close all in-flight trip-count episodes; call at end of run. *)
+(** Close all in-flight trip-count episodes and build the profile; call
+    at end of run. *)
 
 val block_count : t -> int -> int
 val edge_count : t -> src:int -> dst:int -> int

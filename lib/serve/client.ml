@@ -38,10 +38,11 @@ let rpc_traced conn (type a) (req : a Protocol.request) :
 let rpc conn req = snd (rpc_traced conn req)
 
 let close conn =
-  (* both channels share the socket fd; closing the out channel flushes
-     and closes it, so the in channel is torn down without the fd *)
-  (try close_out conn.oc with Sys_error _ | Unix.Unix_error _ -> ());
-  try close_in_noerr conn.ic with Sys_error _ -> ()
+  (* both channels share the socket descriptor: closing the out channel
+     flushes it and closes the descriptor, once.  The in channel is left
+     to the GC: closing it too would close the same number a second
+     time, and by then another thread may have been given that number. *)
+  try close_out conn.oc with Sys_error _ | Unix.Unix_error _ -> ()
 
 let with_conn ~socket f =
   let conn = connect ~socket in

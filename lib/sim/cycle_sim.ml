@@ -252,7 +252,7 @@ type machine = {
   mutable instrs_fetched : int;
   (* current block instance being accumulated *)
   mutable cur_block : int;
-  mutable cur_events : (Instr.t * bool * int option) list;  (* reversed *)
+  mutable cur_events : (Instr.t * bool * int) list;  (* reversed; address -1 for none *)
   mutable cur_exit : Block.exit_ option;
   mutable started : bool;
 }
@@ -447,11 +447,11 @@ let retire_legacy m ~dispatch_end ~events =
         let latency =
           Latency.of_op i.Instr.op
           +
-          match (i.Instr.op, addr) with
-          | Instr.Load _, Some a ->
-            if Cache.access m.cache ~addr:a then 0 else t.miss_penalty
-          | Instr.Store _, Some a ->
-            ignore (Cache.access m.cache ~addr:a);
+          match i.Instr.op with
+          | Instr.Load _ when addr >= 0 ->
+            if Cache.access m.cache ~addr then 0 else t.miss_penalty
+          | Instr.Store _ when addr >= 0 ->
+            ignore (Cache.access m.cache ~addr);
             0
           | _ -> 0
         in
@@ -889,16 +889,16 @@ let ev_push m i ~fired ~addr =
   end;
   m.ev_ins.(idx) <- i;
   m.ev_fired.(idx) <- fired;
-  m.ev_addr.(idx) <- (match addr with Some a -> a | None -> -1);
+  m.ev_addr.(idx) <- addr;
   m.ev_n <- idx + 1;
   if fired then begin
     m.ev_fired_n <- m.ev_fired_n + 1;
     m.ev_mask.(idx / 62) <- m.ev_mask.(idx / 62) lor (1 lsl (idx mod 62));
-    match (i.Instr.op, addr) with
-    | Instr.Load _, Some a ->
-      if not (Cache.access m.cache ~addr:a) then
+    match i.Instr.op with
+    | Instr.Load _ when addr >= 0 ->
+      if not (Cache.access m.cache ~addr) then
         m.ev_miss.(idx / 62) <- m.ev_miss.(idx / 62) lor (1 lsl (idx mod 62))
-    | Instr.Store _, Some a -> ignore (Cache.access m.cache ~addr:a)
+    | Instr.Store _ when addr >= 0 -> ignore (Cache.access m.cache ~addr)
     | _ -> ()
   end
 

@@ -14,7 +14,13 @@
 
    The simulator reports block and instruction counts (the paper's
    Table 3 metric) and exposes per-step hooks used by the profiler and by
-   the cycle-level timing model. *)
+   the cycle-level timing model.
+
+   Each run first decodes the CFG (DESIGN.md §19): registers and
+   immediates become slots of one flat register file, blocks become
+   array slots, and Goto targets become slot numbers, so the interpreter
+   loop reads arrays and allocates nothing per instruction.  Decoding is
+   per run because CFGs are mutable between runs. *)
 
 open Trips_ir
 
@@ -23,8 +29,9 @@ exception Exit_invariant_violated of string
 
 type hooks = {
   on_block : int -> unit;  (* dynamic block instance begins *)
-  on_instr : Instr.t -> fired:bool -> addr:int option -> unit;
-      (* per instruction in program order; [addr] for memory operations *)
+  on_instr : Instr.t -> fired:bool -> addr:int -> unit;
+      (* per instruction in program order; [addr] is the memory address
+         a fired memory operation touched, -1 for none *)
   on_exit : Block.exit_ -> unit;  (* the exit that fired *)
 }
 
@@ -43,122 +50,244 @@ type result = {
   checksum : int;  (* digest of return value and final memory *)
 }
 
-type state = {
-  regs : (int, int) Hashtbl.t;
-  memory : int array;
-  mutable fuel : int;
+(* ---- decoded form ----------------------------------------------------- *)
+
+(* Every operand is a register-file slot: each distinct register gets
+   one, numbered densely (corpus files may name any integer, so the file
+   is sized by the count, not the largest number), and each distinct
+   immediate gets a slot preloaded with its value that no instruction
+   writes. *)
+type code =
+  | Binop of Opcode.binop * int * int * int  (* dst, src1, src2 *)
+  | Cmp of Opcode.cmpop * int * int * int
+  | Mov of int * int
+  | Load of int * int * int  (* dst, address, offset *)
+  | Store of int * int * int  (* value, address, offset *)
+  | Nullw
+
+(* [guard] is the guard's slot, -1 when unguarded *)
+type dinstr = { code : code; guard : int; sense : bool; instr : Instr.t }
+
+type dexit = {
+  eguard : int;
+  esense : bool;
+  next : int;  (* Goto: target block slot; Ret: -1 *)
+  ret : int;  (* Ret: returned operand's slot, -1 for none *)
+  edge : int;  (* Goto: profile edge index *)
+  exit_ : Block.exit_;
 }
 
-let read_reg st r = Option.value ~default:0 (Hashtbl.find_opt st.regs r)
-let write_reg st r v = Hashtbl.replace st.regs r v
+(* [present] is false for a Goto target the CFG lacks: entering it fails
+   the way [Cfg.block] does. *)
+type dblock = { id : int; present : bool; instrs : dinstr array; exits : dexit array }
 
-let operand_value st = function
-  | Instr.Reg r -> read_reg st r
-  | Instr.Imm n -> n
+type program = {
+  name : string;
+  blocks : dblock array;
+  entry : int;
+  init : int array;  (* register file at start: parameters and immediates *)
+  edges : (int * int) array;  (* distinct (source, target) block-slot pairs *)
+}
 
-let guard_holds st = function
-  | None -> true
-  | Some g -> read_reg st g.Instr.greg <> 0 = g.Instr.sense
+(* The number [tbl] gives [key], taking the next value of the counter
+   [n] on first sight. *)
+let intern tbl n key =
+  match Hashtbl.find_opt tbl key with
+  | Some s -> s
+  | None ->
+    let s = !n in
+    incr n;
+    Hashtbl.add tbl key s;
+    s
 
-let wrap_addr st a =
-  let n = Array.length st.memory in
-  if n = 0 then 0 else ((a mod n) + n) mod n
+(* Numbering [tbl]'s keys by their values. *)
+let by_number tbl n dummy =
+  let a = Array.make n dummy in
+  Hashtbl.iter (fun key s -> a.(s) <- key) tbl;
+  a
 
-(* Execute one instruction; returns the memory address touched, if any.
-   A zero-length memory has no addresses at all: loads read 0, stores
-   vanish, and neither reports an address (there is no memory system to
-   charge), keeping the semantics total on every input. *)
-let exec_instr st i =
-  match i.Instr.op with
-  | Instr.Binop (op, d, a, b) ->
-    write_reg st d (Opcode.eval_binop op (operand_value st a) (operand_value st b));
-    None
-  | Instr.Cmp (op, d, a, b) ->
-    write_reg st d (Opcode.eval_cmp op (operand_value st a) (operand_value st b));
-    None
-  | Instr.Mov (d, a) ->
-    write_reg st d (operand_value st a);
-    None
-  | Instr.Load (d, a, off) ->
-    if Array.length st.memory = 0 then begin
-      write_reg st d 0;
-      None
+let decode ~registers (cfg : Cfg.t) =
+  let regs = Hashtbl.create 256 and consts = Hashtbl.create 64 and n_slots = ref 0 in
+  let reg = intern regs n_slots in
+  let operand = function Instr.Reg r -> reg r | Instr.Imm n -> intern consts n_slots n in
+  let guard = function None -> (-1, true) | Some g -> (reg g.Instr.greg, g.Instr.sense) in
+  (* present blocks take the first slots, in id order; Goto targets the
+     CFG lacks are numbered after them *)
+  let present = Cfg.block_ids cfg in
+  let slots = Hashtbl.create 64 and n_blocks = ref 0 in
+  List.iter (fun id -> ignore (intern slots n_blocks id)) present;
+  let edges = Hashtbl.create 64 and n_edges = ref 0 in
+  let decode_instr (i : Instr.t) =
+    let code =
+      match i.Instr.op with
+      | Instr.Binop (op, d, a, b) -> Binop (op, reg d, operand a, operand b)
+      | Instr.Cmp (op, d, a, b) -> Cmp (op, reg d, operand a, operand b)
+      | Instr.Mov (d, a) -> Mov (reg d, operand a)
+      | Instr.Load (d, a, off) -> Load (reg d, operand a, off)
+      | Instr.Store (v, a, off) -> Store (operand v, operand a, off)
+      | Instr.Nullw _ -> Nullw
+    in
+    let guard, sense = guard i.Instr.guard in
+    { code; guard; sense; instr = i }
+  in
+  let decode_exit src (e : Block.exit_) =
+    let eguard, esense = guard e.Block.eguard in
+    match e.Block.target with
+    | Block.Goto id ->
+      let next = intern slots n_blocks id in
+      let edge = intern edges n_edges (src, next) in
+      { eguard; esense; next; ret = -1; edge; exit_ = e }
+    | Block.Ret v ->
+      let ret = match v with Some o -> operand o | None -> -1 in
+      { eguard; esense; next = -1; ret; edge = -1; exit_ = e }
+  in
+  let decoded =
+    List.mapi
+      (fun src id ->
+        let b = Cfg.block cfg id in
+        {
+          id;
+          present = true;
+          instrs = Array.of_list (List.map decode_instr b.Block.instrs);
+          exits = Array.of_list (List.map (decode_exit src) b.Block.exits);
+        })
+      present
+  in
+  let entry = intern slots n_blocks cfg.Cfg.entry in
+  let absent = { id = 0; present = false; instrs = [||]; exits = [||] } in
+  let blocks = Array.map (fun id -> { absent with id }) (by_number slots !n_blocks 0) in
+  List.iteri (fun s b -> blocks.(s) <- b) decoded;
+  let params = List.map (fun (r, v) -> (reg r, v)) registers in
+  let init = Array.make !n_slots 0 in
+  Hashtbl.iter (fun n s -> init.(s) <- n) consts;
+  List.iter (fun (s, v) -> init.(s) <- v) params;
+  { name = cfg.Cfg.name; blocks; entry; init; edges = by_number edges !n_edges (0, 0) }
+
+(* ---- interpreter -------------------------------------------------------- *)
+
+let wrap_addr n a = ((a mod n) + n) mod n
+
+(* Execute one fired instruction; returns the memory address touched, -1
+   for none.  A zero-length memory has no addresses at all: loads read 0,
+   stores vanish, and neither reports an address (there is no memory
+   system to charge), keeping the semantics total on every input. *)
+let exec_code regs memory = function
+  | Binop (op, d, a, b) ->
+    regs.(d) <- Opcode.eval_binop op regs.(a) regs.(b);
+    -1
+  | Cmp (op, d, a, b) ->
+    regs.(d) <- Opcode.eval_cmp op regs.(a) regs.(b);
+    -1
+  | Mov (d, a) ->
+    regs.(d) <- regs.(a);
+    -1
+  | Load (d, a, off) ->
+    let n = Array.length memory in
+    if n = 0 then begin
+      regs.(d) <- 0;
+      -1
     end
     else begin
-      let addr = wrap_addr st (operand_value st a + off) in
-      write_reg st d st.memory.(addr);
-      Some addr
+      let addr = wrap_addr n (regs.(a) + off) in
+      regs.(d) <- memory.(addr);
+      addr
     end
-  | Instr.Store (v, a, off) ->
-    if Array.length st.memory = 0 then None
+  | Store (v, a, off) ->
+    let n = Array.length memory in
+    if n = 0 then -1
     else begin
-      let addr = wrap_addr st (operand_value st a + off) in
-      st.memory.(addr) <- operand_value st v;
-      Some addr
+      let addr = wrap_addr n (regs.(a) + off) in
+      memory.(addr) <- regs.(v);
+      addr
     end
-  | Instr.Nullw _ -> None
+  | Nullw -> -1
+
+let holds regs g sense = g < 0 || regs.(g) <> 0 = sense
 
 let memory_checksum memory =
   Array.fold_left (fun acc v -> (acc * 31) + v) 5381 memory
 
-(** Run [cfg] to completion (first firing [Ret] exit).
-
-    @param fuel maximum dynamic instructions before raising [Out_of_fuel].
-    @param strict_exits check that exactly one exit guard holds per block.
-    @param registers initial register values (e.g. kernel parameters).
-    @param memory the data memory, mutated in place. *)
-let run ?(fuel = 50_000_000) ?(strict_exits = true) ?(hooks = no_hooks)
-    ?(registers = []) ~memory cfg =
-  let st = { regs = Hashtbl.create 256; memory; fuel } in
-  List.iter (fun (r, v) -> write_reg st r v) registers;
-  let blocks_executed = ref 0 in
-  let instrs_executed = ref 0 in
-  let instrs_fetched = ref 0 in
-  let rec step id =
-    (* watchdog: one poll per dynamic block.  Fuel only bounds dynamic
-       *instructions*, so an empty self-looping block would spin forever
-       without this; under an active scope the spin becomes a structured
-       [Watchdog.Timed_out] instead. *)
-    Trips_obs.Watchdog.check ();
-    let b = Cfg.block cfg id in
+let exec ~fuel ~strict_exits ~hooks ~profile ~memory p =
+  let regs = Array.copy p.init in
+  let observe = hooks != no_hooks in
+  let fuel = ref fuel in
+  let blocks_executed = ref 0 and instrs_executed = ref 0 and instrs_fetched = ref 0 in
+  let cur = ref p.entry and via = ref (-1) and ret = ref None and running = ref true in
+  (* watchdog: one poll per dynamic block.  Fuel only bounds dynamic
+     *instructions*, so an empty self-looping block would spin forever
+     without this; under an active scope the spin becomes a structured
+     [Watchdog.Timed_out] instead.  A scope only ever wraps a whole call,
+     so one that is not active when the run starts never is during it. *)
+  let watched = Trips_obs.Watchdog.active () in
+  while !running do
+    if watched then Trips_obs.Watchdog.check ();
+    let b = p.blocks.(!cur) in
+    if not b.present then
+      Fmt.invalid_arg "Cfg.block: no block b%d in %s" b.id p.name;
     incr blocks_executed;
-    hooks.on_block id;
-    List.iter
-      (fun i ->
-        (* check-then-spend: fuel is the number of dynamic instructions
-           the run may execute, so a program needing exactly [fuel]
-           instructions completes and the [fuel+1]-th raises.  (The old
-           spend-then-check order made [fuel = n] admit only n-1.) *)
-        if st.fuel <= 0 then
-          raise (Out_of_fuel (Fmt.str "%s: fuel exhausted in b%d" cfg.Cfg.name id));
-        st.fuel <- st.fuel - 1;
-        incr instrs_fetched;
-        let fired = guard_holds st i.Instr.guard in
-        let addr = if fired then exec_instr st i else None in
-        if fired then incr instrs_executed;
-        hooks.on_instr i ~fired ~addr)
-      b.Block.instrs;
-    let holding =
-      List.filter (fun e -> guard_holds st e.Block.eguard) b.Block.exits
-    in
-    (match holding with
-    | [] ->
+    (match profile with
+    | Some c ->
+      if !via < 0 then Trips_profile.Profile.record_entry c !cur
+      else Trips_profile.Profile.record_edge c !via
+    | None -> ());
+    if observe then hooks.on_block b.id;
+    (* fuel is the number of dynamic instructions the run may execute, so
+       a program needing exactly [fuel] instructions completes and the
+       [fuel+1]-th raises *)
+    let n = Array.length b.instrs in
+    let admitted = if !fuel >= n then n else max !fuel 0 in
+    for k = 0 to admitted - 1 do
+      let d = b.instrs.(k) in
+      let fired = holds regs d.guard d.sense in
+      let addr =
+        if fired then begin
+          incr instrs_executed;
+          exec_code regs memory d.code
+        end
+        else -1
+      in
+      if observe then hooks.on_instr d.instr ~fired ~addr
+    done;
+    instrs_fetched := !instrs_fetched + admitted;
+    fuel := !fuel - admitted;
+    if admitted < n then
+      raise (Out_of_fuel (Fmt.str "%s: fuel exhausted in b%d" p.name b.id));
+    (* the first holding exit fires; strict mode counts the rest *)
+    let exits = b.exits in
+    let n_exits = Array.length exits in
+    let first = ref 0 in
+    while
+      !first < n_exits
+      && not (holds regs exits.(!first).eguard exits.(!first).esense)
+    do
+      incr first
+    done;
+    if !first = n_exits then
       raise
         (Exit_invariant_violated
-           (Fmt.str "%s: no exit guard holds in b%d" cfg.Cfg.name id))
-    | _ :: _ :: _ when strict_exits ->
-      raise
-        (Exit_invariant_violated
-           (Fmt.str "%s: %d exit guards hold in b%d" cfg.Cfg.name
-              (List.length holding) id))
-    | _ -> ());
-    let e = List.hd holding in
-    hooks.on_exit e;
-    match e.Block.target with
-    | Block.Goto next -> step next
-    | Block.Ret v -> Option.map (operand_value st) v
-  in
-  let ret = step cfg.Cfg.entry in
+           (Fmt.str "%s: no exit guard holds in b%d" p.name b.id));
+    if strict_exits then begin
+      let holding = ref 1 in
+      for k = !first + 1 to n_exits - 1 do
+        if holds regs exits.(k).eguard exits.(k).esense then incr holding
+      done;
+      if !holding > 1 then
+        raise
+          (Exit_invariant_violated
+             (Fmt.str "%s: %d exit guards hold in b%d" p.name !holding b.id))
+    end;
+    let e = exits.(!first) in
+    if observe then hooks.on_exit e.exit_;
+    if e.next >= 0 then begin
+      cur := e.next;
+      via := e.edge
+    end
+    else begin
+      if e.ret >= 0 then ret := Some regs.(e.ret);
+      running := false
+    end
+  done;
+  let ret = !ret in
   let checksum =
     (memory_checksum memory * 31) + Option.value ~default:(-1) ret
   in
@@ -173,16 +302,28 @@ let run ?(fuel = 50_000_000) ?(strict_exits = true) ?(hooks = no_hooks)
     checksum;
   }
 
+(** Run [cfg] to completion (first firing [Ret] exit).
+
+    @param fuel maximum dynamic instructions before raising [Out_of_fuel].
+    @param strict_exits check that exactly one exit guard holds per block.
+    @param registers initial register values (e.g. kernel parameters).
+    @param memory the data memory, mutated in place. *)
+let run ?(fuel = 50_000_000) ?(strict_exits = true) ?(hooks = no_hooks)
+    ?(registers = []) ~memory cfg =
+  exec ~fuel ~strict_exits ~hooks ~profile:None ~memory (decode ~registers cfg)
+
 (** Run while collecting an edge/block/trip-count profile; returns the
     result and the profile.  Loop information, when provided, enables
     trip-count histograms. *)
-let run_profiled ?fuel ?strict_exits ?registers ?loops ~memory cfg =
-  let collector = Trips_profile.Profile.collector ?loops () in
-  let hooks =
-    {
-      no_hooks with
-      on_block = (fun id -> Trips_profile.Profile.record_block collector id);
-    }
+let run_profiled ?(fuel = 50_000_000) ?(strict_exits = true) ?(registers = [])
+    ?loops ~memory cfg =
+  let p = decode ~registers cfg in
+  let c =
+    Trips_profile.Profile.collector ?loops
+      ~ids:(Array.map (fun b -> b.id) p.blocks)
+      ~edges:p.edges ()
   in
-  let result = run ?fuel ?strict_exits ~hooks ?registers ~memory cfg in
-  (result, Trips_profile.Profile.finish collector)
+  let result =
+    exec ~fuel ~strict_exits ~hooks:no_hooks ~profile:(Some c) ~memory p
+  in
+  (result, Trips_profile.Profile.finish c)

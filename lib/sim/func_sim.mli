@@ -20,8 +20,9 @@ exception Exit_invariant_violated of string
 
 type hooks = {
   on_block : int -> unit;  (** a dynamic block instance begins *)
-  on_instr : Instr.t -> fired:bool -> addr:int option -> unit;
-      (** per instruction in program order; [addr] for memory operations *)
+  on_instr : Instr.t -> fired:bool -> addr:int -> unit;
+      (** per instruction in program order; [addr] is the memory address
+          a fired memory operation touched, -1 for none *)
   on_exit : Block.exit_ -> unit;  (** the exit that fired *)
 }
 

@@ -357,6 +357,67 @@ let test_served_byte_identity () =
   Alcotest.(check bool) "the compile was counted" true
     (stats.P.st_completed >= 1)
 
+(* ---- client descriptor hygiene ------------------------------------------ *)
+
+let test_client_close_once () =
+  (* [Client.close] must close its socket descriptor exactly once: a
+     second close of the same number would hit whatever descriptor
+     another domain opened in between.  One domain keeps opening
+     /dev/null and checking that its descriptor still refers to it while
+     this one cycles connections against a bare listening socket. *)
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ()) "chfc-test-close.sock"
+  in
+  (try Unix.unlink socket with Unix.Unix_error _ -> ());
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX socket);
+  Unix.listen listener 8;
+  let started = Atomic.make false and stop = Atomic.make false in
+  let prober =
+    Domain.spawn (fun () ->
+        let null = Unix.stat "/dev/null" in
+        let lost = ref 0 in
+        Atomic.set started true;
+        let ours fd =
+          match Unix.fstat fd with
+          | st -> st.Unix.st_ino = null.Unix.st_ino && st.Unix.st_rdev = null.Unix.st_rdev
+          | exception Unix.Unix_error _ -> false
+        in
+        let round = ref 0 in
+        while not (Atomic.get stop) do
+          (* a varying number at once, so they cover the numbers the
+             connections use *)
+          incr round;
+          let fds =
+            List.init (1 + (!round mod 6)) (fun _ ->
+                Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0)
+          in
+          for _ = 1 to 50 do
+            Domain.cpu_relax ()
+          done;
+          List.iter (fun fd -> if ours fd then Unix.close fd else incr lost) fds
+        done;
+        !lost)
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let failed = ref 0 in
+  for _ = 1 to 5000 do
+    match Trips_serve.Client.connect ~socket with
+    | conn ->
+      let fd, _ = Unix.accept listener in
+      Unix.close fd;
+      Trips_serve.Client.close conn
+    | exception Unix.Unix_error _ -> incr failed
+  done;
+  Atomic.set stop true;
+  let lost = Domain.join prober in
+  Unix.close listener;
+  Unix.unlink socket;
+  Alcotest.(check int) "connections refused" 0 !failed;
+  Alcotest.(check int) "descriptors closed under another domain" 0 lost
+
 (* ---- resident pool vs legacy spawn-per-call map ------------------------ *)
 
 let with_hatch name k =
@@ -416,5 +477,7 @@ let suite =
         `Quick test_scheduler_drain_refuses;
       Alcotest.test_case "serve: socket round-trip is byte-identical" `Quick
         test_served_byte_identity;
+      Alcotest.test_case "client: close closes its descriptor once" `Quick
+        test_client_close_once;
       pool_equivalence_prop;
     ] )

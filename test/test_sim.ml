@@ -136,6 +136,132 @@ let test_memory_wrapping () =
   let r = Func_sim.run ~memory:(Array.make 16 0) cfg in
   check Alcotest.(option int) "negative address wraps to top" (Some 42) r.Func_sim.ret
 
+(* ---- register file and hook contract ----------------------------------- *)
+
+let test_sparse_register_numbers () =
+  (* corpus files can name any integer: a register near max_int and one
+     far below it share one run, so the register file must be sized by
+     the count of registers, not by their range *)
+  let hi = max_int - 1 and lo = min_int + 1 in
+  let cfg =
+    single_block
+      [
+        mkins (Instr.Mov (hi, Instr.Imm 5));
+        mkins (Instr.Mov (3, Instr.Imm 7));
+        mkins (Instr.Binop (Opcode.Add, lo, Instr.Reg hi, Instr.Reg 3));
+      ]
+      [ { Block.eguard = None; target = Block.Ret (Some (Instr.Reg lo)) } ]
+  in
+  let r = Func_sim.run ~registers:[ (hi, 100) ] ~memory:(Array.make 4 0) cfg in
+  check Alcotest.(option int) "sparse registers hold their values" (Some 12)
+    r.Func_sim.ret
+
+let test_unmentioned_parameter () =
+  (* a preloaded register the CFG never mentions changes nothing *)
+  let cfg =
+    single_block
+      [ mkins (Instr.Mov (1024, Instr.Imm 4)) ]
+      [ { Block.eguard = None; target = Block.Ret (Some (Instr.Reg 1024)) } ]
+  in
+  let r =
+    Func_sim.run ~registers:[ (max_int, 9); (77, 1) ] ~memory:(Array.make 4 0) cfg
+  in
+  check Alcotest.(option int) "unmentioned parameters are inert" (Some 4)
+    r.Func_sim.ret
+
+let test_unwritten_registers_read_zero () =
+  (* never-written registers read 0: as an operand, as a guard, and as
+     the returned value *)
+  let cfg =
+    single_block
+      [
+        mkins (Instr.Binop (Opcode.Add, 1024, Instr.Reg 4000, Instr.Imm 1));
+        mkins
+          ~guard:{ Instr.greg = 4001; sense = false }
+          (Instr.Binop (Opcode.Add, 1024, Instr.Reg 1024, Instr.Reg 4002));
+      ]
+      [
+        {
+          Block.eguard = Some { Instr.greg = 4003; sense = false };
+          target = Block.Ret (Some (Instr.Reg 1024));
+        };
+        {
+          Block.eguard = Some { Instr.greg = 4003; sense = true };
+          target = Block.Ret (Some (Instr.Reg 4004));
+        };
+      ]
+  in
+  let r = Func_sim.run ~memory:(Array.make 4 0) cfg in
+  check Alcotest.(option int) "unwritten registers read 0" (Some 1) r.Func_sim.ret;
+  check Alcotest.int "false-sense guard on an unwritten register fires" 2
+    r.Func_sim.instrs_executed
+
+let test_fuel_across_blocks () =
+  (* fuel = N admits exactly N instructions, counted across blocks; the
+     N+1-th raises in the block that holds it *)
+  let mk () =
+    let cfg = Cfg.create ~name:"two" () in
+    let b0 = Cfg.fresh_block_id cfg in
+    let b1 = Cfg.fresh_block_id cfg in
+    let b2 = Cfg.fresh_block_id cfg in
+    cfg.Cfg.entry <- b0;
+    Cfg.set_block cfg
+      (Block.make b0
+         [ mkins (Instr.Mov (1024, Instr.Imm 1)); mkins (Instr.Mov (1025, Instr.Imm 2)) ]
+         [ { Block.eguard = None; target = Block.Goto b1 } ]);
+    Cfg.set_block cfg
+      (Block.make b1 [] [ { Block.eguard = None; target = Block.Goto b2 } ]);
+    Cfg.set_block cfg
+      (Block.make b2
+         [ mkins (Instr.Binop (Opcode.Add, 1026, Instr.Reg 1024, Instr.Reg 1025)) ]
+         [ { Block.eguard = None; target = Block.Ret (Some (Instr.Reg 1026)) } ]);
+    cfg
+  in
+  let r = Func_sim.run ~fuel:3 ~memory:(Array.make 4 0) (mk ()) in
+  check Alcotest.(option int) "fuel 3 runs all three" (Some 3) r.Func_sim.ret;
+  check Alcotest.int "three fetched" 3 r.Func_sim.instrs_fetched;
+  (match Func_sim.run ~fuel:2 ~memory:(Array.make 4 0) (mk ()) with
+  | _ -> Alcotest.fail "fuel 2 must raise"
+  | exception Func_sim.Out_of_fuel msg ->
+    check Alcotest.string "raised in the third block" "two: fuel exhausted in b2" msg);
+  let empty = single_block [] [ { Block.eguard = None; target = Block.Ret None } ] in
+  let r = Func_sim.run ~fuel:0 ~memory:[||] empty in
+  check Alcotest.int "fuel 0 runs an instruction-free program" 1
+    r.Func_sim.blocks_executed
+
+let test_hook_addresses () =
+  (* [on_instr]'s [addr] is the wrapped address a fired memory operation
+     touched, and -1 for everything else: non-memory operations,
+     nullified ones, and any access to a zero-length memory *)
+  let mk () =
+    single_block
+      [
+        mkins (Instr.Store (Instr.Imm 42, Instr.Imm (-1), 0));
+        mkins (Instr.Load (1024, Instr.Imm 3, 2));
+        mkins ~guard:{ Instr.greg = 1025; sense = true } (Instr.Load (1026, Instr.Imm 0, 0));
+        mkins (Instr.Mov (1027, Instr.Imm 1));
+      ]
+      [ { Block.eguard = None; target = Block.Ret None } ]
+  in
+  let seen memory =
+    let log = ref [] in
+    let hooks =
+      {
+        Func_sim.no_hooks with
+        Func_sim.on_instr = (fun _ ~fired ~addr -> log := (fired, addr) :: !log);
+      }
+    in
+    ignore (Func_sim.run ~hooks ~memory (mk ()));
+    List.rev !log
+  in
+  let pairs = Alcotest.(list (pair bool int)) in
+  check pairs "addresses on a 16-word memory"
+    [ (true, 15); (true, 5); (false, -1); (true, -1) ]
+    (seen (Array.make 16 0));
+  check pairs "no addresses on a zero-length memory"
+    [ (true, -1); (true, -1); (false, -1); (true, -1) ]
+    (seen [||])
+
 let test_profile_collection () =
   let w = Option.get (Trips_workloads.Micro.by_name "ammp_1") in
   let profile, result = Trips_harness.Pipeline.profile_workload w in
@@ -433,6 +559,233 @@ let test_attribution_partition_modes () =
   check_mode "memo only" [ "TRIPS_NO_SIM_MEMO" ];
   check_mode "sampled" ~sample:8 sim_hatches
 
+(* ---- decoded interpreter vs the reference (test/sim_oracle.ml) --------- *)
+
+(* Every hook event folded into a digest, so long runs compare without
+   keeping their event streams. *)
+let recorder () =
+  let h = ref 0 and n = ref 0 in
+  let mix x =
+    h := (!h lxor x) * 0x100000001b3;
+    incr n
+  in
+  let hooks =
+    {
+      Func_sim.on_block =
+        (fun id ->
+          mix 1;
+          mix id);
+      on_instr =
+        (fun i ~fired ~addr ->
+          mix 2;
+          mix i.Instr.id;
+          mix (Hashtbl.hash i.Instr.op);
+          mix (Bool.to_int fired);
+          mix addr);
+      on_exit =
+        (fun e ->
+          mix 3;
+          mix (Hashtbl.hash e));
+    }
+  in
+  (hooks, fun () -> Fmt.str "%d events, digest %x" !n !h)
+
+let render_result (r : Func_sim.result) =
+  Fmt.str "ret=%a blocks=%d executed=%d fetched=%d checksum=%d"
+    Fmt.(Dump.option int)
+    r.Func_sim.ret r.Func_sim.blocks_executed r.Func_sim.instrs_executed
+    r.Func_sim.instrs_fetched r.Func_sim.checksum
+
+(* The outcome of a run, exceptions included, and the memory it left. *)
+let outcome memory f =
+  let m = memory () in
+  let o = match f m with s -> s | exception e -> "raised " ^ Printexc.to_string e in
+  Fmt.str "%s mem=%d" o (Func_sim.memory_checksum m)
+
+(* Block counts, every edge between blocks of the CFG, and every trip
+   histogram, read through one set of accessors. *)
+let render_profile ids ~pp ~block ~edge ~hist =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf (Fmt.str "%a" pp ());
+  List.iter
+    (fun s ->
+      Buffer.add_string buf (Fmt.str "\nb%d:%d" s (block s));
+      List.iter
+        (fun d ->
+          let n = edge s d in
+          if n <> 0 then Buffer.add_string buf (Fmt.str " ->b%d:%d" d n))
+        ids;
+      match hist s with
+      | [] -> ()
+      | h ->
+        Buffer.add_string buf
+          (Fmt.str " trips %a" Fmt.(list ~sep:sp (pair ~sep:(any "x") int int)) h))
+    ids;
+  Buffer.contents buf
+
+(* Run [cfg] plainly, under recording hooks and profiled, under both
+   implementations, and require the same outcomes, event streams and
+   profiles. *)
+let agree ~label ?fuel ?strict_exits ?(registers = []) ~memory cfg =
+  let run_new hooks m =
+    render_result (Func_sim.run ?fuel ?strict_exits ?hooks ~registers ~memory:m cfg)
+  in
+  let run_ref hooks m =
+    render_result (Sim_oracle.run ?fuel ?strict_exits ?hooks ~registers ~memory:m cfg)
+  in
+  let expect = outcome memory (run_ref None) in
+  check Alcotest.string (label ^ ": plain run") expect (outcome memory (run_new None));
+  let hooked run =
+    let hooks, digest = recorder () in
+    let o = outcome memory (run (Some hooks)) in
+    o ^ " " ^ digest ()
+  in
+  check Alcotest.string (label ^ ": hook event stream") (hooked run_ref)
+    (hooked run_new);
+  (* a CFG whose exits name missing blocks has no loop forest *)
+  let loops =
+    match Trips_analysis.Loops.compute cfg with
+    | l -> Some l
+    | exception Invalid_argument _ -> None
+  in
+  let ids = Cfg.block_ids cfg in
+  let profiled_new m =
+    let r, p =
+      Func_sim.run_profiled ?fuel ?strict_exits ~registers ?loops ~memory:m cfg
+    in
+    let module P = Trips_profile.Profile in
+    render_result r ^ "\n"
+    ^ render_profile ids
+        ~pp:(fun ppf () -> P.pp ppf p)
+        ~block:(P.block_count p)
+        ~edge:(fun src dst -> P.edge_count p ~src ~dst)
+        ~hist:(P.trip_histogram p)
+  in
+  let profiled_ref m =
+    let r, p =
+      Sim_oracle.run_profiled ?fuel ?strict_exits ~registers ?loops ~memory:m cfg
+    in
+    List.iter
+      (fun (s, d, _) ->
+        if not (List.mem s ids && List.mem d ids) then
+          Alcotest.failf "%s: reference edge b%d->b%d outside the CFG" label s d)
+      (Sim_oracle.edges p);
+    render_result r ^ "\n"
+    ^ render_profile ids
+        ~pp:(fun ppf () -> Sim_oracle.pp ppf p)
+        ~block:(Sim_oracle.block_count p)
+        ~edge:(fun src dst -> Sim_oracle.edge_count p ~src ~dst)
+        ~hist:(Sim_oracle.trip_histogram p)
+  in
+  check Alcotest.string (label ^ ": profile")
+    (outcome memory profiled_ref)
+    (outcome memory profiled_new)
+
+let oracle_random_cfgs =
+  (* random strict CFGs: the preloaded test register picks which way
+     every branch goes, so runs end normally, loop until the fuel runs
+     out, or — non-strict — take the first of several holding exits *)
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"decoded interpreter = reference on random CFGs"
+       ~count:200
+       QCheck2.Gen.(
+         quad Generators.random_cfg_gen (int_range 0 9) (int_range 0 300) bool)
+       (fun (spec, r1024, fuel, strict_exits) ->
+         let cfg = Generators.build_random_cfg spec in
+         (* the last block's exits, by the test register's value: loop
+            back to the entry (8), return (1, 3), hold nowhere (4-7), or
+            hold twice (0, 2, 9), which strict mode rejects and
+            non-strict mode resolves to the first *)
+         let exit_ sense target =
+           { Block.eguard = Some { Instr.greg = 1024; sense }; target }
+         in
+         let last = Cfg.block cfg (Cfg.num_blocks cfg - 1) in
+         Cfg.set_block cfg
+           {
+             last with
+             Block.exits =
+               [
+                 exit_ (r1024 > 7) (Block.Goto 0);
+                 exit_ (r1024 < 4) (Block.Ret None);
+                 exit_ (r1024 = 2 || r1024 = 9) (Block.Ret (Some (Instr.Reg 1024)));
+               ];
+           };
+         agree ~label:"random" ~fuel ~strict_exits
+           ~registers:[ (1024, r1024); (max_int, 1) ]
+           ~memory:(fun () -> Array.make 8 3)
+           cfg;
+         true))
+
+let test_oracle_fuzz_cases () =
+  (* every adversarial fuzz shape, plus the committed corpus *)
+  let run_case label (case : Trips_fuzz.Gen.case) =
+    match case.Trips_fuzz.Gen.payload with
+    | Trips_fuzz.Gen.Cfg_case { cfg; registers; mem_words } ->
+      agree ~label ~registers
+        ~memory:(fun () -> Trips_fuzz.Gen.memory_of ~mem_words)
+        cfg
+    | Trips_fuzz.Gen.Lang_case recipe ->
+      let w = Trips_workloads.Spec_like.generate recipe in
+      let cfg, registers = Trips_harness.Pipeline.lower_workload w in
+      agree ~label ~registers ~memory:(fun () -> Trips_workloads.Workload.memory w) cfg
+  in
+  List.iter
+    (fun shape ->
+      List.iter
+        (fun seed ->
+          run_case
+            (Fmt.str "%s/%d" (Trips_fuzz.Gen.shape_name shape) seed)
+            (Trips_fuzz.Gen.generate shape ~seed))
+        [ 1; 2; 3 ])
+    Trips_fuzz.Gen.all_shapes;
+  (* the corpus sits next to the test under dune runtest, and under
+     test/ when the suite runs from the repository root *)
+  let dir = if Sys.file_exists "corpus" then "corpus" else "test/corpus" in
+  match Trips_fuzz.Corpus.load_dir dir with
+  | Error msg -> Alcotest.failf "corpus unreadable: %s" msg
+  | Ok entries ->
+    check Alcotest.bool "corpus is non-empty" true (entries <> []);
+    List.iter
+      (fun (name, (e : Trips_fuzz.Corpus.entry)) -> run_case name e.Trips_fuzz.Corpus.case)
+      entries
+
+let test_oracle_missing_block () =
+  (* a Goto to a block the CFG lacks fails on entry, as [Cfg.block] does *)
+  let cfg =
+    single_block
+      [ mkins (Instr.Mov (1024, Instr.Imm 1)) ]
+      [ { Block.eguard = None; target = Block.Goto 99 } ]
+  in
+  agree ~label:"missing target" ~memory:(fun () -> Array.make 4 0) cfg;
+  cfg.Cfg.entry <- 98;
+  agree ~label:"missing entry" ~memory:(fun () -> Array.make 4 0) cfg
+
+let test_oracle_workloads () =
+  (* the 24 micro kernels, lowered and formed (IUPO-merged, allocated),
+     each also cut off halfway through its fuel; and the 19 SPEC-like
+     programs as lowered *)
+  List.iter
+    (fun (w : Trips_workloads.Workload.t) ->
+      let name = w.Trips_workloads.Workload.name in
+      let memory () = Trips_workloads.Workload.memory w in
+      let cfg, registers = Trips_harness.Pipeline.lower_workload w in
+      agree ~label:(name ^ " lowered") ~registers ~memory cfg;
+      let c = compile_micro name in
+      let registers = c.Trips_harness.Pipeline.registers in
+      let cfg = c.Trips_harness.Pipeline.cfg in
+      agree ~label:(name ^ " formed") ~registers ~memory cfg;
+      let full = Func_sim.run ~registers ~memory:(memory ()) cfg in
+      agree ~label:(name ^ " out of fuel") ~fuel:(full.Func_sim.instrs_fetched / 2)
+        ~registers ~memory cfg)
+    Trips_workloads.Micro.all;
+  List.iter
+    (fun (w : Trips_workloads.Workload.t) ->
+      let cfg, registers = Trips_harness.Pipeline.lower_workload w in
+      agree ~label:w.Trips_workloads.Workload.name ~registers
+        ~memory:(fun () -> Trips_workloads.Workload.memory w)
+        cfg)
+    Trips_workloads.Spec_like.all
+
 let suite =
   ( "sim",
     [
@@ -444,6 +797,13 @@ let suite =
       Alcotest.test_case "fuel boundary" `Quick test_fuel_boundary;
       Alcotest.test_case "empty memory" `Quick test_empty_memory;
       Alcotest.test_case "memory wrapping" `Quick test_memory_wrapping;
+      Alcotest.test_case "sparse register numbers" `Quick test_sparse_register_numbers;
+      Alcotest.test_case "unmentioned parameter register" `Quick
+        test_unmentioned_parameter;
+      Alcotest.test_case "unwritten registers read zero" `Quick
+        test_unwritten_registers_read_zero;
+      Alcotest.test_case "fuel across blocks" `Quick test_fuel_across_blocks;
+      Alcotest.test_case "hook addresses" `Quick test_hook_addresses;
       Alcotest.test_case "profile collection" `Quick test_profile_collection;
       Alcotest.test_case "predictor learns loops" `Quick test_predictor_learns_loop;
       Alcotest.test_case "predictor hysteresis" `Quick test_predictor_hysteresis;
@@ -461,4 +821,11 @@ let suite =
       Alcotest.test_case "sampled mode bounded" `Quick test_sampled_mode;
       Alcotest.test_case "attribution partitions under fast paths" `Quick
         test_attribution_partition_modes;
+      oracle_random_cfgs;
+      Alcotest.test_case "decoded interpreter = reference: missing blocks" `Quick
+        test_oracle_missing_block;
+      Alcotest.test_case "decoded interpreter = reference: fuzz shapes, corpus"
+        `Quick test_oracle_fuzz_cases;
+      Alcotest.test_case "decoded interpreter = reference: workloads" `Quick
+        test_oracle_workloads;
     ] )

@@ -39,17 +39,13 @@ trace-check: build
 	@echo "trace-check: event streams identical across -j 1 / -j 4"
 
 # Fast-path equivalence: the formation suite includes the property test
-# that formation with every TRIPS_NO_* escape hatch engaged produces
-# byte-identical CFGs, stats and traces to the default fast paths; the
-# sim suite does the same for the cycle model's ring/memo fast paths
-# (results, attribution rows and timing traces, all byte-compared).
-# The second formation run repeats the suite with the trial cache and
-# speculation hatched off, so the oracle side of every equivalence
-# property is itself exercised both ways.
+# that formation with every fast-path hatch (Formation.hatches) engaged
+# produces byte-identical CFGs, stats and traces to the default fast
+# paths, on random programs and the kernels; the sim suite does the same
+# for the cycle model's ring/memo fast paths (results, attribution rows
+# and timing traces, all byte-compared).
 equiv-check: build
 	dune exec test/test_main.exe -- test formation
-	TRIPS_NO_TRIAL_CACHE=1 TRIPS_NO_SPEC_TRIALS=1 \
-		dune exec test/test_main.exe -- test formation
 	dune exec test/test_main.exe -- test sim
 
 # Report determinism: the per-block utilization report on two fixed
@@ -114,7 +110,6 @@ bench: build
 
 # Formation fast-path attribution: legacy path (hatches engaged) vs the
 # pre-filter, incremental liveness, loop-forest reuse and indexed pool,
-# plus jobs-sensitivity rows (speculative trials at -j1/-j2/-j4, K=4)
 # with an identical-output assertion across every configuration (writes
 # BENCH_formation.json, including the runtime-measured core count).
 bench-formation: build

@@ -42,6 +42,17 @@ let run_figure7 () =
   section "Figure 7 — cycle reduction vs block count reduction";
   Figure7.render Fmt.stdout (Lazy.force table1_rows)
 
+(* Left-justify [s] in [width] columns.  [%-Ns] pads by bytes, which
+   leaves a label holding a multi-byte UTF-8 character (the "§") one
+   column short, so count code points (non-continuation bytes). *)
+let pad_label width s =
+  let n =
+    String.fold_left
+      (fun n c -> if Char.code c land 0xC0 = 0x80 then n else n + 1)
+      0 s
+  in
+  s ^ String.make (max 0 (width - n)) ' '
+
 (* Ablations on the design knobs DESIGN.md calls out: head duplication,
    iterative optimization, and the tail-duplication size cap. *)
 let run_ablation () =
@@ -88,7 +99,7 @@ let run_ablation () =
   Fmt.pr " | avg@.";
   List.iter
     (fun (label, config) ->
-      Fmt.pr "%-22s" label;
+      Fmt.pr "%s" (pad_label 22 label);
       let improvements =
         List.map
           (fun w ->
@@ -350,16 +361,7 @@ let run_sweep () =
 let run_formation () =
   section "Formation — fast-path attribution (legacy path vs pre-filter, \
            incremental liveness, loop reuse, indexed pool)";
-  let hatches =
-    [
-      "TRIPS_NO_PREFILTER";
-      "TRIPS_NO_INCR_LIVENESS";
-      "TRIPS_NO_LOOP_REUSE";
-      "TRIPS_NO_CAND_POOL";
-      "TRIPS_NO_TRIAL_CACHE";
-      "TRIPS_NO_SPEC_TRIALS";
-    ]
-  in
+  let hatches = Chf.Formation.hatches in
   (* the store-dense kernels join the 24-kernel set here: their unrolled
      merge estimates blow the 32-slot store budget, which is the regime
      the constraint pre-filter fires in (the paper set's size rejects are
@@ -376,109 +378,70 @@ let run_formation () =
     Buffer.contents buf
   in
   (* [on] lists the hatch variables whose fast path stays enabled; the
-     rest are set non-empty, which disables them.  [spec] installs a
-     resident pool (jobs - 1 workers; the formation loop is the +1) and
-     the speculation scheduler for the duration of the run. *)
-  let measure ?spec ~name ~on () =
+     rest are set non-empty, which disables them. *)
+  let measure ~name ~on =
     List.iter
       (fun h -> Unix.putenv h (if List.mem h on then "" else "1"))
       hatches;
-    let pool =
-      match spec with
-      | None -> None
-      | Some (jobs, k) ->
-        let p = Engine.Pool.create ~workers:(max 0 (jobs - 1)) () in
-        Chf.Formation.set_spec_trials k;
-        Chf.Formation.set_scheduler (Some (Engine.formation_scheduler p));
-        Some p
-    in
     Trips_obs.Metrics.reset ();
     Stage.reset_timings ();
     let t0 = Unix.gettimeofday () in
     let output = render_all () in
     let wall = Unix.gettimeofday () -. t0 in
-    (match pool with
-    | None -> ()
-    | Some p ->
-      Chf.Formation.set_scheduler None;
-      Engine.Pool.shutdown p);
     let formation_s = (Stage.timings ()).Stage.formation_s in
     let snap = Trips_obs.Metrics.snapshot () in
     let counter = Trips_obs.Metrics.counter_value snap in
     let prefilter = counter "formation.prefilter.hits" in
     let incr_live = counter "formation.liveness.incremental" in
     let loops = counter "formation.loops.reuse" in
-    let trials =
-      ( counter "formation.trials.speculative",
-        counter "formation.trials.cached",
-        counter "formation.trials.wasted" )
-    in
     List.iter (fun h -> Unix.putenv h "") hatches;
-    let spec_n, cached_n, wasted_n = trials in
     Fmt.pr
       "%-28s %6.2fs wall  %6.2fs formation  (prefilter %d, incr-live %d, \
-       loop-reuse %d, trials %d/%d/%d spec/cached/wasted)@."
-      name wall formation_s prefilter incr_live loops spec_n cached_n wasted_n;
-    (name, wall, formation_s, (prefilter, incr_live, loops), trials, output)
+       loop-reuse %d)@."
+      name wall formation_s prefilter incr_live loops;
+    (name, wall, formation_s, (prefilter, incr_live, loops), output)
   in
-  let baseline = measure ~name:"fast paths off (legacy)" ~on:[] () in
-  let only_pf =
-    measure ~name:"pre-filter only" ~on:[ "TRIPS_NO_PREFILTER" ] ()
+  let baseline = measure ~name:"fast paths off (legacy)" ~on:[] in
+  (* one row per fast path alone, in [Formation.hatches] order, each
+     with its attribution key *)
+  let singles =
+    List.map2
+      (fun h (name, key) -> (key, measure ~name ~on:[ h ]))
+      hatches
+      [
+        ("pre-filter only", "prefilter");
+        ("incremental liveness only", "incr_liveness");
+        ("loop-forest reuse only", "loop_reuse");
+        ("indexed pool only", "cand_pool");
+      ]
   in
-  let only_il =
-    measure ~name:"incremental liveness only" ~on:[ "TRIPS_NO_INCR_LIVENESS" ]
-      ()
-  in
-  let only_lr =
-    measure ~name:"loop-forest reuse only" ~on:[ "TRIPS_NO_LOOP_REUSE" ] ()
-  in
-  let only_cp =
-    measure ~name:"indexed pool only" ~on:[ "TRIPS_NO_CAND_POOL" ] ()
-  in
-  let fast = measure ~name:"all fast paths (default)" ~on:hatches () in
-  (* jobs counts working domains: the pool gets jobs - 1 and the
-     formation loop helps at join.  All outputs must still be
-     byte-identical — speculation only moves work, never changes it. *)
-  let spec_j1 =
-    measure ~name:"speculative -j1 (K=4)" ~on:hatches ~spec:(1, 4) ()
-  in
-  let spec_j2 =
-    measure ~name:"speculative -j2 (K=4)" ~on:hatches ~spec:(2, 4) ()
-  in
-  let spec_j4 =
-    measure ~name:"speculative -j4 (K=4)" ~on:hatches ~spec:(4, 4) ()
-  in
-  let configs =
-    [
-      baseline; only_pf; only_il; only_lr; only_cp; fast; spec_j1; spec_j2;
-      spec_j4;
-    ]
-  in
-  let output_of (_, _, _, _, _, o) = o in
-  let formation_of (_, _, f, _, _, _) = f in
-  let wall_of (_, w, _, _, _, _) = w in
+  let fast = measure ~name:"all fast paths (default)" ~on:hatches in
+  let configs = (baseline :: List.map snd singles) @ [ fast ] in
+  let output_of (_, _, _, _, o) = o in
+  let formation_of (_, _, f, _, _) = f in
+  let wall_of (_, w, _, _, _) = w in
   let identical =
     List.for_all (fun c -> output_of c = output_of baseline) configs
   in
   if not identical then
     Fmt.epr "bench: WARNING: formation outputs differ across fast paths@.";
   let speedup = formation_of baseline /. formation_of fast in
-  let spec_speedup_j4 = formation_of fast /. formation_of spec_j4 in
   Fmt.pr "identical outputs: %b@." identical;
   Fmt.pr "formation-stage speedup: %.2fx  (wall: %.2fx)@." speedup
     (wall_of baseline /. wall_of fast);
-  Fmt.pr "speculation -j4 vs sequential fast: %.2fx (on %d core(s))@."
-    spec_speedup_j4 (Engine.default_jobs ());
-  let attribution c = formation_of baseline -. formation_of c in
+  let attribution =
+    List.map
+      (fun (key, c) ->
+        Fmt.str "%S: %.3f" key (formation_of baseline -. formation_of c))
+      singles
+  in
   let json =
-    let config (name, wall, formation_s, (pf, il, lr), (sp, ca, wa), _) =
+    let config (name, wall, formation_s, (pf, il, lr), _) =
       Fmt.str
         "    { \"name\": %S, \"wall_s\": %.3f, \"formation_s\": %.3f,@\n\
         \      \"counters\": { \"prefilter_hits\": %d, \
-         \"liveness_incremental\": %d, \"loops_reuse\": %d, \
-         \"trials_speculative\": %d, \"trials_cached\": %d, \
-         \"trials_wasted\": %d } }"
-        name wall formation_s pf il lr sp ca wa
+         \"liveness_incremental\": %d, \"loops_reuse\": %d } }"
+        name wall formation_s pf il lr
     in
     Fmt.str
       "{@\n\
@@ -486,17 +449,14 @@ let run_formation () =
       \  \"identical_outputs\": %b,@\n\
       \  \"formation_speedup\": %.3f,@\n\
       \  \"wall_speedup\": %.3f,@\n\
-      \  \"spec_speedup_j4\": %.3f,@\n\
-      \  \"attribution_s\": { \"prefilter\": %.3f, \"incr_liveness\": %.3f, \
-       \"loop_reuse\": %.3f, \"cand_pool\": %.3f },@\n\
+      \  \"attribution_s\": { %s },@\n\
       \  \"configs\": [@\n\
        %s@\n\
       \  ]@\n\
        }@\n"
       (Engine.default_jobs ()) identical speedup
       (wall_of baseline /. wall_of fast)
-      spec_speedup_j4 (attribution only_pf) (attribution only_il)
-      (attribution only_lr) (attribution only_cp)
+      (String.concat ", " attribution)
       (String.concat ",\n" (List.map config configs))
   in
   let path = bench_out "BENCH_formation.json" in

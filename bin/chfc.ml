@@ -60,40 +60,6 @@ let no_provenance_arg =
 let apply_provenance no_provenance =
   if no_provenance then Trips_ir.Lineage.set_enabled false
 
-(* ---- speculative formation trials -------------------------------------- *)
-
-let spec_trials_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "spec-trials" ] ~docv:"K"
-        ~doc:
-          "Trial-merge the next $(docv) pool candidates speculatively on \
-           a resident worker pool while formation evaluates the head \
-           candidate.  Outputs (CFG, stats, traces) are byte-identical to \
-           the sequential path; only wall-clock changes.  0 (the default) \
-           disables speculation.")
-
-(* Install a resident pool and formation's speculation scheduler for the
-   rest of the process.  [jobs] counts working domains in total — the
-   formation loop helps drain the queue at join time, acting as the
-   pool's +1 worker — so the pool gets [jobs - 1] resident domains.
-   When [jobs] is absent or <= 0 it defaults to one domain per core,
-   minus one for the main loop. *)
-let apply_speculation ?jobs spec_trials =
-  if spec_trials > 0 then begin
-    let jobs =
-      match jobs with
-      | Some j when j > 0 -> j
-      | _ -> max 1 (Domain.recommended_domain_count () - 1)
-    in
-    let pool = Engine.Pool.create ~workers:(max 0 (jobs - 1)) () in
-    Chf.Formation.set_spec_trials spec_trials;
-    Chf.Formation.set_scheduler (Some (Engine.formation_scheduler pool));
-    at_exit (fun () ->
-        Chf.Formation.set_scheduler None;
-        Engine.Pool.shutdown pool)
-  end
-
 let metrics_arg =
   Arg.(
     value & flag
@@ -223,7 +189,7 @@ let compile_workload_report ?(sim_sample = 0) w ordering config dump backend
     end
 
 let compile_run name ordering policy dump backend verify emit_asm emit_dot
-    sim_sample spec_trials no_provenance trace chrome metrics metrics_json =
+    sim_sample no_provenance trace chrome metrics metrics_json =
   match
     (find_workload name, ordering_of_string ordering, policy_of_string policy)
   with
@@ -232,7 +198,6 @@ let compile_run name ordering policy dump backend verify emit_asm emit_dot
     exit 2
   | Ok w, Ok ordering, Ok config ->
     apply_provenance no_provenance;
-    apply_speculation spec_trials;
     with_obs trace chrome metrics metrics_json (fun () ->
         compile_workload_report ~sim_sample w ordering config dump backend
           verify emit_asm emit_dot)
@@ -240,8 +205,7 @@ let compile_run name ordering policy dump backend verify emit_asm emit_dot
 (* compile a kernel from a source file; parameters default to 0 unless
    given as name=value *)
 let compile_file_run path ordering policy dump backend verify emit_asm emit_dot
-    args memory_words unroll spec_trials no_provenance trace chrome metrics
-    metrics_json =
+    args memory_words unroll no_provenance trace chrome metrics metrics_json =
   match (ordering_of_string ordering, policy_of_string policy) with
   | Error (`Msg m), _ | _, Error (`Msg m) ->
     Fmt.epr "chfc: %s@." m;
@@ -277,7 +241,6 @@ let compile_file_run path ordering policy dump backend verify emit_asm emit_dot
           ~args:parsed_args ~memory_words ~frontend_unroll:unroll program
       in
       apply_provenance no_provenance;
-      apply_speculation spec_trials;
       with_obs trace chrome metrics metrics_json (fun () ->
           compile_workload_report w ordering config dump backend verify
             emit_asm emit_dot))
@@ -347,7 +310,7 @@ let compile_cmd =
     Term.(
       const compile_run $ workload_arg $ ordering $ policy $ dump $ backend
       $ verify_arg $ emit_asm_arg $ emit_dot_arg $ sim_sample
-      $ spec_trials_arg $ no_provenance_arg $ trace_arg $ chrome_trace_arg
+      $ no_provenance_arg $ trace_arg $ chrome_trace_arg
       $ metrics_arg $ metrics_json_arg)
 
 let compile_file_cmd =
@@ -389,7 +352,7 @@ let compile_file_cmd =
     Term.(
       const compile_file_run $ path_arg $ ordering $ policy $ dump $ backend
       $ verify_arg $ emit_asm_arg $ emit_dot_arg $ args $ memory_words $ unroll
-      $ spec_trials_arg $ no_provenance_arg $ trace_arg $ chrome_trace_arg
+      $ no_provenance_arg $ trace_arg $ chrome_trace_arg
       $ metrics_arg $ metrics_json_arg)
 
 (* ---- chaos ------------------------------------------------------------- *)
@@ -456,9 +419,8 @@ let chaos_cmd =
 (* ---- fuzz -------------------------------------------------------------- *)
 
 let fuzz_run seed count time_budget minimize case_deadline json_out corpus_out
-    replay_dir jobs spec_trials =
+    replay_dir =
   let open Trips_fuzz in
-  apply_speculation ~jobs spec_trials;
   let finish report =
     Fmt.pr "%a" Fuzzer.pp_report report;
     (match json_out with
@@ -538,20 +500,10 @@ let fuzz_cmd =
             "Instead of generating cases, replay every reproducer in $(docv) \
              through the oracle; any failure is a regression.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Domains for speculative formation trials (with \
-             $(b,--spec-trials)); 0 (the default) means one per core, \
-             minus one for the campaign loop.  Case generation and the \
-             oracle stay sequential either way.")
-  in
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(
       const fuzz_run $ seed $ count $ time_budget $ minimize $ case_deadline
-      $ json_out $ corpus_out $ replay_dir $ jobs $ spec_trials_arg)
+      $ json_out $ corpus_out $ replay_dir)
 
 (* ---- experiment commands ---------------------------------------------- *)
 
@@ -736,15 +688,14 @@ let report_cmd =
       & info [ "out" ] ~docv:"FILE"
           ~doc:"Write the text report to $(docv) instead of stdout.")
   in
-  let run names ordering policy jobs spec_trials no_cache cache_stats deadline
-      json out no_provenance trace chrome metrics metrics_json =
+  let run names ordering policy jobs no_cache cache_stats deadline json out
+      no_provenance trace chrome metrics metrics_json =
     match (ordering_of_string ordering, policy_of_string policy) with
     | Error (`Msg m), _ | _, Error (`Msg m) ->
       Fmt.epr "chfc: %s@." m;
       exit 2
     | Ok ordering, Ok config ->
       apply_provenance no_provenance;
-      apply_speculation ~jobs spec_trials;
       apply_stage_deadline deadline;
       with_obs trace chrome metrics metrics_json (fun () ->
           let jobs, cache = sweep_env jobs no_cache in
@@ -766,7 +717,7 @@ let report_cmd =
   Cmd.v (Cmd.info "report" ~doc)
     Term.(
       const run $ workloads_arg $ ordering $ policy $ jobs_arg
-      $ spec_trials_arg $ no_cache_arg $ cache_stats_arg $ stage_deadline_arg
+      $ no_cache_arg $ cache_stats_arg $ stage_deadline_arg
       $ json_arg $ out_arg $ no_provenance_arg $ trace_arg $ chrome_trace_arg
       $ metrics_arg $ metrics_json_arg)
 

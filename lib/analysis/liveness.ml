@@ -99,15 +99,7 @@ type t = {
   succs : int list IntMap.t;  (* successor lists at solve time *)
   preds : IntSet.t IntMap.t;  (* inverse of [succs] *)
   order : int IntMap.t;  (* postorder position, worklist priority only *)
-  version : int;  (* globally unique instance stamp (see [version]) *)
 }
-
-(* Every solve — full or incremental — gets a fresh stamp from a global
-   atomic counter, so [version] identifies a liveness instance without
-   comparing its (large, persistent) maps. *)
-let version_counter = Atomic.make 0
-let fresh_version () = Atomic.fetch_and_add version_counter 1 + 1
-let version t = t.version
 
 (* Blocks are immutable records replaced wholesale (see [Cfg]), so a
    block's gen/kill sets can be memoized under physical equality: a
@@ -202,8 +194,7 @@ let compute ?cache cfg =
       (0, IntMap.empty) ids
     |> snd
   in
-  { live_in = to_map live_in; live_out = to_map live_out; gk; succs; preds;
-    order; version = fresh_version () }
+  { live_in = to_map live_in; live_out = to_map live_out; gk; succs; preds; order }
 
 (* ---- incremental re-solve ---------------------------------------------- *)
 
@@ -329,7 +320,6 @@ let update ?cache t cfg ~touched =
     succs = !succs;
     preds = !preds;
     order = t.order;
-    version = fresh_version ();
   }
 
 let live_in t id = IntMap.find_or ~default:IntSet.empty id t.live_in

@@ -54,12 +54,6 @@ val update : ?cache:gk_cache -> t -> Cfg.t -> touched:int list -> t
     trial merge, where an edit touches one block and removes at most
     one. *)
 
-val version : t -> int
-(** Globally unique stamp of this instance: every {!compute} or
-    {!update} result carries a fresh one, so two liveness values with
-    equal versions are the same instance.  Formation's trial-verdict
-    cache folds this into its read-set keys. *)
-
 val live_in : t -> int -> IntSet.t
 val live_out : t -> int -> IntSet.t
 

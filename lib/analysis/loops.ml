@@ -20,11 +20,7 @@ type t = {
   loops : loop IntMap.t;  (* keyed by header *)
   loop_of_block : int IntMap.t;
       (* block -> header of the innermost loop containing it *)
-  version : int;  (* globally unique instance stamp (see [version]) *)
 }
-
-let version_counter = Atomic.make 0
-let version t = t.version
 
 let compute cfg =
   let dom = Dominators.compute cfg in
@@ -100,7 +96,7 @@ let compute cfg =
           l.body acc)
       loops IntMap.empty
   in
-  { loops; loop_of_block; version = Atomic.fetch_and_add version_counter 1 + 1 }
+  { loops; loop_of_block }
 
 let loop_headed_by t header = IntMap.find_opt header t.loops
 let is_loop_header t id = IntMap.mem id t.loops

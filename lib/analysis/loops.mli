@@ -18,12 +18,6 @@ type loop = {
 type t
 
 val compute : Cfg.t -> t
-
-val version : t -> int
-(** Globally unique stamp of this loop forest: every {!compute} result
-    carries a fresh one, so equal versions mean the same instance.
-    Formation's trial-verdict cache folds this into its read-set keys. *)
-
 val loop_headed_by : t -> int -> loop option
 val is_loop_header : t -> int -> bool
 

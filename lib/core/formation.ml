@@ -91,20 +91,25 @@ type fast_paths = {
   incr_liveness : bool;  (* Liveness.update instead of full compute *)
   loop_reuse : bool;  (* loop forest / predecessor map keyed by edge version *)
   cand_pool : bool;  (* indexed candidate pool *)
-  trial_cache : bool;  (* versioned trial-verdict cache *)
-  spec_trials : bool;  (* speculative parallel trials feeding the cache *)
 }
+
+(* The escape-hatch variable of each fast path, in [fast_paths] field
+   order. *)
+let hatches =
+  [
+    "TRIPS_NO_PREFILTER";
+    "TRIPS_NO_INCR_LIVENESS";
+    "TRIPS_NO_LOOP_REUSE";
+    "TRIPS_NO_CAND_POOL";
+  ]
 
 (* How often each fast path actually fired; exported as the
    [formation.prefilter.hits] / [formation.liveness.incremental] /
-   [formation.loops.reuse] / [formation.trials.*] metrics by [run]. *)
+   [formation.loops.reuse] metrics by [run]. *)
 type perf_counters = {
   mutable prefilter_hits : int;
   mutable live_incremental : int;
   mutable loops_reuse : int;
-  mutable trials_spec : int;  (* speculative trials submitted *)
-  mutable trials_cached : int;  (* verdicts served from the cache *)
-  mutable trials_wasted : int;  (* speculative trials never served *)
 }
 
 type state = {
@@ -117,11 +122,6 @@ type state = {
   peels_done : (int, int) Hashtbl.t;  (* header -> peeled iterations *)
   unrolls_done : (int, int) Hashtbl.t;  (* loop block -> appended iterations *)
   mutable version : int;  (* bumped on every CFG change *)
-  mutable commit_epoch : int;
-      (* bumped only at commit points (merge install, split, prune) — a
-         failed trial's rollback keeps it, so everything a trial could
-         read is constant within one epoch; the trial-verdict cache keys
-         on it *)
   mutable edge_version : int;
       (* bumped only when a successor list may have changed; body-only
          rewrites (the optimizer shrinking a block in place) keep it, so
@@ -161,7 +161,6 @@ let make config cfg profile =
     peels_done = Hashtbl.create 8;
     unrolls_done = Hashtbl.create 8;
     version = 0;
-    commit_epoch = 0;
     edge_version = 0;
     loops_cache = None;
     preds_cache = None;
@@ -176,57 +175,12 @@ let make config cfg profile =
     floors = Hashtbl.create 64;
     body_floors = Hashtbl.create 8;
     fast =
-      {
-        prefilter = hatch_enabled "TRIPS_NO_PREFILTER";
-        incr_liveness = hatch_enabled "TRIPS_NO_INCR_LIVENESS";
-        loop_reuse = hatch_enabled "TRIPS_NO_LOOP_REUSE";
-        cand_pool = hatch_enabled "TRIPS_NO_CAND_POOL";
-        trial_cache = hatch_enabled "TRIPS_NO_TRIAL_CACHE";
-        spec_trials = hatch_enabled "TRIPS_NO_SPEC_TRIALS";
-      };
-    perf =
-      {
-        prefilter_hits = 0;
-        live_incremental = 0;
-        loops_reuse = 0;
-        trials_spec = 0;
-        trials_cached = 0;
-        trials_wasted = 0;
-      };
+      (match List.map hatch_enabled hatches with
+      | [ prefilter; incr_liveness; loop_reuse; cand_pool ] ->
+        { prefilter; incr_liveness; loop_reuse; cand_pool }
+      | _ -> assert false);
+    perf = { prefilter_hits = 0; live_incremental = 0; loops_reuse = 0 };
   }
-
-(* ---- speculation scheduler -------------------------------------------- *)
-
-(* Formation cannot depend on the harness (the dependency runs the other
-   way), so the worker pool is injected: the harness installs a
-   [scheduler] whose [spawn] submits a cancellable thunk to its resident
-   [Engine.Pool].  With no scheduler installed (the default) formation
-   never speculates and the cache sees no writes — zero overhead. *)
-type spec_task = {
-  cancel : unit -> unit;
-      (* best-effort: a task not yet started never runs; one already
-         running completes and is ignored *)
-  join : unit -> unit;
-      (* wait for completion (or cancellation); establishes the
-         happens-before edge on the thunk's writes *)
-}
-
-type scheduler = { spawn : (unit -> unit) -> spec_task }
-
-(* Runs the thunk immediately on the calling domain: speculation without
-   parallelism, for tests and single-core fallbacks. *)
-let inline_scheduler =
-  {
-    spawn =
-      (fun f ->
-        f ();
-        { cancel = ignore; join = ignore });
-  }
-
-let scheduler_ref : scheduler option ref = ref None
-let spec_trials_ref = ref 4
-let set_scheduler s = scheduler_ref := s
-let set_spec_trials k = spec_trials_ref := max 0 k
 
 (* Record a CFG edit that cannot have changed any successor list. *)
 let touch_body st ids =
@@ -657,13 +611,6 @@ let merge_blocks ?(depth = 0) ?(prob = 1.0) ?hb st ~hb_id ~s_id ~kind :
         Cfg.record_decision cfg hb_id
           (Lineage.decision ~step:lineage_step ~kind:(kind_name kind)
              ~src:s_id);
-      (* commit point: stamp every block this merge wrote.  Bumping here
-         — and only here — keeps failed trials version-invisible, which
-         is what lets speculative verdicts computed against the
-         pre-trial graph survive a failed head attempt. *)
-      Cfg.bump_version cfg hb_id;
-      if kind = Simple then Cfg.bump_version cfg s_id;
-      st.commit_epoch <- st.commit_epoch + 1;
       emit ~outcome:"success" ~est ~msg:"";
       Success est
     end
@@ -690,71 +637,6 @@ let merge_blocks ?(depth = 0) ?(prob = 1.0) ?hb st ~hb_id ~s_id ~kind :
       emit ~outcome:"size" ~est:zero_estimate ~msg:"";
       Size_rejected est
     end
-
-(* ---- speculative trial verdicts ---------------------------------------- *)
-
-(* Everything a *failed* trial does to the world, captured on whichever
-   domain ran it so the main loop can replay it at the exact point the
-   sequential trial would have run: the outcome, the trace events (raw,
-   re-stamped with the serving domain's stream coordinates on replay),
-   the metric deltas, and the stats/perf counter bumps.  Successful
-   merges are never served from a verdict — they mutate far more than
-   this record captures — so a [Success] verdict only tells the main
-   loop to run the merge live.
-
-   The read-set versions pin everything the trial consulted: the two
-   block versions, the liveness and loop-forest instance stamps, and the
-   commit epoch (within one epoch the CFG bits, fresh-id counters and
-   bookkeeping tables are all constant — rollback restores them — so a
-   trial is a deterministic function of this key). *)
-type verdict = {
-  v_kind : merge_kind;
-  v_depth : int;
-  v_prob : float;
-  v_epoch : int;
-  v_hb_version : int;
-  v_s_version : int;
-  v_live_version : int;
-  v_loops_version : int;
-  v_outcome : merge_outcome;
-  v_trace : Trips_obs.Trace.captured;
-  v_deltas : Trips_obs.Metrics.deltas;
-  v_stats : stats;  (* the spec trial's own counters, applied as deltas *)
-  v_prefilter_hits : int;
-  v_live_incremental : int;
-  v_loops_reuse : int;
-}
-
-type pending = { p_task : spec_task; p_result : verdict option ref }
-
-(* Trial copy for one speculative merge: shares every immutable input
-   with [st] (block records, analysis instances, profile, config) and
-   owns a private copy of every mutable structure a trial writes, so a
-   worker-side trial can install/optimize/rollback freely without
-   touching the real state.  [live_gk] is dropped — the shared memo
-   hashtable is not domain-safe — which only costs recomputed gen/kill
-   sets (identical values). *)
-let spec_state st =
-  {
-    st with
-    cfg = Cfg.copy st.cfg;
-    stats = empty_stats ();
-    saved_bodies = Hashtbl.copy st.saved_bodies;
-    peels_done = Hashtbl.copy st.peels_done;
-    unrolls_done = Hashtbl.copy st.unrolls_done;
-    live_gk = None;
-    floors = Hashtbl.copy st.floors;
-    body_floors = Hashtbl.copy st.body_floors;
-    perf =
-      {
-        prefilter_hits = 0;
-        live_incremental = 0;
-        loops_reuse = 0;
-        trials_spec = 0;
-        trials_cached = 0;
-        trials_wasted = 0;
-      };
-  }
 
 (* ---- ExpandBlock ------------------------------------------------------- *)
 
@@ -801,178 +683,6 @@ let expand_block st seed =
         ~depth:c.Policy.depth ~prob:c.Policy.prob ~classify ~outcome
         ~est:zero_estimate ~msg:""
     in
-    (* ---- trial-verdict cache + speculative trials ---- *)
-    let cache_on = st.fast.trial_cache in
-    let sched =
-      (* the chaos / audit hooks reach into a trial from the outside;
-         a speculated trial would observe them at the wrong time, so
-         their presence forces every trial to run live *)
-      if
-        cache_on && st.fast.spec_trials
-        && !chaos_combine_failure = None
-        && !prefilter_audit = None
-      then !scheduler_ref
-      else None
-    in
-    let spec_k = !spec_trials_ref in
-    let verdicts : (int, verdict) Hashtbl.t = Hashtbl.create 16 in
-    let inflight : (int, pending) Hashtbl.t = Hashtbl.create 16 in
-    let waste n = st.perf.trials_wasted <- st.perf.trials_wasted + n in
-    (* Instance stamps of the *currently valid* analyses, [None] when the
-       cached instance is stale (then nothing can be served — a spec
-       computed against it is conservatively wasted). *)
-    let live_version () =
-      match st.live_cache with
-      | Some (v, l) when v = st.version -> Some (Liveness.version l)
-      | _ -> None
-    in
-    let loops_version () =
-      let key = if st.fast.loop_reuse then st.edge_version else st.version in
-      match st.loops_cache with
-      | Some (k, _, l) when k = key -> Some (Loops.version l)
-      | _ -> None
-    in
-    let spawn_spec (c : Policy.candidate) kind =
-      let s_id = c.Policy.block_id in
-      (* force the analyses clean *before* snapshotting, so the spec
-         state, the recorded read-set and the serve-time check all see
-         the same instances (computing them now rather than inside the
-         next trial is output-invariant: same least fixpoint) *)
-      ignore (liveness st);
-      ignore (loops st);
-      match (live_version (), loops_version ()) with
-      | Some live_v, Some loops_v ->
-        let sst = spec_state st in
-        let v_epoch = st.commit_epoch in
-        let v_hb_version = Cfg.block_version st.cfg seed in
-        let v_s_version = Cfg.block_version st.cfg s_id in
-        let cell = ref None in
-        let thunk () =
-          let (outcome, v_trace), v_deltas =
-            Trips_obs.Metrics.capture (fun () ->
-                Trips_obs.Trace.capture (fun () ->
-                    merge_blocks ~depth:c.Policy.depth ~prob:c.Policy.prob
-                      sst ~hb_id:seed ~s_id ~kind))
-          in
-          cell :=
-            Some
-              {
-                v_kind = kind;
-                v_depth = c.Policy.depth;
-                v_prob = c.Policy.prob;
-                v_epoch;
-                v_hb_version;
-                v_s_version;
-                v_live_version = live_v;
-                v_loops_version = loops_v;
-                v_outcome = outcome;
-                v_trace;
-                v_deltas;
-                v_stats = sst.stats;
-                v_prefilter_hits = sst.perf.prefilter_hits;
-                v_live_incremental = sst.perf.live_incremental;
-                v_loops_reuse = sst.perf.loops_reuse;
-              }
-        in
-        (match sched with
-        | Some s ->
-          st.perf.trials_spec <- st.perf.trials_spec + 1;
-          Hashtbl.replace inflight s_id
-            { p_task = s.spawn thunk; p_result = cell }
-        | None -> ())
-      | _ -> ()
-    in
-    (* While the main loop evaluates the head candidate, the next [K]
-       pool candidates (in exact selection order — peek re-adds them)
-       are trial-merged speculatively on worker domains. *)
-    let speculate () =
-      if sched <> None && spec_k > 0 then
-        List.iter
-          (fun (c : Policy.candidate) ->
-            let s_id = c.Policy.block_id in
-            if
-              (not (Hashtbl.mem verdicts s_id))
-              && not (Hashtbl.mem inflight s_id)
-            then
-              match classify ~hb:(current_hb ()) st ~hb_id:seed ~s_id with
-              | Some kind -> spawn_spec c kind
-              | None -> ())
-          (Policy.peek selector pool spec_k)
-    in
-    let harvest s_id =
-      match Hashtbl.find_opt inflight s_id with
-      | None -> ()
-      | Some p ->
-        p.p_task.join ();
-        Hashtbl.remove inflight s_id;
-        (match !(p.p_result) with
-        | Some v -> Hashtbl.replace verdicts s_id v
-        | None -> waste 1 (* cancelled, or the trial raised *))
-    in
-    (* Serve the head candidate's verdict when one exists and nothing in
-       its read-set moved.  Replaying the captured trace here puts the
-       events at exactly the stream position the sequential trial would
-       have written them, so served and live runs are byte-identical. *)
-    let lookup (c : Policy.candidate) kind =
-      if not cache_on then None
-      else begin
-        let s_id = c.Policy.block_id in
-        harvest s_id;
-        match Hashtbl.find_opt verdicts s_id with
-        | None -> None
-        | Some v ->
-          Hashtbl.remove verdicts s_id;
-          let fresh =
-            v.v_epoch = st.commit_epoch
-            && v.v_hb_version = Cfg.block_version st.cfg seed
-            && v.v_s_version = Cfg.block_version st.cfg s_id
-            && live_version () = Some v.v_live_version
-            && loops_version () = Some v.v_loops_version
-            && v.v_kind = kind
-            && v.v_depth = c.Policy.depth
-            && v.v_prob = c.Policy.prob
-          in
-          (match v.v_outcome with
-          | _ when not fresh ->
-            waste 1;
-            None
-          | Success _ ->
-            (* a successful merge mutates the real CFG, provenance and
-               bookkeeping; the verdict only proves it will succeed, so
-               run it live *)
-            waste 1;
-            None
-          | Structural_failure _ | Size_rejected _ ->
-            Trips_obs.Trace.replay v.v_trace;
-            Trips_obs.Metrics.apply v.v_deltas;
-            st.stats.attempts <- st.stats.attempts + v.v_stats.attempts;
-            st.stats.size_rejections <-
-              st.stats.size_rejections + v.v_stats.size_rejections;
-            st.stats.combine_failures <-
-              st.stats.combine_failures + v.v_stats.combine_failures;
-            st.perf.prefilter_hits <-
-              st.perf.prefilter_hits + v.v_prefilter_hits;
-            st.perf.live_incremental <-
-              st.perf.live_incremental + v.v_live_incremental;
-            st.perf.loops_reuse <- st.perf.loops_reuse + v.v_loops_reuse;
-            st.perf.trials_cached <- st.perf.trials_cached + 1;
-            Some v.v_outcome)
-      end
-    in
-    (* Every commit moves the seed's version, so no pending verdict can
-       ever serve again: cancel what has not started, join the rest, and
-       account every unserved speculation as wasted. *)
-    let invalidate () =
-      Hashtbl.iter (fun _ p -> p.p_task.cancel ()) inflight;
-      Hashtbl.iter
-        (fun _ p ->
-          p.p_task.join ();
-          waste 1)
-        inflight;
-      Hashtbl.reset inflight;
-      waste (Hashtbl.length verdicts);
-      Hashtbl.reset verdicts
-    in
     (* Budget exhaustion: every candidate still waiting — the one just
        selected, the remaining pool (canonical block-id order) and the
        size-retry list (chronological) — gets its own [budget] event, so
@@ -1014,23 +724,16 @@ let expand_block st seed =
             emit_reject c ~classify:"none" ~outcome:"policy";
             drain ~progress
           | Some kind -> (
-            (* kick off speculation on the next pool candidates before
-               settling the head one *)
-            speculate ();
             (* snapshot the merged-in block's own successors before the
                merge folds them into the seed's exit list *)
             let merged_succs =
               Block.distinct_successors (Cfg.block st.cfg s_id)
             in
             match
-              match lookup c kind with
-              | Some outcome -> outcome
-              | None ->
-                merge_blocks ~depth:c.Policy.depth ~prob:c.Policy.prob
-                  ~hb:(current_hb ()) st ~hb_id:seed ~s_id ~kind
+              merge_blocks ~depth:c.Policy.depth ~prob:c.Policy.prob
+                ~hb:(current_hb ()) st ~hb_id:seed ~s_id ~kind
             with
             | Success _ ->
-              invalidate ();
               hb_cache := None;
               make_candidates st ~src:s_id ~targets:merged_succs
                 ~depth:(c.Policy.depth + 1) ~prob:c.Policy.prob
@@ -1052,11 +755,6 @@ let expand_block st seed =
                 | Some new_id ->
                   st.stats.block_splits <- st.stats.block_splits + 1;
                   touch_edges st [ s_id; new_id ];
-                  (* commit point: the split rewrote [s_id] in place *)
-                  Cfg.bump_version st.cfg s_id;
-                  Cfg.bump_version st.cfg new_id;
-                  st.commit_epoch <- st.commit_epoch + 1;
-                  invalidate ();
                   Policy.Pool.add pool c;
                   drain ~progress:true
                 | None ->
@@ -1073,9 +771,7 @@ let expand_block st seed =
       ~targets:(Block.distinct_successors (Cfg.block st.cfg seed))
       ~depth:1 ~prob:1.0
     |> Policy.Pool.add_list pool;
-    (* the finally clause settles (and accounts for) any speculation
-       still in flight, including on the watchdog-timeout unwind *)
-    Fun.protect ~finally:invalidate (fun () -> drain ~progress:false)
+    drain ~progress:false
   end
 
 (** Run hyperblock formation over the whole function: expand every block,
@@ -1098,11 +794,7 @@ let run config cfg profile : stats =
     Order.prune_unreachable cfg;
     (match List.filter (fun id -> not (Cfg.mem cfg id)) before with
     | [] -> ()
-    | removed ->
-      (* commit point: pruning deletes blocks for good *)
-      List.iter (Cfg.bump_version cfg) removed;
-      st.commit_epoch <- st.commit_epoch + 1;
-      touch_edges st removed);
+    | removed -> touch_edges st removed);
     if not st.fast.incr_liveness then begin
       st.live_cache <- None;
       st.live_dirty <- IntSet.empty
@@ -1139,9 +831,4 @@ let run config cfg profile : stats =
   Metrics.incr ~by:st.perf.prefilter_hits "formation.prefilter.hits";
   Metrics.incr ~by:st.perf.live_incremental "formation.liveness.incremental";
   Metrics.incr ~by:st.perf.loops_reuse "formation.loops.reuse";
-  (* published even at zero so [chfc --metrics] always shows the
-     speculation cost/benefit split in its stable sorted order *)
-  Metrics.incr ~by:st.perf.trials_spec "formation.trials.speculative";
-  Metrics.incr ~by:st.perf.trials_cached "formation.trials.cached";
-  Metrics.incr ~by:st.perf.trials_wasted "formation.trials.wasted";
   st.stats

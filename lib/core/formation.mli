@@ -53,29 +53,26 @@ type fast_paths = {
   loop_reuse : bool;
       (** loop forest / predecessor map keyed by edge version *)
   cand_pool : bool;  (** indexed candidate pool *)
-  trial_cache : bool;  (** versioned trial-verdict cache *)
-  spec_trials : bool;  (** speculative parallel trials feeding the cache *)
 }
 (** Which formation fast paths are enabled; each is read at {!make} from
-    its own [TRIPS_NO_PREFILTER] / [TRIPS_NO_INCR_LIVENESS] /
-    [TRIPS_NO_LOOP_REUSE] / [TRIPS_NO_CAND_POOL] / [TRIPS_NO_TRIAL_CACHE]
-    / [TRIPS_NO_SPEC_TRIALS] escape hatch (any non-empty value disables).
+    its own escape hatch in {!hatches} (any non-empty value disables).
     All are output-invariant: traces, stats and the final CFG are
     byte-identical either way. *)
+
+val hatches : string list
+(** The fast paths' escape-hatch variables, in {!fast_paths} field
+    order: [TRIPS_NO_PREFILTER], [TRIPS_NO_INCR_LIVENESS],
+    [TRIPS_NO_LOOP_REUSE], [TRIPS_NO_CAND_POOL].  Setting all of them
+    runs the historical slow path, the equivalence oracle. *)
 
 type perf_counters = {
   mutable prefilter_hits : int;
   mutable live_incremental : int;
   mutable loops_reuse : int;
-  mutable trials_spec : int;  (** speculative trials submitted *)
-  mutable trials_cached : int;  (** verdicts served from the cache *)
-  mutable trials_wasted : int;  (** speculative trials never served *)
 }
 (** How often each fast path fired; exported by {!run} as the
-    [formation.prefilter.hits], [formation.liveness.incremental],
-    [formation.loops.reuse] and [formation.trials.*] metrics.  Every
-    speculative trial ends served or wasted, so
-    [trials_spec = trials_cached + trials_wasted] after {!run}. *)
+    [formation.prefilter.hits], [formation.liveness.incremental] and
+    [formation.loops.reuse] metrics. *)
 
 type state = {
   cfg : Cfg.t;
@@ -87,9 +84,6 @@ type state = {
   peels_done : (int, int) Hashtbl.t;
   unrolls_done : (int, int) Hashtbl.t;
   mutable version : int;  (** bumped on every CFG change *)
-  mutable commit_epoch : int;
-      (** bumped only at commit points (merge install, split, prune);
-          everything a trial reads is constant within one epoch *)
   mutable edge_version : int;
       (** bumped only when a successor list may have changed *)
   mutable loops_cache : (int * int * Trips_analysis.Loops.t) option;
@@ -107,37 +101,6 @@ type state = {
 }
 
 val make : Policy.config -> Cfg.t -> Profile.t -> state
-
-(** {2 Speculation scheduler}
-
-    Formation cannot depend on the harness, so the worker pool is
-    injected: {!Trips_harness.Engine.formation_scheduler} builds a
-    {!scheduler} over a resident pool and the driver installs it with
-    {!set_scheduler}.  With none installed (the default), formation
-    never speculates and pays zero overhead. *)
-
-type spec_task = {
-  cancel : unit -> unit;
-      (** best-effort: a task not yet started never runs; one already
-          running completes and is ignored *)
-  join : unit -> unit;
-      (** wait for completion (or cancellation); establishes the
-          happens-before edge on the thunk's writes *)
-}
-
-type scheduler = { spawn : (unit -> unit) -> spec_task }
-
-val inline_scheduler : scheduler
-(** Runs each thunk immediately on the calling domain: speculation
-    without parallelism, for tests and single-core fallbacks. *)
-
-val set_scheduler : scheduler option -> unit
-(** Install (or clear) the process-wide speculation scheduler. *)
-
-val set_spec_trials : int -> unit
-(** How many pool candidates to trial speculatively while the head
-    candidate is evaluated (the [--spec-trials K] flag; default 4;
-    clamped at 0, which disables speculation). *)
 
 val classify : ?hb:Block.t -> state -> hb_id:int -> s_id:int -> merge_kind option
 (** [LegalMerge] plus the Figure 5 case split; [None] rejects the merge.

@@ -260,25 +260,6 @@ let take better pool =
     Some c
   | None -> None
 
-(** The next [n] candidates in exact selection order, without consuming
-    them: select each (which also applies the selector's permanent
-    vetoes), then re-add the batch.  Sound because [Pool.add] keeps the
-    best entry per block id and selection is a fold under a strict total
-    order — re-adding the removed entries restores the pool's contents
-    exactly, so the subsequent real selections repeat this order.
-    Formation peeks the candidates it is about to speculate on. *)
-let peek (sel : selector) pool n =
-  let rec take_n acc k =
-    if k <= 0 then List.rev acc
-    else
-      match sel.select pool with
-      | None -> List.rev acc
-      | Some c -> take_n (c :: acc) (k - 1)
-  in
-  let cs = take_n [] n in
-  Pool.add_list pool cs;
-  cs
-
 (** Build the selection function for one [ExpandBlock] run rooted at
     [seed].  The VLIW heuristic performs its path analysis here.
     [preds] supplies a block's predecessor list (same contents as

@@ -93,14 +93,6 @@ type selector = {
           vetoed candidates are dropped from the pool permanently. *)
 }
 
-val peek : selector -> Pool.t -> int -> candidate list
-(** The next [n] candidates in exact selection order, without consuming
-    them: each is selected (which also applies the selector's permanent
-    vetoes) and then re-added.  [Pool.add]'s keep-best rule restores the
-    pool's contents exactly, so subsequent real selections repeat this
-    order.  Formation peeks the candidates it is about to speculate
-    on. *)
-
 val make_selector :
   ?preds:(int -> int list) ->
   config ->

@@ -27,20 +27,11 @@ let config_for ~seed =
 (* The PR-4 contract: with every fast-path escape hatch engaged,
    formation's final CFG and statistics are identical.  Compared on a
    canonical rendering of the graph (entry + blocks in id order). *)
-let fast_path_hatches =
-  [
-    "TRIPS_NO_PREFILTER";
-    "TRIPS_NO_INCR_LIVENESS";
-    "TRIPS_NO_LOOP_REUSE";
-    "TRIPS_NO_CAND_POOL";
-    "TRIPS_NO_TRIAL_CACHE";
-    "TRIPS_NO_SPEC_TRIALS";
-  ]
-
 let with_hatches v f =
-  List.iter (fun h -> Unix.putenv h v) fast_path_hatches;
+  List.iter (fun h -> Unix.putenv h v) Chf.Formation.hatches;
   Fun.protect
-    ~finally:(fun () -> List.iter (fun h -> Unix.putenv h "") fast_path_hatches)
+    ~finally:(fun () ->
+      List.iter (fun h -> Unix.putenv h "") Chf.Formation.hatches)
     f
 
 let formation_snapshot ~config cfg profile =

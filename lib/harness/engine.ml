@@ -27,25 +27,15 @@
      [engine.spawn_failures] metric is bumped, and the work still
      completes on the domains that did start — in the worst case on the
      calling domain alone, because [Pool.await] lends a hand draining the
-     queue while it waits.
-
-   The spawn-per-call implementation is kept verbatim behind the
-   [TRIPS_NO_RESIDENT_POOL] escape hatch (any non-empty value), and a
-   property test asserts the two paths render byte-identical sweeps. *)
+     queue while it waits. *)
 
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 
-(* Test-only: make the [k+1]-th Domain.spawn of a pool (or legacy map)
-   raise, to exercise the degradation path.  [None] in production. *)
+(* Test-only: make the [k+1]-th Domain.spawn of a pool raise, to
+   exercise the degradation path.  [None] in production. *)
 let spawn_limit_for_tests : int option ref = ref None
 
 let run_one f x = match f x with y -> Ok y | exception e -> Error e
-
-(* [TRIPS_NO_X] convention: any non-empty value disables the feature. *)
-let hatch_enabled name =
-  match Sys.getenv_opt name with
-  | Some s when s <> "" -> false
-  | Some _ | None -> true
 
 (* ---- resident pool ----------------------------------------------------- *)
 
@@ -167,23 +157,6 @@ module Pool = struct
     in
     loop ()
 
-  (* Speculative jobs: a cancellable wrapper around [submit].  The
-     cancel flag is checked once, when a worker dequeues the task — a
-     cancelled speculation that never started costs nothing; one already
-     running completes (its output goes to a private result cell the
-     submitter will ignore).  [await_spec] joins either way, which gives
-     the submitter a happens-before edge on the thunk's writes. *)
-  type spec = { cancelled : bool Atomic.t; sjob : unit job }
-
-  let submit_spec t f =
-    let cancelled = Atomic.make false in
-    let sjob = submit t (fun () -> if not (Atomic.get cancelled) then f ()) in
-    { cancelled; sjob }
-
-  let cancel_spec s = Atomic.set s.cancelled true
-
-  let await_spec ?help t s = ignore (await ?help t s.sjob)
-
   let shutdown t =
     Mutex.lock t.m;
     if t.closing then Mutex.unlock t.m
@@ -201,61 +174,6 @@ module Pool = struct
     end
 end
 
-(* ---- formation speculation over a pool --------------------------------- *)
-
-(* Adapter from a resident pool to [Formation]'s injected scheduler
-   (formation cannot depend on the harness, so the dependency points
-   this way).  [join] helps drain the queue while waiting, so the main
-   formation loop acts as the pool's +1 worker — on a degraded or
-   zero-worker pool the speculative trials simply run on the caller at
-   join time, preserving outputs. *)
-let formation_scheduler pool : Chf.Formation.scheduler =
-  {
-    Chf.Formation.spawn =
-      (fun thunk ->
-        let s = Pool.submit_spec pool thunk in
-        {
-          Chf.Formation.cancel = (fun () -> Pool.cancel_spec s);
-          join = (fun () -> Pool.await_spec ~help:true pool s);
-        });
-  }
-
-(* ---- legacy spawn-per-call map (TRIPS_NO_RESIDENT_POOL) ---------------- *)
-
-let run_slot f arr out i =
-  Trips_obs.Trace.with_cell i (fun () -> out.(i) <- run_one f arr.(i))
-
-let legacy_map jobs (f : 'a -> 'b) (xs : 'a list) : ('b, exn) result list =
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  let out = Array.make n (Error Not_found) in
-  let next = Atomic.make 0 in
-  let worker () =
-    let rec go () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        run_slot f arr out i;
-        go ()
-      end
-    in
-    go ()
-  in
-  let spawned = ref [] in
-  Fun.protect
-    ~finally:(fun () -> List.iter Domain.join !spawned)
-    (fun () ->
-      (try
-         for k = 1 to min jobs n - 1 do
-           (match !spawn_limit_for_tests with
-           | Some limit when k > limit -> failwith "engine: spawn limit"
-           | _ -> ());
-           let d = Domain.spawn worker in
-           spawned := d :: !spawned
-         done
-       with _ -> Trips_obs.Metrics.incr "engine.spawn_failures");
-      worker ());
-  Array.to_list out
-
 (* ---- map --------------------------------------------------------------- *)
 
 let map ?jobs (f : 'a -> 'b) (xs : 'a list) : ('b, exn) result list =
@@ -267,7 +185,6 @@ let map ?jobs (f : 'a -> 'b) (xs : 'a list) : ('b, exn) result list =
     List.mapi
       (fun i x -> Trips_obs.Trace.with_cell i (fun () -> run_one f x))
       xs
-  else if not (hatch_enabled "TRIPS_NO_RESIDENT_POOL") then legacy_map jobs f xs
   else begin
     (* transient pool: the calling domain is the +1 worker (it helps
        drain the queue from [await]), so [jobs] domains work in total,

@@ -14,10 +14,10 @@ val default_jobs : unit -> int
 
 val spawn_limit_for_tests : int option ref
 (** Test-only fault injection: when [Some k], the [k+1]-th
-    [Domain.spawn] of a pool creation (or legacy {!map}) raises,
-    exercising the degradation path (already-spawned workers are kept
-    and joined; the work completes on whatever domains did start).
-    [None] in production. *)
+    [Domain.spawn] of a pool creation raises, exercising the
+    degradation path (already-spawned workers are kept and joined; the
+    work completes on whatever domains did start).  [None] in
+    production. *)
 
 (** {1 Resident pool} *)
 
@@ -55,35 +55,7 @@ module Pool : sig
   (** Graceful drain: stop accepting submissions, let workers finish the
       queue (helping from the calling thread), join every domain.
       Idempotent. *)
-
-  (** {2 Speculative jobs} *)
-
-  type spec
-  (** A cancellable speculative computation (unit-valued: it communicates
-      through its own side channel). *)
-
-  val submit_spec : t -> (unit -> unit) -> spec
-  (** Like {!submit}, but the task checks a cancel flag when a worker
-      dequeues it: cancelled-before-start costs nothing.
-      @raise Invalid_argument after {!shutdown}. *)
-
-  val cancel_spec : spec -> unit
-  (** Best-effort: a task not yet started never runs; one already
-      running completes (the submitter ignores its output). *)
-
-  val await_spec : ?help:bool -> t -> spec -> unit
-  (** Block until the task completed or was skipped; gives the caller a
-      happens-before edge on the thunk's writes.  [help] as in
-      {!await}. *)
 end
-
-val formation_scheduler : Pool.t -> Chf.Formation.scheduler
-(** Adapter from a resident pool to {!Chf.Formation}'s injected
-    speculation scheduler: spawn submits a cancellable speculative job,
-    join helps drain the queue while waiting (so the formation loop acts
-    as the pool's +1 worker, and a degraded pool still makes progress).
-    Install with [Formation.set_scheduler (Some (formation_scheduler
-    pool))]. *)
 
 (** {1 Sweep map} *)
 
@@ -96,8 +68,4 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> ('b, exn) result list
 
     Every slot [i] runs inside {!Trips_obs.Trace.with_cell}[ i], so
     trace streams partition deterministically across [jobs] settings.
-    A cell that raises becomes [Error exn] in its own slot.
-
-    Setting [TRIPS_NO_RESIDENT_POOL] (any non-empty value) routes the
-    call through the historical spawn-per-call implementation — the
-    escape hatch behind the pool-equivalence property test. *)
+    A cell that raises becomes [Error exn] in its own slot. *)

@@ -16,12 +16,6 @@ type t = {
   decisions : (int, Lineage.decision list) Hashtbl.t;
       (* per-block formation decisions, most recent first; provenance
          side table — never consulted by any pass *)
-  versions : (int, int) Hashtbl.t;
-      (* per-block monotone version stamps, bumped explicitly by
-         formation at commit points; absent entries read as 0 *)
-  mutable vclock : int;
-      (* global version clock: every bump takes the next tick, so two
-         blocks never share a non-zero version *)
 }
 
 let create ?(name = "f") () =
@@ -33,8 +27,6 @@ let create ?(name = "f") () =
     next_instr = 0;
     next_reg = Machine.first_virtual_reg;
     decisions = Hashtbl.create 16;
-    versions = Hashtbl.create 16;
-    vclock = 0;
   }
 
 let fresh_block_id cfg =
@@ -70,17 +62,6 @@ let set_block cfg (b : Block.t) = Hashtbl.replace cfg.blocks b.Block.id b
 
 let remove_block cfg id = Hashtbl.remove cfg.blocks id
 
-(** Version stamp of block [id]; 0 until the first {!bump_version}. *)
-let block_version cfg id =
-  Option.value ~default:0 (Hashtbl.find_opt cfg.versions id)
-
-(** Advance [id] to a fresh, strictly larger version.  Callers decide
-    the granularity: formation bumps only at commit points, so a failed
-    (rolled-back) trial leaves versions untouched. *)
-let bump_version cfg id =
-  cfg.vclock <- cfg.vclock + 1;
-  Hashtbl.replace cfg.versions id cfg.vclock
-
 (** Block ids in increasing order (deterministic iteration). *)
 let block_ids cfg =
   Hashtbl.fold (fun id _ acc -> id :: acc) cfg.blocks []
@@ -114,8 +95,7 @@ let predecessors cfg id =
 let copy cfg =
   let blocks = Hashtbl.copy cfg.blocks in
   let decisions = Hashtbl.copy cfg.decisions in
-  let versions = Hashtbl.copy cfg.versions in
-  { cfg with blocks; decisions; versions }
+  { cfg with blocks; decisions }
 
 (* ---- provenance -------------------------------------------------------- *)
 

@@ -16,10 +16,6 @@ type t = {
   decisions : (int, Lineage.decision list) Hashtbl.t;
       (** per-block formation decisions, most recent first; use
           {!decisions} for chronological access *)
-  versions : (int, int) Hashtbl.t;
-      (** per-block monotone version stamps; use {!block_version} /
-          {!bump_version} *)
-  mutable vclock : int;  (** global version clock feeding {!bump_version} *)
 }
 
 val create : ?name:string -> unit -> t
@@ -45,16 +41,6 @@ val set_block : t -> Block.t -> unit
 (** Insert or overwrite a block under its own id. *)
 
 val remove_block : t -> int -> unit
-
-val block_version : t -> int -> int
-(** Version stamp of a block; 0 until the first {!bump_version}.  Not
-    bumped implicitly by {!set_block}: mutators that want trial edits to
-    stay version-invisible (formation rollback) bump explicitly at their
-    commit points. *)
-
-val bump_version : t -> int -> unit
-(** Advance a block to a fresh, strictly larger version (global clock:
-    no two bumps ever produce the same stamp). *)
 
 val block_ids : t -> int list
 (** Block ids in increasing order (deterministic iteration). *)

@@ -38,43 +38,11 @@ let counter_tbl : (string, int) Hashtbl.t = Hashtbl.create 64
 let gauge_tbl : (string, float) Hashtbl.t = Hashtbl.create 16
 let histo_tbl : (string, agg) Hashtbl.t = Hashtbl.create 16
 
-(* Capture mode diverts a thunk's counter increments into a domain-local
-   table instead of the global registry; [apply] adds the deltas back
-   later.  Counters are commutative sums, so capture-then-apply is
-   indistinguishable from inline increments — formation's speculative
-   trials use this so a cancelled trial's counts never leak and a
-   harvested one lands exactly once.  Histogram [observe]s stay global
-   (they record real work done, wherever it ran). *)
-type deltas = (string * int) list
-
-let capture_key : (string, int) Hashtbl.t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let capture f =
-  let slot = Domain.DLS.get capture_key in
-  let saved = !slot in
-  let tbl = Hashtbl.create 16 in
-  slot := Some tbl;
-  let v = Fun.protect ~finally:(fun () -> slot := saved) f in
-  let ds =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  (v, ds)
-
 let incr ?(by = 1) name =
-  match !(Domain.DLS.get capture_key) with
-  | Some tbl ->
-    let v = Option.value ~default:0 (Hashtbl.find_opt tbl name) in
-    Hashtbl.replace tbl name (v + by)
-  | None ->
-    (* captured deltas reach the collector when [apply]ed, so the
-       notification lives on the uncaptured path only — a trial's counts
-       land in the owning request exactly once, like everywhere else *)
-    if Telemetry.active () then Telemetry.count ~by name;
-    Mutex.protect mutex (fun () ->
-        let v = Option.value ~default:0 (Hashtbl.find_opt counter_tbl name) in
-        Hashtbl.replace counter_tbl name (v + by))
+  if Telemetry.active () then Telemetry.count ~by name;
+  Mutex.protect mutex (fun () ->
+      let v = Option.value ~default:0 (Hashtbl.find_opt counter_tbl name) in
+      Hashtbl.replace counter_tbl name (v + by))
 
 let set_gauge name v =
   Mutex.protect mutex (fun () -> Hashtbl.replace gauge_tbl name v)
@@ -83,8 +51,6 @@ let add_gauge name dv =
   Mutex.protect mutex (fun () ->
       let v = Option.value ~default:0.0 (Hashtbl.find_opt gauge_tbl name) in
       Hashtbl.replace gauge_tbl name (v +. dv))
-
-let apply ds = List.iter (fun (name, by) -> incr ~by name) ds
 
 let observe name x =
   Mutex.protect mutex (fun () ->

@@ -37,21 +37,6 @@ val set_gauge : string -> float -> unit
 val add_gauge : string -> float -> unit
 (** Adjust a gauge by a delta (starts from 0). *)
 
-type deltas = (string * int) list
-(** Counter increments recorded under {!capture}, sorted by name. *)
-
-val capture : (unit -> 'a) -> 'a * deltas
-(** [capture f] runs [f] with the calling domain's {!incr} calls
-    diverted into a private table; returns [f]'s result and the summed
-    deltas.  Counters are commutative, so {!apply}ing the deltas later
-    is indistinguishable from having incremented inline.  {!observe} is
-    unaffected (histograms stay global).  Nests; if [f] raises, the
-    deltas are discarded. *)
-
-val apply : deltas -> unit
-(** Add captured deltas to the global registry (or to an enclosing
-    capture, if one is active on this domain). *)
-
 val observe : string -> float -> unit
 (** Record one sample into the named histogram. *)
 

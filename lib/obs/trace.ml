@@ -92,52 +92,19 @@ let now_us () = (Unix.gettimeofday () -. Atomic.get base_time) *. 1e6
 let push ev =
   Mutex.protect mutex (fun () -> events := ev :: !events)
 
-(* Capture mode diverts the raw (kind, fields) pairs a thunk records
-   into a domain-local buffer instead of the shared stream; [replay]
-   re-records them later through the normal path, which stamps them with
-   the replaying domain's (cell, seq) — and, in span mode, a fresh [ts].
-   A speculative trial captured on a worker and replayed at the exact
-   stream position where the sequential trial would have run therefore
-   produces byte-identical sorted output.  Capture is checked *before*
-   the span-ts append so no worker-side wall clock leaks into the
-   buffer. *)
-type captured = (string * (string * value) list) list
-
-let capture_key : captured ref option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let capture f =
-  let slot = Domain.DLS.get capture_key in
-  let saved = !slot in
-  let buf = ref [] in
-  slot := Some buf;
-  let v = Fun.protect ~finally:(fun () -> slot := saved) f in
-  (v, List.rev !buf)
-
 let record kind fields =
-  let tele = Telemetry.active () in
-  if Atomic.get enabled || tele then begin
-    match !(Domain.DLS.get capture_key) with
-    | Some buf ->
-      (* capture diverts everything — a request-scoped collector sees
-         captured events at replay time, never twice *)
-      buf := (kind, fields) :: !buf
-    | None ->
-      if tele then Telemetry.note kind fields;
-      if Atomic.get enabled then begin
-        let fields =
-          (* span mode: place point events on the exporter's timeline *)
-          if Atomic.get spans_flag then fields @ [ ("ts", Float (now_us ())) ]
-          else fields
-        in
-        let t = Domain.DLS.get tag_key in
-        let ev = { cell = t.cur_cell; seq = t.cur_seq; kind; fields } in
-        t.cur_seq <- t.cur_seq + 1;
-        push ev
-      end
+  if Telemetry.active () then Telemetry.note kind fields;
+  if Atomic.get enabled then begin
+    let fields =
+      (* span mode: place point events on the exporter's timeline *)
+      if Atomic.get spans_flag then fields @ [ ("ts", Float (now_us ())) ]
+      else fields
+    in
+    let t = Domain.DLS.get tag_key in
+    let ev = { cell = t.cur_cell; seq = t.cur_seq; kind; fields } in
+    t.cur_seq <- t.cur_seq + 1;
+    push ev
   end
-
-let replay cap = List.iter (fun (kind, fields) -> record kind fields) cap
 
 (* [span] always times the thunk and reports the duration to [on_close]
    (even on exception) — callers like [Stage.time] keep their wall-clock

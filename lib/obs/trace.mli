@@ -73,25 +73,6 @@ val with_cell : int -> (unit -> 'a) -> 'a
     [i] and its sequence counter reset to [0]; restores the previous
     tagging on exit.  The engine wraps every sweep slot in this. *)
 
-type captured
-(** Events recorded by a thunk under {!capture}, held back from the
-    shared stream until {!replay}. *)
-
-val capture : (unit -> 'a) -> 'a * captured
-(** [capture f] runs [f] with the calling domain's {!record} calls
-    diverted into a private buffer; returns [f]'s result and the buffer.
-    Nothing reaches the shared stream, and no (cell, seq) coordinates or
-    span timestamps are assigned yet.  Nests (inner capture shadows the
-    outer); if [f] raises, the buffer is discarded.  Formation's
-    speculative trials run under this so a worker-side trial can later
-    be replayed at the exact stream position the sequential trial would
-    have occupied. *)
-
-val replay : captured -> unit
-(** Re-record captured events through the normal {!record} path: they
-    are stamped with the replaying domain's current (cell, seq) — and,
-    in span mode, a fresh [ts] — exactly as if recorded inline here. *)
-
 val compare_event : event -> event -> int
 (** Orders by [(cell, seq)] — the deterministic trace order. *)
 

@@ -16,7 +16,7 @@
    Table 3 metric) and exposes per-step hooks used by the profiler and by
    the cycle-level timing model.
 
-   Each run first decodes the CFG (DESIGN.md §19): registers and
+   Each run first decodes the CFG (DESIGN.md §18): registers and
    immediates become slots of one flat register file, blocks become
    array slots, and Goto targets become slot numbers, so the interpreter
    loop reads arrays and allocates nothing per instruction.  Decoding is

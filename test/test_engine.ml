@@ -126,23 +126,6 @@ let prop_cache_transparent =
              (String.concat ", " names);
          true))
 
-(* ---- speculative jobs --------------------------------------------------- *)
-
-(* Cancellation is checked at dequeue time: on a zero-worker pool nothing
-   runs until await helps, so a spec cancelled before its await never
-   executes, while an uncancelled one runs on the awaiting caller. *)
-let test_spec_cancel_and_await () =
-  let pool = Engine.Pool.create ~workers:0 () in
-  let ran = Atomic.make 0 in
-  let s1 = Engine.Pool.submit_spec pool (fun () -> Atomic.incr ran) in
-  let s2 = Engine.Pool.submit_spec pool (fun () -> Atomic.incr ran) in
-  Engine.Pool.cancel_spec s2;
-  Engine.Pool.await_spec pool s1;
-  Engine.Pool.await_spec pool s2;
-  check Alcotest.int "cancelled-before-start spec never ran" 1
-    (Atomic.get ran);
-  Engine.Pool.shutdown pool
-
 (* ---- fault containment in a parallel sweep ----------------------------- *)
 
 (* A sweep whose cell corrupts its own compiled CFG (via the chaos
@@ -240,8 +223,6 @@ let suite =
         test_map_degrades_on_spawn_failure;
       prop_jobs_invariant;
       prop_cache_transparent;
-      Alcotest.test_case "spec jobs: cancel before start, await joins" `Quick
-        test_spec_cancel_and_await;
       Alcotest.test_case "parallel sweep contains a chaos-corrupted cell"
         `Quick test_parallel_chaos_containment;
     ] )

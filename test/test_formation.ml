@@ -229,20 +229,11 @@ let test_block_splitting_extension () =
 
 (* ---- fast-path equivalence --------------------------------------------- *)
 
-let fast_path_hatches =
-  [
-    "TRIPS_NO_PREFILTER";
-    "TRIPS_NO_INCR_LIVENESS";
-    "TRIPS_NO_LOOP_REUSE";
-    "TRIPS_NO_CAND_POOL";
-    "TRIPS_NO_TRIAL_CACHE";
-    "TRIPS_NO_SPEC_TRIALS";
-  ]
-
 let with_hatches v f =
-  List.iter (fun h -> Unix.putenv h v) fast_path_hatches;
+  List.iter (fun h -> Unix.putenv h v) Chf.Formation.hatches;
   Fun.protect
-    ~finally:(fun () -> List.iter (fun h -> Unix.putenv h "") fast_path_hatches)
+    ~finally:(fun () ->
+      List.iter (fun h -> Unix.putenv h "") Chf.Formation.hatches)
     f
 
 (* Run formation on a workload and capture everything observable: the
@@ -265,75 +256,31 @@ let form_traced w =
    pre-filter, incremental liveness, loop-forest reuse and the indexed
    pool all enabled, the final CFG, the statistics and the byte-rendered
    trace are identical to a run with every escape hatch engaged — the
-   fast paths are pure strength reductions, never behavior changes. *)
-let fast_paths_are_output_invariant =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make
-       ~name:"CHK fast paths are output-invariant (random programs)" ~count:20
-       ~print:Generators.print_workload Generators.random_program_gen
-       (fun w ->
-         let fast = with_hatches "" (fun () -> form_traced w) in
-         let slow = with_hatches "1" (fun () -> form_traced w) in
-         fast = slow))
+   fast paths are pure strength reductions, never behavior changes.
+   Besides the random programs the check covers the 24 kernels and the
+   store-dense kernels, where the pre-filter fires. *)
+let fast_paths_agree w =
+  with_hatches "" (fun () -> form_traced w)
+  = with_hatches "1" (fun () -> form_traced w)
 
-(* The speculation contract: with a scheduler installed (inline, and a
-   real one-worker pool) and the trial cache on, formation's CFG, stats
-   and byte-rendered trace equal the all-hatches-off oracle — a stale
-   cached verdict being served would show up as a divergence here — and
-   the trial accounting balances: every speculative trial ends exactly
-   once, served from the cache or wasted. *)
-let speculation_matches_oracle =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make
-       ~name:"CHK speculative trials are output-invariant (random programs)"
-       ~count:12 ~print:Generators.print_workload Generators.random_program_gen
-       (fun w ->
-         let with_sched sched f =
-           Chf.Formation.set_scheduler (Some sched);
-           Chf.Formation.set_spec_trials 3;
-           Fun.protect
-             ~finally:(fun () ->
-               Chf.Formation.set_scheduler None;
-               Chf.Formation.set_spec_trials 4)
-             f
-         in
-         let form_spec sched =
-           with_sched sched (fun () ->
-               Trips_obs.Metrics.reset ();
-               let out = with_hatches "" (fun () -> form_traced w) in
-               let c =
-                 Trips_obs.Metrics.counter_value
-                   (Trips_obs.Metrics.snapshot ())
-               in
-               ( out,
-                 c "formation.trials.speculative",
-                 c "formation.trials.cached",
-                 c "formation.trials.wasted" ))
-         in
-         let oracle = with_hatches "1" (fun () -> form_traced w) in
-         let inline_out, isp, ica, iwa =
-           form_spec Chf.Formation.inline_scheduler
-         in
-         let pool = Trips_harness.Engine.Pool.create ~workers:1 () in
-         let pooled_out, psp, pca, pwa =
-           Fun.protect
-             ~finally:(fun () -> Trips_harness.Engine.Pool.shutdown pool)
-             (fun () ->
-               form_spec (Trips_harness.Engine.formation_scheduler pool))
-         in
-         if inline_out <> oracle then
-           QCheck2.Test.fail_report "inline speculation diverged from oracle";
-         if pooled_out <> oracle then
-           QCheck2.Test.fail_report "pooled speculation diverged from oracle";
-         if isp <> ica + iwa then
-           QCheck2.Test.fail_reportf
-             "inline trial accounting: %d spec <> %d cached + %d wasted" isp
-             ica iwa;
-         if psp <> pca + pwa then
-           QCheck2.Test.fail_reportf
-             "pooled trial accounting: %d spec <> %d cached + %d wasted" psp
-             pca pwa;
-         true))
+let fast_paths_are_output_invariant =
+  let name, speed, random_programs =
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make
+         ~name:"CHK fast paths are output-invariant (random programs)"
+         ~count:20 ~print:Generators.print_workload
+         Generators.random_program_gen fast_paths_agree)
+  in
+  ( name,
+    speed,
+    fun () ->
+      List.iter
+        (fun w ->
+          if not (fast_paths_agree w) then
+            Alcotest.failf "fast paths diverge on %s"
+              w.Trips_workloads.Workload.name)
+        (Trips_workloads.Micro.all @ Trips_workloads.Micro.store_dense);
+      random_programs () )
 
 (* The pre-filter's additive lower bound must never exceed the true
    post-optimization estimate: the audit hook forces every attempt down
@@ -401,55 +348,6 @@ let rollback_cfg () =
   cfg.Cfg.entry <- 0;
   Cfg.validate cfg;
   cfg
-
-(* The trial-verdict cache's soundness rests on commit-only version
-   bumps: a committed merge must move the version of every block it
-   writes (plus the commit epoch), and a failed trial must move
-   nothing — that is what lets verdicts computed before a failed head
-   attempt survive it. *)
-let test_commit_bumps_versions_failed_trial_does_not () =
-  let cfg = rollback_cfg () in
-  let st =
-    Chf.Formation.make Chf.Policy.edge_default cfg
-      (Trips_profile.Profile.empty ())
-  in
-  let v id = Cfg.block_version cfg id in
-  let epoch () = st.Chf.Formation.commit_epoch in
-  let v0 = v 0 and v1 = v 1 and e0 = epoch () in
-  Chf.Formation.chaos_combine_failure :=
-    Some (fun ~hb_id:_ ~s_id:_ ~kind:_ -> true);
-  Fun.protect
-    ~finally:(fun () -> Chf.Formation.chaos_combine_failure := None)
-    (fun () ->
-      match
-        Chf.Formation.merge_blocks st ~hb_id:0 ~s_id:1
-          ~kind:Chf.Formation.Simple
-      with
-      | Chf.Formation.Structural_failure _ -> ()
-      | _ -> Alcotest.fail "chaos-injected merge should fail");
-  check Alcotest.int "failed trial leaves hb version" v0 (v 0);
-  check Alcotest.int "failed trial leaves successor version" v1 (v 1);
-  check Alcotest.int "failed trial leaves commit epoch" e0 (epoch ());
-  let expect_success label = function
-    | Chf.Formation.Success _ -> ()
-    | Chf.Formation.Structural_failure m ->
-      Alcotest.failf "%s failed structurally: %s" label m
-    | Chf.Formation.Size_rejected _ -> Alcotest.failf "%s size-rejected" label
-  in
-  (* a committed simple merge writes both the hyperblock and the
-     merged-away successor *)
-  expect_success "simple b1"
-    (Chf.Formation.merge_blocks st ~hb_id:0 ~s_id:1 ~kind:Chf.Formation.Simple);
-  check Alcotest.bool "commit bumps hb version" true (v 0 > v0);
-  check Alcotest.bool "commit bumps merged-away version" true (v 1 > v1);
-  check Alcotest.int "commit bumps epoch" (e0 + 1) (epoch ());
-  (* an unroll writes only the hyperblock *)
-  let v0' = v 0 and v2 = v 2 in
-  expect_success "unroll"
-    (Chf.Formation.merge_blocks st ~hb_id:0 ~s_id:0 ~kind:Chf.Formation.Unroll);
-  check Alcotest.bool "unroll bumps hb version" true (v 0 > v0');
-  check Alcotest.int "unroll leaves untouched block" v2 (v 2);
-  check Alcotest.int "unroll bumps epoch" (e0 + 2) (epoch ())
 
 let test_failed_unroll_leaves_no_hidden_state () =
   let drive ~with_failed_unroll =
@@ -527,9 +425,6 @@ let suite =
       Alcotest.test_case "peel gated by trips" `Quick test_peel_gated_by_trip_counts;
       Alcotest.test_case "unroll capped" `Quick test_unroll_capped;
       fast_paths_are_output_invariant;
-      speculation_matches_oracle;
-      Alcotest.test_case "commit bumps versions, failed trial does not"
-        `Quick test_commit_bumps_versions_failed_trial_does_not;
       Alcotest.test_case "prefilter bound is sound" `Quick
         test_prefilter_bound_is_sound;
     ] )

@@ -50,76 +50,6 @@ let test_trace_cell_tagging () =
   Trace.record "late" [];
   check Alcotest.int "nothing recorded while off" 0 (List.length (Trace.stop ()))
 
-(* Capture diverts raw events into a buffer instead of the live stream;
-   replay re-records them at the replay point, where they pick up the
-   *current* cell and sequence numbers — the mechanism that lets a
-   speculative trial's trace land at its serve position byte-identically
-   to a live run. *)
-let test_trace_capture_replay () =
-  let _ = Trace.stop () in
-  Trace.start ();
-  Trace.record "live-1" [ ("n", Trace.Int 1) ];
-  let v, cap =
-    Trace.capture (fun () ->
-        Trace.record "diverted" [ ("n", Trace.Int 2) ];
-        Trace.record "diverted" [ ("n", Trace.Int 3) ];
-        17)
-  in
-  check Alcotest.int "capture returns the thunk's value" 17 v;
-  Trace.record "live-2" [];
-  Trace.replay cap;
-  let evs = Trace.stop () in
-  check
-    Alcotest.(list (pair int string))
-    "diverted events landed at the replay point with fresh seqs"
-    [ (0, "live-1"); (1, "live-2"); (2, "diverted"); (3, "diverted") ]
-    (List.map (fun e -> (e.Trace.seq, e.Trace.kind)) evs);
-  (* nested capture restores the enclosing buffer *)
-  Trace.start ();
-  let (), outer =
-    Trace.capture (fun () ->
-        Trace.record "outer" [];
-        let (), inner = Trace.capture (fun () -> Trace.record "inner" []) in
-        Trace.replay inner;
-        Trace.record "outer-after" [])
-  in
-  Trace.replay outer;
-  check
-    Alcotest.(list string)
-    "nested capture nests into the enclosing buffer"
-    [ "outer"; "inner"; "outer-after" ]
-    (List.map (fun e -> e.Trace.kind) (Trace.stop ()))
-
-(* Metrics capture: counter increments divert into a delta list (the
-   registry is untouched) and apply lands them later; observe stays
-   global either way. *)
-let test_metrics_capture_apply () =
-  Metrics.reset ();
-  Metrics.incr "outside";
-  let v, deltas =
-    Metrics.capture (fun () ->
-        Metrics.incr "inside";
-        Metrics.incr ~by:2 "inside";
-        Metrics.incr "other";
-        5)
-  in
-  check Alcotest.int "capture returns the thunk's value" 5 v;
-  let s = Metrics.snapshot () in
-  check Alcotest.int "captured incr did not hit the registry" 0
-    (Metrics.counter_value s "inside");
-  check Alcotest.int "enclosing counters unaffected" 1
-    (Metrics.counter_value s "outside");
-  check
-    Alcotest.(list (pair string int))
-    "deltas are name-sorted totals"
-    [ ("inside", 3); ("other", 1) ]
-    deltas;
-  Metrics.apply deltas;
-  Metrics.apply deltas;
-  let s = Metrics.snapshot () in
-  check Alcotest.int "apply is additive" 6 (Metrics.counter_value s "inside");
-  Metrics.reset ()
-
 let test_metrics_registry () =
   Metrics.reset ();
   Metrics.incr "b.counter";
@@ -676,10 +606,6 @@ let suite =
     [
       Alcotest.test_case "trace json is stable" `Quick test_trace_json_stable;
       Alcotest.test_case "trace cell tagging" `Quick test_trace_cell_tagging;
-      Alcotest.test_case "trace capture/replay" `Quick
-        test_trace_capture_replay;
-      Alcotest.test_case "metrics capture/apply" `Quick
-        test_metrics_capture_apply;
       Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
       Alcotest.test_case "metrics gauges" `Quick test_metrics_gauges;
       Alcotest.test_case "span api" `Quick test_span_api;

@@ -2,8 +2,7 @@
    session-type enforcement, the shared content-addressed store (LRU +
    counters + thread safety), the bounded scheduler's structured overload
    modes, end-to-end byte identity over a real socket, and the
-   resident-pool-vs-legacy Engine.map equivalence property behind
-   TRIPS_NO_RESIDENT_POOL. *)
+   resident-pool-vs-sequential Engine.map equivalence property. *)
 
 module P = Trips_serve.Protocol
 module Scheduler = Trips_serve.Scheduler
@@ -418,11 +417,7 @@ let test_client_close_once () =
   Alcotest.(check int) "connections refused" 0 !failed;
   Alcotest.(check int) "descriptors closed under another domain" 0 lost
 
-(* ---- resident pool vs legacy spawn-per-call map ------------------------ *)
-
-let with_hatch name k =
-  Unix.putenv name "1";
-  Fun.protect ~finally:(fun () -> Unix.putenv name "") k
+(* ---- resident pool vs sequential map ----------------------------------- *)
 
 let normalize rs =
   List.map
@@ -432,17 +427,13 @@ let normalize rs =
 let pool_equivalence_prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make
-       ~name:"Engine.map: resident pool = legacy spawn-per-call (slots, errors)"
+       ~name:"Engine.map: resident pool = sequential map (slots, errors)"
        ~count:40
        QCheck2.Gen.(list_size (int_bound 24) (int_bound 1000))
        (fun xs ->
          let f x = if x mod 7 = 0 then failwith "seven" else (x * x) + 1 in
-         let fast = normalize (Engine.map ~jobs:4 f xs) in
-         let legacy =
-           with_hatch "TRIPS_NO_RESIDENT_POOL" (fun () ->
-               normalize (Engine.map ~jobs:4 f xs))
-         in
-         fast = legacy))
+         normalize (Engine.map ~jobs:4 f xs)
+         = normalize (Engine.map ~jobs:1 f xs)))
 
 let suite =
   ( "serve",

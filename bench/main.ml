@@ -279,16 +279,12 @@ let run_sweep () =
     Format.pp_print_flush fmt ();
     Buffer.contents buf
   in
-  let measure ~name ~jobs ~cached ~memo =
-    (* the gen/kill memo is process-global (formation reads the
-       environment), so toggle it around the run *)
-    Unix.putenv "TRIPS_NO_LIVENESS_MEMO" (if memo then "" else "1");
+  let measure ~name ~jobs ~cached =
     let cache = if cached then Stage.create () else Stage.disabled () in
     Stage.reset_timings ();
     let t0 = Unix.gettimeofday () in
     let output = render_all ~cache ~jobs in
     let wall = Unix.gettimeofday () -. t0 in
-    Unix.putenv "TRIPS_NO_LIVENESS_MEMO" "";
     let stats = Stage.stats cache in
     Fmt.pr "%-28s %6.1fs  (%a; cache %d/%d hits)@." name wall Stage.pp_timings
       (Stage.timings ()) stats.Stage.cache_hits
@@ -299,14 +295,14 @@ let run_sweep () =
      actually had, not what the branch hoped for *)
   let cores = Engine.default_jobs () in
   Fmt.pr "cores: %d@." cores;
-  let baseline = measure ~name:"sequential, caches off" ~jobs:1 ~cached:false ~memo:false in
-  let seq = measure ~name:"sequential, caches on" ~jobs:1 ~cached:true ~memo:true in
-  let par_j2 = measure ~name:"parallel -j2, caches on" ~jobs:2 ~cached:true ~memo:true in
-  let par_j4 = measure ~name:"parallel -j4, caches on" ~jobs:4 ~cached:true ~memo:true in
+  let baseline = measure ~name:"sequential, caches off" ~jobs:1 ~cached:false in
+  let seq = measure ~name:"sequential, caches on" ~jobs:1 ~cached:true in
+  let par_j2 = measure ~name:"parallel -j2, caches on" ~jobs:2 ~cached:true in
+  let par_j4 = measure ~name:"parallel -j4, caches on" ~jobs:4 ~cached:true in
   let par =
     measure
       ~name:(Fmt.str "parallel -j%d, caches on" cores)
-      ~jobs:cores ~cached:true ~memo:true
+      ~jobs:cores ~cached:true
   in
   let configs = [ baseline; seq; par_j2; par_j4; par ] in
   let output_of (_, _, _, _, _, _, o) = o in
@@ -344,122 +340,6 @@ let run_sweep () =
       (String.concat ",\n" (List.map config configs))
   in
   let path = bench_out "BENCH_sweep.json" in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr "wrote %s@." path
-
-(* Formation fast paths: constraint pre-filter, incremental liveness,
-   loop-forest reuse and the indexed candidate pool, each behind its own
-   TRIPS_NO_* escape hatch (DESIGN.md §12).  Every table is recompiled
-   sequentially with stage caching off so formation really runs for each
-   cell; the formation-stage timer isolates the win from the (unchanged)
-   lowering/backend/simulation stages.  All configurations must render
-   byte-identical outputs — the fast paths are pure strength reductions —
-   and wall clocks, per-piece attribution and fast-path hit counters go
-   to BENCH_formation.json. *)
-let run_formation () =
-  section "Formation — fast-path attribution (legacy path vs pre-filter, \
-           incremental liveness, loop reuse, indexed pool)";
-  let hatches = Chf.Formation.hatches in
-  (* the store-dense kernels join the 24-kernel set here: their unrolled
-     merge estimates blow the 32-slot store budget, which is the regime
-     the constraint pre-filter fires in (the paper set's size rejects are
-     all instruction-budget driven, so prefilter_hits would read 0) *)
-  let micro = Micro.all @ Micro.store_dense in
-  let render_all () =
-    let buf = Buffer.create 4096 in
-    let fmt = Format.formatter_of_buffer buf in
-    let cache = Stage.disabled () and jobs = 1 in
-    Table1.render fmt (Table1.run ~cache ~jobs ~workloads:micro ());
-    Table2.render fmt (Table2.run ~cache ~jobs ~workloads:micro ());
-    Table3.render fmt (Table3.run ~cache ~jobs ());
-    Format.pp_print_flush fmt ();
-    Buffer.contents buf
-  in
-  (* [on] lists the hatch variables whose fast path stays enabled; the
-     rest are set non-empty, which disables them. *)
-  let measure ~name ~on =
-    List.iter
-      (fun h -> Unix.putenv h (if List.mem h on then "" else "1"))
-      hatches;
-    Trips_obs.Metrics.reset ();
-    Stage.reset_timings ();
-    let t0 = Unix.gettimeofday () in
-    let output = render_all () in
-    let wall = Unix.gettimeofday () -. t0 in
-    let formation_s = (Stage.timings ()).Stage.formation_s in
-    let snap = Trips_obs.Metrics.snapshot () in
-    let counter = Trips_obs.Metrics.counter_value snap in
-    let prefilter = counter "formation.prefilter.hits" in
-    let incr_live = counter "formation.liveness.incremental" in
-    let loops = counter "formation.loops.reuse" in
-    List.iter (fun h -> Unix.putenv h "") hatches;
-    Fmt.pr
-      "%-28s %6.2fs wall  %6.2fs formation  (prefilter %d, incr-live %d, \
-       loop-reuse %d)@."
-      name wall formation_s prefilter incr_live loops;
-    (name, wall, formation_s, (prefilter, incr_live, loops), output)
-  in
-  let baseline = measure ~name:"fast paths off (legacy)" ~on:[] in
-  (* one row per fast path alone, in [Formation.hatches] order, each
-     with its attribution key *)
-  let singles =
-    List.map2
-      (fun h (name, key) -> (key, measure ~name ~on:[ h ]))
-      hatches
-      [
-        ("pre-filter only", "prefilter");
-        ("incremental liveness only", "incr_liveness");
-        ("loop-forest reuse only", "loop_reuse");
-        ("indexed pool only", "cand_pool");
-      ]
-  in
-  let fast = measure ~name:"all fast paths (default)" ~on:hatches in
-  let configs = (baseline :: List.map snd singles) @ [ fast ] in
-  let output_of (_, _, _, _, o) = o in
-  let formation_of (_, _, f, _, _) = f in
-  let wall_of (_, w, _, _, _) = w in
-  let identical =
-    List.for_all (fun c -> output_of c = output_of baseline) configs
-  in
-  if not identical then
-    Fmt.epr "bench: WARNING: formation outputs differ across fast paths@.";
-  let speedup = formation_of baseline /. formation_of fast in
-  Fmt.pr "identical outputs: %b@." identical;
-  Fmt.pr "formation-stage speedup: %.2fx  (wall: %.2fx)@." speedup
-    (wall_of baseline /. wall_of fast);
-  let attribution =
-    List.map
-      (fun (key, c) ->
-        Fmt.str "%S: %.3f" key (formation_of baseline -. formation_of c))
-      singles
-  in
-  let json =
-    let config (name, wall, formation_s, (pf, il, lr), _) =
-      Fmt.str
-        "    { \"name\": %S, \"wall_s\": %.3f, \"formation_s\": %.3f,@\n\
-        \      \"counters\": { \"prefilter_hits\": %d, \
-         \"liveness_incremental\": %d, \"loops_reuse\": %d } }"
-        name wall formation_s pf il lr
-    in
-    Fmt.str
-      "{@\n\
-      \  \"cores\": %d,@\n\
-      \  \"identical_outputs\": %b,@\n\
-      \  \"formation_speedup\": %.3f,@\n\
-      \  \"wall_speedup\": %.3f,@\n\
-      \  \"attribution_s\": { %s },@\n\
-      \  \"configs\": [@\n\
-       %s@\n\
-      \  ]@\n\
-       }@\n"
-      (Engine.default_jobs ()) identical speedup
-      (wall_of baseline /. wall_of fast)
-      (String.concat ", " attribution)
-      (String.concat ",\n" (List.map config configs))
-  in
-  let path = bench_out "BENCH_formation.json" in
   let oc = open_out path in
   output_string oc json;
   close_out oc;
@@ -876,7 +756,6 @@ let experiments =
     ("speed", run_speed);
     ("verify", run_verify);
     ("sweep", run_sweep);
-    ("formation", run_formation);
     ("sim", run_sim);
     ("serve", run_serve);
   ]

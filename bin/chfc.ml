@@ -133,7 +133,7 @@ let list_cmd =
     List.iter
       (fun w -> Fmt.pr "  %-16s %s@." w.Workload.name w.Workload.description)
       Micro.all;
-    Fmt.pr "@.store-dense stress kernels (bench formation, pre-filter):@.";
+    Fmt.pr "@.store-dense stress kernels (pre-filter):@.";
     List.iter
       (fun w -> Fmt.pr "  %-16s %s@." w.Workload.name w.Workload.description)
       Micro.store_dense;
@@ -447,8 +447,8 @@ let fuzz_run seed count time_budget minimize case_deadline json_out corpus_out
 let fuzz_cmd =
   let doc =
     "Adversarial CFG fuzzing with a differential oracle: generated hard \
-     cases run through the full pipeline, every phase is verified, the \
-     fast path is checked against the all-hatches-off path, and the \
+     cases run through the full pipeline, every phase is verified, \
+     formation's cached answers are audited against fresh solves, and the \
      compiled result must match the input's functional checksum.  \
      Failures are bucketed by triage fingerprint; exits non-zero when any \
      bucket is non-empty."

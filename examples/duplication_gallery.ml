@@ -28,7 +28,7 @@ let demo name program memory_init expand_seed =
   Cfg.validate cfg2;
   show "after ExpandBlock on the entry" cfg2;
   Fmt.pr "merge statistics m/t/u/p: %a@." Chf.Formation.pp_stats
-    st.Chf.Formation.stats;
+    (Chf.Formation.stats st);
   let memory2 = Array.init 128 memory_init in
   let r = Func_sim.run ~memory:memory2 cfg2 in
   assert (r.Func_sim.checksum = baseline.Func_sim.checksum);

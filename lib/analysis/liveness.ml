@@ -101,34 +101,11 @@ type t = {
   order : int IntMap.t;  (* postorder position, worklist priority only *)
 }
 
-(* Blocks are immutable records replaced wholesale (see [Cfg]), so a
-   block's gen/kill sets can be memoized under physical equality: a
-   cached entry is valid exactly as long as the block record it was
-   computed from is still installed.  Callers that recompute liveness
-   after single-block edits (formation re-checks constraints after every
-   merge attempt) pass a persistent cache so only the edited block pays
-   for gen/kill again; the fixpoint below is the unique least solution,
-   so cached and uncached runs are indistinguishable. *)
-type gk_cache = (int, Block.t * gen_kill) Hashtbl.t
-
-let gk_cache () : gk_cache = Hashtbl.create 64
-
-let gen_kill_memo cache (b : Block.t) =
-  match cache with
-  | None -> gen_kill b
-  | Some tbl -> (
-    match Hashtbl.find_opt tbl b.Block.id with
-    | Some (b', gk) when b' == b -> gk
-    | Some _ | None ->
-      let gk = gen_kill b in
-      Hashtbl.replace tbl b.Block.id (b, gk);
-      gk)
-
-let compute ?cache cfg =
+let compute cfg =
   let ids = Order.postorder cfg in
   let gk =
     List.fold_left
-      (fun acc id -> IntMap.add id (gen_kill_memo cache (Cfg.block cfg id)) acc)
+      (fun acc id -> IntMap.add id (gen_kill (Cfg.block cfg id)) acc)
       IntMap.empty ids
   in
   (* successor lists are loop-invariant across fixpoint rounds *)
@@ -210,7 +187,7 @@ let compute ?cache cfg =
    boundary (non-ancestors) is frozen at its old — still exact — values,
    so the ascent converges to the global least fixpoint, identical to a
    full {!compute}.  See DESIGN.md §12. *)
-let update ?cache t cfg ~touched =
+let update t cfg ~touched =
   let present, removed = List.partition (Cfg.mem cfg) touched in
   (* 1. refresh the edge maps and gen/kill for the edited blocks *)
   let preds = ref t.preds in
@@ -237,7 +214,7 @@ let update ?cache t cfg ~touched =
       let new_s = Cfg.successors cfg id in
       retarget id (IntMap.find_or ~default:[] id !succs) new_s;
       succs := IntMap.add id new_s !succs;
-      gk := IntMap.add id (gen_kill_memo cache (Cfg.block cfg id)) !gk;
+      gk := IntMap.add id (gen_kill (Cfg.block cfg id)) !gk;
       seeds := IntSet.add id !seeds)
     present;
   let live_in = ref t.live_in and live_out = ref t.live_out in

@@ -28,21 +28,9 @@ val gen_kill : Block.t -> gen_kill
 
 type t
 
-type gk_cache
-(** Memo table for per-block gen/kill sets, keyed on block identity.
-    Blocks are immutable records, so a cached entry is valid exactly as
-    long as the same block record is still installed in the CFG.  Pass a
-    persistent cache when recomputing liveness after single-block edits
-    (formation re-checks constraints after every merge attempt) so only
-    the edited block pays for gen/kill extraction again; the fixpoint is
-    the unique least solution, so results are identical with or without
-    the cache. *)
+val compute : Cfg.t -> t
 
-val gk_cache : unit -> gk_cache
-
-val compute : ?cache:gk_cache -> Cfg.t -> t
-
-val update : ?cache:gk_cache -> t -> Cfg.t -> touched:int list -> t
+val update : t -> Cfg.t -> touched:int list -> t
 (** [update t cfg ~touched] re-solves the fixpoint after an edit that
     replaced, added or removed exactly the blocks in [touched] (removed
     blocks are recognized by their absence from [cfg]); every other

@@ -101,7 +101,7 @@ let estimate (b : Block.t) ~live_out : estimate =
      store's guard, and local VN deletes a store only when its guard is
      proven constant-false — which requires a constant-false branch
      guard the exit simplifier would already have pruned (audited by
-     [Formation.prefilter_audit] over the test workloads);
+     [Formation.audit] over the test workloads);
    - at least one exit always survives (+1 branch instruction);
    - register reads: a store *operand* register (value or address — not
      the guard, which combine rewrites) with no definition in either

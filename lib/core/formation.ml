@@ -60,17 +60,6 @@ let empty_stats () =
 let pp_stats fmt s =
   Fmt.pf fmt "%d/%d/%d/%d" s.merges s.tail_dups s.unrolls s.peels
 
-let publish_metrics (s : stats) =
-  let open Trips_obs in
-  Metrics.incr ~by:s.merges "formation.merges";
-  Metrics.incr ~by:s.tail_dups "formation.tail_dups";
-  Metrics.incr ~by:s.unrolls "formation.unrolls";
-  Metrics.incr ~by:s.peels "formation.peels";
-  Metrics.incr ~by:s.attempts "formation.attempts";
-  Metrics.incr ~by:s.size_rejections "formation.reject.size";
-  Metrics.incr ~by:s.combine_failures "formation.reject.structural";
-  Metrics.incr ~by:s.block_splits "formation.block_splits"
-
 type merge_kind = Simple | Unroll | Peel | Tail_dup
 
 let kind_name = function
@@ -78,39 +67,6 @@ let kind_name = function
   | Unroll -> "unroll"
   | Peel -> "peel"
   | Tail_dup -> "tail_dup"
-
-(* Which of the formation fast paths are enabled.  Each has its own
-   [TRIPS_NO_*] escape hatch (set to any non-empty string to disable)
-   for bisection and for the per-piece attribution in [bench formation];
-   with every hatch set, formation runs the historical slow path.  All
-   four are output-invariant: traces, stats and the final CFG are
-   byte-identical either way (enforced by the equivalence property
-   test). *)
-type fast_paths = {
-  prefilter : bool;  (* constraint lower-bound pre-filter *)
-  incr_liveness : bool;  (* Liveness.update instead of full compute *)
-  loop_reuse : bool;  (* loop forest / predecessor map keyed by edge version *)
-  cand_pool : bool;  (* indexed candidate pool *)
-}
-
-(* The escape-hatch variable of each fast path, in [fast_paths] field
-   order. *)
-let hatches =
-  [
-    "TRIPS_NO_PREFILTER";
-    "TRIPS_NO_INCR_LIVENESS";
-    "TRIPS_NO_LOOP_REUSE";
-    "TRIPS_NO_CAND_POOL";
-  ]
-
-(* How often each fast path actually fired; exported as the
-   [formation.prefilter.hits] / [formation.liveness.incremental] /
-   [formation.loops.reuse] metrics by [run]. *)
-type perf_counters = {
-  mutable prefilter_hits : int;
-  mutable live_incremental : int;
-  mutable loops_reuse : int;
-}
 
 type state = {
   cfg : Cfg.t;
@@ -134,21 +90,18 @@ type state = {
   mutable live_dirty : IntSet.t;
       (* blocks edited (or removed) since [live_cache] was solved; the
          seeds for the next incremental [Liveness.update] *)
-  live_gk : Liveness.gk_cache option;  (* gen/kill memo across recomputations *)
   floors : (int, Block.t * Constraints.floor) Hashtbl.t;
       (* pre-filter floor per block id, revalidated by physical equality
          with the installed block (so [Cfg.set_block] invalidates it) *)
   body_floors : (int, Block.t * Constraints.floor) Hashtbl.t;
       (* same, for the saved one-iteration unroll bodies *)
-  fast : fast_paths;
-  perf : perf_counters;
+  (* how often each cache or shortcut answered; published as the
+     [formation.prefilter.hits] / [formation.liveness.incremental] /
+     [formation.loops.reuse] metrics *)
+  mutable prefilter_hits : int;
+  mutable live_incremental : int;
+  mutable loops_reuse : int;
 }
-
-(* [TRIPS_NO_X] convention: any non-empty value disables the feature. *)
-let hatch_enabled name =
-  match Sys.getenv_opt name with
-  | Some s when s <> "" -> false
-  | Some _ | None -> true
 
 let make config cfg profile =
   {
@@ -166,21 +119,56 @@ let make config cfg profile =
     preds_cache = None;
     live_cache = None;
     live_dirty = IntSet.empty;
-    (* escape hatch for bisecting memo-related issues, and for benchmarks
-       that want to price the memo itself (see bench sweep) *)
-    live_gk =
-      (match Sys.getenv_opt "TRIPS_NO_LIVENESS_MEMO" with
-      | Some s when s <> "" -> None
-      | Some _ | None -> Some (Liveness.gk_cache ()));
     floors = Hashtbl.create 64;
     body_floors = Hashtbl.create 8;
-    fast =
-      (match List.map hatch_enabled hatches with
-      | [ prefilter; incr_liveness; loop_reuse; cand_pool ] ->
-        { prefilter; incr_liveness; loop_reuse; cand_pool }
-      | _ -> assert false);
-    perf = { prefilter_hits = 0; live_incremental = 0; loops_reuse = 0 };
+    prefilter_hits = 0;
+    live_incremental = 0;
+    loops_reuse = 0;
   }
+
+let stats st = st.stats
+
+let publish_metrics st =
+  let open Trips_obs in
+  let s = st.stats in
+  Metrics.incr ~by:s.merges "formation.merges";
+  Metrics.incr ~by:s.tail_dups "formation.tail_dups";
+  Metrics.incr ~by:s.unrolls "formation.unrolls";
+  Metrics.incr ~by:s.peels "formation.peels";
+  Metrics.incr ~by:s.attempts "formation.attempts";
+  Metrics.incr ~by:s.size_rejections "formation.reject.size";
+  Metrics.incr ~by:s.combine_failures "formation.reject.structural";
+  Metrics.incr ~by:s.block_splits "formation.block_splits";
+  Metrics.incr ~by:st.prefilter_hits "formation.prefilter.hits";
+  Metrics.incr ~by:st.live_incremental "formation.liveness.incremental";
+  Metrics.incr ~by:st.loops_reuse "formation.loops.reuse"
+
+(* Test-only fault injection: when set, a combine for which the function
+   returns [true] fails as if [Combine.Cannot_combine] had been raised.
+   Lets the chaos/property tests exercise the structural-failure paths
+   (rollback, retry-pool exclusion) on demand. *)
+let chaos_combine_failure :
+    (hb_id:int -> s_id:int -> kind:merge_kind -> bool) option ref =
+  ref None
+
+(* Test-only audit: when set, the pre-filter never shortcuts; every
+   attempt runs the full trial and the hook receives the pre-filter lower
+   bound alongside the true post-optimization estimate, so tests can
+   assert [bound <= estimate] fieldwise.  Every cached liveness, loop
+   forest and predecessor answer formation uses is also checked against a
+   from-scratch solve, and a mismatch raises [Failure]. *)
+let audit :
+    (bound:Constraints.estimate -> est:Constraints.estimate -> unit) option ref
+    =
+  ref None
+
+let audit_check ~hb_id ~s_id what ok =
+  if not ok then
+    failwith
+      (Printf.sprintf
+         "formation audit: cached %s differs from a fresh solve (hb_id %d, \
+          s_id %d)"
+         what hb_id s_id)
 
 (* Record a CFG edit that cannot have changed any successor list. *)
 let touch_body st ids =
@@ -192,55 +180,55 @@ let touch_edges st ids =
   touch_body st ids;
   st.edge_version <- st.edge_version + 1
 
+(* The loop forest, keyed by [edge_version] so body-only touches
+   revalidate it for free. *)
 let loops st =
-  (* With the reuse fast path the forest is keyed by [edge_version], so
-     body-only touches revalidate for free; the hatch falls back to the
-     historical every-touch keying. *)
-  let key = if st.fast.loop_reuse then st.edge_version else st.version in
   match st.loops_cache with
-  | Some (k, v, l) when k = key ->
+  | Some (k, v, l) when k = st.edge_version ->
     if v <> st.version then begin
-      (* the historical keying would have recomputed here *)
-      st.perf.loops_reuse <- st.perf.loops_reuse + 1;
+      (* a forest revalidated across a body-only edit *)
+      st.loops_reuse <- st.loops_reuse + 1;
       st.loops_cache <- Some (k, st.version, l)
     end;
     l
   | _ ->
     let l = Loops.compute st.cfg in
-    st.loops_cache <- Some (key, st.version, l);
+    st.loops_cache <- Some (st.edge_version, st.version, l);
     l
 
-(* Predecessor list of [id], same contents as [Cfg.predecessors] but
+(* Predecessor list of [s_id], same contents as [Cfg.predecessors] but
    served from an edge-versioned cached map instead of rebuilding the
    whole map per query (classify and the breadth-first selector both ask
-   per candidate). *)
-let preds st id =
-  if not st.fast.loop_reuse then Cfg.predecessors st.cfg id
-  else begin
-    let map =
-      match st.preds_cache with
-      | Some (k, m) when k = st.edge_version -> m
-      | _ ->
-        let m = Cfg.predecessor_map st.cfg in
-        st.preds_cache <- Some (st.edge_version, m);
-        m
-    in
-    IntSet.elements (IntMap.find_or ~default:IntSet.empty id map)
-  end
+   per candidate).  [hb_id] only names the asking hyperblock in an audit
+   failure. *)
+let preds st ~hb_id s_id =
+  let map =
+    match st.preds_cache with
+    | Some (k, m) when k = st.edge_version -> m
+    | _ ->
+      let m = Cfg.predecessor_map st.cfg in
+      st.preds_cache <- Some (st.edge_version, m);
+      m
+  in
+  let ps = IntMap.find_or ~default:IntSet.empty s_id map in
+  if !audit <> None then
+    audit_check ~hb_id ~s_id "predecessors"
+      (IntSet.equal ps (IntSet.of_list (Cfg.predecessors st.cfg s_id)));
+  IntSet.elements ps
 
 let liveness st =
   match st.live_cache with
   | Some (v, l) when v = st.version -> l
-  | Some (_, l) when st.fast.incr_liveness ->
+  | Some (_, l) ->
     (* re-solve only from the blocks edited since the last solution *)
     let touched = IntSet.elements st.live_dirty in
-    let l = Liveness.update ?cache:st.live_gk l st.cfg ~touched in
-    st.perf.live_incremental <- st.perf.live_incremental + 1;
+    let l = Liveness.update l st.cfg ~touched in
+    st.live_incremental <- st.live_incremental + 1;
     st.live_dirty <- IntSet.empty;
     st.live_cache <- Some (st.version, l);
     l
-  | _ ->
-    let l = Liveness.compute ?cache:st.live_gk st.cfg in
+  | None ->
+    let l = Liveness.compute st.cfg in
     st.live_dirty <- IntSet.empty;
     st.live_cache <- Some (st.version, l);
     l
@@ -261,7 +249,7 @@ exception Dirty_reachable
    immediately and pay the full update as before. *)
 let live_out_local st hb_id =
   match st.live_cache with
-  | Some (_, l) when st.fast.incr_liveness ->
+  | Some (_, l) ->
     let succs = Block.distinct_successors (Cfg.block st.cfg hb_id) in
     let target = IntSet.add hb_id st.live_dirty in
     let budget = ref 64 in
@@ -276,13 +264,13 @@ let live_out_local st hb_id =
     in
     (try
        List.iter dfs succs;
-       st.perf.live_incremental <- st.perf.live_incremental + 1;
+       st.live_incremental <- st.live_incremental + 1;
        Some
          (List.fold_left
             (fun acc s -> IntSet.union acc (Liveness.live_in l s))
             IntSet.empty succs)
      with Dirty_reachable -> None)
-  | _ -> None
+  | None -> None
 
 let counter tbl key = Option.value ~default:0 (Hashtbl.find_opt tbl key)
 let bump_counter tbl key = Hashtbl.replace tbl key (counter tbl key + 1)
@@ -311,10 +299,17 @@ let classify ?hb st ~hb_id ~s_id : merge_kind option =
         then Some Unroll
         else None
       else begin
-        let s_preds = preds st s_id in
+        let s_preds = preds st ~hb_id s_id in
         let lp = loops st in
         let is_header = Loops.is_loop_header lp s_id in
         let back_edge = Loops.is_back_edge lp ~src:hb_id ~dst:s_id in
+        if !audit <> None then begin
+          let fresh = Loops.compute cfg in
+          audit_check ~hb_id ~s_id "loop header"
+            (is_header = Loops.is_loop_header fresh s_id);
+          audit_check ~hb_id ~s_id "back edge"
+            (back_edge = Loops.is_back_edge fresh ~src:hb_id ~dst:s_id)
+        end;
         if s_preds = [ hb_id ] && s_id <> cfg.Cfg.entry then Some Simple
         else if is_header && not back_edge then
           if
@@ -369,24 +364,6 @@ type merge_outcome =
   | Structural_failure of string
   | Size_rejected of Constraints.estimate
 
-(* Test-only fault injection: when set, a combine for which the function
-   returns [true] fails as if [Combine.Cannot_combine] had been raised.
-   Lets the chaos/property tests exercise the structural-failure paths
-   (rollback, retry-pool exclusion) on demand. *)
-let chaos_combine_failure :
-    (hb_id:int -> s_id:int -> kind:merge_kind -> bool) option ref =
-  ref None
-
-(* Test-only soundness audit: when set, the pre-filter never shortcuts;
-   instead every attempt runs the full trial and the hook receives the
-   pre-filter lower bound alongside the true post-optimization estimate,
-   so tests can assert [bound <= estimate] fieldwise for every attempted
-   merge. *)
-let prefilter_audit :
-    (bound:Constraints.estimate -> est:Constraints.estimate -> unit) option ref
-    =
-  ref None
-
 (* Pre-filter floor for [b], cached in [tbl] under [id] and revalidated
    by physical equality (blocks are immutable records, so the same
    record means the same floor). *)
@@ -399,20 +376,16 @@ let floor_in tbl id (b : Block.t) =
     f
 
 (* Additive lower bound on the merged estimate of [s_id] into [hb]
-   (DESIGN.md §12); [None] when neither the fast path nor the audit hook
-   wants it. *)
+   (DESIGN.md §12). *)
 let merge_bound st ~hb ~hb_id ~s_id ~kind =
-  if not (st.fast.prefilter || !prefilter_audit <> None) then None
-  else begin
-    let fh = floor_in st.floors hb_id hb in
-    let fs =
-      match kind with
-      | Unroll -> floor_in st.body_floors hb_id (peek_body_for_unroll st hb_id)
-      | Simple | Tail_dup | Peel ->
-        floor_in st.floors s_id (Cfg.block st.cfg s_id)
-    in
-    Some (Constraints.merge_lower_bound ~hb:fh ~s:fs)
-  end
+  let fh = floor_in st.floors hb_id hb in
+  let fs =
+    match kind with
+    | Unroll -> floor_in st.body_floors hb_id (peek_body_for_unroll st hb_id)
+    | Simple | Tail_dup | Peel ->
+      floor_in st.floors s_id (Cfg.block st.cfg s_id)
+  in
+  Constraints.merge_lower_bound ~hb:fh ~s:fs
 
 let zero_estimate =
   { Constraints.instrs = 0; loads_stores = 0; reads = 0; writes = 0 }
@@ -453,24 +426,23 @@ let merge_blocks ?(depth = 0) ?(prob = 1.0) ?hb st ~hb_id ~s_id ~kind :
   let hb = match hb with Some b -> b | None -> Cfg.block cfg hb_id in
   let emit = emit_attempt st ~hb_id ~s_id ~depth ~prob ~classify:(kind_name kind) in
   let bound = merge_bound st ~hb ~hb_id ~s_id ~kind in
-  match bound with
-  | Some b
-    when !prefilter_audit = None
-         && not
-              (Constraints.legal ~slack:config.Policy.slack config.Policy.limits
-                 b) ->
+  let prefiltered =
+    not (Constraints.legal ~slack:config.Policy.slack config.Policy.limits bound)
+  in
+  if prefiltered && !audit = None then begin
     (* Constraint pre-filter: the lower bound already exceeds the limits,
        and it never exceeds the true post-optimization estimate, so the
        full trial (combine, install, liveness, optimize, rollback) could
        only have ended in the same [Size_rejected].  Skip it without
-       touching the CFG.  The trace event is byte-identical to a trial
-       size reject — reject events always carry zero estimates — so the
-       fast path cannot be distinguished from the outside. *)
+       touching the CFG.  The merge-attempt event is byte-identical to a
+       trial size reject — reject events always carry zero estimates; the
+       skipped trial's optimizer passes are simply never reported. *)
     st.stats.size_rejections <- st.stats.size_rejections + 1;
-    st.perf.prefilter_hits <- st.perf.prefilter_hits + 1;
+    st.prefilter_hits <- st.prefilter_hits + 1;
     emit ~outcome:"size" ~est:zero_estimate ~msg:"";
-    Size_rejected b
-  | _ ->
+    Size_rejected bound
+  end
+  else
   (* Snapshot everything a failed attempt must not leak: the saved unroll
      body (body_for_unroll may re-save it below), the fresh-id counters
      (the trial allocates instruction/register/block ids that die with
@@ -569,14 +541,27 @@ let merge_blocks ?(depth = 0) ?(prob = 1.0) ?hb st ~hb_id ~s_id ~kind :
     end
     else touch_edges st [ hb_id ];
     let trial_live_out () =
-      match live_out_local st hb_id with
-      | Some lo -> lo
-      | None -> Liveness.live_out (liveness st) hb_id
+      let lo =
+        match live_out_local st hb_id with
+        | Some lo -> lo
+        | None -> Liveness.live_out (liveness st) hb_id
+      in
+      if !audit <> None then
+        audit_check ~hb_id ~s_id "live-out"
+          (IntSet.equal lo
+             (Liveness.live_out (Liveness.compute cfg) hb_id));
+      lo
     in
     let live_out = trial_live_out () in
     let final =
       if config.Policy.iterate_opt then begin
-        let b = Trips_opt.Optimizer.optimize_block cfg combined ~live_out in
+        (* a trial only the audit runs (the pre-filter would have skipped
+           it) must not report optimizer passes the unaudited run never
+           makes *)
+        let b =
+          Trips_opt.Optimizer.optimize_block ~report:(not prefiltered) cfg
+            combined ~live_out
+        in
         if b != combined then begin
           Cfg.set_block cfg b;
           (* the exit simplifier may have pruned exits *)
@@ -592,9 +577,7 @@ let merge_blocks ?(depth = 0) ?(prob = 1.0) ?hb st ~hb_id ~s_id ~kind :
     in
     let live_out = trial_live_out () in
     let est = Constraints.estimate final ~live_out in
-    (match (!prefilter_audit, bound) with
-    | Some f, Some b -> f ~bound:b ~est
-    | _ -> ());
+    Option.iter (fun f -> f ~bound ~est) !audit;
     if Constraints.legal ~slack:config.Policy.slack config.Policy.limits est
     then begin
       st.stats.merges <- st.stats.merges + 1;
@@ -620,19 +603,14 @@ let merge_blocks ?(depth = 0) ?(prob = 1.0) ?hb st ~hb_id ~s_id ~kind :
       Cfg.set_block cfg hb;
       (match old_s with Some b -> Cfg.set_block cfg b | None -> ());
       rollback_hidden_state ();
-      (if st.fast.incr_liveness then begin
-         (* the rolled-back graph is bit-identical to the pre-trial one,
-            so the pre-trial liveness solution and dirty set are exact
-            again; re-key them at a fresh version (a solution computed
-            against the trial graph must never be served) instead of
-            dirtying, so a failed trial costs no liveness work later *)
-         st.version <- st.version + 1;
-         st.live_cache <-
-           Option.map (fun (_, l) -> (st.version, l)) live_cache0;
-         st.live_dirty <- live_dirty0
-       end
-       else if kind = Simple then touch_body st [ hb_id; s_id ]
-       else touch_body st [ hb_id ]);
+      (* the rolled-back graph is bit-identical to the pre-trial one, so
+         the pre-trial liveness solution and dirty set are exact again;
+         re-key them at a fresh version (a solution computed against the
+         trial graph must never be served) instead of dirtying, so a
+         failed trial costs no liveness work later *)
+      st.version <- st.version + 1;
+      st.live_cache <- Option.map (fun (_, l) -> (st.version, l)) live_cache0;
+      st.live_dirty <- live_dirty0;
       restore_edge_version ();
       emit ~outcome:"size" ~est:zero_estimate ~msg:"";
       Size_rejected est
@@ -657,9 +635,10 @@ let make_candidates st ~src ~targets ~depth ~prob =
 let expand_block st seed =
   if Cfg.mem st.cfg seed then begin
     let selector =
-      Policy.make_selector ~preds:(preds st) st.config st.cfg st.profile ~seed
+      Policy.make_selector ~preds:(preds st ~hb_id:seed) st.config st.cfg
+        st.profile ~seed
     in
-    let pool = Policy.Pool.create ~indexed:st.fast.cand_pool in
+    let pool = Policy.Pool.create () in
     let merge_budget = ref (4 * Cfg.num_blocks st.cfg + 64) in
     (* candidates rejected *only on size*, retried after later shrinks;
        structural (Cannot_combine) failures never enter this pool — a
@@ -786,23 +765,14 @@ let run config cfg profile : stats =
   let st = make config cfg profile in
   let rec loop () =
     (* seed boundary: pruning can delete arbitrarily many blocks.  The
-       incremental paths carry their caches across seeds by touching
-       exactly the pruned blocks — in the common case nothing is pruned
-       and every cache stays valid — while the hatched paths restart
-       from scratch the way the historical code did. *)
+       caches carry across seeds by touching exactly the pruned blocks —
+       in the common case nothing is pruned and every cache stays
+       valid. *)
     let before = Cfg.block_ids cfg in
     Order.prune_unreachable cfg;
     (match List.filter (fun id -> not (Cfg.mem cfg id)) before with
     | [] -> ()
     | removed -> touch_edges st removed);
-    if not st.fast.incr_liveness then begin
-      st.live_cache <- None;
-      st.live_dirty <- IntSet.empty
-    end;
-    if not st.fast.loop_reuse then begin
-      st.version <- st.version + 1;
-      st.edge_version <- st.edge_version + 1
-    end;
     let rpo = Order.reverse_postorder cfg in
     let order =
       List.mapi (fun idx id -> (id, idx)) rpo
@@ -826,9 +796,5 @@ let run config cfg profile : stats =
   loop ();
   Order.prune_unreachable cfg;
   Cfg.validate cfg;
-  publish_metrics st.stats;
-  let open Trips_obs in
-  Metrics.incr ~by:st.perf.prefilter_hits "formation.prefilter.hits";
-  Metrics.incr ~by:st.perf.live_incremental "formation.liveness.incremental";
-  Metrics.incr ~by:st.perf.loops_reuse "formation.loops.reuse";
+  publish_metrics st;
   st.stats

@@ -37,70 +37,25 @@ val empty_stats : unit -> stats
 val pp_stats : Format.formatter -> stats -> unit
 (** Prints the paper's [m/t/u/p] quadruple. *)
 
-val publish_metrics : stats -> unit
-(** Export the counters into {!Trips_obs.Metrics} under
-    [formation.*] names.  Called by {!run}; exposed for drivers that
-    invoke {!merge_blocks} directly. *)
-
 type merge_kind = Simple | Unroll | Peel | Tail_dup
 
 val kind_name : merge_kind -> string
 (** Lower-case stable name used in trace events. *)
 
-type fast_paths = {
-  prefilter : bool;  (** constraint lower-bound pre-filter *)
-  incr_liveness : bool;  (** [Liveness.update] instead of full compute *)
-  loop_reuse : bool;
-      (** loop forest / predecessor map keyed by edge version *)
-  cand_pool : bool;  (** indexed candidate pool *)
-}
-(** Which formation fast paths are enabled; each is read at {!make} from
-    its own escape hatch in {!hatches} (any non-empty value disables).
-    All are output-invariant: traces, stats and the final CFG are
-    byte-identical either way. *)
-
-val hatches : string list
-(** The fast paths' escape-hatch variables, in {!fast_paths} field
-    order: [TRIPS_NO_PREFILTER], [TRIPS_NO_INCR_LIVENESS],
-    [TRIPS_NO_LOOP_REUSE], [TRIPS_NO_CAND_POOL].  Setting all of them
-    runs the historical slow path, the equivalence oracle. *)
-
-type perf_counters = {
-  mutable prefilter_hits : int;
-  mutable live_incremental : int;
-  mutable loops_reuse : int;
-}
-(** How often each fast path fired; exported by {!run} as the
-    [formation.prefilter.hits], [formation.liveness.incremental] and
-    [formation.loops.reuse] metrics. *)
-
-type state = {
-  cfg : Cfg.t;
-  profile : Profile.t;
-  config : Policy.config;
-  stats : stats;
-  finalized : (int, unit) Hashtbl.t;
-  saved_bodies : (int, Block.t) Hashtbl.t;
-  peels_done : (int, int) Hashtbl.t;
-  unrolls_done : (int, int) Hashtbl.t;
-  mutable version : int;  (** bumped on every CFG change *)
-  mutable edge_version : int;
-      (** bumped only when a successor list may have changed *)
-  mutable loops_cache : (int * int * Trips_analysis.Loops.t) option;
-  mutable preds_cache : (int * IntSet.t IntMap.t) option;
-  mutable live_cache : (int * Trips_analysis.Liveness.t) option;
-  mutable live_dirty : IntSet.t;
-      (** blocks edited since [live_cache] was solved *)
-  live_gk : Trips_analysis.Liveness.gk_cache option;
-      (** gen/kill memo reused across liveness recomputations; [None] when
-          disabled via the [TRIPS_NO_LIVENESS_MEMO] environment variable *)
-  floors : (int, Block.t * Constraints.floor) Hashtbl.t;
-  body_floors : (int, Block.t * Constraints.floor) Hashtbl.t;
-  fast : fast_paths;
-  perf : perf_counters;
-}
+type state
+(** One formation run over a CFG: its statistics, the per-loop
+    unroll/peel bookkeeping and the caches formation reads after every
+    trial merge (liveness, loop forest, predecessors, pre-filter
+    floors). *)
 
 val make : Policy.config -> Cfg.t -> Profile.t -> state
+
+val stats : state -> stats
+
+val publish_metrics : state -> unit
+(** Export the statistics and cache counters into {!Trips_obs.Metrics}
+    under [formation.*] names.  Called by {!run}; exposed for drivers
+    that invoke {!merge_blocks} directly. *)
 
 val classify : ?hb:Block.t -> state -> hb_id:int -> s_id:int -> merge_kind option
 (** [LegalMerge] plus the Figure 5 case split; [None] rejects the merge.
@@ -122,13 +77,18 @@ val chaos_combine_failure :
     exercising the structural-failure rollback paths.  Reset to [None]
     after use. *)
 
-val prefilter_audit :
+val audit :
   (bound:Constraints.estimate -> est:Constraints.estimate -> unit) option ref
-(** Test-only soundness audit: when set, the constraint pre-filter never
+(** Test-only audit: when set, the constraint pre-filter never
     shortcuts; every attempt runs the full trial and the hook receives
     the pre-filter lower bound alongside the true post-optimization
     estimate, so tests can assert [bound <= est] fieldwise for every
-    attempted merge.  Reset to [None] after use. *)
+    attempted merge.  Every cached answer formation uses — the
+    hyperblock's live-out set, loop-header and back-edge queries, and
+    predecessor lists — is also checked against a from-scratch
+    {!Trips_analysis.Liveness.compute}, {!Trips_analysis.Loops.compute}
+    or {!Cfg.predecessors}; a mismatch raises [Failure] naming the
+    [hb_id]/[s_id] pair.  Reset to [None] after use. *)
 
 val merge_blocks :
   ?depth:int ->

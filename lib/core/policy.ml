@@ -165,20 +165,13 @@ let vliw_prepass params cfg profile ~seed =
 
 module Pool = struct
   (* The candidate pool keeps the most promising entry per block id.
-     Indexed mode backs it with a [Hashtbl] keyed by block id, so insert
-     and replace are O(1) instead of the historical O(n) list scan (O(n²)
-     per expansion); Listed mode replicates that list pool exactly and
-     backs the [TRIPS_NO_CAND_POOL] escape hatch.  Selection never
-     depends on container iteration order: every selector comparator is a
-     strict total order (block-id tie-break), so the fold-based maximum —
-     and therefore traces — are identical in both modes and across
-     [--jobs] settings. *)
-  type t =
-    | Indexed of (int, candidate) Hashtbl.t
-    | Listed of candidate list ref
+     Selection never depends on the list's order: every selector
+     comparator is a strict total order (block-id tie-break), so the
+     fold-based maximum — and therefore traces — are independent of
+     insertion order and of [--jobs] settings. *)
+  type t = candidate list ref
 
-  let create ~indexed : t =
-    if indexed then Indexed (Hashtbl.create 64) else Listed (ref [])
+  let create () : t = ref []
 
   (* Keep-best rule: strictly shallower, or same depth and strictly more
      probable, replaces; ties keep the incumbent. *)
@@ -186,36 +179,19 @@ module Pool = struct
     c.depth < old.depth || (c.depth = old.depth && c.prob > old.prob)
 
   let add t (c : candidate) =
-    match t with
-    | Indexed h -> (
-      match Hashtbl.find_opt h c.block_id with
-      | None -> Hashtbl.replace h c.block_id c
-      | Some old -> if better_entry c old then Hashtbl.replace h c.block_id c)
-    | Listed l -> (
-      match List.find_opt (fun x -> x.block_id = c.block_id) !l with
-      | None -> l := c :: !l
-      | Some old ->
-        if better_entry c old then
-          l := c :: List.filter (fun x -> x.block_id <> c.block_id) !l)
+    match List.find_opt (fun x -> x.block_id = c.block_id) !t with
+    | None -> t := c :: !t
+    | Some old ->
+      if better_entry c old then
+        t := c :: List.filter (fun x -> x.block_id <> c.block_id) !t
 
   let add_list t cs = List.iter (add t) cs
-
-  let remove t id =
-    match t with
-    | Indexed h -> Hashtbl.remove h id
-    | Listed l -> l := List.filter (fun x -> x.block_id <> id) !l
+  let remove t id = t := List.filter (fun x -> x.block_id <> id) !t
 
   (** Drop every candidate failing [p] (selector vetoes are permanent). *)
-  let retain t p =
-    match t with
-    | Indexed h ->
-      Hashtbl.filter_map_inplace (fun _ c -> if p c then Some c else None) h
-    | Listed l -> l := List.filter p !l
+  let retain t p = t := List.filter p !t
 
-  let fold t f acc =
-    match t with
-    | Indexed h -> Hashtbl.fold (fun _ c acc -> f acc c) h acc
-    | Listed l -> List.fold_left f acc !l
+  let fold t f acc = List.fold_left f acc !t
 
   (** Remaining candidates in ascending block-id order — the canonical
       deterministic drain order for budget-exhaustion trace events. *)
@@ -264,12 +240,9 @@ let take better pool =
     [seed].  The VLIW heuristic performs its path analysis here.
     [preds] supplies a block's predecessor list (same contents as
     {!Cfg.predecessors}); formation passes its edge-versioned cached map
-    so the breadth-first duplication check stops rebuilding the full
+    so the breadth-first duplication check does not rebuild the full
     predecessor map per candidate. *)
-let make_selector ?preds config cfg profile ~seed : selector =
-  let preds =
-    match preds with Some f -> f | None -> fun id -> Cfg.predecessors cfg id
-  in
+let make_selector ~preds config cfg profile ~seed : selector =
   match config.heuristic with
   | Breadth_first ->
     (* Breadth-first "merges all paths": among same-depth candidates it

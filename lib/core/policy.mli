@@ -58,16 +58,13 @@ type candidate = {
 }
 
 (** Candidate pool keeping the most promising entry per block id.
-    Indexed mode ([create ~indexed:true]) is Hashtbl-backed with O(1)
-    insert/replace; Listed mode replicates the historical O(n) list pool
-    and backs the [TRIPS_NO_CAND_POOL] escape hatch.  Selector decisions
-    never depend on container iteration order (all comparators are
-    strict total orders with a block-id tie-break), so traces are
-    identical in both modes and across [--jobs] settings. *)
+    Selector decisions never depend on the pool's order (all comparators
+    are strict total orders with a block-id tie-break), so traces are
+    identical across [--jobs] settings. *)
 module Pool : sig
   type t
 
-  val create : indexed:bool -> t
+  val create : unit -> t
 
   val add : t -> candidate -> unit
   (** Keep the better of the existing and new entry for the block id:
@@ -94,7 +91,7 @@ type selector = {
 }
 
 val make_selector :
-  ?preds:(int -> int list) ->
+  preds:(int -> int list) ->
   config ->
   Cfg.t ->
   Profile.t ->
@@ -102,6 +99,6 @@ val make_selector :
   selector
 (** Build the selection function for one ExpandBlock run; the VLIW
     heuristic performs its path analysis here.  [preds] supplies a
-    block's predecessor list (defaults to {!Cfg.predecessors}, which
-    rebuilds the whole predecessor map per call — formation passes its
-    edge-versioned cached map instead). *)
+    block's predecessor list, with the same contents as
+    {!Cfg.predecessors}; formation passes its edge-versioned cached
+    map. *)

@@ -24,17 +24,16 @@ let config_for ~seed =
       Chf.Policy.heuristic = Chf.Policy.Depth_first { min_merge_prob = 0.05 } }
   else Chf.Policy.edge_default
 
-(* The PR-4 contract: with every fast-path escape hatch engaged,
-   formation's final CFG and statistics are identical.  Compared on a
-   canonical rendering of the graph (entry + blocks in id order). *)
-let with_hatches v f =
-  List.iter (fun h -> Unix.putenv h v) Chf.Formation.hatches;
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun h -> Unix.putenv h "") Chf.Formation.hatches)
-    f
-
-let formation_snapshot ~config cfg profile =
+(* Formation's caches against their specification: with
+   [Formation.audit] set, every cached liveness, loop-forest and
+   predecessor answer is checked against a from-scratch solve (a mismatch
+   raises, and lands in an [equiv] bucket) and the pre-filter takes no
+   shortcut; the final CFG and statistics must equal an unaudited run.
+   Compared on a canonical rendering of the graph (entry + blocks in id
+   order). *)
+let formation_snapshot ~config cfg profile ~audited =
+  if audited then Chf.Formation.audit := Some (fun ~bound:_ ~est:_ -> ());
+  Fun.protect ~finally:(fun () -> Chf.Formation.audit := None) @@ fun () ->
   let cfg = Cfg.copy cfg in
   let stats = Chf.Formation.run config cfg profile in
   let blocks = List.map (Cfg.block cfg) (List.sort compare (Cfg.block_ids cfg)) in
@@ -42,17 +41,17 @@ let formation_snapshot ~config cfg profile =
 
 let check_equiv ~config cfg profile =
   match
-    let fast = with_hatches "" (fun () -> formation_snapshot ~config cfg profile) in
-    let slow = with_hatches "1" (fun () -> formation_snapshot ~config cfg profile) in
-    (fast, slow)
+    let plain = formation_snapshot ~config cfg profile ~audited:false in
+    let audited = formation_snapshot ~config cfg profile ~audited:true in
+    (plain, audited)
   with
   | exception e -> Some (fail "equiv" (Triage.of_exn ~stage:"equiv" e) (Printexc.to_string e))
-  | fast, slow ->
-    if fast = slow then None
+  | plain, audited ->
+    if plain = audited then None
     else
       Some
-        (fail "equiv" "equiv:fast-path-divergence"
-           "fast-path formation differs from all-hatches-off formation")
+        (fail "equiv" "equiv:audit-divergence"
+           "audited formation differs from unaudited formation")
 
 (* ---- raw CFG cases ----------------------------------------------------- *)
 

@@ -5,9 +5,10 @@
     runs under {!Trips_verify.Diff_check} (structural invariants plus
     functional re-simulation after {e every} phase), the back end runs
     and the result is re-verified, the final checksum must match the
-    input's, and formation with all fast-path escape hatches engaged
-    must produce the identical CFG and statistics (the PR-4 equivalence
-    property).  For a mini-language case the full
+    input's, and formation under {!Chf.Formation.audit} (every cached
+    liveness, loop-forest and predecessor answer checked against a
+    fresh solve) must produce the identical CFG and statistics as an
+    unaudited run.  For a mini-language case the full
     {!Trips_harness.Pipeline} runs with per-phase verification against
     the basic-block baseline.
 

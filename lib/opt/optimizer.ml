@@ -41,8 +41,12 @@ let report_pass ~block name (before : Block.t) (after : Block.t) =
 
 (** Optimize one block to a fixpoint (bounded), given the registers that
     are live when it exits. *)
-let optimize_block ?(max_rounds = 6) cfg (b : Block.t) ~live_out : Block.t =
+let optimize_block ?(max_rounds = 6) ?(report = true) cfg (b : Block.t)
+    ~live_out : Block.t =
   let block = b.Block.id in
+  let report_pass ~block name before after =
+    if report then report_pass ~block name before after else after
+  in
   let rec go b rounds =
     if rounds = 0 then b
     else begin

@@ -761,8 +761,9 @@ let all : Workload.t list =
    where the constraint pre-filter's sound store-count floor can prove a
    merge oversized without trialling it.  The shipped 24 kernels never
    reach that regime (their rejects are all instruction-budget driven,
-   see DESIGN.md §12), so these ride along in [bench formation] and in
-   the pre-filter regression test rather than in [all]. *)
+   see DESIGN.md §12), so these ride along in the serve-miss benchmark,
+   [make trace-check] and the pre-filter regression test rather than in
+   [all]. *)
 let store_burst name ~stores ~trip seed =
   let open Ast in
   Workload.make ~name

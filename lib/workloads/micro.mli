@@ -15,8 +15,8 @@ val store_dense : Workload.t list
 (** Store-dense stress kernels whose unrolled merge estimates hit the
     32-slot load/store budget — the regime the constraint pre-filter
     fires in.  Kept out of {!all} so the 24-kernel tables stay exactly
-    the paper's set; [bench formation] and the pre-filter regression
-    test add them. *)
+    the paper's set; the serve-miss benchmark, [make trace-check] and
+    the pre-filter regression test add them. *)
 
 val by_name : string -> Workload.t option
 (** Searches {!all} and {!store_dense}. *)

@@ -416,12 +416,11 @@ let incremental_liveness_matches_full =
                cells := rest;
                c mod bound
          in
-         let cache = Liveness.gk_cache () in
-         let live = ref (Liveness.compute ~cache cfg) in
+         let live = ref (Liveness.compute cfg) in
          let ok = ref true in
          for _ = 1 to 5 do
            let touched = apply_random_edit cfg pick in
-           live := Liveness.update ~cache !live cfg ~touched;
+           live := Liveness.update !live cfg ~touched;
            let full = Liveness.compute cfg in
            ok :=
              !ok

@@ -227,14 +227,7 @@ let test_block_splitting_extension () =
           (stats.Chf.Formation.block_splits > 0))
     [ ("nosplit", base); ("split", with_split) ]
 
-(* ---- fast-path equivalence --------------------------------------------- *)
-
-let with_hatches v f =
-  List.iter (fun h -> Unix.putenv h v) Chf.Formation.hatches;
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun h -> Unix.putenv h "") Chf.Formation.hatches)
-    f
+(* ---- formation caches vs the audit ------------------------------------- *)
 
 (* Run formation on a workload and capture everything observable: the
    final CFG (entry + every block record), the statistics, and the full
@@ -252,34 +245,58 @@ let form_traced w =
   in
   ((cfg.Cfg.entry, blocks), stats, trace)
 
-(* The contract every fast path must honor (DESIGN.md §12): with the
-   pre-filter, incremental liveness, loop-forest reuse and the indexed
-   pool all enabled, the final CFG, the statistics and the byte-rendered
-   trace are identical to a run with every escape hatch engaged — the
-   fast paths are pure strength reductions, never behavior changes.
-   Besides the random programs the check covers the 24 kernels and the
-   store-dense kernels, where the pre-filter fires. *)
-let fast_paths_agree w =
-  with_hatches "" (fun () -> form_traced w)
-  = with_hatches "1" (fun () -> form_traced w)
+(* The contract formation's caches and shortcuts must honor (DESIGN.md
+   §12): under [Formation.audit] every cached liveness, loop-forest and
+   predecessor answer is checked against a from-scratch solve (a mismatch
+   raises) and the pre-filter takes no shortcut, yet the final CFG, the
+   statistics and the byte-rendered trace are identical to an unaudited
+   run — the caches are pure strength reductions, never behavior changes.
+   Besides the random programs the check covers the 24 kernels, the
+   store-dense kernels, where the pre-filter fires, and one program where
+   a pre-filtered trial would have reported an optimizer pass. *)
+let audit_agrees w =
+  let plain = form_traced w in
+  Chf.Formation.audit := Some (fun ~bound:_ ~est:_ -> ());
+  Fun.protect
+    ~finally:(fun () -> Chf.Formation.audit := None)
+    (fun () -> form_traced w = plain)
 
-let fast_paths_are_output_invariant =
+(* A random program where the pre-filter skips a trial whose optimizer
+   would have reported a pass: the audit runs that trial, and must not
+   add its opt-pass events to the trace. *)
+let prefilter_skips_reported_trial =
+  Trips_workloads.Spec_like.generate
+    {
+      Trips_workloads.Spec_like.name = "rand19119";
+      seed = 19119;
+      outer_iters = 9;
+      segments = 4;
+      branch_density = 0.0;
+      branch_bias = 0.2;
+      while_fraction = 0.0;
+      trip_choices = [ 1; 2; 3; 5 ];
+      nest_prob = 0.0;
+      stmts_per_block = 4;
+    }
+
+let audit_is_output_invariant =
   let name, speed, random_programs =
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make
          ~name:"CHK fast paths are output-invariant (random programs)"
          ~count:20 ~print:Generators.print_workload
-         Generators.random_program_gen fast_paths_agree)
+         Generators.random_program_gen audit_agrees)
   in
   ( name,
     speed,
     fun () ->
       List.iter
         (fun w ->
-          if not (fast_paths_agree w) then
-            Alcotest.failf "fast paths diverge on %s"
+          if not (audit_agrees w) then
+            Alcotest.failf "audited formation diverges on %s"
               w.Trips_workloads.Workload.name)
-        (Trips_workloads.Micro.all @ Trips_workloads.Micro.store_dense);
+        (Trips_workloads.Micro.all @ Trips_workloads.Micro.store_dense
+        @ [ prefilter_skips_reported_trial ]);
       random_programs () )
 
 (* The pre-filter's additive lower bound must never exceed the true
@@ -288,7 +305,7 @@ let fast_paths_are_output_invariant =
    covering stores, loops, unrolling, peeling and tail duplication. *)
 let test_prefilter_bound_is_sound () =
   let fired = ref 0 in
-  Chf.Formation.prefilter_audit :=
+  Chf.Formation.audit :=
     Some
       (fun ~bound ~est ->
         incr fired;
@@ -303,7 +320,7 @@ let test_prefilter_bound_is_sound () =
           Alcotest.failf "prefilter bound exceeds true estimate: %a > %a"
             pp_estimate bound pp_estimate est);
   Fun.protect
-    ~finally:(fun () -> Chf.Formation.prefilter_audit := None)
+    ~finally:(fun () -> Chf.Formation.audit := None)
     (fun () ->
       List.iter
         (fun name -> ignore (form name Chf.Policy.edge_default))
@@ -401,9 +418,37 @@ let test_failed_unroll_leaves_no_hidden_state () =
     "failed unroll is invisible: both runs produce identical CFGs" true
     (with_failure = without_failure)
 
+(* IUPO's unroll/peel step drives [merge_blocks] on a formation state of
+   its own; its cache counters must reach the metrics like its attempts
+   do, so [chfc compile -o iupo --metrics] accounts for every liveness
+   read of those merges. *)
+let test_iupo_publishes_cache_counters () =
+  let w = Option.get (Trips_workloads.Micro.by_name "dct8x8") in
+  let profile, _ = Trips_harness.Pipeline.profile_workload w in
+  let cfg, _ = Trips_harness.Pipeline.lower_workload w in
+  Trips_opt.Optimizer.optimize_cfg cfg;
+  let config = Chf.Policy.edge_default in
+  ignore
+    (Chf.Formation.run
+       { config with Chf.Policy.enable_head_dup = false; iterate_opt = false }
+       cfg profile);
+  let counter name =
+    Trips_obs.Metrics.counter_value (Trips_obs.Metrics.snapshot ()) name
+  in
+  let attempts0 = counter "formation.attempts"
+  and live0 = counter "formation.liveness.incremental" in
+  Chf.Discrete_up.run_after_formation config cfg profile
+    (Chf.Formation.empty_stats ());
+  check Alcotest.bool "IUPO made at least two merge attempts" true
+    (counter "formation.attempts" - attempts0 >= 2);
+  check Alcotest.bool "IUPO's incremental liveness reads are published" true
+    (counter "formation.liveness.incremental" > live0)
+
 let suite =
   ( "formation",
     [
+      Alcotest.test_case "IUPO publishes its cache counters" `Quick
+        test_iupo_publishes_cache_counters;
       Alcotest.test_case "failed unroll leaves no hidden state" `Quick
         test_failed_unroll_leaves_no_hidden_state;
       Alcotest.test_case "block splitting extension" `Quick
@@ -424,7 +469,7 @@ let suite =
       formation_keeps_exit_invariant;
       Alcotest.test_case "peel gated by trips" `Quick test_peel_gated_by_trip_counts;
       Alcotest.test_case "unroll capped" `Quick test_unroll_capped;
-      fast_paths_are_output_invariant;
+      audit_is_output_invariant;
       Alcotest.test_case "prefilter bound is sound" `Quick
         test_prefilter_bound_is_sound;
     ] )

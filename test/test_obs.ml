@@ -464,9 +464,9 @@ let test_structural_failure_not_retried () =
       (List.assoc "outcome" e.Trace.fields = Trace.Str "structural")
   | _ -> ());
   check Alcotest.int "one structural failure counted" 1
-    st.Chf.Formation.stats.Chf.Formation.combine_failures;
+    (Chf.Formation.stats st).Chf.Formation.combine_failures;
   check Alcotest.int "the sibling merge still landed" 1
-    st.Chf.Formation.stats.Chf.Formation.merges;
+    (Chf.Formation.stats st).Chf.Formation.merges;
   check Alcotest.bool "failed candidate survives as its own block" true
     (Cfg.mem cfg 1)
 

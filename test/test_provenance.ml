@@ -168,7 +168,7 @@ let test_report_jobs_invariant () =
 
 (* Satellite regression: the constraint pre-filter genuinely fires on a
    store-dense kernel (the 24 paper kernels are all instruction-budget
-   bound, so this was silently 0 in BENCH_formation.json). *)
+   bound, so over them the hit counter reads 0). *)
 let test_prefilter_fires_on_store_dense () =
   let w = workload "fill12" in
   let profile, _ = Pipeline.profile_workload w in

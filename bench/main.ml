@@ -576,175 +576,6 @@ let run_serve () =
   close_out oc;
   Fmt.pr "wrote %s@." path
 
-(* Cycle-simulator fast paths: the event-driven ring issue core and the
-   repeated-block timing memo, each behind its own TRIPS_NO_SIM_* escape
-   hatch (DESIGN.md §16), plus the sampled mode.  Every kernel is
-   compiled once outside the measured region, then each configuration
-   re-times the whole set; the exact configurations must render
-   byte-identical per-kernel results *and* attribution tables, and the
-   sampled run's measured drift bound must stay within the stated
-   tolerance.  Wall clocks (warmup + Welford over reps), per-piece
-   attribution and the fast-path counters go to BENCH_sim.json. *)
-let run_sim () =
-  section "Sim — cycle-model fast paths (legacy vs ring core, memo, sampled)";
-  let hatches = [ "TRIPS_NO_SIM_FAST"; "TRIPS_NO_SIM_MEMO" ] in
-  let sample_tolerance = 0.05 in
-  let compiled =
-    List.map
-      (fun w -> Pipeline.compile ~backend:true Chf.Phases.Iupo_merged w)
-      (Micro.all @ Micro.store_dense)
-  in
-  let render ?sample () =
-    let buf = Buffer.create 4096 in
-    let fmt = Format.formatter_of_buffer buf in
-    List.iter
-      (fun c ->
-        let a = Trips_sim.Attribution.create () in
-        let r = Pipeline.run_cycles ?sample ~attribution:a c in
-        Fmt.pf fmt
-          "%-14s cycles=%d blocks=%d fired=%d fetched=%d mispred=%d \
-           acc=%.6f miss=%.6f checksum=%d@."
-          c.Pipeline.workload.Workload.name r.Trips_sim.Cycle_sim.cycles
-          r.Trips_sim.Cycle_sim.blocks r.Trips_sim.Cycle_sim.instrs_fired
-          r.Trips_sim.Cycle_sim.instrs_fetched
-          r.Trips_sim.Cycle_sim.mispredictions
-          r.Trips_sim.Cycle_sim.predictor_accuracy
-          r.Trips_sim.Cycle_sim.cache_miss_rate r.Trips_sim.Cycle_sim.checksum;
-        List.iter
-          (fun (row : Trips_sim.Attribution.row) ->
-            Fmt.pf fmt "  b%d execs=%d fetched=%d fired=%d cycles=%d flushes=%d %a@."
-              row.Trips_sim.Attribution.r_block row.Trips_sim.Attribution.r_execs
-              row.Trips_sim.Attribution.r_fetched
-              row.Trips_sim.Attribution.r_fired
-              row.Trips_sim.Attribution.r_cycles
-              row.Trips_sim.Attribution.r_flushes
-              Fmt.(list ~sep:sp (fun ppf (cls, f, fi) -> pf ppf "%s:%d/%d" cls f fi))
-              row.Trips_sim.Attribution.r_classes)
-          (Trips_sim.Attribution.rows a))
-      compiled;
-    Format.pp_print_flush fmt ();
-    Buffer.contents buf
-  in
-  let sim_pass ?sample () =
-    List.iter (fun c -> ignore (Pipeline.run_cycles ?sample c)) compiled
-  in
-  (* [on] lists the hatches whose fast path stays enabled; Welford over
-     [reps] timed passes after one warmup (SNIPPETS discipline) *)
-  let reps = 5 in
-  let measure ~name ~on ?sample () =
-    List.iter
-      (fun h -> Unix.putenv h (if List.mem h on then "" else "1"))
-      hatches;
-    sim_pass ?sample ();
-    Trips_obs.Metrics.reset ();
-    let n = ref 0 and mean = ref 0.0 and m2 = ref 0.0 in
-    let mn = ref infinity and mx = ref neg_infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      sim_pass ?sample ();
-      let dt = Unix.gettimeofday () -. t0 in
-      incr n;
-      let d = dt -. !mean in
-      mean := !mean +. (d /. float_of_int !n);
-      m2 := !m2 +. (d *. (dt -. !mean));
-      if dt < !mn then mn := dt;
-      if dt > !mx then mx := dt
-    done;
-    let stddev = if !n > 1 then sqrt (!m2 /. float_of_int (!n - 1)) else 0.0 in
-    let snap = Trips_obs.Metrics.snapshot () in
-    let counter = Trips_obs.Metrics.counter_value snap in
-    let counters =
-      ( counter "sim.cycle.memo.hits",
-        counter "sim.cycle.memo.misses",
-        counter "sim.cycle.ring.grows",
-        counter "sim.cycle.ring.capacity" / (reps * List.length compiled),
-        counter "sim.cycle.sample.skips" )
-    in
-    let output = render ?sample () in
-    List.iter (fun h -> Unix.putenv h "") hatches;
-    let memo_hits, _, _, ring_cap, skips = counters in
-    Fmt.pr "%-28s %6.3fs mean (stddev %.3f)  memo-hits %d  ring-cap %d  skips %d@."
-      name !mean stddev memo_hits ring_cap skips;
-    (name, !mean, stddev, !mn, !mx, counters, output)
-  in
-  let legacy = measure ~name:"fast paths off (legacy)" ~on:[] () in
-  let ring = measure ~name:"ring core only" ~on:[ "TRIPS_NO_SIM_FAST" ] () in
-  let memo = measure ~name:"memo only" ~on:[ "TRIPS_NO_SIM_MEMO" ] () in
-  let fast = measure ~name:"ring + memo (default)" ~on:hatches () in
-  let sampled =
-    measure ~name:"sampled 1/8" ~on:hatches ~sample:8 ()
-  in
-  let output_of (_, _, _, _, _, _, o) = o in
-  (* speedups compare best-of-reps: the shared bench machine's load
-     spikes inflate means; minima are the uncontended cost *)
-  let min_of (_, _, _, mn, _, _, _) = mn in
-  let exact = [ legacy; ring; memo; fast ] in
-  let identical =
-    List.for_all (fun c -> output_of c = output_of legacy) exact
-  in
-  if not identical then
-    Fmt.epr "bench: WARNING: sim outputs differ across fast paths@.";
-  (* sampled mode: worst measured drift bound and worst cycle deviation
-     from the exact run, across the kernel set *)
-  let sample_bound = ref 0.0 and sample_cycle_err = ref 0.0 in
-  List.iter
-    (fun c ->
-      let e = Pipeline.run_cycles c in
-      let s = Pipeline.run_cycles ~sample:8 c in
-      (match s.Trips_sim.Cycle_sim.sample_error_bound with
-      | Some b -> if b > !sample_bound then sample_bound := b
-      | None -> ());
-      let dev =
-        abs_float
-          (float_of_int
-             (s.Trips_sim.Cycle_sim.cycles - e.Trips_sim.Cycle_sim.cycles))
-        /. float_of_int (max 1 e.Trips_sim.Cycle_sim.cycles)
-      in
-      if dev > !sample_cycle_err then sample_cycle_err := dev)
-    compiled;
-  let speedup = min_of legacy /. min_of fast in
-  Fmt.pr "identical outputs: %b@." identical;
-  Fmt.pr "sim-stage speedup: %.2fx (sampled: %.2fx, best-of-%d)@." speedup
-    (min_of legacy /. min_of sampled)
-    reps;
-  Fmt.pr "sampled: worst error bound %.4f, worst cycle deviation %.4f \
-          (tolerance %.2f)@."
-    !sample_bound !sample_cycle_err sample_tolerance;
-  if !sample_bound > sample_tolerance then
-    Fmt.epr "bench: WARNING: sampled error bound exceeds tolerance@.";
-  let json =
-    let config (name, mean, stddev, mn, mx, (mh, mm, rg, rc, sk), _) =
-      Fmt.str
-        "    { \"name\": %S, \"mean_s\": %.4f, \"stddev_s\": %.4f, \
-         \"min_s\": %.4f, \"max_s\": %.4f,@\n\
-        \      \"counters\": { \"memo_hits\": %d, \"memo_misses\": %d, \
-         \"ring_grows\": %d, \"ring_capacity\": %d, \"sample_skips\": %d } }"
-        name mean stddev mn mx mh mm rg rc sk
-    in
-    Fmt.str
-      "{@\n\
-      \  \"identical_outputs\": %b,@\n\
-      \  \"sim_speedup\": %.3f,@\n\
-      \  \"sampled_speedup\": %.3f,@\n\
-      \  \"sample_error_bound\": %.5f,@\n\
-      \  \"sample_cycle_error\": %.5f,@\n\
-      \  \"sample_tolerance\": %.2f,@\n\
-      \  \"configs\": [@\n\
-       %s@\n\
-      \  ]@\n\
-       }@\n"
-      identical speedup
-      (min_of legacy /. min_of sampled)
-      !sample_bound !sample_cycle_err sample_tolerance
-      (String.concat ",\n"
-         (List.map config [ legacy; ring; memo; fast; sampled ]))
-  in
-  let path = bench_out "BENCH_sim.json" in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr "wrote %s@." path
-
 let experiments =
   [
     ("table1", run_table1);
@@ -756,7 +587,6 @@ let experiments =
     ("speed", run_speed);
     ("verify", run_verify);
     ("sweep", run_sweep);
-    ("sim", run_sim);
     ("serve", run_serve);
   ]
 

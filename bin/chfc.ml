@@ -154,8 +154,8 @@ let write_file path content =
    daemon's served replies and the one-shot CLI output are the same
    bytes by construction.  Only the side outputs (dump, emit-asm,
    emit-dot) live here. *)
-let compile_workload_report ?(sim_sample = 0) w ordering config dump backend
-    verify emit_asm emit_dot =
+let compile_workload_report w ordering config dump backend verify emit_asm
+    emit_dot =
   match
     Trips_serve.Worker.compile_report ~ordering ~config ~backend ~verify w
   with
@@ -174,22 +174,10 @@ let compile_workload_report ?(sim_sample = 0) w ordering config dump backend
       write_file path (Trips_ir.Dot.to_string c.Pipeline.cfg);
       Fmt.pr "dot graph       : written to %s@." path
     | None -> ());
-    print_string text;
-    (* the sampled run is an extra line after the exact report, so the
-       default output stays byte-identical with and without the flag *)
-    if sim_sample >= 2 then begin
-      let r = Pipeline.run_cycles ~sample:sim_sample c in
-      let exact = Pipeline.run_cycles c in
-      Fmt.pr
-        "sampled sim     : %d cycles (exact %d, 1/%d of converged instances \
-         timed, measured error bound %.4f)@."
-        r.Trips_sim.Cycle_sim.cycles exact.Trips_sim.Cycle_sim.cycles
-        sim_sample
-        (Option.value ~default:0.0 r.Trips_sim.Cycle_sim.sample_error_bound)
-    end
+    print_string text
 
 let compile_run name ordering policy dump backend verify emit_asm emit_dot
-    sim_sample no_provenance trace chrome metrics metrics_json =
+    no_provenance trace chrome metrics metrics_json =
   match
     (find_workload name, ordering_of_string ordering, policy_of_string policy)
   with
@@ -199,8 +187,8 @@ let compile_run name ordering policy dump backend verify emit_asm emit_dot
   | Ok w, Ok ordering, Ok config ->
     apply_provenance no_provenance;
     with_obs trace chrome metrics metrics_json (fun () ->
-        compile_workload_report ~sim_sample w ordering config dump backend
-          verify emit_asm emit_dot)
+        compile_workload_report w ordering config dump backend verify
+          emit_asm emit_dot)
 
 (* compile a kernel from a source file; parameters default to 0 unless
    given as name=value *)
@@ -293,25 +281,12 @@ let compile_cmd =
       & info [ "backend" ] ~docv:"BOOL"
           ~doc:"Run register allocation and fanout insertion.")
   in
-  let sim_sample =
-    Arg.(
-      value & opt int 0
-      & info [ "sim-sample" ] ~docv:"N"
-          ~doc:
-            "Additionally run the timing model in sampled mode: once a \
-             block signature has converged, time only every $(docv)-th \
-             instance and extrapolate the rest.  Prints one extra line \
-             with the sampled cycle count and the measured error bound; \
-             the exact report above it is unchanged.  Needs $(docv) >= 2; \
-             0 (the default) disables it.")
-  in
   Cmd.v
     (Cmd.info "compile" ~doc)
     Term.(
       const compile_run $ workload_arg $ ordering $ policy $ dump $ backend
-      $ verify_arg $ emit_asm_arg $ emit_dot_arg $ sim_sample
-      $ no_provenance_arg $ trace_arg $ chrome_trace_arg
-      $ metrics_arg $ metrics_json_arg)
+      $ verify_arg $ emit_asm_arg $ emit_dot_arg $ no_provenance_arg
+      $ trace_arg $ chrome_trace_arg $ metrics_arg $ metrics_json_arg)
 
 let compile_file_cmd =
   let doc = "Compile a kernel source file (see `chfc syntax`)." in

@@ -222,14 +222,12 @@ let run_functional (c : compiled) : Func_sim.result =
       Func_sim.run ~registers:c.registers ~memory c.cfg)
 
 (** Run the compiled workload under the cycle-level timing model.
-    [sample] enables sampled simulation (see {!Cycle_sim.run}).
     [attribution] collects per-block lineage attribution ({!Attribution})
     without affecting timing. *)
-let run_cycles ?timing ?sample ?attribution (c : compiled) : Cycle_sim.result =
+let run_cycles ?timing ?attribution (c : compiled) : Cycle_sim.result =
   Stage.time Stage.Sim (fun () ->
       let memory = Workload.memory c.workload in
-      Cycle_sim.run ?timing ?sample ?attribution ~registers:c.registers ~memory
-        c.cfg)
+      Cycle_sim.run ?timing ?attribution ~registers:c.registers ~memory c.cfg)
 
 (* On a checksum mismatch, re-run the formation phases with differential
    checking on a fresh lowering to name the first phase that diverged;

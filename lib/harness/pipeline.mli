@@ -122,12 +122,11 @@ val run_functional : compiled -> Func_sim.result
 
 val run_cycles :
   ?timing:Cycle_sim.timing ->
-  ?sample:int ->
   ?attribution:Attribution.t ->
   compiled ->
   Cycle_sim.result
-(** [sample >= 2] runs the timing model in sampled mode (see
-    {!Trips_sim.Cycle_sim.run}).  [attribution] collects per-block
+(** Run the compiled workload under the cycle-level timing model
+    ({!Trips_sim.Cycle_sim.run}).  [attribution] collects per-block
     lineage attribution ({!Trips_sim.Attribution}) without affecting
     timing. *)
 

@@ -28,8 +28,9 @@
    which keeps loop-carried dependence chains serial no matter how many
    blocks are in flight.
 
-   Two fast paths (DESIGN.md §16) make this the cheap stage of a sweep
-   without changing a single output byte:
+   One exact path (DESIGN.md §16), byte-compared by the sim suite against
+   the per-instruction reference in test/cycle_oracle.ml, keeps this the
+   cheap stage of a sweep:
 
    - an *event-driven issue core*: block events land in flat machine
      buffers straight from the functional hooks (no per-instruction
@@ -54,16 +55,7 @@
      insertions — after verifying that the pre-existing issue
      occupancy over the block's span matches the recording, which
      makes the replay bit-exact (every absolute quantity enters the
-     computation only as a difference from the dispatch point).
-
-   [TRIPS_NO_SIM_FAST] (any non-empty value) routes issue allocation
-   back through the legacy per-cycle hashtable; [TRIPS_NO_SIM_MEMO]
-   disables the memo; with both engaged the original per-instruction
-   code path runs verbatim.  A sampled mode ([sample] >= 2, default
-   off) additionally extrapolates converged block instances from their
-   memo entries without re-timing issue contention, reporting a
-   measured drift bound — the only mode allowed to deviate from the
-   exact path. *)
+     computation only as a difference from the dispatch point). *)
 
 open Trips_ir
 
@@ -112,40 +104,14 @@ type result = {
   mispredictions : int;
   predictor_accuracy : float;
   cache_miss_rate : float;
-  sample_error_bound : float option;
   ret : int option;
   checksum : int;
 }
-
-(* ---- fast-path configuration ------------------------------------------- *)
-
-(* [TRIPS_NO_X] convention: any non-empty value disables the feature. *)
-let hatch_enabled name =
-  match Sys.getenv_opt name with None | Some "" -> false | Some _ -> true
-
-type fast_config = {
-  fc_fast : bool;  (* ring issue core + batched operand wakeup *)
-  fc_memo : bool;  (* repeated-block timing memo *)
-  fc_sample : int;  (* >= 2: re-time every Nth converged instance *)
-}
-
-(* a signature must repeat this many times before sampling may skip it *)
-let sample_converge = 4
 
 (* memo guards: blocks whose issue span outruns the window bound are not
    worth replaying, and a runaway key population stops growing *)
 let memo_max_span = 4096
 let memo_max_entries = 16384
-
-let config_of_env ~sample =
-  let sample = if sample >= 2 then sample else 0 in
-  {
-    fc_fast = not (hatch_enabled "TRIPS_NO_SIM_FAST");
-    (* sampled mode extrapolates from memo entries, so it implies the
-       memo machinery even when the hatch is engaged *)
-    fc_memo = (not (hatch_enabled "TRIPS_NO_SIM_MEMO")) || sample > 0;
-    fc_sample = sample;
-  }
 
 (* ---- memo tables -------------------------------------------------------- *)
 
@@ -192,9 +158,6 @@ and sig_info = {
   si_defs : int array array;  (* def slots per fired instruction *)
   si_entries : (int, (inst_key * memo_entry) list) Hashtbl.t;
       (* int-hashed buckets; collisions resolved by full key compare *)
-  mutable si_seen : int;  (* dynamic instances of this signature *)
-  mutable si_tick : int;  (* sampling phase counter *)
-  mutable si_skipped : int;  (* skips since the last measurement *)
 }
 
 let dummy_instr = Instr.make 0 (Instr.Mov (0, Instr.Imm 0))
@@ -202,13 +165,11 @@ let dummy_instr = Instr.make 0 (Instr.Mov (0, Instr.Imm 0))
 (* Mutable per-run machine state. *)
 type machine = {
   t : timing;
-  fc : fast_config;
   trace : int ref;  (* block instances still to trace *)
   trace_ppf : Format.formatter;
   predictor : Predictor.t;
   cache : Cache.t;
   reg_ready : (int, int) Hashtbl.t;  (* register -> producer completion *)
-  issue_load : (int, int) Hashtbl.t;  (* legacy allocator: cycle -> issued *)
   (* ring allocator: slot [c land ring_mask] holds cycle [ring_tags],
      occupancy [ring_used]; tags below the current dispatch point are
      dead and reclaimed lazily *)
@@ -217,13 +178,12 @@ type machine = {
   mutable ring_mask : int;
   mutable ring_grows : int;
   sigs : (int, sig_cell list) Hashtbl.t;  (* block id -> signatures *)
-  (* fast-path event buffers, filled by the functional hooks in program
-     order with no per-instruction allocation: instruction, fired flag,
-     touched address (-1 for none), plus the fired bitmask, load-miss
-     bits and fired count folded into the same pass *)
+  (* event buffers, filled by the functional hooks in program order
+     with no per-instruction allocation: instruction and fired flag,
+     plus the fired bitmask, load-miss bits and fired count folded into
+     the same pass *)
   mutable ev_ins : Instr.t array;
   mutable ev_fired : bool array;
-  mutable ev_addr : int array;
   mutable ev_mask : int array;
   mutable ev_miss : int array;
   mutable ev_n : int;
@@ -240,8 +200,6 @@ type machine = {
   mutable memo_entries : int;
   mutable memo_hits : int;
   mutable memo_misses : int;
-  mutable sampled_skips : int;
-  mutable sample_err : int;  (* accumulated extrapolation drift, cycles *)
   mutable prev_dispatch_end : int;
   mutable last_commit : int;
   commit_ring : int array;  (* commit times of the last [window] blocks *)
@@ -252,7 +210,6 @@ type machine = {
   mutable instrs_fetched : int;
   (* current block instance being accumulated *)
   mutable cur_block : int;
-  mutable cur_events : (Instr.t * bool * int) list;  (* reversed; address -1 for none *)
   mutable cur_exit : Block.exit_ option;
   mutable started : bool;
 }
@@ -260,16 +217,14 @@ type machine = {
 let ring_initial_capacity = 256
 let ev_initial_capacity = 256
 
-let make_machine ?(trace = 0) ?(trace_ppf = Fmt.stderr) ?(sample = 0) t =
+let make_machine ?(trace = 0) ?(trace_ppf = Fmt.stderr) t =
   {
     t;
-    fc = config_of_env ~sample;
     trace = ref trace;
     trace_ppf;
     predictor = Predictor.create ();
     cache = Cache.create ~size_words:t.cache_size_words ~line_words:t.cache_line_words ();
     reg_ready = Hashtbl.create 256;
-    issue_load = Hashtbl.create 4096;
     ring_tags = Array.make ring_initial_capacity min_int;
     ring_used = Array.make ring_initial_capacity 0;
     ring_mask = ring_initial_capacity - 1;
@@ -277,7 +232,6 @@ let make_machine ?(trace = 0) ?(trace_ppf = Fmt.stderr) ?(sample = 0) t =
     sigs = Hashtbl.create 64;
     ev_ins = Array.make ev_initial_capacity dummy_instr;
     ev_fired = Array.make ev_initial_capacity false;
-    ev_addr = Array.make ev_initial_capacity (-1);
     ev_mask = Array.make ((ev_initial_capacity / 62) + 1) 0;
     ev_miss = Array.make ((ev_initial_capacity / 62) + 1) 0;
     ev_n = 0;
@@ -290,8 +244,6 @@ let make_machine ?(trace = 0) ?(trace_ppf = Fmt.stderr) ?(sample = 0) t =
     memo_entries = 0;
     memo_hits = 0;
     memo_misses = 0;
-    sampled_skips = 0;
-    sample_err = 0;
     prev_dispatch_end = 0;
     last_commit = 0;
     commit_ring = Array.make t.window_blocks 0;
@@ -301,31 +253,18 @@ let make_machine ?(trace = 0) ?(trace_ppf = Fmt.stderr) ?(sample = 0) t =
     instrs_fired = 0;
     instrs_fetched = 0;
     cur_block = -1;
-    cur_events = [];
     cur_exit = None;
     started = false;
   }
 
-(* ---- issue allocators --------------------------------------------------- *)
+(* ---- issue allocator ---------------------------------------------------- *)
 
-(* Legacy greedy issue-slot search from [ready] (TRIPS_NO_SIM_FAST):
-   one hashtable entry per simulated cycle, never pruned. *)
-let issue_at m ~ready =
-  let rec find c =
-    let used = Option.value ~default:0 (Hashtbl.find_opt m.issue_load c) in
-    if used < m.t.issue_width then begin
-      Hashtbl.replace m.issue_load c (used + 1);
-      c
-    end
-    else find (c + 1)
-  in
-  find ready
-
-(* Ring variants.  [horizon] is the retiring block's dispatch-end: every
-   future probe starts at or after it, so smaller tags are dead.  On a
-   live collision the ring is rebuilt at the smallest power of two
-   exceeding the live span, which makes residues collision-free (any
-   two live tags then differ by less than the capacity). *)
+(* Issue-slot occupancy lives in a ring.  [horizon] is the retiring
+   block's dispatch-end: every future probe starts at or after it, so
+   smaller tags are dead.  On a live collision the ring is rebuilt at
+   the smallest power of two exceeding the live span, which makes
+   residues collision-free (any two live tags then differ by less than
+   the capacity). *)
 let ring_grow m ~horizon ~need =
   let old_tags = m.ring_tags and old_used = m.ring_used in
   let max_tag =
@@ -385,20 +324,6 @@ let rec ring_add m ~horizon c n =
     ring_add m ~horizon c n
   end
 
-(* Occupancy access independent of the allocator in use, so the memo
-   works over both (the legacy hashtable never prunes, but occupancy is
-   only ever read at or above the horizon, where both agree). *)
-let occ_load m c =
-  if m.fc.fc_fast then ring_load m c
-  else Option.value ~default:0 (Hashtbl.find_opt m.issue_load c)
-
-let occ_add m ~horizon c n =
-  if m.fc.fc_fast then ring_add m ~horizon c n
-  else Hashtbl.replace m.issue_load c (occ_load m c + n)
-
-let issue_slot m ~horizon ~ready =
-  if m.fc.fc_fast then ring_issue m ~horizon ready else issue_at m ~ready
-
 (* ---- placement model ---------------------------------------------------- *)
 
 (* Instructions are placed round-robin across the ALU grid in fetch
@@ -416,78 +341,7 @@ let hop_between t a b =
     let manhattan = abs (ax - bx) + abs (ay - by) in
     t.operand_hop * max 1 manhattan
 
-(* ---- legacy timing body (both hatches engaged) -------------------------- *)
-
-(* The original per-instruction path, kept verbatim: per-operand double
-   hashtable lookups, cache probes inline, hashtable issue allocation.
-   Returns block-done and branch times plus a closure applying the
-   register exports (which, in this formulation, needs the commit). *)
-let retire_legacy m ~dispatch_end ~events =
-  let t = m.t in
-  let local_done : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
-  (* register -> (completion, producer slot index) *)
-  let input_ready ~consumer_idx r =
-    match Hashtbl.find_opt local_done r with
-    | Some (c, producer_idx) -> c + hop_between t producer_idx consumer_idx
-    | None ->
-      let produced = Option.value ~default:0 (Hashtbl.find_opt m.reg_ready r) in
-      max (dispatch_end + t.reg_read_latency) (produced + t.operand_hop)
-  in
-  let block_done = ref dispatch_end in
-  List.iteri
-    (fun idx ((i : Instr.t), fired, addr) ->
-      if fired then begin
-        m.instrs_fired <- m.instrs_fired + 1;
-        let ready =
-          List.fold_left
-            (fun acc r -> max acc (input_ready ~consumer_idx:idx r))
-            dispatch_end (Instr.uses i)
-        in
-        let issue = issue_at m ~ready in
-        let latency =
-          Latency.of_op i.Instr.op
-          +
-          match i.Instr.op with
-          | Instr.Load _ when addr >= 0 ->
-            if Cache.access m.cache ~addr then 0 else t.miss_penalty
-          | Instr.Store _ when addr >= 0 ->
-            ignore (Cache.access m.cache ~addr);
-            0
-          | _ -> 0
-        in
-        let done_ = issue + latency in
-        List.iter
-          (fun d -> Hashtbl.replace local_done d (done_, idx))
-          (Instr.defs i);
-        if done_ > !block_done then block_done := done_
-      end)
-    events;
-  (* branch resolution: the firing exit's guard producer (branches sit
-     at the end of the mapped block) *)
-  let n_instrs = List.length events in
-  let branch_time =
-    match m.cur_exit with
-    | Some { Block.eguard = Some g; _ } ->
-      input_ready ~consumer_idx:n_instrs g.Instr.greg
-    | Some { Block.eguard = None; _ } | None -> dispatch_end
-  in
-  let export ~commit =
-    (* export register writes for later blocks *)
-    List.iter
-      (fun ((i : Instr.t), fired, _) ->
-        if fired then
-          List.iter
-            (fun d ->
-              Hashtbl.replace m.reg_ready d
-                (match Hashtbl.find_opt local_done d with
-                | Some (c, _) -> c
-                | None -> commit))
-            (Instr.defs i))
-      events
-  in
-  (!block_done, branch_time, export)
-
-(* ---- fast timing body --------------------------------------------------- *)
+(* ---- timing body --------------------------------------------------------- *)
 
 (* Hot-path hashtable read without the [find_opt] option allocation. *)
 let ht_find0 tbl k =
@@ -562,9 +416,6 @@ let make_sig_info m ~guard_reg =
     si_uses = uses;
     si_defs = defs;
     si_entries = Hashtbl.create 8;
-    si_seen = 0;
-    si_tick = 0;
-    si_skipped = 0;
   }
 
 let apply_exports m ~dispatch_end (exports : (int * int) array) =
@@ -581,11 +432,11 @@ let push_issue m c =
   m.issue_buf.(m.issue_n) <- c;
   m.issue_n <- m.issue_n + 1
 
-(* Full (measured) timing computation with batched wakeup; returns the
+(* Full timing computation with batched wakeup; returns the
    recorded entry.  [deltas] are the external readiness offsets already
    gathered for the memo key, so the availability table is seeded from
    them — one lookup per external register per block, not per use. *)
-let fast_compute m ~dispatch_end ~(si : sig_info) ~deltas =
+let compute_entry m ~dispatch_end ~(si : sig_info) ~deltas =
   let t = m.t in
   let horizon = dispatch_end in
   let n_instrs = m.ev_n in
@@ -621,7 +472,7 @@ let fast_compute m ~dispatch_end ~(si : sig_info) ~deltas =
         let r = input_ready ~consumer_idx:idx us.(k) in
         if r > !ready then ready := r
       done;
-      let issue = issue_slot m ~horizon ~ready:!ready in
+      let issue = ring_issue m ~horizon !ready in
       push_issue m issue;
       if issue > !max_issue then max_issue := issue;
       let latency =
@@ -668,7 +519,7 @@ let fast_compute m ~dispatch_end ~(si : sig_info) ~deltas =
     done;
   let pre =
     if full then
-      Array.init span (fun k -> occ_load m (dispatch_end + k) - iss.(k))
+      Array.init span (fun k -> ring_load m (dispatch_end + k) - iss.(k))
     else [||]
   in
   let entry =
@@ -683,12 +534,11 @@ let fast_compute m ~dispatch_end ~(si : sig_info) ~deltas =
   in
   (entry, full)
 
-(* The structured body: signature lookup over the event buffers the
-   hooks filled, memo replay or full computation, and — in sampled
-   mode — key-aware extrapolation.  Returns block-done and branch
-   times; exports are applied inside (they never need the commit — a
-   fired def's completion is always recorded). *)
-let retire_fast m ~dispatch_end =
+(* The timing body: signature lookup over the event buffers the hooks
+   filled, then memo replay or full computation.  Returns block-done and
+   branch times; exports are applied inside (they never need the commit
+   — a fired def's completion is always recorded). *)
+let time_block m ~dispatch_end =
   let t = m.t in
   let horizon = dispatch_end in
   let words = max 1 ((m.ev_n + 61) / 62) in
@@ -727,7 +577,6 @@ let retire_fast m ~dispatch_end =
     in
     scan cells
   in
-  si.si_seen <- si.si_seen + 1;
   (* memo-key deltas into the reusable scratch buffer, folding the
      bucket hash along the way; key arrays are only materialized when a
      new entry is stored *)
@@ -758,11 +607,9 @@ let retire_fast m ~dispatch_end =
         go 0)
   in
   let bucket =
-    if m.fc.fc_memo then
-      match Hashtbl.find si.si_entries h with
-      | l -> l
-      | exception Not_found -> []
-    else []
+    match Hashtbl.find si.si_entries h with
+    | l -> l
+    | exception Not_found -> []
   in
   let cached =
     let rec scan = function
@@ -771,125 +618,79 @@ let retire_fast m ~dispatch_end =
     in
     scan bucket
   in
-  (* Sampled mode: once a signature has converged, only every Nth
-     instance is re-timed; the rest replay the entry recorded for their
-     *own* instance key without verifying or updating issue occupancy —
-     latencies and dependences stay exact, only cross-block issue
-     contention is extrapolated.  A key never seen is always measured. *)
-  let sampling = m.fc.fc_sample > 1 in
-  let skip =
-    sampling && cached <> None && si.si_seen > sample_converge
-    && si.si_tick mod m.fc.fc_sample <> 0
+  let replayed =
+    match cached with
+    | Some (_, e) ->
+      (* bit-exact only if the pre-existing occupancy over the recorded
+         span matches the recording *)
+      let ok = ref true in
+      (try
+         for k = 0 to e.e_span - 1 do
+           if ring_load m (dispatch_end + k) <> e.e_pre.(k) then begin
+             ok := false;
+             raise Exit
+           end
+         done
+       with Exit -> ());
+      if !ok then Some e else None
+    | None -> None
   in
-  si.si_tick <- si.si_tick + 1;
-  match cached with
-  | Some (_, e) when skip ->
-    si.si_skipped <- si.si_skipped + 1;
-    m.sampled_skips <- m.sampled_skips + 1;
-    apply_exports m ~dispatch_end e.e_exports;
-    (dispatch_end + e.e_done_off, dispatch_end + e.e_branch_off)
-  | _ ->
-    let commit_of ~done_ ~branch =
-      max (max done_ branch) m.last_commit + t.commit_overhead
-    in
-    (* what a skip would have charged this instance, for the drift bound *)
-    let predicted =
-      match cached with
-      | Some (_, e) when sampling ->
-        Some
-          (commit_of ~done_:(dispatch_end + e.e_done_off)
-             ~branch:(dispatch_end + e.e_branch_off))
-      | _ -> None
-    in
-    let replayed =
-      match cached with
-      | Some (_, e) ->
-        (* bit-exact only if the pre-existing occupancy over the
-           recorded span matches the recording *)
-        let ok = ref true in
-        (try
-           for k = 0 to e.e_span - 1 do
-             if occ_load m (dispatch_end + k) <> e.e_pre.(k) then begin
-               ok := false;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        if !ok then Some e else None
-      | None -> None
-    in
-    let entry =
-      match replayed with
-      | Some e ->
-        m.memo_hits <- m.memo_hits + 1;
-        for k = 0 to e.e_span - 1 do
-          if e.e_iss.(k) > 0 then occ_add m ~horizon (dispatch_end + k) e.e_iss.(k)
-        done;
-        apply_exports m ~dispatch_end e.e_exports;
-        e
-      | None ->
-        m.memo_misses <- m.memo_misses + 1;
-        let entry, full = fast_compute m ~dispatch_end ~si ~deltas:db in
-        if full && m.memo_entries < memo_max_entries then begin
-          let ik =
-            {
-              ik_deltas = Array.sub db 0 ext_n;
-              ik_miss = Array.sub m.ev_miss 0 words;
-            }
-          in
-          match cached with
-          | Some (k0, _) ->
-            (* stale recording under this key (occupancy drifted):
-               swap it out in place, the key population is unchanged *)
-            Hashtbl.replace si.si_entries h
-              ((ik, entry) :: List.filter (fun (k, _) -> k != k0) bucket)
-          | None ->
-            Hashtbl.replace si.si_entries h ((ik, entry) :: bucket);
-            m.memo_entries <- m.memo_entries + 1
-        end;
-        entry
-    in
-    let block_done = dispatch_end + entry.e_done_off in
-    let branch_time = dispatch_end + entry.e_branch_off in
-    (match predicted with
-    | Some pred when si.si_skipped > 0 ->
-      let real = commit_of ~done_:block_done ~branch:branch_time in
-      m.sample_err <- m.sample_err + (abs (real - pred) * si.si_skipped);
-      si.si_skipped <- 0
-    | Some _ -> si.si_skipped <- 0
-    | None -> ());
-    (block_done, branch_time)
+  let entry =
+    match replayed with
+    | Some e ->
+      m.memo_hits <- m.memo_hits + 1;
+      for k = 0 to e.e_span - 1 do
+        if e.e_iss.(k) > 0 then ring_add m ~horizon (dispatch_end + k) e.e_iss.(k)
+      done;
+      apply_exports m ~dispatch_end e.e_exports;
+      e
+    | None ->
+      m.memo_misses <- m.memo_misses + 1;
+      let entry, full = compute_entry m ~dispatch_end ~si ~deltas:db in
+      if full && m.memo_entries < memo_max_entries then begin
+        let ik =
+          { ik_deltas = Array.sub db 0 ext_n; ik_miss = Array.sub m.ev_miss 0 words }
+        in
+        match cached with
+        | Some (k0, _) ->
+          (* stale recording under this key (occupancy drifted): swap it
+             out in place, the key population is unchanged *)
+          Hashtbl.replace si.si_entries h
+            ((ik, entry) :: List.filter (fun (k, _) -> k != k0) bucket)
+        | None ->
+          Hashtbl.replace si.si_entries h ((ik, entry) :: bucket);
+          m.memo_entries <- m.memo_entries + 1
+      end;
+      entry
+  in
+  (dispatch_end + entry.e_done_off, dispatch_end + entry.e_branch_off)
 
 (* ---- event intake ------------------------------------------------------- *)
 
-(* Fast-path instruction hook: append to the flat buffers, fold the
-   fired bitmask in, and resolve cache accesses right here — the hooks
-   fire in program order, exactly the order the legacy timing loop
-   probes the cache in, and cache state never feeds back into
-   functional execution, so probing early is byte-identical. *)
+(* Instruction hook: append to the flat buffers, fold the fired bitmask
+   in, and resolve cache accesses right here — the hooks fire in program
+   order, exactly the order a per-instruction timing loop probes the
+   cache in, and cache state never feeds back into functional execution,
+   so probing early is byte-identical. *)
 let ev_push m i ~fired ~addr =
   let idx = m.ev_n in
   if idx = Array.length m.ev_ins then begin
     let cap = 2 * idx in
     let ins = Array.make cap dummy_instr in
     let frd = Array.make cap false in
-    let adr = Array.make cap (-1) in
     let msk = Array.make ((cap / 62) + 1) 0 in
     let mis = Array.make ((cap / 62) + 1) 0 in
     Array.blit m.ev_ins 0 ins 0 idx;
     Array.blit m.ev_fired 0 frd 0 idx;
-    Array.blit m.ev_addr 0 adr 0 idx;
     Array.blit m.ev_mask 0 msk 0 (Array.length m.ev_mask);
     Array.blit m.ev_miss 0 mis 0 (Array.length m.ev_miss);
     m.ev_ins <- ins;
     m.ev_fired <- frd;
-    m.ev_addr <- adr;
     m.ev_mask <- msk;
     m.ev_miss <- mis
   end;
   m.ev_ins.(idx) <- i;
   m.ev_fired.(idx) <- fired;
-  m.ev_addr.(idx) <- addr;
   m.ev_n <- idx + 1;
   if fired then begin
     m.ev_fired_n <- m.ev_fired_n + 1;
@@ -924,9 +725,7 @@ let retire ?attribution m ~next =
        functional driver (whose own poll covers the fetch side) *)
     Trips_obs.Watchdog.check ();
     let t = m.t in
-    let fast_body = m.fc.fc_fast || m.fc.fc_memo || m.fc.fc_sample > 1 in
-    let events = if fast_body then [] else List.rev m.cur_events in
-    let n_instrs = if fast_body then m.ev_n else List.length events in
+    let n_instrs = m.ev_n in
     m.instrs_fetched <- m.instrs_fetched + n_instrs;
     (* window: the (window-1)-blocks-ago commit gates dispatch *)
     let slot = m.block_index mod t.window_blocks in
@@ -938,17 +737,10 @@ let retire ?attribution m ~next =
       dispatch_start + t.block_overhead
       + ((n_instrs + t.fetch_bandwidth - 1) / t.fetch_bandwidth)
     in
-    let block_done, branch_time, export =
-      if fast_body then begin
-        let done_, branch = retire_fast m ~dispatch_end in
-        (done_, branch, fun ~commit:_ -> ())
-      end
-      else retire_legacy m ~dispatch_end ~events
-    in
+    let block_done, branch_time = time_block m ~dispatch_end in
     let commit =
       max (max block_done branch_time) m.last_commit + t.commit_overhead
     in
-    export ~commit;
     if !(m.trace) > 0 then begin
       decr m.trace;
       Fmt.pf m.trace_ppf
@@ -959,16 +751,10 @@ let retire ?attribution m ~next =
     (match attribution with
     | Some a ->
       Attribution.count_execution a ~block:m.cur_block;
-      if fast_body then
-        for idx = 0 to m.ev_n - 1 do
-          Attribution.count_instr a ~block:m.cur_block m.ev_ins.(idx)
-            ~fired:m.ev_fired.(idx)
-        done
-      else
-        List.iter
-          (fun ((i : Instr.t), fired, _) ->
-            Attribution.count_instr a ~block:m.cur_block i ~fired)
-          events;
+      for idx = 0 to m.ev_n - 1 do
+        Attribution.count_instr a ~block:m.cur_block m.ev_ins.(idx)
+          ~fired:m.ev_fired.(idx)
+      done;
       Attribution.add_cycles a ~block:m.cur_block (commit - m.last_commit)
     | None -> ());
     m.commit_ring.(slot) <- commit;
@@ -996,14 +782,9 @@ let retire ?attribution m ~next =
 (** Run [cfg] under the timing model.  Functionally identical to
     [Func_sim.run]; additionally reports cycles and microarchitectural
     statistics. *)
-let run ?(timing = default_timing) ?(trace = 0) ?trace_ppf ?(sample = 0)
-    ?attribution ?fuel ?strict_exits ?registers ~memory cfg : result =
-  let m = make_machine ~trace ?trace_ppf ~sample timing in
-  let fast_body = m.fc.fc_fast || m.fc.fc_memo || m.fc.fc_sample > 1 in
-  let on_instr =
-    if fast_body then fun i ~fired ~addr -> ev_push m i ~fired ~addr
-    else fun i ~fired ~addr -> m.cur_events <- (i, fired, addr) :: m.cur_events
-  in
+let run ?(timing = default_timing) ?(trace = 0) ?trace_ppf ?attribution ?fuel
+    ?strict_exits ?registers ~memory cfg : result =
+  let m = make_machine ~trace ?trace_ppf timing in
   let hooks =
     {
       Func_sim.on_block =
@@ -1011,10 +792,9 @@ let run ?(timing = default_timing) ?(trace = 0) ?trace_ppf ?(sample = 0)
           retire ?attribution m ~next:(Some id);
           m.started <- true;
           m.cur_block <- id;
-          m.cur_events <- [];
           ev_reset m;
           m.cur_exit <- None);
-      on_instr;
+      on_instr = (fun i ~fired ~addr -> ev_push m i ~fired ~addr);
       on_exit = (fun e -> m.cur_exit <- Some e);
     }
   in
@@ -1028,9 +808,10 @@ let run ?(timing = default_timing) ?(trace = 0) ?trace_ppf ?(sample = 0)
   Trips_obs.Metrics.incr ~by:m.memo_hits "sim.cycle.memo.hits";
   Trips_obs.Metrics.incr ~by:m.memo_misses "sim.cycle.memo.misses";
   Trips_obs.Metrics.incr ~by:m.ring_grows "sim.cycle.ring.grows";
-  if m.fc.fc_fast then
-    Trips_obs.Metrics.incr ~by:(m.ring_mask + 1) "sim.cycle.ring.capacity";
-  Trips_obs.Metrics.incr ~by:m.sampled_skips "sim.cycle.sample.skips";
+  (* a per-run sample, not a counter: its max is the largest ring any
+     run needed, comparable with one run's cycle count *)
+  Trips_obs.Metrics.observe "sim.cycle.ring.capacity"
+    (float_of_int (m.ring_mask + 1));
   let lookups, hits = Predictor.counters m.predictor in
   Trips_obs.Metrics.incr ~by:lookups "sim.predictor.lookups";
   Trips_obs.Metrics.incr ~by:hits "sim.predictor.hits";
@@ -1045,10 +826,6 @@ let run ?(timing = default_timing) ?(trace = 0) ?trace_ppf ?(sample = 0)
     mispredictions = m.mispredictions;
     predictor_accuracy = Predictor.accuracy m.predictor;
     cache_miss_rate = Cache.miss_rate m.cache;
-    sample_error_bound =
-      (if m.fc.fc_sample > 1 then
-         Some (float_of_int m.sample_err /. float_of_int (max 1 m.last_commit))
-       else None);
     ret = fr.Func_sim.ret;
     checksum = fr.Func_sim.checksum;
   }

@@ -16,12 +16,10 @@
     times, keeping loop-carried chains serial no matter how many blocks
     are in flight.
 
-    The default path runs an event-driven fast core (bounded ring issue
-    allocator, batched operand wakeup, memoized repeated-block timing;
-    DESIGN.md §16) whose outputs are byte-identical to the legacy
-    per-instruction path; [TRIPS_NO_SIM_FAST] and [TRIPS_NO_SIM_MEMO]
-    (any non-empty value) disable the pieces.  Sampled mode ([sample])
-    is the only approximation and is off by default. *)
+    There is one exact path: an event-driven core with a bounded ring
+    issue allocator, batched operand wakeup and memoized repeated-block
+    timing (DESIGN.md §16).  The sim suite byte-compares it against the
+    per-instruction reference in test/cycle_oracle.ml. *)
 
 open Trips_ir
 
@@ -56,12 +54,6 @@ type result = {
   mispredictions : int;
   predictor_accuracy : float;
   cache_miss_rate : float;
-  sample_error_bound : float option;
-      (** sampled mode only: measured extrapolation drift as a fraction
-          of total cycles — the sum over measured instances of
-          |predicted − real commit delta| × instances skipped since the
-          last measurement, divided by [cycles].  [None] in exact
-          mode. *)
   ret : int option;
   checksum : int;
 }
@@ -70,7 +62,6 @@ val run :
   ?timing:timing ->
   ?trace:int ->
   ?trace_ppf:Format.formatter ->
-  ?sample:int ->
   ?attribution:Attribution.t ->
   ?fuel:int ->
   ?strict_exits:bool ->
@@ -81,11 +72,7 @@ val run :
 (** Functionally identical to {!Func_sim.run}; additionally reports
     cycles and microarchitectural statistics.  [trace] prints retire
     timing for the first N block instances to [trace_ppf] (default
-    stderr).  [sample >= 2] enables sampled simulation: once a block
-    signature has recurred enough to be considered converged, only
-    every [sample]-th instance is re-timed and the rest replay the last
-    measurement; the resulting drift is measured and reported in
-    [sample_error_bound].  [attribution] collects per-block,
+    stderr).  [attribution] collects per-block,
     per-lineage-class fetch/fire counts, cycle shares (commit-time
     deltas, partitioning the run total) and flushes; attribution never
     changes timing. *)

@@ -19,10 +19,10 @@
      fresh value exceeds baseline * (1 + tolerance); default tolerance
      0.5, override with the third argument.
    - speedups / rates: warn when fresh < baseline / (1 + tolerance).
-   - error bounds (keys containing [error] or [bound]): lower is
-     better — warn when the fresh value exceeds baseline * (1 +
-     tolerance) by more than a small epsilon (a bound of 0 staying 0 is
-     the healthy case, unlike a counter).
+   - SLO breach counts (keys containing [breach]): lower is better —
+     warn when the fresh value exceeds baseline * (1 + tolerance) by
+     more than a small epsilon (0 staying 0 is the healthy case, unlike
+     a counter).
    - counters (everything else numeric): warn when a nonzero baseline
      collapsed to zero — a fast path that stopped firing is a
      regression even when the wall clock looks fine.
@@ -113,14 +113,12 @@ let is_higher_better key =
   contains key "speedup" || contains key "rate" || contains key "rps"
   || contains key "throughput"
 
-(* measured error/drift bounds and SLO breach counts: a rise past
-   tolerance means an approximation (or the service's health) got worse
-   even if every wall clock improved.  [slo_degraded] needs no rule of
-   its own: the bench arms the sentinel so the burst must flip it, and
-   the boolean true -> false rule catches a sentinel that stopped
-   firing. *)
-let is_lower_better key =
-  contains key "error" || contains key "bound" || contains key "breach"
+(* SLO breach counts: a rise past tolerance means the service's health
+   got worse even if every wall clock improved.  [slo_degraded] needs no
+   rule of its own: the bench arms the sentinel so the burst must flip
+   it, and the boolean true -> false rule catches a sentinel that
+   stopped firing. *)
+let is_lower_better key = contains key "breach"
 
 let () =
   let usage () =

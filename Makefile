@@ -4,8 +4,7 @@ CHAOS_SEED ?= 42
 FUZZ_SEED ?= 42
 
 .PHONY: all build test chaos fuzz-smoke trace-check equiv-check report-check \
-	serve-smoke telemetry-check perf-check bench-diff check bench \
-	bench-serve bench-all clean
+	serve-smoke telemetry-check perf-check check bench-all clean
 
 all: build
 
@@ -85,7 +84,10 @@ report-check: build
 # private socket, replays good / chaos-poisoned / past-deadline requests
 # over real connections, byte-compares a served compile against the
 # one-shot pipeline, checks the stats accounting, and asserts a clean
-# drain-and-unlink shutdown.
+# drain-and-unlink shutdown.  A second daemon with the SLO sentinel armed
+# and one admission slot takes a simultaneous burst: it must shed with
+# Overloaded (stats agreeing), flip to degraded with exactly one breach,
+# and still serve one-shot bytes afterwards.
 serve-smoke: build
 	dune exec tools/serve_smoke.exe
 
@@ -110,28 +112,8 @@ perf-check: build
 	  case "$$line" in *'"correct": true'*) ;; *) exit 1 ;; esac; \
 	done
 
-# A fresh serve bench vs the committed BENCH_serve.json baseline.
-# Warn-only: wall clocks vary across machines; counters that collapse to
-# zero or outputs that diverge are called out.  The fresh run writes to
-# _build/bench so the committed baseline is never clobbered.
-bench-diff: build
-	mkdir -p _build/bench
-	TRIPS_BENCH_DIR=_build/bench dune exec bench/main.exe -- serve > /dev/null
-	dune exec tools/bench_diff.exe -- BENCH_serve.json _build/bench/BENCH_serve.json
-
 check: build test chaos fuzz-smoke trace-check equiv-check report-check \
-	serve-smoke telemetry-check perf-check bench-diff
-
-# Full-sweep benchmark of the staged engine (writes BENCH_sweep.json).
-bench: build
-	dune exec bench/main.exe -- sweep
-
-# Resident-service load test: boots a daemon, replays hundreds of
-# concurrent requests from persistent client connections, and records
-# throughput, latency quantiles, store hit rates and shed/timeout/crash
-# accounting (writes BENCH_serve.json).
-bench-serve: build
-	dune exec bench/main.exe -- serve
+	serve-smoke telemetry-check perf-check
 
 # Every experiment: tables, figure, ablations, Bechamel micro-benchmarks.
 bench-all: build

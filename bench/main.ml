@@ -15,14 +15,6 @@ open Trips_harness
 let section title =
   Fmt.pr "@.==================== %s ====================@." title
 
-(* BENCH_*.json land in the repo root by default; `make bench-diff`
-   points TRIPS_BENCH_DIR elsewhere so a fresh run never clobbers the
-   committed baselines it is being compared against. *)
-let bench_out name =
-  match Sys.getenv_opt "TRIPS_BENCH_DIR" with
-  | Some d when d <> "" -> Filename.concat d name
-  | _ -> name
-
 (* Table 1 rows are reused by Figure 7, so compute them once. *)
 let table1_rows = lazy (Table1.run ())
 
@@ -153,6 +145,27 @@ let run_placement () =
       Fmt.pr "%-14s | %28.1f | %28.1f@." w.Workload.name flat spatial)
     kernels
 
+(* Print each Bechamel test's per-run median, straight from the raw
+   measurements, in name order. *)
+let report_medians raw =
+  Hashtbl.fold (fun name (b : Bechamel.Benchmark.t) acc ->
+      (name, b.Bechamel.Benchmark.lr) :: acc)
+    raw []
+  |> List.sort compare
+  |> List.iter (fun (name, measurements) ->
+         let times =
+           Array.to_list measurements
+           |> List.map (fun mr ->
+                  Bechamel.Measurement_raw.get ~label:"monotonic-clock" mr
+                  /. Float.max 1.0 (Bechamel.Measurement_raw.run mr))
+         in
+         match List.sort compare times with
+         | [] -> ()
+         | sorted ->
+           let median = List.nth sorted (List.length sorted / 2) in
+           Fmt.pr "%-24s %10.1f us/run (%d samples)@." name (median /. 1e3)
+             (List.length sorted))
+
 (* Bechamel micro-benchmarks of the compiler passes themselves: how long
    formation takes per configuration on a representative kernel. *)
 let run_speed () =
@@ -178,25 +191,7 @@ let run_speed () =
     in
     Benchmark.all cfg instances test
   in
-  let raw = benchmark () in
-  (* report per-run medians directly from the raw measurements *)
-  Hashtbl.fold (fun name (b : Bechamel.Benchmark.t) acc ->
-      (name, b.Bechamel.Benchmark.lr) :: acc)
-    raw []
-  |> List.sort compare
-  |> List.iter (fun (name, measurements) ->
-         let times =
-           Array.to_list measurements
-           |> List.map (fun mr ->
-                  Bechamel.Measurement_raw.get ~label:"monotonic-clock" mr
-                  /. Float.max 1.0 (Bechamel.Measurement_raw.run mr))
-         in
-         match List.sort compare times with
-         | [] -> ()
-         | sorted ->
-           let median = List.nth sorted (List.length sorted / 2) in
-           Fmt.pr "%-24s %10.1f us/run (%d samples)@." name (median /. 1e3)
-             (List.length sorted))
+  report_medians (benchmark ())
 
 (* Cost of the robustness machinery: structural checking of a formed CFG
    and the full per-phase differential verifier, against plain
@@ -242,339 +237,7 @@ let run_verify () =
     in
     Benchmark.all cfg instances test
   in
-  Hashtbl.fold (fun name (b : Bechamel.Benchmark.t) acc ->
-      (name, b.Bechamel.Benchmark.lr) :: acc)
-    raw []
-  |> List.sort compare
-  |> List.iter (fun (name, measurements) ->
-         let times =
-           Array.to_list measurements
-           |> List.map (fun mr ->
-                  Bechamel.Measurement_raw.get ~label:"monotonic-clock" mr
-                  /. Float.max 1.0 (Bechamel.Measurement_raw.run mr))
-         in
-         match List.sort compare times with
-         | [] -> ()
-         | sorted ->
-           let median = List.nth sorted (List.length sorted / 2) in
-           Fmt.pr "%-24s %10.1f us/run (%d samples)@." name (median /. 1e3)
-             (List.length sorted))
-
-(* Full-sweep benchmark of the staged engine itself: every table and
-   figure under three configurations — sequential with every cache off,
-   sequential with caches on, and the domain pool with caches on.  The
-   rendered outputs must agree byte-for-byte (determinism is part of the
-   contract); wall clocks, per-stage timings and cache counters go to
-   BENCH_sweep.json. *)
-let run_sweep () =
-  section "Sweep — staged engine: caching and domain-pool scaling";
-  let render_all ~cache ~jobs =
-    let buf = Buffer.create 4096 in
-    let fmt = Format.formatter_of_buffer buf in
-    let t1 = Table1.run ~cache ~jobs () in
-    Table1.render fmt t1;
-    Figure7.render fmt t1;
-    Table2.render fmt (Table2.run ~cache ~jobs ());
-    Table3.render fmt (Table3.run ~cache ~jobs ());
-    Format.pp_print_flush fmt ();
-    Buffer.contents buf
-  in
-  let measure ~name ~jobs ~cached =
-    let cache = if cached then Stage.create () else Stage.disabled () in
-    Stage.reset_timings ();
-    let t0 = Unix.gettimeofday () in
-    let output = render_all ~cache ~jobs in
-    let wall = Unix.gettimeofday () -. t0 in
-    let stats = Stage.stats cache in
-    Fmt.pr "%-28s %6.1fs  (%a; cache %d/%d hits)@." name wall Stage.pp_timings
-      (Stage.timings ()) stats.Stage.cache_hits
-      (stats.Stage.cache_hits + stats.Stage.cache_misses);
-    (name, jobs, cached, wall, Stage.timings (), stats, output)
-  in
-  (* runtime-measured, so the committed JSON says what this machine
-     actually had, not what the branch hoped for *)
-  let cores = Engine.default_jobs () in
-  Fmt.pr "cores: %d@." cores;
-  let baseline = measure ~name:"sequential, caches off" ~jobs:1 ~cached:false in
-  let seq = measure ~name:"sequential, caches on" ~jobs:1 ~cached:true in
-  let par_j2 = measure ~name:"parallel -j2, caches on" ~jobs:2 ~cached:true in
-  let par_j4 = measure ~name:"parallel -j4, caches on" ~jobs:4 ~cached:true in
-  let par =
-    measure
-      ~name:(Fmt.str "parallel -j%d, caches on" cores)
-      ~jobs:cores ~cached:true
-  in
-  let configs = [ baseline; seq; par_j2; par_j4; par ] in
-  let output_of (_, _, _, _, _, _, o) = o in
-  let wall_of (_, _, _, w, _, _, _) = w in
-  let identical =
-    List.for_all (fun c -> output_of c = output_of baseline) configs
-  in
-  if not identical then
-    Fmt.epr "bench: WARNING: sweep outputs differ across configurations@.";
-  Fmt.pr "identical outputs: %b@." identical;
-  Fmt.pr "speedup (caching): %.2fx, (caching + domains): %.2fx@."
-    (wall_of baseline /. wall_of seq)
-    (wall_of baseline /. wall_of par);
-  let json =
-    let config (name, jobs, cached, wall, (t : Stage.timings), (s : Stage.cache_stats), _) =
-      Fmt.str
-        "    { \"name\": %S, \"jobs\": %d, \"caches\": %b, \"wall_s\": %.3f,@\n\
-        \      \"stages_s\": { \"lower\": %.3f, \"profile\": %.3f, \
-         \"formation\": %.3f, \"backend\": %.3f, \"sim\": %.3f },@\n\
-        \      \"cache_hits\": %d, \"cache_misses\": %d, \"hit_rate\": %.3f }"
-        name jobs cached wall t.Stage.lower_s t.Stage.profile_s
-        t.Stage.formation_s t.Stage.backend_s t.Stage.sim_s s.Stage.cache_hits
-        s.Stage.cache_misses (Stage.hit_rate s)
-    in
-    Fmt.str
-      "{@\n\
-      \  \"cores\": %d,@\n\
-      \  \"identical_outputs\": %b,@\n\
-      \  \"speedup_caching\": %.3f,@\n\
-      \  \"speedup_total\": %.3f,@\n\
-      \  \"configs\": [@\n%s@\n  ]@\n}@\n"
-      cores identical
-      (wall_of baseline /. wall_of seq)
-      (wall_of baseline /. wall_of par)
-      (String.concat ",\n" (List.map config configs))
-  in
-  let path = bench_out "BENCH_sweep.json" in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr "wrote %s@." path
-
-(* The resident service under concurrent load: an in-process daemon on a
-   real Unix socket, hammered by client threads replaying a repeated-
-   source workload.  Warmup requests populate the shared stores first
-   (standard steady-state discipline: measure the service, not its cold
-   start), then every measured latency goes through both a Welford
-   running stat and the Metrics histogram (nearest-rank p50/p90/p99).
-   An overload burst past the admission bound and a past-deadline
-   request exercise the shed and timeout paths so BENCH_serve.json
-   records nonzero structured-degradation counters, and one served
-   compile is byte-compared against the one-shot pipeline. *)
-let run_serve () =
-  section "Serve — resident compile service under concurrent load";
-  let module C = Trips_serve.Client in
-  let module P = Trips_serve.Protocol in
-  let module S = Trips_serve.Server in
-  Trips_obs.Metrics.reset ();
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ()) "chfc-bench-serve.sock"
-  in
-  let workers = min 4 (Engine.default_jobs ()) in
-  let queue_depth = 6 in
-  (* SLO sentinel armed: a latency bound far above any real machine (the
-     code path runs without flipping on p99) and an error-rate bound the
-     chaos/overload burst must trip — the bench asserts the Degraded bit
-     and the breach counter afterwards. *)
-  (* the burst contributes ~17 errors against ~320 requests total, a
-     rate just over 5%; 2% keeps the flip robust without firing on the
-     healthy measured phase (whose one timeout stays under 0.4%) *)
-  let srv =
-    S.start ~workers ~queue_depth ~slo_p99_s:3600.0 ~slo_error_rate:0.02
-      ~quiet:true ~socket ()
-  in
-  let names = [| "sieve"; "matrix_1"; "gzip_1"; "vadd" |] in
-  let compile ?deadline ?chaos name =
-    P.Compile
-      {
-        P.cs_workload = name;
-        cs_ordering = "iupo-merged";
-        cs_policy = "bf";
-        cs_backend = true;
-        cs_verify = false;
-        cs_deadline_s = deadline;
-        cs_chaos_seed = chaos;
-      }
-  in
-  (* warmup: populate the prefix and output stores for each source *)
-  Array.iter
-    (fun n -> ignore (C.with_conn ~socket (fun c -> C.rpc c (compile n))))
-    names;
-  (* measured phase: [clients] threads, persistent connections, every
-     request drawn round-robin from the repeated-source pool *)
-  let clients = queue_depth in
-  let per_client = 50 in
-  let latencies = Array.make clients [] in
-  let failures = Atomic.make 0 in
-  let t0 = Unix.gettimeofday () in
-  let threads =
-    List.init clients (fun tid ->
-        Thread.create
-          (fun () ->
-            C.with_conn ~socket (fun conn ->
-                for i = 0 to per_client - 1 do
-                  let name = names.(((tid * per_client) + i) mod Array.length names) in
-                  let r0 = Unix.gettimeofday () in
-                  (match C.rpc conn (compile name) with
-                  | Ok _ -> ()
-                  | Error _ -> Atomic.incr failures);
-                  let dt = Unix.gettimeofday () -. r0 in
-                  latencies.(tid) <- dt :: latencies.(tid)
-                done))
-          ())
-  in
-  List.iter Thread.join threads;
-  let wall = Unix.gettimeofday () -. t0 in
-  let requests = clients * per_client in
-  (* merge per-thread samples on the main thread: Welford running stat
-     plus the histogram that supplies nearest-rank quantiles *)
-  let n = ref 0 and mean = ref 0.0 and m2 = ref 0.0 in
-  let mn = ref infinity and mx = ref neg_infinity in
-  Array.iter
-    (List.iter (fun x ->
-         incr n;
-         let d = x -. !mean in
-         mean := !mean +. (d /. float_of_int !n);
-         m2 := !m2 +. (d *. (x -. !mean));
-         if x < !mn then mn := x;
-         if x > !mx then mx := x;
-         Trips_obs.Metrics.observe "serve.request_s" x))
-    latencies;
-  let stddev =
-    if !n > 1 then sqrt (!m2 /. float_of_int (!n - 1)) else 0.0
-  in
-  let hist =
-    List.assoc "serve.request_s" (Trips_obs.Metrics.snapshot ()).Trips_obs.Metrics.histograms
-  in
-  (* a past-deadline request on a source the stores have not seen: the
-     cooperative watchdog must trip inside the pipeline *)
-  let timed_out_ok =
-    match
-      C.with_conn ~socket (fun c ->
-          C.rpc c (compile ~deadline:1e-6 "bzip2_3"))
-    with
-    | Error (P.Timed_out _) -> true
-    | Ok _ | Error _ -> false
-  in
-  (* overload burst: more simultaneous uncacheable (chaos-poisoned)
-     requests than the admission bound — the excess must shed *)
-  let burst = 16 in
-  let shed_replies = Atomic.make 0 in
-  let burst_threads =
-    List.init burst (fun tid ->
-        Thread.create
-          (fun () ->
-            match
-              C.with_conn ~socket (fun c ->
-                  C.rpc c (compile ~chaos:(tid + 1) "sieve"))
-            with
-            | Error (P.Overloaded _) -> Atomic.incr shed_replies
-            | Ok _ | Error _ -> ())
-          ())
-  in
-  List.iter Thread.join burst_threads;
-  (* served output vs the one-shot pipeline, same bytes required *)
-  let served_identical =
-    let served =
-      C.with_conn ~socket (fun c -> C.rpc c (compile "sieve"))
-    in
-    let oneshot =
-      match Micro.by_name "sieve" with
-      | None -> Error "no sieve"
-      | Some w ->
-        Result.map snd
-          (Trips_serve.Worker.compile_report ~ordering:Chf.Phases.Iupo_merged
-             ~config:Chf.Policy.edge_default ~backend:true ~verify:false w)
-    in
-    match (served, oneshot) with
-    | Ok a, Ok b -> a = b
-    | _ -> false
-  in
-  let stats = C.with_conn ~socket (fun c -> C.rpc c P.Stats) in
-  C.with_conn ~socket (fun c -> C.rpc c P.Shutdown);
-  S.wait srv;
-  let throughput = float_of_int requests /. wall in
-  (* rolling-window latency breakdown (queue wait vs execute vs render)
-     and the SLO sentinel's verdict after the burst *)
-  let module W = Trips_obs.Telemetry.Window in
-  let wq name =
-    match W.quantiles stats.P.st_window name with
-    | Some q -> (q.W.q_p50, q.W.q_p99)
-    | None -> (0.0, 0.0)
-  in
-  let qw50, qw99 = wq "serve.queue_wait_s" in
-  let ex50, ex99 = wq "serve.execute_s" in
-  let rd50, rd99 = wq "span.render_s" in
-  let _, lat99 = wq "serve.latency_s" in
-  let degraded = stats.P.st_degraded in
-  let breaches =
-    Trips_obs.Metrics.counter_value
-      (Trips_obs.Metrics.snapshot ())
-      "serve.slo.breach"
-  in
-  if not degraded then
-    Fmt.epr
-      "bench: WARNING: SLO sentinel did not flip degraded after the burst@.";
-  let store name =
-    List.find (fun s -> s.P.sc_name = name) stats.P.st_stores
-  in
-  let prefix = store "serve.prefix" and output = store "serve.output" in
-  let rate s =
-    let total = s.P.sc_hits + s.P.sc_misses in
-    if total = 0 then 0.0 else float_of_int s.P.sc_hits /. float_of_int total
-  in
-  Fmt.pr "requests: %d over %d client(s), %d worker domain(s), depth %d@."
-    requests clients workers queue_depth;
-  Fmt.pr "wall %.2fs, throughput %.0f req/s, failures %d@." wall throughput
-    (Atomic.get failures);
-  Fmt.pr "latency: mean %.4fs (stddev %.4f), p50 %.4fs, p90 %.4fs, p99 %.4fs@."
-    !mean stddev hist.Trips_obs.Metrics.h_p50 hist.Trips_obs.Metrics.h_p90
-    hist.Trips_obs.Metrics.h_p99;
-  Fmt.pr "stores: prefix %.0f%% hits, output %.0f%% hits@."
-    (100.0 *. rate prefix) (100.0 *. rate output);
-  Fmt.pr "shed %d (replies %d), timed out %d, crashed %d, deadline trip: %b, \
-          served output identical: %b@."
-    stats.P.st_shed (Atomic.get shed_replies) stats.P.st_timed_out
-    stats.P.st_crashed timed_out_ok served_identical;
-  Fmt.pr
-    "window: queue-wait p50 %.4fs p99 %.4fs, execute p50 %.4fs p99 %.4fs, \
-     render p50 %.4fs p99 %.4fs@."
-    qw50 qw99 ex50 ex99 rd50 rd99;
-  Fmt.pr "slo: degraded %b after the burst, %d breach(es) recorded@." degraded
-    breaches;
-  let json =
-    Fmt.str
-      "{@\n\
-      \  \"requests\": %d,@\n\
-      \  \"clients\": %d,@\n\
-      \  \"workers\": %d,@\n\
-      \  \"queue_depth\": %d,@\n\
-      \  \"wall_s\": %.3f,@\n\
-      \  \"throughput_rps\": %.1f,@\n\
-      \  \"latency\": { \"mean_s\": %.6f, \"stddev_s\": %.6f, \"min_s\": \
-       %.6f, \"max_s\": %.6f, \"p50_s\": %.6f, \"p90_s\": %.6f, \"p99_s\": \
-       %.6f },@\n\
-      \  \"prefix_store\": { \"hits\": %d, \"misses\": %d, \"hit_rate\": %.3f \
-       },@\n\
-      \  \"output_store\": { \"hits\": %d, \"misses\": %d, \"hit_rate\": %.3f \
-       },@\n\
-      \  \"shed\": %d,@\n\
-      \  \"timed_out\": %d,@\n\
-      \  \"crashed\": %d,@\n\
-      \  \"deadline_trips\": %b,@\n\
-      \  \"served_identical\": %b,@\n\
-      \  \"window\": { \"queue_wait_p50_s\": %.6f, \"queue_wait_p99_s\": \
-       %.6f, \"execute_p50_s\": %.6f, \"execute_p99_s\": %.6f, \
-       \"render_p50_s\": %.6f, \"render_p99_s\": %.6f, \
-       \"window_latency_p99_s\": %.6f },@\n\
-      \  \"slo\": { \"slo_degraded\": %b, \"slo_breaches\": %d }@\n\
-       }@\n"
-      requests clients workers queue_depth wall throughput !mean stddev !mn
-      !mx hist.Trips_obs.Metrics.h_p50 hist.Trips_obs.Metrics.h_p90
-      hist.Trips_obs.Metrics.h_p99 prefix.P.sc_hits prefix.P.sc_misses
-      (rate prefix) output.P.sc_hits output.P.sc_misses (rate output)
-      stats.P.st_shed stats.P.st_timed_out stats.P.st_crashed timed_out_ok
-      served_identical qw50 qw99 ex50 ex99 rd50 rd99 lat99 degraded breaches
-  in
-  let path = bench_out "BENCH_serve.json" in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr "wrote %s@." path
+  report_medians raw
 
 let experiments =
   [
@@ -586,8 +249,6 @@ let experiments =
     ("placement", run_placement);
     ("speed", run_speed);
     ("verify", run_verify);
-    ("sweep", run_sweep);
-    ("serve", run_serve);
   ]
 
 let () =

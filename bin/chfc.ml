@@ -496,22 +496,13 @@ let jobs_arg =
            rendered tables are independent of $(docv); $(b,--jobs 1) is the \
            sequential default.")
 
-let no_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ]
-        ~doc:
-          "Disable the staged-compilation prefix cache: re-lower and \
-           re-profile every cell instead of sharing the per-workload prefix \
-           across configurations. Output is identical either way.")
-
 let cache_stats_arg =
   Arg.(
     value & flag
     & info [ "cache-stats" ]
         ~doc:
-          "After the sweep, print prefix-cache hit/miss counters and \
-           cumulative per-stage wall-clock.")
+          "After the sweep, print the prefix-cache and shared-store \
+           counters.")
 
 let stage_deadline_arg =
   Arg.(
@@ -529,13 +520,10 @@ let apply_stage_deadline = function
   | None -> ()
   | Some d -> Trips_obs.Watchdog.set_stage_policy ~deadline_s:d ()
 
-(* every experiment shares the jobs/cache plumbing: resolve the flags to
-   an engine width and a cache, and optionally report the cache verdict *)
-let sweep_env jobs no_cache =
-  let jobs = if jobs <= 0 then Engine.default_jobs () else jobs in
-  let cache = if no_cache then Stage.disabled () else Stage.create () in
-  Stage.reset_timings ();
-  (jobs, cache)
+(* every experiment shares the jobs/cache plumbing: resolve the flag to
+   an engine width, make a fresh cache, and optionally report its verdict *)
+let sweep_env jobs =
+  ((if jobs <= 0 then Engine.default_jobs () else jobs), Stage.create ())
 
 let report_cache cache cache_stats =
   if cache_stats then begin
@@ -548,8 +536,7 @@ let report_cache cache cache_stats =
             entries@."
       k.Trips_store.Store.hits k.Trips_store.Store.misses
       k.Trips_store.Store.evictions k.Trips_store.Store.entries
-      k.Trips_store.Store.capacity;
-    Fmt.pr "stage timings: %a@." Stage.pp_timings (Stage.timings ())
+      k.Trips_store.Store.capacity
   end
 
 let micro_selection names =
@@ -559,42 +546,39 @@ let micro_selection names =
 
 let table1_cmd =
   let doc = "Reproduce Table 1 (phase orderings, cycle counts)." in
-  let run names jobs no_cache cache_stats deadline trace chrome metrics
-      metrics_json =
+  let run names jobs cache_stats deadline trace chrome metrics metrics_json =
     apply_stage_deadline deadline;
     with_obs trace chrome metrics metrics_json (fun () ->
-        let jobs, cache = sweep_env jobs no_cache in
+        let jobs, cache = sweep_env jobs in
         Table1.render Fmt.stdout
           (Table1.run ~cache ~jobs ~workloads:(micro_selection names) ());
         report_cache cache cache_stats)
   in
   Cmd.v (Cmd.info "table1" ~doc)
     Term.(
-      const run $ workloads_arg $ jobs_arg $ no_cache_arg $ cache_stats_arg
+      const run $ workloads_arg $ jobs_arg $ cache_stats_arg
       $ stage_deadline_arg $ trace_arg $ chrome_trace_arg $ metrics_arg
       $ metrics_json_arg)
 
 let table2_cmd =
   let doc = "Reproduce Table 2 (block-selection heuristics)." in
-  let run names jobs no_cache cache_stats deadline trace chrome metrics
-      metrics_json =
+  let run names jobs cache_stats deadline trace chrome metrics metrics_json =
     apply_stage_deadline deadline;
     with_obs trace chrome metrics metrics_json (fun () ->
-        let jobs, cache = sweep_env jobs no_cache in
+        let jobs, cache = sweep_env jobs in
         Table2.render Fmt.stdout
           (Table2.run ~cache ~jobs ~workloads:(micro_selection names) ());
         report_cache cache cache_stats)
   in
   Cmd.v (Cmd.info "table2" ~doc)
     Term.(
-      const run $ workloads_arg $ jobs_arg $ no_cache_arg $ cache_stats_arg
+      const run $ workloads_arg $ jobs_arg $ cache_stats_arg
       $ stage_deadline_arg $ trace_arg $ chrome_trace_arg $ metrics_arg
       $ metrics_json_arg)
 
 let table3_cmd =
   let doc = "Reproduce Table 3 (SPEC-like block counts)." in
-  let run names jobs no_cache cache_stats deadline trace chrome metrics
-      metrics_json =
+  let run names jobs cache_stats deadline trace chrome metrics metrics_json =
     let workloads =
       match names with
       | [] -> Spec_like.all
@@ -602,30 +586,29 @@ let table3_cmd =
     in
     apply_stage_deadline deadline;
     with_obs trace chrome metrics metrics_json (fun () ->
-        let jobs, cache = sweep_env jobs no_cache in
+        let jobs, cache = sweep_env jobs in
         Table3.render Fmt.stdout (Table3.run ~cache ~jobs ~workloads ());
         report_cache cache cache_stats)
   in
   Cmd.v (Cmd.info "table3" ~doc)
     Term.(
-      const run $ workloads_arg $ jobs_arg $ no_cache_arg $ cache_stats_arg
+      const run $ workloads_arg $ jobs_arg $ cache_stats_arg
       $ stage_deadline_arg $ trace_arg $ chrome_trace_arg $ metrics_arg
       $ metrics_json_arg)
 
 let figure7_cmd =
   let doc = "Reproduce Figure 7 (cycle vs block count reduction)." in
-  let run names jobs no_cache cache_stats deadline trace chrome metrics
-      metrics_json =
+  let run names jobs cache_stats deadline trace chrome metrics metrics_json =
     apply_stage_deadline deadline;
     with_obs trace chrome metrics metrics_json (fun () ->
-        let jobs, cache = sweep_env jobs no_cache in
+        let jobs, cache = sweep_env jobs in
         Figure7.render Fmt.stdout
           (Table1.run ~cache ~jobs ~workloads:(micro_selection names) ());
         report_cache cache cache_stats)
   in
   Cmd.v (Cmd.info "figure7" ~doc)
     Term.(
-      const run $ workloads_arg $ jobs_arg $ no_cache_arg $ cache_stats_arg
+      const run $ workloads_arg $ jobs_arg $ cache_stats_arg
       $ stage_deadline_arg $ trace_arg $ chrome_trace_arg $ metrics_arg
       $ metrics_json_arg)
 
@@ -663,7 +646,7 @@ let report_cmd =
       & info [ "out" ] ~docv:"FILE"
           ~doc:"Write the text report to $(docv) instead of stdout.")
   in
-  let run names ordering policy jobs no_cache cache_stats deadline json out
+  let run names ordering policy jobs cache_stats deadline json out
       no_provenance trace chrome metrics metrics_json =
     match (ordering_of_string ordering, policy_of_string policy) with
     | Error (`Msg m), _ | _, Error (`Msg m) ->
@@ -673,7 +656,7 @@ let report_cmd =
       apply_provenance no_provenance;
       apply_stage_deadline deadline;
       with_obs trace chrome metrics metrics_json (fun () ->
-          let jobs, cache = sweep_env jobs no_cache in
+          let jobs, cache = sweep_env jobs in
           let o =
             Reporter.run ~config ~cache ~jobs ~ordering
               ~workloads:(micro_selection names) ()
@@ -692,7 +675,7 @@ let report_cmd =
   Cmd.v (Cmd.info "report" ~doc)
     Term.(
       const run $ workloads_arg $ ordering $ policy $ jobs_arg
-      $ no_cache_arg $ cache_stats_arg $ stage_deadline_arg
+      $ cache_stats_arg $ stage_deadline_arg
       $ json_arg $ out_arg $ no_provenance_arg $ trace_arg $ chrome_trace_arg
       $ metrics_arg $ metrics_json_arg)
 

@@ -17,35 +17,17 @@
    The cache is domain-safe (a mutex guards the table and the hit/miss
    counters); concurrent misses on the same key both compute and the
    second insert wins, which is harmless because the computation is
-   deterministic.  Cumulative per-stage wall-clock is accumulated under
-   the same discipline so the benchmark harness can attribute sweep time
-   to stages across domains. *)
+   deterministic.  Each stage call is one [stage.*] span and one sample
+   of its [stage.time.*] histogram; nothing sums wall time across
+   domains (per-layer time is perf/'s job). *)
 
 open Trips_ir
 open Trips_sim
 open Trips_workloads
 
-(* ---- per-stage wall-clock accounting ---------------------------------- *)
+(* ---- per-stage timing -------------------------------------------------- *)
 
 type stage = Lower | Profile | Formation | Backend | Sim
-
-type timings = {
-  lower_s : float;
-  profile_s : float;
-  formation_s : float;
-  backend_s : float;
-  sim_s : float;
-}
-
-let timing_mutex = Mutex.create ()
-let acc = Array.make 5 0.0
-
-let slot = function
-  | Lower -> 0
-  | Profile -> 1
-  | Formation -> 2
-  | Backend -> 3
-  | Sim -> 4
 
 let stage_name = function
   | Lower -> "lower"
@@ -54,22 +36,8 @@ let stage_name = function
   | Backend -> "backend"
   | Sim -> "sim"
 
-let reset_timings () =
-  Mutex.protect timing_mutex (fun () -> Array.fill acc 0 5 0.0)
-
-let timings () =
-  Mutex.protect timing_mutex (fun () ->
-      {
-        lower_s = acc.(0);
-        profile_s = acc.(1);
-        formation_s = acc.(2);
-        backend_s = acc.(3);
-        sim_s = acc.(4);
-      })
-
 (* [Trace.span] does the timing (and emits a span event in span mode);
-   the [on_close] callback keeps the cumulative per-stage accounting and
-   the [stage.time.*] histograms exactly as the ad-hoc timer did —
+   the [on_close] callback feeds the per-call [stage.time.*] histogram —
    durations come off the same clock, exceptions still account. *)
 let time stage f =
   let name = stage_name stage in
@@ -86,16 +54,8 @@ let time stage f =
       fun () -> Trips_obs.Watchdog.run ?deadline_s ?fuel ~stage:name f
   in
   Trips_obs.Trace.span ("stage." ^ name)
-    ~on_close:(fun dt ->
-      Mutex.protect timing_mutex (fun () ->
-          acc.(slot stage) <- acc.(slot stage) +. dt);
-      Trips_obs.Metrics.observe ("stage.time." ^ name) dt)
+    ~on_close:(Trips_obs.Metrics.observe ("stage.time." ^ name))
     f
-
-let pp_timings fmt t =
-  Fmt.pf fmt
-    "lower %.2fs, profile %.2fs, formation %.2fs, backend %.2fs, sim %.2fs"
-    t.lower_s t.profile_s t.formation_s t.backend_s t.sim_s
 
 (* ---- typed per-stage artifacts ---------------------------------------- *)
 

@@ -13,31 +13,22 @@
     one.
 
     The cache and the per-stage timers are domain-safe and shared
-    freely across the {!Engine} pool. *)
+    freely across the {!Engine} pool.  A stage timer records each call
+    on its own; nothing sums wall time across domains. *)
 
 open Trips_ir
 open Trips_sim
 open Trips_workloads
 
-(** {1 Per-stage wall-clock accounting} *)
+(** {1 Per-stage timing} *)
 
 type stage = Lower | Profile | Formation | Backend | Sim
 
-type timings = {
-  lower_s : float;
-  profile_s : float;
-  formation_s : float;
-  backend_s : float;
-  sim_s : float;
-}
-
 val time : stage -> (unit -> 'a) -> 'a
-(** Run a thunk, attributing its wall-clock to the stage (cumulative
-    across domains; exceptions still account their time). *)
-
-val reset_timings : unit -> unit
-val timings : unit -> timings
-val pp_timings : Format.formatter -> timings -> unit
+(** Run a thunk as one [stage.<name>] span, observing its wall-clock in
+    the [stage.time.<name>] histogram (one sample per call, exceptions
+    included), under the global watchdog stage policy if one is
+    installed. *)
 
 (** {1 Typed per-stage artifacts} *)
 

@@ -1,8 +1,8 @@
 (* The staged sweep engine: domain-pool determinism (jobs-invariant
-   output), prefix-cache transparency (cache-on ≡ cache-off), exception
-   isolation per slot, and fault containment — a chaos-corrupted cell in
-   a parallel sweep must produce one structured failure without
-   disturbing its sibling rows. *)
+   output) and prefix-cache transparency (cache-on ≡ cache-off) of every
+   paper table and figure, exception isolation per slot, and fault
+   containment — a chaos-corrupted cell in a parallel sweep must produce
+   one structured failure without disturbing its sibling rows. *)
 
 open Trips_workloads
 open Trips_harness
@@ -126,6 +126,36 @@ let prop_cache_transparent =
              (String.concat ", " names);
          true))
 
+(* The other paper experiments under the same two contracts at once: an
+   uncached sequential sweep is the oracle, and a cached sweep on four
+   domains must render Table 2, Figure 7 and Table 3 byte for byte. *)
+let test_experiments_cache_and_jobs_invariant () =
+  let micro = workloads_of [ "sieve"; "vadd"; "gzip_1" ] in
+  let spec = List.filter_map Spec_like.by_name [ "mcf"; "gzip" ] in
+  check Alcotest.int "two SPEC-like programs" 2 (List.length spec);
+  let renders ~cache ~jobs =
+    [
+      ( "table2",
+        Fmt.str "%a" Table2.render
+          (Table2.run ~cache ~jobs ~workloads:micro ()) );
+      ( "figure7",
+        Fmt.str "%a" Figure7.render
+          (Table1.run ~cache ~jobs ~workloads:micro ()) );
+      ( "table3",
+        Fmt.str "%a" Table3.render (Table3.run ~cache ~jobs ~workloads:spec ())
+      );
+    ]
+  in
+  let oracle = renders ~cache:(Stage.disabled ()) ~jobs:1 in
+  let cached = Stage.create () in
+  let hot = renders ~cache:cached ~jobs:4 in
+  check Alcotest.bool "the cached sweep hit its cache" true
+    ((Stage.stats cached).Stage.cache_hits > 0);
+  List.iter2
+    (fun (name, want) (_, got) ->
+      check Alcotest.string (name ^ ": cache on -j4 = cache off -j1") want got)
+    oracle hot
+
 (* ---- fault containment in a parallel sweep ----------------------------- *)
 
 (* A sweep whose cell corrupts its own compiled CFG (via the chaos
@@ -223,6 +253,8 @@ let suite =
         test_map_degrades_on_spawn_failure;
       prop_jobs_invariant;
       prop_cache_transparent;
+      Alcotest.test_case "tables 2, 3 and figure 7 ignore cache and -j" `Quick
+        test_experiments_cache_and_jobs_invariant;
       Alcotest.test_case "parallel sweep contains a chaos-corrupted cell"
         `Quick test_parallel_chaos_containment;
     ] )

@@ -326,7 +326,6 @@ let test_chrome_trace_valid () =
 let test_stage_time_uses_span () =
   let _ = Trace.stop () in
   Metrics.reset ();
-  Trips_harness.Stage.reset_timings ();
   Trace.start ~spans:true ();
   let v = Trips_harness.Stage.time Trips_harness.Stage.Lower (fun () -> 7) in
   let evs = Trace.stop () in
@@ -337,9 +336,7 @@ let test_stage_time_uses_span () =
   | s -> (
     match List.assoc_opt "stage.time.lower" s.Metrics.histograms with
     | Some h -> check Alcotest.int "histogram observed once" 1 h.Metrics.h_count
-    | None -> Alcotest.fail "stage.time.lower histogram missing"));
-  check Alcotest.bool "cumulative timing accounted" true
-    ((Trips_harness.Stage.timings ()).Trips_harness.Stage.lower_s >= 0.0)
+    | None -> Alcotest.fail "stage.time.lower histogram missing"))
 
 (* Satellite: quantile math and the JSON golden under interleaved
    multi-domain registration — field order inside a histogram is fixed,

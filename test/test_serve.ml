@@ -274,6 +274,98 @@ let test_scheduler_sheds_overflow () =
       Alcotest.(check int) "one shed" 1 c.Scheduler.k_shed;
       Alcotest.(check int) "sheds are not submissions" 2 c.Scheduler.k_submitted)
 
+(* The SLO sentinel on synthetic jobs.  Every job carries a request
+   context so its outcome reaches the rolling window the sentinel reads.
+   Two crashes breach a 20% error-rate bound once, not twice; and a shed
+   refusal, which never reaches a worker, is an error too (DESIGN.md §17). *)
+let test_scheduler_slo_sentinel () =
+  let module Telemetry = Trips_obs.Telemetry in
+  let module Metrics = Trips_obs.Metrics in
+  let breaches () =
+    Metrics.counter_value (Metrics.snapshot ()) "serve.slo.breach"
+  in
+  let fresh () =
+    Unix.putenv Telemetry.hatch "";
+    Telemetry.reset ();
+    Metrics.reset ()
+  in
+  let slo = { Scheduler.slo_p99_s = None; slo_error_rate = Some 0.2 } in
+  let ctx_of _ = Telemetry.mint () in
+  fresh ();
+  let sched =
+    Scheduler.create ~workers:1 ~slo ~ctx_of
+      ~run:(fun n -> if n < 0 then failwith "negative input" else n)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Scheduler.drain sched)
+    (fun () ->
+      Alcotest.(check bool) "healthy before any job" false
+        (Scheduler.degraded sched);
+      List.iter
+        (fun n ->
+          match Scheduler.run_sync sched n with
+          | Scheduler.Crashed _ -> ()
+          | _ -> Alcotest.fail "a negative input must crash")
+        [ -1; -2 ];
+      Alcotest.(check bool) "two crashes breach the error rate" true
+        (Scheduler.degraded sched);
+      Alcotest.(check int) "one false->true transition" 1 (breaches ()));
+  (* a shed counts as an error: three good jobs keep the rate at zero,
+     then a refusal past the depth bound makes it 1/4 *)
+  fresh ();
+  let m = Mutex.create () and cv = Condition.create () in
+  let released = ref false in
+  let gate () =
+    Mutex.lock m;
+    while not !released do
+      Condition.wait cv m
+    done;
+    Mutex.unlock m
+  in
+  let release () =
+    Mutex.protect m (fun () ->
+        released := true;
+        Condition.broadcast cv)
+  in
+  let sched =
+    Scheduler.create ~workers:1 ~queue_depth:1 ~slo ~ctx_of
+      ~run:(fun n ->
+        if n < 0 then gate ();
+        n)
+      ()
+  in
+  (* release before draining, so a failed check cannot wedge the drain *)
+  Fun.protect
+    ~finally:(fun () ->
+      release ();
+      Scheduler.drain sched)
+    (fun () ->
+      List.iter
+        (fun n ->
+          match Scheduler.run_sync sched n with
+          | Scheduler.Done _ -> ()
+          | _ -> Alcotest.fail "a good job failed")
+        [ 1; 2; 3 ];
+      Alcotest.(check bool) "healthy after good jobs" false
+        (Scheduler.degraded sched);
+      let gated =
+        match Scheduler.submit sched (-1) with
+        | Ok t -> t
+        | Error _ -> Alcotest.fail "gated job refused"
+      in
+      (match Scheduler.submit sched 4 with
+      | Error (Scheduler.Overloaded _) -> ()
+      | Ok _ -> Alcotest.fail "overflow admitted"
+      | Error _ -> Alcotest.fail "expected Overloaded");
+      Alcotest.(check bool) "a shed breaches the error rate" true
+        (Scheduler.degraded sched);
+      Alcotest.(check int) "the shed's transition is counted" 1 (breaches ());
+      release ();
+      match Scheduler.await sched gated with
+      | Scheduler.Done -1 -> ()
+      | _ -> Alcotest.fail "gated job lost")
+
 let test_scheduler_deadline () =
   let deadline_of n = if n < 0 then Some 0.005 else None in
   let run n =
@@ -462,6 +554,8 @@ let suite =
         test_scheduler_crash_isolation;
       Alcotest.test_case "scheduler: overflow sheds with Overloaded" `Quick
         test_scheduler_sheds_overflow;
+      Alcotest.test_case "scheduler: SLO sentinel counts crashes and sheds"
+        `Quick test_scheduler_slo_sentinel;
       Alcotest.test_case "scheduler: deadline expiry does not wedge the pool"
         `Quick test_scheduler_deadline;
       Alcotest.test_case "scheduler: drain refuses new work, idempotently"

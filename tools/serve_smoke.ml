@@ -18,6 +18,16 @@
    - shutdown acks, drains, removes the socket, and refuses new
      connections.
 
+   A second daemon, on its own socket, arms the SLO sentinel and admits
+   one job at a time; a burst of simultaneous uncacheable requests must
+   then:
+
+   - shed at least one request with Overloaded, and the stats reply's
+     shed count must equal the Overloaded replies;
+   - flip the sentinel to degraded, counting exactly one breach;
+   - leave the daemon serving: a later request is still byte-identical
+     to the one-shot pipeline.
+
    Exit 0 on success, 1 with a message on the first violated check. *)
 
 module C = Trips_serve.Client
@@ -37,6 +47,76 @@ let compile ?deadline ?chaos name =
       cs_deadline_s = deadline;
       cs_chaos_seed = chaos;
     }
+
+(* The one-shot pipeline's report for [name], the bytes a served compile
+   must reproduce. *)
+let oneshot name =
+  match Trips_workloads.Micro.by_name name with
+  | None -> fail "workload %s missing" name
+  | Some w -> (
+    match
+      Trips_serve.Worker.compile_report ~ordering:Chf.Phases.Iupo_merged
+        ~config:Chf.Policy.edge_default ~backend:true ~verify:false w
+    with
+    | Error m -> fail "one-shot compile of %s failed: %s" name m
+    | Ok (_, text) -> text)
+
+(* Overload and the SLO sentinel.  One worker and a depth bound of one
+   admit a single job at a time.  Every burst connection is open before
+   any client thread sends, and each thread waits for the others, so the
+   requests arrive together, far faster than one compile; a distinct
+   chaos seed per request keeps each of them out of the output store.
+   The rolling window is process-global, so it is cleared first: the
+   sentinel then sees only this daemon's traffic.  Returns the number of
+   Overloaded replies. *)
+let overload_and_slo () =
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ()) "chfc-serve-smoke-slo.sock"
+  in
+  Trips_obs.Telemetry.reset ();
+  let srv =
+    S.start ~workers:1 ~queue_depth:1 ~slo_p99_s:3600.0 ~slo_error_rate:0.02
+      ~quiet:true ~socket ()
+  in
+  let sieve = oneshot "sieve" in
+  (match C.with_conn ~socket (fun c -> C.rpc c (compile "sieve")) with
+  | Ok text -> if text <> sieve then fail "slo daemon: sieve differs"
+  | Error e -> fail "slo daemon: first request: %a" P.pp_served_error e);
+  if (C.with_conn ~socket (fun c -> C.rpc c P.Stats)).P.st_degraded then
+    fail "slo daemon: degraded before the burst";
+  let burst = 16 in
+  let conns = List.init burst (fun _ -> C.connect ~socket) in
+  let ready = Atomic.make 0 and overloaded = Atomic.make 0 in
+  let client i conn =
+    Atomic.incr ready;
+    while Atomic.get ready < burst do
+      Thread.yield ()
+    done;
+    (match C.rpc conn (compile ~chaos:(i + 1) "gzip_1") with
+    | Error (P.Overloaded _) -> Atomic.incr overloaded
+    | Ok _ | Error _ -> ());
+    C.close conn
+  in
+  List.iter Thread.join (List.mapi (fun i c -> Thread.create (client i) c) conns);
+  let shed = Atomic.get overloaded in
+  let st = C.with_conn ~socket (fun c -> C.rpc c P.Stats) in
+  if shed = 0 then fail "burst of %d past a depth of 1 shed nothing" burst;
+  if st.P.st_shed <> shed then
+    fail "stats: %d shed, %d Overloaded replies" st.P.st_shed shed;
+  if not st.P.st_degraded then fail "SLO sentinel not degraded after the burst";
+  let breaches =
+    Trips_obs.Metrics.counter_value
+      (Trips_obs.Metrics.snapshot ())
+      "serve.slo.breach"
+  in
+  if breaches <> 1 then fail "%d SLO breaches recorded, expected 1" breaches;
+  (match C.with_conn ~socket (fun c -> C.rpc c (compile "sieve")) with
+  | Ok text ->
+    if text <> sieve then fail "sieve after the burst differs from one-shot"
+  | Error e -> fail "request after the burst: %a" P.pp_served_error e);
+  C.with_conn ~socket (fun c -> C.rpc c P.Shutdown);
+  S.wait srv;
+  shed
 
 let () =
   (* the window-accounting checks below need telemetry on *)
@@ -65,17 +145,8 @@ let () =
               name))
     names;
   (* served bytes = one-shot pipeline bytes *)
-  (match Trips_workloads.Micro.by_name "sieve" with
-  | None -> fail "workload sieve missing"
-  | Some w -> (
-    match
-      Trips_serve.Worker.compile_report ~ordering:Chf.Phases.Iupo_merged
-        ~config:Chf.Policy.edge_default ~backend:true ~verify:false w
-    with
-    | Error m -> fail "one-shot compile failed: %s" m
-    | Ok (_, oneshot) ->
-      if Hashtbl.find first "sieve" <> oneshot then
-        fail "served sieve differs from the one-shot compile"));
+  if Hashtbl.find first "sieve" <> oneshot "sieve" then
+    fail "served sieve differs from the one-shot compile";
   (* chaos-poisoned request: structured failure, confined to its job *)
   C.with_conn ~socket (fun c ->
       (match C.rpc c (compile ~chaos:3 "sieve") with
@@ -160,7 +231,9 @@ let () =
     C.close conn;
     fail "daemon still accepting after shutdown"
   | exception Unix.Unix_error _ -> ());
+  let shed = overload_and_slo () in
   Fmt.pr
     "serve-smoke: %d requests, crash isolation, deadline, stats, window \
-     accounting, trace reconstruction, byte identity, clean shutdown: OK@."
-    (List.length names)
+     accounting, trace reconstruction, byte identity, clean shutdown, \
+     overload (%d shed) and SLO sentinel: OK@."
+    (List.length names) shed

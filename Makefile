@@ -28,13 +28,14 @@ fuzz-smoke: build
 	dune exec bin/chfc.exe -- fuzz --replay test/corpus
 
 # Trace determinism and freeze: the formation decision log of table 1
-# over every micro kernel (the 24 plus the store-dense ones, where the
-# pre-filter fires) must be identical under -j 1 and -j 4, and so must
-# the table itself, which freezes the BB and four-ordering cycles of
-# every kernel.  The -j 1 log and table must match the md5s committed in
-# test/golden/trace_check.md5.  Events are (cell, seq)-sorted on write,
-# so byte comparisons are the checks; both runs write the log under one
-# name, so the table's closing "written to" line matches too.
+# over every micro kernel (the 24 plus the store-dense ones, whose
+# rejects hit the load/store budget) must be identical under -j 1 and
+# -j 4, and so must the table itself, which freezes the BB and
+# four-ordering cycles of every kernel.  The -j 1 log and table must
+# match the md5s committed in test/golden/trace_check.md5.  Events are
+# (cell, seq)-sorted on write, so byte comparisons are the checks; both
+# runs write the log under one name, so the table's closing "written to"
+# line matches too.
 # Regenerate the golden, only for a change meant to alter formation
 # decisions or cycles, by running this target's -j 1 lines and then
 #   md5sum _build/trace-j1.jsonl _build/table1-j1.txt > test/golden/trace_check.md5
@@ -55,8 +56,8 @@ trace-check: build
 
 # Fast-path equivalence: the formation suite includes the property test
 # that formation under Formation.audit (every cached liveness, loop-forest
-# and predecessor answer checked against a from-scratch solve, no
-# pre-filter shortcut) produces byte-identical CFGs, stats and traces to
+# and predecessor answer checked against a from-scratch solve) produces
+# byte-identical CFGs, stats and traces to
 # an unaudited run, on random programs and the kernels; the sim suite
 # byte-compares the cycle model against the reference timing model in
 # test/cycle_oracle.ml (results, attribution rows and timing traces) and
@@ -95,9 +96,9 @@ serve-smoke: build
 # request mix, byte-compares the Prometheus exposition against the
 # committed golden (volatile floats masked; integers are structural),
 # replays one request's span tree from the daemon ring asserting
-# well-formedness, and checks served replies stay byte-identical to the
-# one-shot pipeline both with telemetry collecting and under
-# TRIPS_NO_REQ_TELEMETRY.  Regenerate the golden with --write-golden.
+# well-formedness, and checks a served reply stays byte-identical to the
+# one-shot pipeline with telemetry collecting.  Regenerate the golden
+# with --write-golden.
 telemetry-check: build
 	dune exec tools/telemetry_check.exe
 

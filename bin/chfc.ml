@@ -48,18 +48,6 @@ let chrome_trace_arg =
            $(b,--trace), the output carries real timings and is not \
            deterministic across runs.")
 
-let no_provenance_arg =
-  Arg.(
-    value & flag
-    & info [ "no-provenance" ]
-        ~doc:
-          "Disable lineage tagging (the provenance layer behind `chfc \
-           report`).  Compiled output is byte-identical either way; the \
-           switch exists to prove that and to shave the tagging cost.")
-
-let apply_provenance no_provenance =
-  if no_provenance then Trips_ir.Lineage.set_enabled false
-
 let metrics_arg =
   Arg.(
     value & flag
@@ -133,7 +121,7 @@ let list_cmd =
     List.iter
       (fun w -> Fmt.pr "  %-16s %s@." w.Workload.name w.Workload.description)
       Micro.all;
-    Fmt.pr "@.store-dense stress kernels (pre-filter):@.";
+    Fmt.pr "@.store-dense stress kernels:@.";
     List.iter
       (fun w -> Fmt.pr "  %-16s %s@." w.Workload.name w.Workload.description)
       Micro.store_dense;
@@ -177,7 +165,7 @@ let compile_workload_report w ordering config dump backend verify emit_asm
     print_string text
 
 let compile_run name ordering policy dump backend verify emit_asm emit_dot
-    no_provenance trace chrome metrics metrics_json =
+    trace chrome metrics metrics_json =
   match
     (find_workload name, ordering_of_string ordering, policy_of_string policy)
   with
@@ -185,7 +173,6 @@ let compile_run name ordering policy dump backend verify emit_asm emit_dot
     Fmt.epr "chfc: %s@." m;
     exit 2
   | Ok w, Ok ordering, Ok config ->
-    apply_provenance no_provenance;
     with_obs trace chrome metrics metrics_json (fun () ->
         compile_workload_report w ordering config dump backend verify
           emit_asm emit_dot)
@@ -193,7 +180,7 @@ let compile_run name ordering policy dump backend verify emit_asm emit_dot
 (* compile a kernel from a source file; parameters default to 0 unless
    given as name=value *)
 let compile_file_run path ordering policy dump backend verify emit_asm emit_dot
-    args memory_words unroll no_provenance trace chrome metrics metrics_json =
+    args memory_words unroll trace chrome metrics metrics_json =
   match (ordering_of_string ordering, policy_of_string policy) with
   | Error (`Msg m), _ | _, Error (`Msg m) ->
     Fmt.epr "chfc: %s@." m;
@@ -228,7 +215,6 @@ let compile_file_run path ordering policy dump backend verify emit_asm emit_dot
           ~description:("kernel from " ^ path)
           ~args:parsed_args ~memory_words ~frontend_unroll:unroll program
       in
-      apply_provenance no_provenance;
       with_obs trace chrome metrics metrics_json (fun () ->
           compile_workload_report w ordering config dump backend verify
             emit_asm emit_dot))
@@ -285,8 +271,8 @@ let compile_cmd =
     (Cmd.info "compile" ~doc)
     Term.(
       const compile_run $ workload_arg $ ordering $ policy $ dump $ backend
-      $ verify_arg $ emit_asm_arg $ emit_dot_arg $ no_provenance_arg
-      $ trace_arg $ chrome_trace_arg $ metrics_arg $ metrics_json_arg)
+      $ verify_arg $ emit_asm_arg $ emit_dot_arg $ trace_arg
+      $ chrome_trace_arg $ metrics_arg $ metrics_json_arg)
 
 let compile_file_cmd =
   let doc = "Compile a kernel source file (see `chfc syntax`)." in
@@ -327,8 +313,7 @@ let compile_file_cmd =
     Term.(
       const compile_file_run $ path_arg $ ordering $ policy $ dump $ backend
       $ verify_arg $ emit_asm_arg $ emit_dot_arg $ args $ memory_words $ unroll
-      $ no_provenance_arg $ trace_arg $ chrome_trace_arg
-      $ metrics_arg $ metrics_json_arg)
+      $ trace_arg $ chrome_trace_arg $ metrics_arg $ metrics_json_arg)
 
 (* ---- chaos ------------------------------------------------------------- *)
 
@@ -489,12 +474,12 @@ let workloads_arg =
 
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt int 0
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Compile sweep rows on $(docv) domains (0 = one per core). The \
-           rendered tables are independent of $(docv); $(b,--jobs 1) is the \
-           sequential default.")
+          "Compile sweep rows on $(docv) domains; the default 0 means one \
+           per core and $(b,--jobs 1) runs sequentially.  The rendered \
+           tables are independent of $(docv).")
 
 let cache_stats_arg =
   Arg.(
@@ -646,14 +631,13 @@ let report_cmd =
       & info [ "out" ] ~docv:"FILE"
           ~doc:"Write the text report to $(docv) instead of stdout.")
   in
-  let run names ordering policy jobs cache_stats deadline json out
-      no_provenance trace chrome metrics metrics_json =
+  let run names ordering policy jobs cache_stats deadline json out trace
+      chrome metrics metrics_json =
     match (ordering_of_string ordering, policy_of_string policy) with
     | Error (`Msg m), _ | _, Error (`Msg m) ->
       Fmt.epr "chfc: %s@." m;
       exit 2
     | Ok ordering, Ok config ->
-      apply_provenance no_provenance;
       apply_stage_deadline deadline;
       with_obs trace chrome metrics metrics_json (fun () ->
           let jobs, cache = sweep_env jobs in
@@ -676,8 +660,8 @@ let report_cmd =
     Term.(
       const run $ workloads_arg $ ordering $ policy $ jobs_arg
       $ cache_stats_arg $ stage_deadline_arg
-      $ json_arg $ out_arg $ no_provenance_arg $ trace_arg $ chrome_trace_arg
-      $ metrics_arg $ metrics_json_arg)
+      $ json_arg $ out_arg $ trace_arg $ chrome_trace_arg $ metrics_arg
+      $ metrics_json_arg)
 
 (* ---- serve / submit / stats / shutdown --------------------------------- *)
 

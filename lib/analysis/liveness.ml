@@ -82,12 +82,6 @@ let gen_kill (b : Block.t) : gen_kill =
   (* exits: guard registers are evaluated unconditionally; return
      operands are read when the exit fires (conservatively: hard) *)
   IntSet.iter (fun r -> observe_use ~pos:max_int None r) (Block.exit_uses b);
-  (* debugging escape hatch: fall back to classic (exposure-only)
-     predication-aware liveness to bisect refinement-related issues *)
-  if Sys.getenv_opt "TRIPS_CONSERVATIVE_LIVENESS" <> None then begin
-    hard := IntSet.union !hard (Block.upward_exposed_uses b);
-    soft := IntSet.empty
-  end;
   let kill = Block.must_defs b in
   let soft = IntSet.diff (IntSet.diff !soft !hard) kill in
   { hard = !hard; soft; kill }

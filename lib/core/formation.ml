@@ -90,15 +90,8 @@ type state = {
   mutable live_dirty : IntSet.t;
       (* blocks edited (or removed) since [live_cache] was solved; the
          seeds for the next incremental [Liveness.update] *)
-  floors : (int, Block.t * Constraints.floor) Hashtbl.t;
-      (* pre-filter floor per block id, revalidated by physical equality
-         with the installed block (so [Cfg.set_block] invalidates it) *)
-  body_floors : (int, Block.t * Constraints.floor) Hashtbl.t;
-      (* same, for the saved one-iteration unroll bodies *)
-  (* how often each cache or shortcut answered; published as the
-     [formation.prefilter.hits] / [formation.liveness.incremental] /
-     [formation.loops.reuse] metrics *)
-  mutable prefilter_hits : int;
+  (* how often each cache answered; published as the
+     [formation.liveness.incremental] / [formation.loops.reuse] metrics *)
   mutable live_incremental : int;
   mutable loops_reuse : int;
 }
@@ -119,9 +112,6 @@ let make config cfg profile =
     preds_cache = None;
     live_cache = None;
     live_dirty = IntSet.empty;
-    floors = Hashtbl.create 64;
-    body_floors = Hashtbl.create 8;
-    prefilter_hits = 0;
     live_incremental = 0;
     loops_reuse = 0;
   }
@@ -139,7 +129,6 @@ let publish_metrics st =
   Metrics.incr ~by:s.size_rejections "formation.reject.size";
   Metrics.incr ~by:s.combine_failures "formation.reject.structural";
   Metrics.incr ~by:s.block_splits "formation.block_splits";
-  Metrics.incr ~by:st.prefilter_hits "formation.prefilter.hits";
   Metrics.incr ~by:st.live_incremental "formation.liveness.incremental";
   Metrics.incr ~by:st.loops_reuse "formation.loops.reuse"
 
@@ -151,16 +140,10 @@ let chaos_combine_failure :
     (hb_id:int -> s_id:int -> kind:merge_kind -> bool) option ref =
   ref None
 
-(* Test-only audit: when set, the pre-filter never shortcuts; every
-   attempt runs the full trial and the hook receives the pre-filter lower
-   bound alongside the true post-optimization estimate, so tests can
-   assert [bound <= estimate] fieldwise.  Every cached liveness, loop
-   forest and predecessor answer formation uses is also checked against a
-   from-scratch solve, and a mismatch raises [Failure]. *)
-let audit :
-    (bound:Constraints.estimate -> est:Constraints.estimate -> unit) option ref
-    =
-  ref None
+(* Test-only audit: when set, every cached liveness, loop forest and
+   predecessor answer formation uses is checked against a from-scratch
+   solve, and a mismatch raises [Failure]. *)
+let audit = ref false
 
 let audit_check ~hb_id ~s_id what ok =
   if not ok then
@@ -211,7 +194,7 @@ let preds st ~hb_id s_id =
       m
   in
   let ps = IntMap.find_or ~default:IntSet.empty s_id map in
-  if !audit <> None then
+  if !audit then
     audit_check ~hb_id ~s_id "predecessors"
       (IntSet.equal ps (IntSet.of_list (Cfg.predecessors st.cfg s_id)));
   IntSet.elements ps
@@ -303,7 +286,7 @@ let classify ?hb st ~hb_id ~s_id : merge_kind option =
         let lp = loops st in
         let is_header = Loops.is_loop_header lp s_id in
         let back_edge = Loops.is_back_edge lp ~src:hb_id ~dst:s_id in
-        if !audit <> None then begin
+        if !audit then begin
           let fresh = Loops.compute cfg in
           audit_check ~hb_id ~s_id "loop header"
             (is_header = Loops.is_loop_header fresh s_id);
@@ -351,41 +334,10 @@ let body_for_unroll st hb_id =
     Hashtbl.replace st.saved_bodies hb_id current;
     current
 
-(* What [body_for_unroll] would return, without its re-save side effect:
-   the pre-filter must inspect the body before the trial's rollback
-   snapshot exists, so it must not mutate [saved_bodies]. *)
-let peek_body_for_unroll st hb_id =
-  match Hashtbl.find_opt st.saved_bodies hb_id with
-  | Some b when saved_body_valid st hb_id b -> b
-  | Some _ | None -> Cfg.block st.cfg hb_id
-
 type merge_outcome =
   | Success of Constraints.estimate
   | Structural_failure of string
   | Size_rejected of Constraints.estimate
-
-(* Pre-filter floor for [b], cached in [tbl] under [id] and revalidated
-   by physical equality (blocks are immutable records, so the same
-   record means the same floor). *)
-let floor_in tbl id (b : Block.t) =
-  match Hashtbl.find_opt tbl id with
-  | Some (b0, f) when b0 == b -> f
-  | _ ->
-    let f = Constraints.block_floor b in
-    Hashtbl.replace tbl id (b, f);
-    f
-
-(* Additive lower bound on the merged estimate of [s_id] into [hb]
-   (DESIGN.md §12). *)
-let merge_bound st ~hb ~hb_id ~s_id ~kind =
-  let fh = floor_in st.floors hb_id hb in
-  let fs =
-    match kind with
-    | Unroll -> floor_in st.body_floors hb_id (peek_body_for_unroll st hb_id)
-    | Simple | Tail_dup | Peel ->
-      floor_in st.floors s_id (Cfg.block st.cfg s_id)
-  in
-  Constraints.merge_lower_bound ~hb:fh ~s:fs
 
 let zero_estimate =
   { Constraints.instrs = 0; loads_stores = 0; reads = 0; writes = 0 }
@@ -425,24 +377,6 @@ let merge_blocks ?(depth = 0) ?(prob = 1.0) ?hb st ~hb_id ~s_id ~kind :
   st.stats.attempts <- st.stats.attempts + 1;
   let hb = match hb with Some b -> b | None -> Cfg.block cfg hb_id in
   let emit = emit_attempt st ~hb_id ~s_id ~depth ~prob ~classify:(kind_name kind) in
-  let bound = merge_bound st ~hb ~hb_id ~s_id ~kind in
-  let prefiltered =
-    not (Constraints.legal ~slack:config.Policy.slack config.Policy.limits bound)
-  in
-  if prefiltered && !audit = None then begin
-    (* Constraint pre-filter: the lower bound already exceeds the limits,
-       and it never exceeds the true post-optimization estimate, so the
-       full trial (combine, install, liveness, optimize, rollback) could
-       only have ended in the same [Size_rejected].  Skip it without
-       touching the CFG.  The merge-attempt event is byte-identical to a
-       trial size reject — reject events always carry zero estimates; the
-       skipped trial's optimizer passes are simply never reported. *)
-    st.stats.size_rejections <- st.stats.size_rejections + 1;
-    st.prefilter_hits <- st.prefilter_hits + 1;
-    emit ~outcome:"size" ~est:zero_estimate ~msg:"";
-    Size_rejected bound
-  end
-  else
   (* Snapshot everything a failed attempt must not leak: the saved unroll
      body (body_for_unroll may re-save it below), the fresh-id counters
      (the trial allocates instruction/register/block ids that die with
@@ -491,24 +425,21 @@ let merge_blocks ?(depth = 0) ?(prob = 1.0) ?hb st ~hb_id ~s_id ~kind :
      so lineage never leaks from a failed trial. *)
   let lineage_step = List.length (Cfg.decisions cfg hb_id) + 1 in
   let s_for_merge =
-    if not (Lineage.enabled ()) then s_for_merge
-    else begin
-      let placed =
-        match kind with
-        | Simple -> Lineage.If_conv lineage_step
-        | Tail_dup -> Lineage.Tail_dup lineage_step
-        | Unroll ->
-          Lineage.Unroll (lineage_step, counter st.unrolls_done hb_id + 1)
-        | Peel -> Lineage.Peel (lineage_step, counter st.peels_done s_id + 1)
-      in
-      let instrs =
-        List.map
-          (fun (i : Instr.t) ->
-            Instr.with_lineage { i.Instr.lineage with Lineage.placed } i)
-          s_for_merge.Block.instrs
-      in
-      { s_for_merge with Block.instrs }
-    end
+    let placed =
+      match kind with
+      | Simple -> Lineage.If_conv lineage_step
+      | Tail_dup -> Lineage.Tail_dup lineage_step
+      | Unroll ->
+        Lineage.Unroll (lineage_step, counter st.unrolls_done hb_id + 1)
+      | Peel -> Lineage.Peel (lineage_step, counter st.peels_done s_id + 1)
+    in
+    let instrs =
+      List.map
+        (fun (i : Instr.t) ->
+          Instr.with_lineage { i.Instr.lineage with Lineage.placed } i)
+        s_for_merge.Block.instrs
+    in
+    { s_for_merge with Block.instrs }
   in
   let combined_result =
     let injected =
@@ -546,7 +477,7 @@ let merge_blocks ?(depth = 0) ?(prob = 1.0) ?hb st ~hb_id ~s_id ~kind :
         | Some lo -> lo
         | None -> Liveness.live_out (liveness st) hb_id
       in
-      if !audit <> None then
+      if !audit then
         audit_check ~hb_id ~s_id "live-out"
           (IntSet.equal lo
              (Liveness.live_out (Liveness.compute cfg) hb_id));
@@ -555,13 +486,7 @@ let merge_blocks ?(depth = 0) ?(prob = 1.0) ?hb st ~hb_id ~s_id ~kind :
     let live_out = trial_live_out () in
     let final =
       if config.Policy.iterate_opt then begin
-        (* a trial only the audit runs (the pre-filter would have skipped
-           it) must not report optimizer passes the unaudited run never
-           makes *)
-        let b =
-          Trips_opt.Optimizer.optimize_block ~report:(not prefiltered) cfg
-            combined ~live_out
-        in
+        let b = Trips_opt.Optimizer.optimize_block cfg combined ~live_out in
         if b != combined then begin
           Cfg.set_block cfg b;
           (* the exit simplifier may have pruned exits *)
@@ -577,7 +502,6 @@ let merge_blocks ?(depth = 0) ?(prob = 1.0) ?hb st ~hb_id ~s_id ~kind :
     in
     let live_out = trial_live_out () in
     let est = Constraints.estimate final ~live_out in
-    Option.iter (fun f -> f ~bound ~est) !audit;
     if Constraints.legal ~slack:config.Policy.slack config.Policy.limits est
     then begin
       st.stats.merges <- st.stats.merges + 1;
@@ -590,10 +514,8 @@ let merge_blocks ?(depth = 0) ?(prob = 1.0) ?hb st ~hb_id ~s_id ~kind :
       | Peel ->
         st.stats.peels <- st.stats.peels + 1;
         bump_counter st.peels_done s_id);
-      if Lineage.enabled () then
-        Cfg.record_decision cfg hb_id
-          (Lineage.decision ~step:lineage_step ~kind:(kind_name kind)
-             ~src:s_id);
+      Cfg.record_decision cfg hb_id
+        (Lineage.decision ~step:lineage_step ~kind:(kind_name kind) ~src:s_id);
       emit ~outcome:"success" ~est ~msg:"";
       Success est
     end

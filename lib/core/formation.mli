@@ -45,8 +45,7 @@ val kind_name : merge_kind -> string
 type state
 (** One formation run over a CFG: its statistics, the per-loop
     unroll/peel bookkeeping and the caches formation reads after every
-    trial merge (liveness, loop forest, predecessors, pre-filter
-    floors). *)
+    trial merge (liveness, loop forest, predecessors). *)
 
 val make : Policy.config -> Cfg.t -> Profile.t -> state
 
@@ -77,18 +76,13 @@ val chaos_combine_failure :
     exercising the structural-failure rollback paths.  Reset to [None]
     after use. *)
 
-val audit :
-  (bound:Constraints.estimate -> est:Constraints.estimate -> unit) option ref
-(** Test-only audit: when set, the constraint pre-filter never
-    shortcuts; every attempt runs the full trial and the hook receives
-    the pre-filter lower bound alongside the true post-optimization
-    estimate, so tests can assert [bound <= est] fieldwise for every
-    attempted merge.  Every cached answer formation uses — the
+val audit : bool ref
+(** Test-only audit: when set, every cached answer formation uses — the
     hyperblock's live-out set, loop-header and back-edge queries, and
-    predecessor lists — is also checked against a from-scratch
+    predecessor lists — is checked against a from-scratch
     {!Trips_analysis.Liveness.compute}, {!Trips_analysis.Loops.compute}
     or {!Cfg.predecessors}; a mismatch raises [Failure] naming the
-    [hb_id]/[s_id] pair.  Reset to [None] after use. *)
+    [hb_id]/[s_id] pair.  Reset to [false] after use. *)
 
 val merge_blocks :
   ?depth:int ->
@@ -99,9 +93,8 @@ val merge_blocks :
   s_id:int ->
   kind:merge_kind ->
   merge_outcome
-(** [MergeBlocks]: pre-filter against the additive size lower bound,
-    then trial-merge, optionally optimize, constraint-check; commits on
-    success and rolls back on failure — including the saved
+(** [MergeBlocks]: trial-merge, optionally optimize, constraint-check;
+    commits on success and rolls back on failure — including the saved
     one-iteration body and the CFG's fresh-id counters, so a failed
     attempt leaves no hidden state behind.  [depth]/[prob] only annotate
     the trace event; [hb] may pass the already-fetched hyperblock

@@ -27,13 +27,13 @@ let config_for ~seed =
 (* Formation's caches against their specification: with
    [Formation.audit] set, every cached liveness, loop-forest and
    predecessor answer is checked against a from-scratch solve (a mismatch
-   raises, and lands in an [equiv] bucket) and the pre-filter takes no
-   shortcut; the final CFG and statistics must equal an unaudited run.
+   raises, and lands in an [equiv] bucket); the final CFG and statistics
+   must equal an unaudited run.
    Compared on a canonical rendering of the graph (entry + blocks in id
    order). *)
 let formation_snapshot ~config cfg profile ~audited =
-  if audited then Chf.Formation.audit := Some (fun ~bound:_ ~est:_ -> ());
-  Fun.protect ~finally:(fun () -> Chf.Formation.audit := None) @@ fun () ->
+  if audited then Chf.Formation.audit := true;
+  Fun.protect ~finally:(fun () -> Chf.Formation.audit := false) @@ fun () ->
   let cfg = Cfg.copy cfg in
   let stats = Chf.Formation.run config cfg profile in
   let blocks = List.map (Cfg.block cfg) (List.sort compare (Cfg.block_ids cfg)) in

@@ -11,9 +11,8 @@
    guard conjunction in [Combine], the optimizer's in-place rewrites) and
    they roll back with the block bodies on a failed formation trial.
 
-   Tagging is inert: no pass reads lineage to make a decision, and the
-   printers never render it, so compilation with provenance disabled is
-   byte-identical on every output (enforced by a test). *)
+   Tagging is always on and inert: no pass reads lineage to make a
+   decision, and the printers never render it. *)
 
 type placement =
   | Original  (* survives from the lowered basic block *)
@@ -26,24 +25,6 @@ type placement =
 type t = { origin : int; placed : placement }
 
 let unknown = { origin = -1; placed = Original }
-
-(* ---- off switch -------------------------------------------------------- *)
-
-(* [TRIPS_NO_PROVENANCE] follows the repo's hatch convention (any
-   non-empty value disables); [set_enabled] is the programmatic override
-   behind [chfc --no-provenance].  The switch gates tagging at every
-   producer, so with it off all records stay [unknown]. *)
-let override = ref None
-
-let set_enabled b = override := Some b
-
-let enabled () =
-  match !override with
-  | Some b -> b
-  | None -> (
-    match Sys.getenv_opt "TRIPS_NO_PROVENANCE" with
-    | Some s when s <> "" -> false
-    | Some _ | None -> true)
 
 (* ---- classification ---------------------------------------------------- *)
 

@@ -6,9 +6,8 @@
     they survive duplication ({!Cfg.refresh_instr_ids}), guard rewriting
     in [Combine], the optimizer, and formation's trial rollback.
 
-    Tagging is inert — no pass reads lineage to make a decision and the
-    printers never render it — so disabling provenance is byte-identical
-    on every compiler output. *)
+    Tagging is always on and inert: no pass reads lineage to make a
+    decision and the printers never render it. *)
 
 type placement =
   | Original  (** survives from the lowered basic block *)
@@ -22,14 +21,6 @@ type t = { origin : int; placed : placement }
 
 val unknown : t
 (** [origin = -1], [Original] — the default before stamping. *)
-
-val set_enabled : bool -> unit
-(** Programmatic override of the [TRIPS_NO_PROVENANCE] hatch (used by
-    [chfc --no-provenance]). *)
-
-val enabled : unit -> bool
-(** Tagging switch: the [set_enabled] override when set, otherwise the
-    [TRIPS_NO_PROVENANCE] environment hatch (non-empty disables). *)
 
 val class_name : t -> string
 (** Attribution class: ["original"], ["if_conv"], ["tail_dup"],

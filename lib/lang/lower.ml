@@ -194,5 +194,5 @@ let lower (p : Ast.program) : Cfg.t * (string * int) list =
   if lower_stmts env [] p.Ast.body then Builder.ret b;
   let cfg = Builder.cfg b in
   Cfg.validate cfg;
-  if Lineage.enabled () then Cfg.stamp_origins cfg;
+  Cfg.stamp_origins cfg;
   (cfg, param_regs)

@@ -10,20 +10,13 @@
 
    Determinism contract: nothing in this module touches the Trace event
    stream or the Metrics registry, so with no collector installed — the
-   one-shot CLI, tests, or any process under TRIPS_NO_REQ_TELEMETRY —
-   every existing output is byte-identical.  Within one request the
-   collector is purely domain-local (a request executes start-to-finish
-   on one worker domain), so the per-request event order is the
-   sequential order regardless of [--jobs]. *)
+   one-shot CLI and tests — every existing output is byte-identical, and
+   a served request's outputs match the one-shot pipeline's.  Within one
+   request the collector is purely domain-local (a request executes
+   start-to-finish on one worker domain), so the per-request event order
+   is the sequential order regardless of [--jobs]. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
-
-(* ---- escape hatch ------------------------------------------------------ *)
-
-let hatch = "TRIPS_NO_REQ_TELEMETRY"
-
-let enabled () =
-  match Sys.getenv_opt hatch with Some s when s <> "" -> false | _ -> true
 
 (* ---- trace context ----------------------------------------------------- *)
 
@@ -37,17 +30,15 @@ type ctx = {
 let mint_counter = Atomic.make 0
 
 let mint ?deadline_s ?chaos_seed () =
-  if not (enabled ()) then None
-  else begin
-    let n = Atomic.fetch_and_add mint_counter 1 in
-    (* pid + monotone counter + wall clock, digested: unique across the
-       daemon's clients without sharing any state between them *)
-    let raw =
-      Printf.sprintf "%d.%d.%.9f" (Unix.getpid ()) n (Unix.gettimeofday ())
-    in
-    let id = "req-" ^ String.sub (Digest.to_hex (Digest.string raw)) 0 12 in
-    Some { tc_id = id; tc_parent = 0; tc_deadline_s = deadline_s; tc_chaos_seed = chaos_seed }
-  end
+  let n = Atomic.fetch_and_add mint_counter 1 in
+  (* pid + monotone counter + wall clock, digested: unique across the
+     daemon's clients without sharing any state between them *)
+  let raw =
+    Printf.sprintf "%d.%d.%.9f" (Unix.getpid ()) n (Unix.gettimeofday ())
+  in
+  let id = "req-" ^ String.sub (Digest.to_hex (Digest.string raw)) 0 12 in
+  Some
+    { tc_id = id; tc_parent = 0; tc_deadline_s = deadline_s; tc_chaos_seed = chaos_seed }
 
 (* ---- rolling window ---------------------------------------------------- *)
 
@@ -272,9 +263,9 @@ end
 (* the daemon's window: 30 one-second buckets *)
 let global_window = Window.create ()
 
-let win_incr ?by name = if enabled () then Window.incr global_window ?by name
-let win_observe name x = if enabled () then Window.observe global_window name x
-let win_gauge name v = if enabled () then Window.set_gauge global_window name v
+let win_incr ?by name = Window.incr global_window ?by name
+let win_observe name x = Window.observe global_window name x
+let win_gauge name v = Window.set_gauge global_window name v
 let win_snapshot () = Window.snapshot global_window
 
 (* ---- per-request span-tree collector ----------------------------------- *)
@@ -327,7 +318,6 @@ let now_us a = ((Unix.gettimeofday () -. a.a_t0) *. 1e6) +. a.a_base_us
 let start ctx ~kind ~queue_wait_s =
   match ctx with
   | None -> None
-  | Some _ when not (enabled ()) -> None
   | Some c ->
     let qus = queue_wait_s *. 1e6 in
     let tr =

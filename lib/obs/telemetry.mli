@@ -14,23 +14,15 @@
       p99 latency {e right now}" rather than over process lifetime.
 
     Determinism: this module never writes to the Trace stream or the
-    Metrics registry, so with no collector installed — the one-shot CLI,
-    or any process under [TRIPS_NO_REQ_TELEMETRY] — every existing
-    output is byte-identical.  A request executes start-to-finish on one
-    worker domain, so its event order is the sequential order regardless
-    of [--jobs]. *)
+    Metrics registry, so with no collector installed — the one-shot
+    CLI — every existing output is byte-identical, and a served request's
+    outputs match the one-shot pipeline's.  A request executes
+    start-to-finish on one worker domain, so its event order is the
+    sequential order regardless of [--jobs]. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 (** Field values; {!Trace.value} is an alias of this type, so the two
     are interchangeable at every instrumentation site. *)
-
-val hatch : string
-(** The escape-hatch variable name, ["TRIPS_NO_REQ_TELEMETRY"]. *)
-
-val enabled : unit -> bool
-(** False when [TRIPS_NO_REQ_TELEMETRY] is set non-empty: {!mint}
-    returns [None], {!start} declines, and the global-window helpers
-    become no-ops — the escape hatch for byte-identity comparisons. *)
 
 (** {1 Trace context} *)
 
@@ -42,8 +34,9 @@ type ctx = {
 }
 
 val mint : ?deadline_s:float -> ?chaos_seed:int -> unit -> ctx option
-(** Mint a fresh request context ([None] under the escape hatch).
-    Called by [Client.rpc] for job-carrying requests. *)
+(** Mint a fresh request context; always [Some], typed as an option so
+    callers pass it straight to [Protocol.write_request ?ctx].  Called by
+    [Client.rpc] for job-carrying requests. *)
 
 (** {1 Rolling window} *)
 
@@ -103,8 +96,8 @@ module Window : sig
 end
 
 val global_window : Window.t
-(** The daemon's window (30 × 1s).  The helpers below write to it only
-    when {!enabled}; read it with {!win_snapshot}. *)
+(** The daemon's window (30 × 1s).  The helpers below write to it; read
+    it with {!win_snapshot}. *)
 
 val win_incr : ?by:int -> string -> unit
 val win_observe : string -> float -> unit
@@ -117,7 +110,8 @@ val win_snapshot : unit -> Window.snapshot
     dequeued (queue wait now known), {!run} around the worker thunk
     (installs the collector domain-locally so Trace/Metrics notify it),
     {!finish} once the outcome is classified.  The [active option]
-    threading keeps every call a no-op when telemetry is off. *)
+    threading keeps every call a no-op for a request without a context
+    (a control request). *)
 
 type span = {
   sp_id : int;  (** creation order; children have larger ids *)
@@ -151,7 +145,7 @@ type active
 val start : ctx option -> kind:string -> queue_wait_s:float -> active option
 (** Open a collector for a dequeued request; synthesizes the root
     ["request"] span and its ["queue-wait"] / ["execute"] children.
-    [None] in, or the escape hatch set, [None] out. *)
+    [None] in, [None] out. *)
 
 val run : active option -> (unit -> 'a) -> 'a
 (** Run the worker thunk with the collector installed domain-locally

@@ -39,14 +39,15 @@ let report_pass ~block name (before : Block.t) (after : Block.t) =
   end;
   after
 
+(* Round caps that bound the two fixpoints, so passes that keep undoing
+   each other cannot loop forever. *)
+let block_max_rounds = 6
+let cfg_max_rounds = 4
+
 (** Optimize one block to a fixpoint (bounded), given the registers that
     are live when it exits. *)
-let optimize_block ?(max_rounds = 6) ?(report = true) cfg (b : Block.t)
-    ~live_out : Block.t =
+let optimize_block cfg (b : Block.t) ~live_out : Block.t =
   let block = b.Block.id in
-  let report_pass ~block name before after =
-    if report then report_pass ~block name before after else after
-  in
   let rec go b rounds =
     if rounds = 0 then b
     else begin
@@ -57,14 +58,14 @@ let optimize_block ?(max_rounds = 6) ?(report = true) cfg (b : Block.t)
       if block_measure b = before then b else go b (rounds - 1)
     end
   in
-  go b max_rounds
+  go b block_max_rounds
 
 (** Live-out set of block [id] under liveness information [live]. *)
 let live_out_of live id = Liveness.live_out live id
 
 (** Optimize every reachable block of the CFG, recomputing liveness
     between rounds, until nothing changes (bounded). *)
-let optimize_cfg ?(max_rounds = 4) cfg : unit =
+let optimize_cfg cfg : unit =
   let rec go rounds =
     if rounds > 0 then begin
       let global_hits = Gvn.run cfg in
@@ -83,4 +84,4 @@ let optimize_cfg ?(max_rounds = 4) cfg : unit =
       if !changed || global_hits > 0 then go (rounds - 1)
     end
   in
-  go max_rounds
+  go cfg_max_rounds

@@ -8,19 +8,11 @@
 
 open Trips_ir
 
-val optimize_block :
-  ?max_rounds:int ->
-  ?report:bool ->
-  Cfg.t ->
-  Block.t ->
-  live_out:IntSet.t ->
-  Block.t
-(** [report] (default [true]) records one [opt-pass] trace event and one
+val optimize_block : Cfg.t -> Block.t -> live_out:IntSet.t -> Block.t
+(** Records one [opt-pass] trace event and one
     [opt.<pass>.removed_instrs] metric bump per pass that changed the
-    block.  Formation's test-only audit turns it off for the trials that
-    only the audit runs, so auditing leaves traces and metrics
-    unchanged. *)
+    block. *)
 
-val optimize_cfg : ?max_rounds:int -> Cfg.t -> unit
+val optimize_cfg : Cfg.t -> unit
 (** Optimize every reachable block, recomputing liveness between rounds,
     until nothing changes (bounded). *)

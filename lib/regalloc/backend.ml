@@ -13,9 +13,6 @@ type report = {
   rounds : int;  (* allocation rounds run *)
 }
 
-(** Run the back end on a formed CFG, in place.  Returns the allocation
-    report; the [mapping] lets callers translate front-end register names
-    (e.g. kernel parameters) to their architectural homes. *)
 (* Test-only fault injection: while positive, every [run] decrements the
    counter and raises as a budget rejection would.  Lets the degradation
    tests drive the pipeline's split-and-retry and backend-off paths on
@@ -44,7 +41,14 @@ let over_budget_blocks cfg =
       else Some b.Block.id)
     (Cfg.blocks cfg)
 
-let run ?(max_rounds = 8) cfg : report =
+(* Allocation rounds before the back end gives up and reports the
+   remaining violations. *)
+let max_rounds = 8
+
+(** Run the back end on a formed CFG, in place.  Returns the allocation
+    report; the [mapping] lets callers translate front-end register names
+    (e.g. kernel parameters) to their architectural homes. *)
+let run cfg : report =
   if !reject_for_tests > 0 then begin
     decr reject_for_tests;
     failwith "backend: injected rejection (reject_for_tests)"

@@ -14,7 +14,7 @@ type report = {
   rounds : int;  (** allocation rounds run *)
 }
 
-val run : ?max_rounds:int -> Cfg.t -> report
+val run : Cfg.t -> report
 (** Run the back end on a formed CFG, in place. *)
 
 val reject_for_tests : int ref

@@ -67,14 +67,12 @@ let expand_block cfg (b : Block.t) : Block.t * int =
       in
       let movs =
         let lineage =
-          if Lineage.enabled () then
-            Some { Lineage.origin = b.Block.id; placed = Lineage.Helper "fanout" }
-          else None
+          { Lineage.origin = b.Block.id; placed = Lineage.Helper "fanout" }
         in
         List.init movs_needed (fun k ->
             let src = if k = 0 then d else copies.((k - 1) / 2) in
             added := !added + 1;
-            Cfg.instr ?lineage cfg (Instr.Mov (copies.(k), Instr.Reg src)))
+            Cfg.instr ~lineage cfg (Instr.Mov (copies.(k), Instr.Reg src)))
       in
       (* free slots per copy: Machine.max_targets minus its tree children *)
       let children = Array.make movs_needed 0 in

@@ -18,7 +18,7 @@ val rpc : conn -> 'a Protocol.request -> 'a
 val rpc_traced : conn -> 'a Protocol.request -> string option * 'a
 (** Like {!rpc}, also returning the request id minted into the frame's
     telemetry context — the handle for [chfc trace <id>].  [None] for
-    control requests or under [TRIPS_NO_REQ_TELEMETRY]. *)
+    control requests. *)
 
 val close : conn -> unit
 

@@ -254,8 +254,7 @@ let read_frame ic =
   Marshal.from_channel ic
 
 (* A request frame carries the minted telemetry context beside the
-   message — [None] for control requests, or whenever the client runs
-   under TRIPS_NO_REQ_TELEMETRY. *)
+   message — [None] for control requests. *)
 let write_request oc ?ctx (r : wire_request) =
   write_frame oc ((ctx : Telemetry.ctx option), r)
 

@@ -26,10 +26,9 @@
     a structured error, not a marshal crash.
 
     Since v2 every request frame also carries the client-minted
-    {!Trips_obs.Telemetry.ctx} ([None] for control requests or under
-    [TRIPS_NO_REQ_TELEMETRY]), which the scheduler installs around the
-    worker thunk so the whole pipeline's instrumentation tags the owning
-    request. *)
+    {!Trips_obs.Telemetry.ctx} ([None] for control requests), which the
+    scheduler installs around the worker thunk so the whole pipeline's
+    instrumentation tags the owning request. *)
 
 module Telemetry = Trips_obs.Telemetry
 

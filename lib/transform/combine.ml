@@ -70,8 +70,7 @@ let combine cfg ~(hb : Block.t) ~(s : Block.t) ~s_label : Block.t * stats =
   in
   let fresh_instr op =
     incr added;
-    let i = Cfg.instr cfg op in
-    if Lineage.enabled () then Instr.with_lineage helper_lineage i else i
+    Cfg.instr ~lineage:helper_lineage cfg op
   in
   (* Instructions prefixed between HB's body and S's body. *)
   let prefix = ref [] in

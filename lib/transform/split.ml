@@ -28,12 +28,10 @@ let split_block ?at cfg id : int option =
     Cfg.set_block cfg
       (Block.make id first
          [ { Block.eguard = None; target = Block.Goto new_id } ]);
-    if Lineage.enabled () then begin
-      (* both halves descend from the same formation history *)
-      Cfg.copy_decisions cfg ~src:id ~dst:new_id;
-      let step = List.length (Cfg.decisions cfg id) + 1 in
-      Cfg.record_decision cfg new_id
-        (Lineage.decision ~step ~kind:"split" ~src:id)
-    end;
+    (* both halves descend from the same formation history *)
+    Cfg.copy_decisions cfg ~src:id ~dst:new_id;
+    let step = List.length (Cfg.decisions cfg id) + 1 in
+    Cfg.record_decision cfg new_id
+      (Lineage.decision ~step ~kind:"split" ~src:id);
     Some new_id
   end

@@ -757,20 +757,18 @@ let all : Workload.t list =
 (* ---- store-dense stress kernels (not part of the 24) ------------------- *)
 
 (* Dense store runs drive a merged-block estimate into the 32-slot
-   load/store budget well before the 128-instruction budget — the regime
-   where the constraint pre-filter's sound store-count floor can prove a
-   merge oversized without trialling it.  The shipped 24 kernels never
-   reach that regime (their rejects are all instruction-budget driven,
-   see DESIGN.md §12), so these ride along in the serve-miss benchmark,
-   [make trace-check] and the pre-filter regression test rather than in
-   [all]. *)
+   load/store budget well before the 128-instruction budget.  The
+   shipped 24 kernels never reach that regime (their rejects are all
+   instruction-budget driven), so these ride along in the serve-miss
+   benchmark, [make trace-check], [make report-check] and the formation
+   audit test rather than in [all]. *)
 let store_burst name ~stores ~trip seed =
   let open Ast in
   Workload.make ~name
     ~description:
       (Printf.sprintf
          "%d stores per iteration, trip %d; unrolled estimates hit the \
-          load/store budget, exercising the constraint pre-filter"
+          load/store budget"
          stores trip)
     ~memory_words:8192
     ~init_memory:(fill_with seed ())
@@ -786,7 +784,7 @@ let store_burst name ~stores ~trip seed =
         ];
     }
 
-(** Store-dense pre-filter stress kernels; separate from {!all} so the
+(** Store-dense stress kernels; separate from {!all} so the
     24-kernel tables stay exactly the paper's set. *)
 let store_dense : Workload.t list =
   [

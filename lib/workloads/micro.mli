@@ -13,10 +13,10 @@ val all : Workload.t list
 
 val store_dense : Workload.t list
 (** Store-dense stress kernels whose unrolled merge estimates hit the
-    32-slot load/store budget — the regime the constraint pre-filter
-    fires in.  Kept out of {!all} so the 24-kernel tables stay exactly
-    the paper's set; the serve-miss benchmark, [make trace-check] and
-    the pre-filter regression test add them. *)
+    32-slot load/store budget, a regime the 24 kernels never reach.
+    Kept out of {!all} so the 24-kernel tables stay exactly the paper's
+    set; the serve-miss benchmark, [make trace-check], [make
+    report-check] and the formation audit test add them. *)
 
 val by_name : string -> Workload.t option
 (** Searches {!all} and {!store_dense}. *)

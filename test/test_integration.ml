@@ -169,6 +169,45 @@ let test_verification_catches_bad_compile () =
       false
     with Pipeline.Miscompiled _ -> true)
 
+(* EXPERIMENTS.md cannot go stale: every line of the fenced blocks
+   under the Table 1, Table 2, Table 3 and Figure 7 headings must appear
+   verbatim in the committed perf goldens, which the benchmark
+   byte-checks against a fresh run of the paper experiments. *)
+let quoted_sections = [ "Table 1"; "Table 2"; "Table 3"; "Figure 7" ]
+
+let read_lines path =
+  String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all)
+
+let test_experiments_quote_goldens () =
+  let golden =
+    read_lines "../perf/golden/paper_micro.txt"
+    @ read_lines "../perf/golden/spec_gen_seed0.txt"
+  in
+  let section = ref None and fenced = ref false in
+  let quoted = Hashtbl.create 4 in
+  List.iter
+    (fun line ->
+      if String.starts_with ~prefix:"## " line then
+        section :=
+          List.find_opt
+            (fun s -> String.starts_with ~prefix:("## " ^ s) line)
+            quoted_sections
+      else if String.starts_with ~prefix:"```" line then fenced := not !fenced
+      else
+        match !section with
+        | Some s when !fenced && String.trim line <> "" ->
+          Hashtbl.replace quoted s ();
+          if not (List.mem line golden) then
+            Alcotest.failf "EXPERIMENTS.md %s line not in perf/golden: %S" s
+              line
+        | _ -> ())
+    (read_lines "../EXPERIMENTS.md");
+  List.iter
+    (fun s ->
+      check Alcotest.bool (s ^ " quotes a fenced block") true
+        (Hashtbl.mem quoted s))
+    quoted_sections
+
 let suite =
   ( "integration",
     [
@@ -183,4 +222,6 @@ let suite =
       Alcotest.test_case "stats regression" `Quick test_stats_regression;
       Alcotest.test_case "verifier catches corruption" `Quick
         test_verification_catches_bad_compile;
+      Alcotest.test_case "EXPERIMENTS.md quotes the perf goldens" `Quick
+        test_experiments_quote_goldens;
     ] )

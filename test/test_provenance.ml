@@ -1,9 +1,7 @@
 (* Provenance and attribution tests: lineage stamping at lowering,
    retagging through formation's duplicating transforms, the decision
    log, the cycle-attribution partition invariants, report determinism
-   across --jobs, the --no-provenance byte-identity guarantee, and the
-   constraint pre-filter regression (a store-dense kernel must bump the
-   counter). *)
+   across --jobs, and the store-dense kernels end to end. *)
 
 open Trips_ir
 open Trips_harness
@@ -22,7 +20,6 @@ let classes_of cfg =
 (* Lowering stamps every instruction with its origin block and the
    Original placement. *)
 let test_lower_stamps_origins () =
-  Lineage.set_enabled true;
   let cfg, _ = Pipeline.lower_workload (workload "sieve") in
   Cfg.iter_blocks
     (fun b ->
@@ -41,7 +38,6 @@ let test_lower_stamps_origins () =
    naming a real origin block, and the surviving hyperblocks carry a
    step-numbered decision log. *)
 let test_formation_retags () =
-  Lineage.set_enabled true;
   let c = Pipeline.compile ~backend:false Chf.Phases.Iupo_merged (workload "sieve") in
   let cfg = c.Pipeline.cfg in
   let cls = classes_of cfg in
@@ -78,7 +74,6 @@ let test_formation_retags () =
 (* Cfg.copy preserves both the per-instruction tags and the decision
    log (trial-install snapshots must not strip provenance). *)
 let test_lineage_survives_copy () =
-  Lineage.set_enabled true;
   let c = Pipeline.compile ~backend:false Chf.Phases.Iupo_merged (workload "gzip_1") in
   let cfg = c.Pipeline.cfg in
   let dup = Cfg.copy cfg in
@@ -94,34 +89,10 @@ let test_lineage_survives_copy () =
         (List.map Lineage.describe_decision (Cfg.decisions dup b.Block.id)))
     (Cfg.blocks cfg)
 
-(* Acceptance: --no-provenance is byte-identical on compiler output.
-   Lineage is inert metadata; the printed CFG and the emitted assembly
-   must not change when it is disabled. *)
-let test_no_provenance_byte_identical () =
-  let dump w =
-    let c = Pipeline.compile ~backend:true Chf.Phases.Iupo_merged (workload w) in
-    Fmt.str "%a" Cfg.pp c.Pipeline.cfg
-    ^ Trips_regalloc.Tasm.to_string c.Pipeline.cfg
-  in
-  Fun.protect
-    ~finally:(fun () -> Lineage.set_enabled true)
-    (fun () ->
-      List.iter
-        (fun w ->
-          Lineage.set_enabled true;
-          let tagged = dump w in
-          Lineage.set_enabled false;
-          let untagged = dump w in
-          check Alcotest.string
-            (w ^ ": CFG and assembly identical with provenance off") tagged
-            untagged)
-        [ "sieve"; "gzip_1"; "vadd" ])
-
 (* Attribution partitions: per block, the lineage-class fetch counts sum
    to the block's fetched slots (and likewise fired); per function, the
    per-block cycles sum to the run total. *)
 let test_attribution_partitions () =
-  Lineage.set_enabled true;
   let r =
     Reporter.report_workload ~ordering:Chf.Phases.Iupo_merged (workload "sieve")
   in
@@ -151,7 +122,6 @@ let test_attribution_partitions () =
 (* Acceptance: the rendered report and its JSON are byte-identical at
    any --jobs setting, and the JSON passes a syntax check. *)
 let test_report_jobs_invariant () =
-  Lineage.set_enabled true;
   let ws =
     List.filter_map Trips_workloads.Micro.by_name [ "sieve"; "vadd"; "gzip_1" ]
   in
@@ -166,23 +136,7 @@ let test_report_jobs_invariant () =
   check Alcotest.string "text report identical across -j 1 / -j 4" t1 t4;
   check Alcotest.string "json report identical across -j 1 / -j 4" j1 j4
 
-(* Satellite regression: the constraint pre-filter genuinely fires on a
-   store-dense kernel (the 24 paper kernels are all instruction-budget
-   bound, so over them the hit counter reads 0). *)
-let test_prefilter_fires_on_store_dense () =
-  let w = workload "fill12" in
-  let profile, _ = Pipeline.profile_workload w in
-  let cfg, _ = Pipeline.lower_workload w in
-  Trips_opt.Optimizer.optimize_cfg cfg;
-  Trips_obs.Metrics.reset ();
-  ignore (Chf.Formation.run Chf.Policy.edge_default cfg profile);
-  let snap = Trips_obs.Metrics.snapshot () in
-  let hits = Trips_obs.Metrics.counter_value snap "formation.prefilter.hits" in
-  check Alcotest.bool
-    (Fmt.str "store-dense kernel bumps the pre-filter (got %d)" hits)
-    true (hits > 0)
-
-(* ... and the store-dense kernels still compile correctly end to end. *)
+(* The store-dense kernels compile correctly end to end. *)
 let test_store_dense_verified () =
   List.iter
     (fun w ->
@@ -200,14 +154,10 @@ let suite =
       Alcotest.test_case "formation retags copies" `Quick test_formation_retags;
       Alcotest.test_case "lineage survives Cfg.copy" `Quick
         test_lineage_survives_copy;
-      Alcotest.test_case "--no-provenance byte-identical" `Quick
-        test_no_provenance_byte_identical;
       Alcotest.test_case "attribution partitions totals" `Quick
         test_attribution_partitions;
       Alcotest.test_case "report invariant across --jobs" `Quick
         test_report_jobs_invariant;
-      Alcotest.test_case "pre-filter fires on store-dense" `Quick
-        test_prefilter_fires_on_store_dense;
       Alcotest.test_case "store-dense kernels verified" `Quick
         test_store_dense_verified;
     ] )

@@ -285,7 +285,6 @@ let test_scheduler_slo_sentinel () =
     Metrics.counter_value (Metrics.snapshot ()) "serve.slo.breach"
   in
   let fresh () =
-    Unix.putenv Telemetry.hatch "";
     Telemetry.reset ();
     Metrics.reset ()
   in

@@ -1,15 +1,11 @@
 (* Request-scoped telemetry: the rolling window's bucket arithmetic
    (expiry across the ring seam, epoch-aligned merge), the per-request
    collector lifecycle (span-tree well-formedness, window reconciliation,
-   ring eviction), and the TRIPS_NO_REQ_TELEMETRY escape hatch. *)
+   ring eviction). *)
 
 open Trips_obs
 
 let check = Alcotest.check
-
-let hatch_off () =
-  (* Make sure the escape hatch is not inherited from the environment. *)
-  Unix.putenv Telemetry.hatch ""
 
 (* ---- rolling window ---------------------------------------------------- *)
 
@@ -122,7 +118,6 @@ let run_request ?chaos_seed ~outcome body =
    tree, and the window's outcome accounting reconciles with a lifetime
    tally kept by hand. *)
 let test_collector_roundtrip () =
-  hatch_off ();
   Telemetry.reset ();
   let id =
     run_request ~outcome:"ok" (fun () ->
@@ -183,7 +178,6 @@ let test_collector_roundtrip () =
 
 (* The ring is bounded: oldest finished traces are evicted first. *)
 let test_ring_eviction () =
-  hatch_off ();
   Telemetry.reset ();
   Telemetry.set_ring_capacity 2;
   let ids =
@@ -202,32 +196,10 @@ let test_ring_eviction () =
   Telemetry.set_ring_capacity 64;
   Telemetry.reset ()
 
-(* Under TRIPS_NO_REQ_TELEMETRY everything declines: no ctx, no
-   collector, no window writes — the byte-identity escape hatch. *)
-let test_escape_hatch () =
-  hatch_off ();
-  Telemetry.reset ();
-  Unix.putenv Telemetry.hatch "1";
-  check Alcotest.bool "disabled" false (Telemetry.enabled ());
-  check Alcotest.bool "mint declines" true (Telemetry.mint () = None);
-  check Alcotest.bool "start declines" true
-    (Telemetry.start None ~kind:"compile" ~queue_wait_s:0.0 = None);
-  Telemetry.win_incr "serve.req.ok";
-  Telemetry.win_observe "serve.latency_s" 1.0;
-  Telemetry.win_gauge "serve.queue.depth" 3.0;
-  let s = Telemetry.win_snapshot () in
-  check Alcotest.int "no counter leaked" 0
-    (Telemetry.Window.counter_value s "serve.req.ok");
-  check Alcotest.bool "no gauge leaked" true
-    (s.Telemetry.Window.w_gauges = []);
-  Unix.putenv Telemetry.hatch "";
-  check Alcotest.bool "re-enabled when cleared" true (Telemetry.enabled ())
-
 (* A request's event stream is the sequential order of its own worker
    domain: two identical bodies collect identical span/note skeletons
    even when other domains run telemetry concurrently. *)
 let test_stream_domain_invariant () =
-  hatch_off ();
   Telemetry.reset ();
   let body () =
     Trace.span "lower" (fun () ->
@@ -276,7 +248,6 @@ let suite =
       Alcotest.test_case "collector: roundtrip + reconciliation" `Quick
         test_collector_roundtrip;
       Alcotest.test_case "collector: ring eviction" `Quick test_ring_eviction;
-      Alcotest.test_case "escape hatch" `Quick test_escape_hatch;
       Alcotest.test_case "stream invariant across domains" `Quick
         test_stream_domain_invariant;
     ] )

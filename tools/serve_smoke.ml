@@ -119,8 +119,6 @@ let overload_and_slo () =
   shed
 
 let () =
-  (* the window-accounting checks below need telemetry on *)
-  Unix.putenv Trips_obs.Telemetry.hatch "";
   let socket =
     Filename.concat (Filename.get_temp_dir_name ()) "chfc-serve-smoke.sock"
   in

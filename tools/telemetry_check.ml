@@ -14,10 +14,7 @@
      output bytes;
    - the first request's trace replays from the daemon ring and is
      well-formed (every span closed, parented, inside the request
-     bounds) with the expected frame spans;
-   - under TRIPS_NO_REQ_TELEMETRY a served compile is still
-     byte-identical to the one-shot pipeline and the rolling window
-     records nothing.
+     bounds) with the expected frame spans.
 
    [--write-golden] regenerates test/golden/telemetry_prom.txt instead
    of comparing.  Exit 0 on success, 1 with a message on the first
@@ -80,7 +77,6 @@ let write_file path text =
 
 let () =
   let write_golden = Array.exists (( = ) "--write-golden") Sys.argv in
-  Unix.putenv Telemetry.hatch "";
   let socket =
     Filename.concat (Filename.get_temp_dir_name ()) "chfc-telemetry-check.sock"
   in
@@ -147,22 +143,7 @@ let () =
           frame;
       if List.length tr.Telemetry.tr_spans <= 3 then
         fail "trace %s has no instrumentation spans" id));
-  (* escape hatch: byte identity and a silent window *)
-  Unix.putenv Telemetry.hatch "1";
-  (match rpc (compile "vadd") with
-  | Ok text ->
-    if text <> oneshot "vadd" then
-      fail "served vadd differs from the one-shot compile under the hatch"
-  | Error e -> fail "vadd under the hatch: %a" P.pp_served_error e);
-  let st' = rpc P.Stats in
-  let module W = Telemetry.Window in
-  if
-    W.counter_value st'.P.st_window "serve.req.ok"
-    <> W.counter_value st.P.st_window "serve.req.ok"
-  then fail "hatched request leaked into the rolling window";
-  Unix.putenv Telemetry.hatch "";
   rpc P.Shutdown;
   S.wait srv;
   Fmt.pr
-    "telemetry-check: golden exposition, byte identity (telemetry on and \
-     hatched), trace replay: OK@."
+    "telemetry-check: golden exposition, byte identity, trace replay: OK@."

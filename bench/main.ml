@@ -86,6 +86,8 @@ let run_ablation () =
     in
     (cfg, registers)
   in
+  (* one baseline per kernel, shared by every variant *)
+  let cache = Stage.create () in
   Fmt.pr "%-22s" "variant";
   List.iter (fun w -> Fmt.pr " | %-9s" w.Workload.name) kernels;
   Fmt.pr " | avg@.";
@@ -95,13 +97,14 @@ let run_ablation () =
       let improvements =
         List.map
           (fun w ->
-            let bb = Pipeline.compile ~backend:true Chf.Phases.Basic_blocks w in
-            let bb_run = Pipeline.run_cycles bb in
-            let baseline = Pipeline.run_functional bb in
+            let base = Pipeline.baseline ~cache ~backend:true ~cycles:true w in
+            let bb_run = Option.get base.Stage.base_cycles in
             let cfg, registers = compile_with config w in
             let memory = Workload.memory w in
             let r = Trips_sim.Cycle_sim.run ~registers ~memory cfg in
-            if r.Trips_sim.Cycle_sim.checksum <> baseline.Trips_sim.Func_sim.checksum
+            if
+              r.Trips_sim.Cycle_sim.checksum
+              <> base.Stage.base_functional.Trips_sim.Func_sim.checksum
             then Fmt.failwith "ablation miscompiled %s" w.Workload.name;
             let imp =
               Stats.percent_improvement ~base:bb_run.Trips_sim.Cycle_sim.cycles

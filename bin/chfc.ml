@@ -512,16 +512,13 @@ let sweep_env jobs =
 
 let report_cache cache cache_stats =
   if cache_stats then begin
-    let s = Stage.stats cache in
-    Fmt.pr "@.prefix cache : %d hit(s), %d miss(es), %.0f%% hit rate@."
-      s.Stage.cache_hits s.Stage.cache_misses
-      (100.0 *. Stage.hit_rate s);
-    let k = Stage.store_counters cache in
-    Fmt.pr "shared store : %d hit(s), %d miss(es), %d eviction(s), %d/%d \
-            entries@."
-      k.Trips_store.Store.hits k.Trips_store.Store.misses
-      k.Trips_store.Store.evictions k.Trips_store.Store.entries
-      k.Trips_store.Store.capacity
+    Fmt.pr "@.";
+    List.iter
+      (fun (name, (k : Trips_store.Store.counters)) ->
+        Fmt.pr "%-14s : %d hit(s), %d miss(es), %d eviction(s), %d/%d \
+                entries@."
+          name k.hits k.misses k.evictions k.entries k.capacity)
+      (Stage.store_counters cache)
   end
 
 let micro_selection names =

@@ -229,6 +229,18 @@ let run_cycles ?timing ?attribution (c : compiled) : Cycle_sim.result =
       let memory = Workload.memory c.workload in
       Cycle_sim.run ?timing ?attribution ~registers:c.registers ~memory c.cfg)
 
+(** The basic-block baseline of [w]: the BB compile under the default
+    policy (the baseline reads nothing else of a policy), its functional
+    run and, when [cycles], its cycle run.  Memoized in [cache] under
+    the workload's content; an exception propagates and nothing is
+    stored. *)
+let baseline ?cache ~backend ~cycles (w : Workload.t) : Stage.baseline =
+  Stage.baseline ?cache ~backend ~cycles w (fun () ->
+      let bb = compile ?cache ~backend Chf.Phases.Basic_blocks w in
+      let base_functional = run_functional bb in
+      { Stage.base_functional;
+        base_cycles = (if cycles then Some (run_cycles bb) else None) })
+
 (* On a checksum mismatch, re-run the formation phases with differential
    checking on a fresh lowering to name the first phase that diverged;
    if they all pass, the divergence came from the back end. *)

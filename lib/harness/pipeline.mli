@@ -130,6 +130,17 @@ val run_cycles :
     lineage attribution ({!Trips_sim.Attribution}) without affecting
     timing. *)
 
+val baseline :
+  ?cache:Stage.cache -> backend:bool -> cycles:bool -> Workload.t -> Stage.baseline
+(** The basic-block baseline every formed configuration is checked and
+    measured against: [Basic_blocks] compiled under
+    {!Chf.Policy.edge_default} (through the back end when [backend]),
+    run functionally and, when [cycles], at cycle level.  It depends on
+    the workload's content alone — BB formation reads no policy field
+    but the block limits, which every policy shares — so [cache]
+    memoizes it per source ({!Stage.baseline}) and a second ordering or
+    policy reuses it.  Exceptions propagate; nothing is then stored. *)
+
 val verify_against : baseline:Func_sim.result -> compiled -> Func_sim.result
 (** @raise Miscompiled unless the compiled workload reproduces the
     baseline checksum; the payload names workload, ordering and — when

@@ -1,24 +1,31 @@
-(* Staged compilation with content-keyed prefix caching.
+(* Staged compilation with two content-keyed artifacts.
 
    The pipeline of Figure 6 decomposes into five stages:
 
      lower -> profile -> formation -> backend -> sim
 
-   The lower+profile prefix depends only on the workload's content
-   (program, arguments, memory image, unroll factor) — it is identical
-   across every phase ordering and policy of a sweep — so it is computed
-   once per content key and shared.  The cached artifact is treated as
-   immutable: the master CFG is never mutated, and every consumer that
-   needs to transform the graph takes a deep copy ({!instantiate}).
-   Lowering is deterministic, so a copy of the master is structurally
-   identical to a fresh lowering and cached runs produce byte-identical
-   experiment output.
+   Two artifacts depend only on the workload's content (program,
+   arguments, memory image, unroll factor), never on the phase ordering
+   or policy of a sweep, so each is computed once per content key and
+   shared:
 
-   The cache is domain-safe (a mutex guards the table and the hit/miss
-   counters); concurrent misses on the same key both compute and the
-   second insert wins, which is harmless because the computation is
-   deterministic.  Each stage call is one [stage.*] span and one sample
-   of its [stage.time.*] histogram; nothing sums wall time across
+   - the lower+profile prefix.  Its master CFG is never mutated: every
+     consumer that needs to transform the graph takes a deep copy
+     ({!instantiate}).  Lowering is deterministic, so a copy of the
+     master is structurally identical to a fresh lowering;
+
+   - the basic-block baseline: the BB compile's functional result and,
+     when asked for, its cycle result.  It holds no CFG.  Every number
+     the paper reports is measured against it, and every formed compile
+     is checked against its checksum.
+
+   Cached runs therefore produce byte-identical experiment output.
+
+   The cache is domain-safe (each store's mutex guards its table and its
+   hit/miss counters); concurrent misses on the same key both compute
+   and the second insert wins, which is harmless because the computation
+   is deterministic.  Each stage call is one [stage.*] span and one
+   sample of its [stage.time.*] histogram; nothing sums wall time across
    domains (per-layer time is perf/'s job). *)
 
 open Trips_ir
@@ -76,6 +83,11 @@ type prefix = {
   pre_profiled : profiled;
 }
 
+type baseline = {
+  base_functional : Func_sim.result;
+  base_cycles : Cycle_sim.result option;  (* when cycles were asked for *)
+}
+
 (* The key covers everything the prefix depends on: the AST (pure data,
    safely marshalable), the parameter bindings, the memory image (the
    materialized array stands in for the [init_memory] closure, which
@@ -130,58 +142,83 @@ let instantiate (p : prefix) : lowered =
 
 (* ---- content-keyed memo cache ----------------------------------------- *)
 
-(* The cache is a thin front over the shared content-addressed artifact
-   store (Trips_store.Store): the store owns the mutex, the LRU bound and
-   the hit/miss/eviction counters, so a cache handed out by [of_store]
-   shares entries with every other consumer of that store — including
-   concurrent `chfc serve` requests.  The historical [cache_stats] view
-   and the [stage.cache.*] metrics are preserved on top. *)
+(* The cache is a thin front over two shared content-addressed artifact
+   stores (Trips_store.Store), one per artifact: each store owns its
+   mutex, its LRU bound and its hit/miss/eviction counters, so the
+   [chfc serve] daemon's one cache is shared by every concurrent
+   request.  The historical [cache_stats] view (prefix only) and the
+   [stage.cache.*] metrics are preserved on top. *)
 
 module Store = Trips_store.Store
 
-type cache = { enabled : bool; store : prefix Store.t }
+type cache = {
+  enabled : bool;
+  prefixes : prefix Store.t;
+  baselines : baseline Store.t;
+}
 
 type cache_stats = { cache_hits : int; cache_misses : int }
 
-let store_key key = { Store.src = key; stage = "prefix"; config = "" }
-
-let create () =
-  { enabled = true; store = Store.create ~name:"stage.prefix" () }
+let create ?capacity ?(name = "stage") () =
+  {
+    enabled = true;
+    prefixes = Store.create ?capacity ~name:(name ^ ".prefix") ();
+    baselines = Store.create ?capacity ~name:(name ^ ".baseline") ();
+  }
 
 (* A cache that never stores: every lookup recomputes (and counts as a
    miss), which is how cache-on and cache-off sweeps share one code
    path. *)
 let disabled () = { (create ()) with enabled = false }
 
-let of_store store = { enabled = true; store }
-
-let store_counters c = Store.counters c.store
+let store_counters c =
+  [
+    (Store.name c.prefixes, Store.counters c.prefixes);
+    (Store.name c.baselines, Store.counters c.baselines);
+  ]
 
 let stats c =
-  let k = Store.counters c.store in
+  let k = Store.counters c.prefixes in
   { cache_hits = k.Store.hits; cache_misses = k.Store.misses }
 
-let hit_rate s =
-  let total = s.cache_hits + s.cache_misses in
-  if total = 0 then 0.0
-  else float_of_int s.cache_hits /. float_of_int total
+(* Look [key] up in [store], computing and storing on a miss (outside
+   the lock, so other domains' lookups proceed).  A disabled cache
+   recomputes every time and counts a miss. *)
+let memo c store key ?(on_hit = ignore) compute =
+  if not c.enabled then begin
+    Store.record_miss store;
+    compute ()
+  end
+  else
+    match Store.find store key with
+    | Some v ->
+      on_hit ();
+      v
+    | None ->
+      let v = compute () in
+      Store.add store key v;
+      v
 
 let prefix ?cache (w : Workload.t) : prefix =
+  let key = content_key w in
   match cache with
-  | None -> compute_prefix w (content_key w)
-  | Some c when not c.enabled ->
-    Store.record_miss c.store;
-    Trips_obs.Metrics.incr "stage.cache.miss";
-    compute_prefix w (content_key w)
-  | Some c -> (
-    let key = content_key w in
-    match Store.find c.store (store_key key) with
-    | Some p ->
-      Trips_obs.Metrics.incr "stage.cache.hit";
-      p
-    | None ->
-      Trips_obs.Metrics.incr "stage.cache.miss";
-      (* compute outside the lock so other domains' lookups proceed *)
-      let p = compute_prefix w key in
-      Store.add c.store (store_key key) p;
-      p)
+  | None -> compute_prefix w key
+  | Some c ->
+    memo c c.prefixes
+      { Store.src = key; stage = "prefix"; config = "" }
+      ~on_hit:(fun () -> Trips_obs.Metrics.incr "stage.cache.hit")
+      (fun () ->
+        Trips_obs.Metrics.incr "stage.cache.miss";
+        compute_prefix w key)
+
+let baseline ?cache ~backend ~cycles (w : Workload.t) compute : baseline =
+  match cache with
+  | None -> compute ()
+  | Some c ->
+    memo c c.baselines
+      {
+        Store.src = content_key w;
+        stage = "baseline";
+        config = Fmt.str "backend=%b/cycles=%b" backend cycles;
+      }
+      compute

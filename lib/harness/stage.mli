@@ -1,16 +1,21 @@
-(** Staged compilation with content-keyed prefix caching.
+(** Staged compilation with two content-keyed artifacts.
 
     The pipeline of Figure 6 decomposes into five stages —
 
     {[ lower -> profile -> formation -> backend -> sim ]}
 
-    — with a typed artifact per stage.  The lower+profile prefix depends
-    only on the workload's content and is identical across every phase
-    ordering and policy of a sweep, so {!prefix} memoizes it under a
-    {!content_key}.  Cached artifacts are immutable: consumers that
-    transform the graph take a deep copy via {!instantiate}.  Lowering
-    is deterministic, so a cached sweep is byte-identical to an uncached
-    one.
+    — with a typed artifact per stage.  Two artifacts depend only on the
+    workload's content, never on the phase ordering or policy, so each
+    is memoized under a {!content_key}:
+
+    - the lower+profile {!prefix}.  Consumers that transform the graph
+      take a deep copy via {!instantiate};
+    - the basic-block {!baseline}: the BB functional result and, when
+      asked for, the BB cycle result, against which every formed compile
+      is checked and measured.  It holds no CFG.
+
+    Cached artifacts are immutable and their producers deterministic, so
+    a cached sweep is byte-identical to an uncached one.
 
     The cache and the per-stage timers are domain-safe and shared
     freely across the {!Engine} pool.  A stage timer records each call
@@ -49,6 +54,12 @@ type prefix = {
   pre_profiled : profiled;
 }
 
+type baseline = {
+  base_functional : Func_sim.result;  (** the BB functional run *)
+  base_cycles : Cycle_sim.result option;
+      (** the BB cycle run, present when cycles were asked for *)
+}
+
 val content_key : Workload.t -> string
 (** Digest of the program AST, arguments, memory image and unroll
     factor — everything the lower+profile prefix depends on.  Name and
@@ -67,35 +78,45 @@ val instantiate : prefix -> lowered
 
 (** {1 Content-keyed memo cache}
 
-    The cache is a front over the shared content-addressed artifact
-    store ({!Trips_store.Store}): {!of_store} hands out a cache view of a
-    store owned by someone else (the [chfc serve] daemon shares one
-    across every request), while {!create} makes a private store.  Either
-    way the store owns the mutex, the LRU bound and the
-    hit/miss/eviction counters. *)
+    The cache is a front over two shared content-addressed artifact
+    stores ({!Trips_store.Store}), one for prefixes and one for
+    baselines.  Each store owns its mutex, its LRU bound and its
+    hit/miss/eviction counters.  The [chfc serve] daemon keeps one cache
+    for every request. *)
 
 type cache
 
 type cache_stats = { cache_hits : int; cache_misses : int }
 
-val create : unit -> cache
+val create : ?capacity:int -> ?name:string -> unit -> cache
+(** Fresh stores named [<name>.prefix] and [<name>.baseline] ([name]
+    defaults to ["stage"]), each bounded to [capacity] entries (default:
+    the store's). *)
 
 val disabled : unit -> cache
 (** A cache that never stores: every lookup recomputes and counts as a
     miss.  Lets cache-on and cache-off sweeps share one code path. *)
 
-val of_store : prefix Trips_store.Store.t -> cache
-(** A cache view over a shared store; entries (and counters) are shared
-    with every other view of the same store. *)
-
-val store_counters : cache -> Trips_store.Store.counters
-(** The backing store's counters, including evictions and population —
-    the extended [--cache-stats] view. *)
+val store_counters : cache -> (string * Trips_store.Store.counters) list
+(** Each backing store's name and counters (hits, misses, evictions,
+    population), prefix store first, then baseline store. *)
 
 val stats : cache -> cache_stats
-val hit_rate : cache_stats -> float
+(** Prefix lookups only. *)
 
 val prefix : ?cache:cache -> Workload.t -> prefix
 (** The lower+profile prefix for [w], memoized on {!content_key} when a
     cache is supplied.  Domain-safe; concurrent misses on one key both
     compute (deterministically, so the race is benign). *)
+
+val baseline :
+  ?cache:cache ->
+  backend:bool ->
+  cycles:bool ->
+  Workload.t ->
+  (unit -> baseline) ->
+  baseline
+(** [baseline ?cache ~backend ~cycles w compute] memoizes [compute ()]
+    under ({!content_key} [w], [backend], [cycles]) when a cache is
+    supplied.  An exception from [compute] propagates and nothing is
+    stored.  {!Pipeline.baseline} is the one producer. *)

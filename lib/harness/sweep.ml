@@ -1,9 +1,9 @@
 (* Declarative experiment sweeps over the shared engine.
 
    Every table/figure of the evaluation is a cross-product of workloads
-   (rows) and configurations (columns): compile the basic-block baseline
-   for the row, then compile, checksum-verify and measure one cell per
-   column.  This module owns that skeleton once — the per-experiment
+   (rows) and configurations (columns): take the basic-block baseline
+   for the row (Pipeline.baseline, memoized per source), then compile,
+   checksum-verify and measure one cell per column.  This module owns that skeleton once — the per-experiment
    modules supply axes, a cell function and a renderer — so the sweep
    machinery (prefix caching, domain-pool parallelism, graceful failure
    collection, deterministic merge order) is written in exactly one
@@ -18,11 +18,9 @@
 open Trips_sim
 open Trips_workloads
 
-type baseline = {
-  base_compiled : Pipeline.compiled;
+type baseline = Stage.baseline = {
   base_functional : Func_sim.result;
   base_cycles : Cycle_sim.result option;
-      (* present when the spec asked for a cycle-simulated baseline *)
 }
 
 type ('col, 'cell) spec = {
@@ -48,48 +46,36 @@ type 'cell outcome = {
   failures : Pipeline.failure list;
 }
 
-(* One row: BB baseline, then every column against it.  Total — any
+(* One row: BB baseline (shared through the cache with every other
+   sweep of the same source), then every column against it.  Total — any
    escape is classified into a failure by the caller via Engine. *)
 let run_row ~cache spec (w : Workload.t) :
     ('cell row, Pipeline.failure) result * Pipeline.failure list =
   match
-    Pipeline.compile_checked ?cache ~backend:spec.baseline_backend
-      Chf.Phases.Basic_blocks w
+    Pipeline.baseline ?cache ~backend:spec.baseline_backend
+      ~cycles:spec.baseline_cycles w
   with
-  | Error f -> (Error f, [])
-  | Ok bb -> (
-    match
-      let functional = Pipeline.run_functional bb in
-      let cycles =
-        if spec.baseline_cycles then Some (Pipeline.run_cycles bb) else None
-      in
-      (functional, cycles)
-    with
-    | exception e ->
-      ( Error
-          (Pipeline.failure_of_exn ~workload:w
-             ~ordering:(Some Chf.Phases.Basic_blocks) e),
-        [] )
-    | functional, cycles ->
-      let baseline =
-        { base_compiled = bb; base_functional = functional;
-          base_cycles = cycles }
-      in
-      let cells, failures =
-        List.fold_left
-          (fun (cells, failures) col ->
-            match spec.cell ~cache baseline w col with
-            | Ok c -> (c :: cells, failures)
-            | Error f -> (cells, f :: failures))
-          ([], []) spec.columns
-      in
-      ( Ok
-          {
-            row_workload = w.Workload.name;
-            row_baseline = baseline;
-            row_cells = List.rev cells;
-          },
-        List.rev failures ))
+  | exception e ->
+    ( Error
+        (Pipeline.failure_of_exn ~workload:w
+           ~ordering:(Some Chf.Phases.Basic_blocks) e),
+      [] )
+  | baseline ->
+    let cells, failures =
+      List.fold_left
+        (fun (cells, failures) col ->
+          match spec.cell ~cache baseline w col with
+          | Ok c -> (c :: cells, failures)
+          | Error f -> (cells, f :: failures))
+        ([], []) spec.columns
+    in
+    ( Ok
+        {
+          row_workload = w.Workload.name;
+          row_baseline = baseline;
+          row_cells = List.rev cells;
+        },
+      List.rev failures )
 
 let run ?cache ?jobs (spec : ('col, 'cell) spec)
     (workloads : Workload.t list) : 'cell outcome =

@@ -1,7 +1,8 @@
 (** Declarative experiment sweeps over the shared engine.
 
     A sweep is a cross-product of workloads (rows) and configurations
-    (columns): per row, compile the basic-block baseline, then compile,
+    (columns): per row, take the basic-block baseline
+    ({!Pipeline.baseline}, memoized per source), then compile,
     checksum-verify and measure one cell per column.  The per-experiment
     modules (Tables 1–3, Figure 7) supply only axes, a cell function and
     a renderer; prefix caching ({!Stage}), domain-pool parallelism
@@ -15,12 +16,13 @@
 open Trips_sim
 open Trips_workloads
 
-type baseline = {
-  base_compiled : Pipeline.compiled;  (** BB compile of the row *)
+type baseline = Stage.baseline = {
   base_functional : Func_sim.result;
   base_cycles : Cycle_sim.result option;
       (** present when the spec asked for a cycle-simulated baseline *)
 }
+(** The row's {!Pipeline.baseline}, shared through the cache with every
+    sweep of the same source. *)
 
 type ('col, 'cell) spec = {
   columns : 'col list;

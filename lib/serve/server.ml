@@ -58,11 +58,10 @@ let stats t =
     st_timed_out = k.Scheduler.k_timed_out;
     st_crashed = k.Scheduler.k_crashed;
     st_stores =
-      [
-        store "serve.prefix"
-          (Stage.store_counters (Worker.prefix_cache t.worker));
-        store "serve.output" (Store.counters (Worker.output_store t.worker));
-      ];
+      List.map
+        (fun (name, c) -> store name c)
+        (Stage.store_counters (Worker.cache t.worker))
+      @ [ store "serve.output" (Store.counters (Worker.output_store t.worker)) ];
     st_degraded = Scheduler.degraded t.sched;
     st_window = Telemetry.win_snapshot ();
   }
@@ -168,13 +167,11 @@ let start ?workers ?queue_depth ?default_deadline_s ?store_capacity
   let workers =
     match workers with Some w -> max 1 w | None -> Engine.default_jobs ()
   in
-  let prefix_store =
-    Store.create ?capacity:store_capacity ~name:"serve.prefix" ()
-  in
+  let cache = Stage.create ?capacity:store_capacity ~name:"serve" () in
   let output_store =
     Store.create ?capacity:store_capacity ~name:"serve.output" ()
   in
-  let worker = Worker.create ~prefix_store ~output_store () in
+  let worker = Worker.create ~cache ~output_store () in
   let handlers = Worker.handlers worker in
   (match trace_ring with
   | Some n -> Telemetry.set_ring_capacity n

@@ -2,7 +2,7 @@
 
     A store is a mutex-guarded, size-bounded LRU table from a structured
     {!key} — (source digest, stage, configuration digest) — to an
-    artifact.  It generalizes the per-sweep [Stage] prefix cache into the
+    artifact.  It generalizes the per-sweep [Stage] caches into the
     cache the compilation service shares across {e requests}: two clients
     compiling the same source under the same configuration hit the same
     entry, whichever worker domain serves them.

@@ -1,16 +1,19 @@
 (* The worker role: execute serve jobs against shared artifact stores.
 
-   Two stores back every worker domain:
+   Three stores back every worker domain:
 
-   - the lower+profile prefix store, shared with the one-shot sweeps
-     through Stage.of_store, so concurrent requests for the same source
-     share the expensive front half of the pipeline;
+   - the two stores of one Stage.cache, shared by every request: the
+     lower+profile prefix of each source, so concurrent requests for the
+     same source share the expensive front half of the pipeline, and its
+     basic-block baseline (functional checksum and cycles), so a second
+     ordering or policy of a source skips the BB compile and both of its
+     simulations;
 
    - a rendered-output store keyed by (workload content digest, job
      kind, configuration): a repeated request is answered from the store
      without compiling at all.  Outputs are deterministic, so a stored
      reply is byte-identical to a recomputed one — the same argument that
-     makes the prefix cache sound.
+     makes the stage cache sound.
 
    The compile report text lives here (not in bin/chfc.ml) and the CLI
    prints it verbatim, so "served output = one-shot output" holds by
@@ -64,13 +67,10 @@ let policy_of_name = function
    cannot re-flow them and the bytes are identical. *)
 let compile_report ?cache ~ordering ~config ~backend ~verify w =
   try
-    let bb =
-      Pipeline.compile ?cache ~config ~backend Chf.Phases.Basic_blocks w
-    in
-    let baseline = Pipeline.run_functional bb in
-    let bb_cycles = Pipeline.run_cycles bb in
+    let base = Pipeline.baseline ?cache ~backend ~cycles:true w in
+    let bb_cycles = Option.get base.Stage.base_cycles in
     let c = Pipeline.compile ?cache ~config ~backend ~verify ordering w in
-    let r = Pipeline.verify_against ~baseline c in
+    let r = Pipeline.verify_against ~baseline:base.Stage.base_functional c in
     let cycles = Pipeline.run_cycles c in
     (* report rendering under its own span, so a request's latency
        breakdown separates compute from formatting *)
@@ -121,23 +121,21 @@ let compile_report ?cache ~ordering ~config ~backend ~verify w =
 (* ---- the worker role ---------------------------------------------------- *)
 
 type t = {
-  prefix_store : Stage.prefix Store.t;
+  cache : Stage.cache;
   outputs : string Store.t;
 }
 
-let create ?prefix_store ?output_store () =
+let create ?cache ?output_store () =
   {
-    prefix_store =
-      (match prefix_store with
-      | Some s -> s
-      | None -> Store.create ~name:"serve.prefix" ());
+    cache =
+      (match cache with Some c -> c | None -> Stage.create ~name:"serve" ());
     outputs =
       (match output_store with
       | Some s -> s
       | None -> Store.create ~name:"serve.output" ());
   }
 
-let prefix_cache t = Stage.of_store t.prefix_store
+let cache t = t.cache
 let output_store t = t.outputs
 
 (* A chaos-poisoned compile: inject the Strip_exits fault into a copy of
@@ -196,10 +194,9 @@ let w_compile t (s : Protocol.compile_spec) : Protocol.output =
   | Error (`Msg m), _, _ | _, Error (`Msg m), _ | _, _, Error (`Msg m) ->
     bad_request m
   | Ok w, Ok ordering, Ok config -> (
-    let cache = Stage.of_store t.prefix_store in
     let compile () =
       match
-        compile_report ~cache ~ordering ~config ~backend:s.Protocol.cs_backend
+        compile_report ~cache:t.cache ~ordering ~config ~backend:s.Protocol.cs_backend
           ~verify:s.Protocol.cs_verify w
       with
       | Ok (c, text) -> Ok (c, text)
@@ -246,8 +243,7 @@ let w_report t (s : Protocol.report_spec) : Protocol.output =
     in
     with_output_cache t ~src:(selection_key workloads) ~kind:"report"
       ~config:config_key (fun () ->
-        let cache = Stage.of_store t.prefix_store in
-        let o = Reporter.run ~config ~cache ~jobs:1 ~ordering ~workloads () in
+        let o = Reporter.run ~config ~cache:t.cache ~jobs:1 ~ordering ~workloads () in
         Ok (Trace.span "render" (fun () -> Fmt.str "%a" Reporter.render o)))
 
 let w_sweep_cell t (s : Protocol.sweep_spec) : Protocol.output =
@@ -296,7 +292,7 @@ let w_sweep_cell t (s : Protocol.sweep_spec) : Protocol.output =
       match selection with Ok ws -> selection_key ws | Error _ -> "?"
     in
     with_output_cache t ~src ~kind:"sweep" ~config:s.Protocol.ss_table
-      (fun () -> Ok (render (Stage.of_store t.prefix_store)))
+      (fun () -> Ok (render t.cache))
 
 let handlers t =
   {

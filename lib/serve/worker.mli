@@ -1,11 +1,11 @@
 (** The worker role: execute serve jobs against shared artifact stores.
 
     One {!t} is shared by every worker domain of the daemon: it carries
-    the shared lower+profile prefix cache (a {!Trips_harness.Stage.cache}
-    view over a {!Trips_store.Store}) and a second store of rendered
+    one {!Trips_harness.Stage.cache} (the lower+profile prefix and the
+    basic-block baseline of each source) and a store of rendered
     outputs keyed by (workload content digest, job kind, configuration).
     Repeated requests for the same source under the same configuration
-    are served from the store; everything in both stores is immutable and
+    are served from the store; every stored artifact is immutable and
     produced deterministically, so a stored reply is byte-identical to a
     recomputed one.
 
@@ -35,21 +35,21 @@ val compile_report :
 (** Compile a workload and render the [chfc compile] report text
     (workload/ordering/merges/static/back end/functional/cycles/
     mispredictions/verified lines, one per line, exactly as the CLI
-    prints them).  [Error msg] carries the rendered verification or
-    miscompilation failure. *)
+    prints them).  The basic-block baseline comes from
+    {!Pipeline.baseline}, so with a [cache] a second ordering or policy
+    of the same source reuses it.  [Error msg] carries the rendered
+    verification or miscompilation failure. *)
 
 (** {1 The worker role} *)
 
 type t
 
 val create :
-  ?prefix_store:Stage.prefix Trips_store.Store.t ->
-  ?output_store:string Trips_store.Store.t ->
-  unit ->
-  t
-(** Fresh stores by default; the daemon passes its shared ones. *)
+  ?cache:Stage.cache -> ?output_store:string Trips_store.Store.t -> unit -> t
+(** Fresh stores by default ([serve.prefix], [serve.baseline],
+    [serve.output]); the daemon passes its own. *)
 
-val prefix_cache : t -> Stage.cache
+val cache : t -> Stage.cache
 val output_store : t -> string Trips_store.Store.t
 
 val handlers : t -> Protocol.worker

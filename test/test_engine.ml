@@ -133,24 +133,38 @@ let test_experiments_cache_and_jobs_invariant () =
   let micro = workloads_of [ "sieve"; "vadd"; "gzip_1" ] in
   let spec = List.filter_map Spec_like.by_name [ "mcf"; "gzip" ] in
   check Alcotest.int "two SPEC-like programs" 2 (List.length spec);
-  let renders ~cache ~jobs =
-    [
-      ( "table2",
-        Fmt.str "%a" Table2.render
-          (Table2.run ~cache ~jobs ~workloads:micro ()) );
-      ( "figure7",
-        Fmt.str "%a" Figure7.render
-          (Table1.run ~cache ~jobs ~workloads:micro ()) );
-      ( "table3",
-        Fmt.str "%a" Table3.render (Table3.run ~cache ~jobs ~workloads:spec ())
-      );
-    ]
+  let baselines cache =
+    let k = List.assoc "stage.baseline" (Stage.store_counters cache) in
+    (k.Trips_store.Store.hits, k.Trips_store.Store.misses)
   in
-  let oracle = renders ~cache:(Stage.disabled ()) ~jobs:1 in
+  (* in order: Table 2, then Table 1 (Figure 7) on the baselines Table 2
+     stored, then Table 3; returns the baseline counters around Table 1 *)
+  let renders ~cache ~jobs =
+    let table2 =
+      Fmt.str "%a" Table2.render (Table2.run ~cache ~jobs ~workloads:micro ())
+    in
+    let stored = baselines cache in
+    let figure7 =
+      Fmt.str "%a" Figure7.render (Table1.run ~cache ~jobs ~workloads:micro ())
+    in
+    let reused = baselines cache in
+    let table3 =
+      Fmt.str "%a" Table3.render (Table3.run ~cache ~jobs ~workloads:spec ())
+    in
+    ( [ ("table2", table2); ("figure7", figure7); ("table3", table3) ],
+      (stored, reused) )
+  in
+  let oracle, _ = renders ~cache:(Stage.disabled ()) ~jobs:1 in
   let cached = Stage.create () in
-  let hot = renders ~cache:cached ~jobs:4 in
+  let hot, (stored, reused) = renders ~cache:cached ~jobs:4 in
   check Alcotest.bool "the cached sweep hit its cache" true
     ((Stage.stats cached).Stage.cache_hits > 0);
+  check
+    Alcotest.(pair int int)
+    "Table 2 stored three baselines" (0, 3) stored;
+  check
+    Alcotest.(pair int int)
+    "Table 1 hit the three baselines Table 2 stored" (3, 3) reused;
   List.iter2
     (fun (name, want) (_, got) ->
       check Alcotest.string (name ^ ": cache on -j4 = cache off -j1") want got)

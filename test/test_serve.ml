@@ -447,6 +447,91 @@ let test_served_byte_identity () =
   Alcotest.(check bool) "the compile was counted" true
     (stats.P.st_completed >= 1)
 
+(* ---- the basic-block baseline is computed once per source ------------- *)
+
+(* One worker serves sieve under two orderings and policies, then a
+   chaos-poisoned sieve.  The baseline store misses once and then hits,
+   and the back end runs once for the baseline in total: three formed
+   compiles plus one BB compile.  Both replies equal the cache-less
+   one-shot report. *)
+let test_baseline_once_per_source () =
+  let module Worker = Trips_serve.Worker in
+  let module Stage = Trips_harness.Stage in
+  let module Metrics = Trips_obs.Metrics in
+  let sieve =
+    match Trips_workloads.Micro.by_name "sieve" with
+    | Some w -> w
+    | None -> Alcotest.fail "workload sieve missing"
+  in
+  let backend_runs () =
+    match
+      List.assoc_opt "stage.time.backend"
+        (Metrics.snapshot ()).Metrics.histograms
+    with
+    | Some h -> h.Metrics.h_count
+    | None -> 0
+  in
+  let counting f =
+    let before = backend_runs () in
+    let v = f () in
+    (v, backend_runs () - before)
+  in
+  let oneshot ordering policy =
+    let config =
+      match Worker.policy_of_name policy with
+      | Ok c -> c
+      | Error (`Msg m) -> Alcotest.fail m
+    in
+    counting (fun () ->
+        match
+          Worker.compile_report ~ordering ~config ~backend:true ~verify:false
+            sieve
+        with
+        | Ok (_, text) -> text
+        | Error m -> Alcotest.fail ("one-shot compile failed: " ^ m))
+  in
+  let merged, merged_runs = oneshot Chf.Phases.Iupo_merged "bf" in
+  let upio, upio_runs = oneshot Chf.Phases.Upio "df" in
+  let (), bb_runs =
+    counting (fun () ->
+        ignore
+          (Trips_harness.Pipeline.baseline ~backend:true ~cycles:true sieve))
+  in
+  let worker = Worker.create () in
+  let h = Worker.handlers worker in
+  let baselines () =
+    List.assoc "serve.baseline" (Stage.store_counters (Worker.cache worker))
+  in
+  let (first, after_first, second), served_runs =
+    counting (fun () ->
+        let first = h.P.w_compile spec in
+        let after_first = baselines () in
+        let second =
+          h.P.w_compile { spec with P.cs_ordering = "upio"; cs_policy = "df" }
+        in
+        (match h.P.w_compile { spec with P.cs_chaos_seed = Some 3 } with
+        | exception Failure _ -> ()
+        | _ -> Alcotest.fail "chaos-poisoned compile did not raise");
+        (first, after_first, second))
+  in
+  let final = baselines () in
+  Alcotest.(check (pair int int))
+    "first request: one baseline miss" (0, 1)
+    (after_first.Store.hits, after_first.Store.misses);
+  Alcotest.(check (pair int int))
+    "later requests hit the baseline" (2, 1)
+    (final.Store.hits, final.Store.misses);
+  Alcotest.(check int) "one BB back-end run for three requests"
+    (merged_runs + upio_runs + merged_runs - (2 * bb_runs))
+    served_runs;
+  let served name = function
+    | Ok text -> text
+    | Error e -> Alcotest.failf "%s: %a" name P.pp_served_error e
+  in
+  Alcotest.(check string) "iupo-merged/bf = one-shot" merged
+    (served "iupo-merged/bf" first);
+  Alcotest.(check string) "upio/df = one-shot" upio (served "upio/df" second)
+
 (* ---- client descriptor hygiene ------------------------------------------ *)
 
 let test_client_close_once () =
@@ -561,6 +646,8 @@ let suite =
         `Quick test_scheduler_drain_refuses;
       Alcotest.test_case "serve: socket round-trip is byte-identical" `Quick
         test_served_byte_identity;
+      Alcotest.test_case "serve: one basic-block baseline per source" `Quick
+        test_baseline_once_per_source;
       Alcotest.test_case "client: close closes its descriptor once" `Quick
         test_client_close_once;
       pool_equivalence_prop;

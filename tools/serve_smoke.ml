@@ -11,6 +11,9 @@
    - a chaos-poisoned request fails with a structured compile error
      naming the injection, and its crash is confined (the next request
      on the same connection succeeds);
+   - an already-served kernel under a second ordering equals the
+     one-shot output, and the basic-block baseline store has hits: a
+     source's baseline is computed once, not once per request;
    - a past-deadline request on a source the stores have not seen
      answers timed-out without wedging the pool;
    - the stats reply accounts for all of the above (completions, one
@@ -36,11 +39,11 @@ module S = Trips_serve.Server
 
 let fail fmt = Fmt.kstr (fun m -> Fmt.epr "serve-smoke: FAIL: %s@." m; exit 1) fmt
 
-let compile ?deadline ?chaos name =
+let compile ?(ordering = "iupo-merged") ?deadline ?chaos name =
   P.Compile
     {
       P.cs_workload = name;
-      cs_ordering = "iupo-merged";
+      cs_ordering = ordering;
       cs_policy = "bf";
       cs_backend = true;
       cs_verify = false;
@@ -50,12 +53,12 @@ let compile ?deadline ?chaos name =
 
 (* The one-shot pipeline's report for [name], the bytes a served compile
    must reproduce. *)
-let oneshot name =
+let oneshot ?(ordering = Chf.Phases.Iupo_merged) name =
   match Trips_workloads.Micro.by_name name with
   | None -> fail "workload %s missing" name
   | Some w -> (
     match
-      Trips_serve.Worker.compile_report ~ordering:Chf.Phases.Iupo_merged
+      Trips_serve.Worker.compile_report ~ordering
         ~config:Chf.Policy.edge_default ~backend:true ~verify:false w
     with
     | Error m -> fail "one-shot compile of %s failed: %s" name m
@@ -159,6 +162,13 @@ let () =
         if text <> Hashtbl.find first "sieve" then
           fail "request after a crash is not byte-identical"
       | Error e -> fail "request after a crash: %a" P.pp_served_error e);
+  (* an already-served kernel under a second ordering: its baseline comes
+     from the baseline store, and the bytes still match the one-shot *)
+  (match C.with_conn ~socket (fun c -> C.rpc c (compile ~ordering:"upio" "sieve")) with
+  | Ok text ->
+    if text <> oneshot ~ordering:Chf.Phases.Upio "sieve" then
+      fail "served sieve under upio differs from the one-shot compile"
+  | Error e -> fail "sieve under upio: %a" P.pp_served_error e);
   (* past-deadline request on an unseen source *)
   (match
      C.with_conn ~socket (fun c -> C.rpc c (compile ~deadline:1e-6 "gzip_1"))
@@ -180,6 +190,11 @@ let () =
     List.find (fun s -> s.P.sc_name = "serve.output") st.P.st_stores
   in
   if output.P.sc_hits = 0 then fail "output store never hit on repeats";
+  (match List.find_opt (fun s -> s.P.sc_name = "serve.baseline") st.P.st_stores with
+  | None -> fail "stats: no serve.baseline store"
+  | Some b ->
+    if b.P.sc_hits = 0 then
+      fail "baseline store never hit after the chaos-poisoned sieve");
   (* rolling-window accounting: every request appears exactly once, under
      its outcome class, and the window agrees with the lifetime counters
      (the whole smoke fits inside the 30s window) *)
@@ -188,9 +203,10 @@ let () =
   let ok = W.counter_value w "serve.req.ok"
   and crashed = W.counter_value w "serve.req.crashed"
   and timed_out = W.counter_value w "serve.req.timed_out" in
-  (* 6 listed + 1 after-crash + 1 after-timeout compiles succeeded *)
-  if ok <> List.length names + 2 then
-    fail "window: %d ok requests, expected %d" ok (List.length names + 2);
+  (* 6 listed + 1 after-crash + 1 second-ordering + 1 after-timeout
+     compiles succeeded *)
+  if ok <> List.length names + 3 then
+    fail "window: %d ok requests, expected %d" ok (List.length names + 3);
   if crashed <> st.P.st_crashed then
     fail "window: %d crashed vs %d lifetime" crashed st.P.st_crashed;
   if timed_out <> st.P.st_timed_out then

@@ -102,12 +102,14 @@ serve-smoke: build
 telemetry-check: build
 	dune exec tools/telemetry_check.exe
 
-# Benchmark smoke: one short untraced run each of the paper-micro and
-# spec-gen workloads of perf/ (see perf/README.md).  Every run
-# byte-checks its warmup rep against perf/golden/, and the gate fails
-# unless the result line (the last line on stdout) reads "correct": true.
+# Benchmark smoke: one short untraced run of each perf/ workload (see
+# perf/README.md): paper-micro and spec-gen byte-check their warmup rep
+# against perf/golden/, and serve-miss drives a daemon with compile
+# requests that all miss its output store and checks every reply.  The
+# gate fails unless each result line (the last line on stdout) reads
+# "correct": true.
 perf-check: build
-	@for w in paper-micro spec-gen; do \
+	@for w in paper-micro spec-gen serve-miss; do \
 	  line=$$(bash perf/run.sh --workload $$w --seed 0 --seconds 5 --trace 0 | tail -n 1); \
 	  echo "perf-check $$w: $$line"; \
 	  case "$$line" in *'"correct": true'*) ;; *) exit 1 ;; esac; \

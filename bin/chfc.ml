@@ -521,19 +521,22 @@ let report_cache cache cache_stats =
       (Stage.store_counters cache)
   end
 
-let micro_selection names =
-  match names with
-  | [] -> Micro.all
-  | names -> List.filter_map Micro.by_name names
+(* the daemon's selection rule: an unknown name is an error, exit 2 *)
+let select_workloads ~default names =
+  match Trips_serve.Worker.select_workloads ~default names with
+  | Ok ws -> ws
+  | Error (`Msg m) ->
+    Fmt.epr "chfc: %s@." m;
+    exit 2
 
 let table1_cmd =
   let doc = "Reproduce Table 1 (phase orderings, cycle counts)." in
   let run names jobs cache_stats deadline trace chrome metrics metrics_json =
+    let workloads = select_workloads ~default:Micro.all names in
     apply_stage_deadline deadline;
     with_obs trace chrome metrics metrics_json (fun () ->
         let jobs, cache = sweep_env jobs in
-        Table1.render Fmt.stdout
-          (Table1.run ~cache ~jobs ~workloads:(micro_selection names) ());
+        Table1.render Fmt.stdout (Table1.run ~cache ~jobs ~workloads ());
         report_cache cache cache_stats)
   in
   Cmd.v (Cmd.info "table1" ~doc)
@@ -545,11 +548,11 @@ let table1_cmd =
 let table2_cmd =
   let doc = "Reproduce Table 2 (block-selection heuristics)." in
   let run names jobs cache_stats deadline trace chrome metrics metrics_json =
+    let workloads = select_workloads ~default:Micro.all names in
     apply_stage_deadline deadline;
     with_obs trace chrome metrics metrics_json (fun () ->
         let jobs, cache = sweep_env jobs in
-        Table2.render Fmt.stdout
-          (Table2.run ~cache ~jobs ~workloads:(micro_selection names) ());
+        Table2.render Fmt.stdout (Table2.run ~cache ~jobs ~workloads ());
         report_cache cache cache_stats)
   in
   Cmd.v (Cmd.info "table2" ~doc)
@@ -561,11 +564,7 @@ let table2_cmd =
 let table3_cmd =
   let doc = "Reproduce Table 3 (SPEC-like block counts)." in
   let run names jobs cache_stats deadline trace chrome metrics metrics_json =
-    let workloads =
-      match names with
-      | [] -> Spec_like.all
-      | names -> List.filter_map Spec_like.by_name names
-    in
+    let workloads = select_workloads ~default:Spec_like.all names in
     apply_stage_deadline deadline;
     with_obs trace chrome metrics metrics_json (fun () ->
         let jobs, cache = sweep_env jobs in
@@ -581,11 +580,11 @@ let table3_cmd =
 let figure7_cmd =
   let doc = "Reproduce Figure 7 (cycle vs block count reduction)." in
   let run names jobs cache_stats deadline trace chrome metrics metrics_json =
+    let workloads = select_workloads ~default:Micro.all names in
     apply_stage_deadline deadline;
     with_obs trace chrome metrics metrics_json (fun () ->
         let jobs, cache = sweep_env jobs in
-        Figure7.render Fmt.stdout
-          (Table1.run ~cache ~jobs ~workloads:(micro_selection names) ());
+        Figure7.render Fmt.stdout (Table1.run ~cache ~jobs ~workloads ());
         report_cache cache cache_stats)
   in
   Cmd.v (Cmd.info "figure7" ~doc)
@@ -635,13 +634,11 @@ let report_cmd =
       Fmt.epr "chfc: %s@." m;
       exit 2
     | Ok ordering, Ok config ->
+      let workloads = select_workloads ~default:Micro.all names in
       apply_stage_deadline deadline;
       with_obs trace chrome metrics metrics_json (fun () ->
           let jobs, cache = sweep_env jobs in
-          let o =
-            Reporter.run ~config ~cache ~jobs ~ordering
-              ~workloads:(micro_selection names) ()
-          in
+          let o = Reporter.run ~config ~cache ~jobs ~ordering ~workloads () in
           (match out with
           | Some path -> write_text_file path (Fmt.str "%a" Reporter.render o)
           | None -> Reporter.render Fmt.stdout o);
@@ -899,7 +896,7 @@ let stats_cmd =
   in
   let render_text (s : Trips_serve.Protocol.stats_payload) =
     let module P = Trips_serve.Protocol in
-    let module W = Trips_obs.Telemetry.Window in
+    let module W = Trips_obs.Metrics.Window in
     Fmt.pr "daemon      : protocol v%d, up %.1fs, %d worker domain(s)%s@."
       s.P.st_version s.P.st_uptime_s s.P.st_workers
       (if s.P.st_degraded then "  [DEGRADED]" else "");
@@ -919,9 +916,9 @@ let stats_cmd =
     List.iter (fun (n, v) -> Fmt.pr "  %-34s %8d@." n v) w.W.w_counters;
     List.iter (fun (n, v) -> Fmt.pr "  %-34s %12.3f  (gauge)@." n v) w.W.w_gauges;
     List.iter
-      (fun (n, (q : W.quantiles)) ->
-        Fmt.pr "  %-34s n=%-5d p50=%.4f p90=%.4f p99=%.4f@." n q.W.q_count
-          q.W.q_p50 q.W.q_p90 q.W.q_p99)
+      (fun (n, (h : Trips_obs.Metrics.histogram)) ->
+        Fmt.pr "  %-34s n=%-5d p50=%.4f p90=%.4f p99=%.4f@." n h.h_count
+          h.h_p50 h.h_p90 h.h_p99)
       w.W.w_histograms
   in
   let run socket prom watch =

@@ -146,8 +146,9 @@ let instantiate (p : prefix) : lowered =
    stores (Trips_store.Store), one per artifact: each store owns its
    mutex, its LRU bound and its hit/miss/eviction counters, so the
    [chfc serve] daemon's one cache is shared by every concurrent
-   request.  The historical [cache_stats] view (prefix only) and the
-   [stage.cache.*] metrics are preserved on top. *)
+   request.  The historical [cache_stats] view (prefix only) is kept on
+   top; the stores count every lookup in Metrics as
+   [store.<name>.{hit,miss,eviction}]. *)
 
 module Store = Trips_store.Store
 
@@ -184,20 +185,12 @@ let stats c =
 (* Look [key] up in [store], computing and storing on a miss (outside
    the lock, so other domains' lookups proceed).  A disabled cache
    recomputes every time and counts a miss. *)
-let memo c store key ?(on_hit = ignore) compute =
+let memo c store key compute =
   if not c.enabled then begin
     Store.record_miss store;
     compute ()
   end
-  else
-    match Store.find store key with
-    | Some v ->
-      on_hit ();
-      v
-    | None ->
-      let v = compute () in
-      Store.add store key v;
-      v
+  else Store.find_or_add store key (fun _ -> compute ())
 
 let prefix ?cache (w : Workload.t) : prefix =
   let key = content_key w in
@@ -206,10 +199,7 @@ let prefix ?cache (w : Workload.t) : prefix =
   | Some c ->
     memo c c.prefixes
       { Store.src = key; stage = "prefix"; config = "" }
-      ~on_hit:(fun () -> Trips_obs.Metrics.incr "stage.cache.hit")
-      (fun () ->
-        Trips_obs.Metrics.incr "stage.cache.miss";
-        compute_prefix w key)
+      (fun () -> compute_prefix w key)
 
 let baseline ?cache ~backend ~cycles (w : Workload.t) compute : baseline =
   match cache with

@@ -1,18 +1,19 @@
 (* Request-scoped telemetry: trace contexts, per-request span trees and
-   a rolling-window aggregation layer.
+   the ring of finished ones.
 
-   This module is deliberately self-contained (no dependency on Trace or
-   Metrics — both of *them* call in here), so it can sit at the bottom
-   of the obs stack: Trace.span / Trace.record / Metrics.incr notify the
-   collector installed on the calling domain, and the serve scheduler
-   owns the collector's lifecycle (start at dequeue, finish at
+   Metrics sits below this module and Trace above it: Trace.span /
+   Trace.record notify the collector installed on the calling domain,
+   Metrics.incr counts into the collector's counter table (installed
+   through Metrics.with_request_counters by [run]), and the serve
+   scheduler owns the collector's lifecycle (start at dequeue, finish at
    completion).
 
    Determinism contract: nothing in this module touches the Trace event
-   stream or the Metrics registry, so with no collector installed — the
-   one-shot CLI and tests — every existing output is byte-identical, and
-   a served request's outputs match the one-shot pipeline's.  Within one
-   request the collector is purely domain-local (a request executes
+   stream or the Metrics registry — it writes only the daemon's rolling
+   window, Metrics.window — so with no collector installed (the one-shot
+   CLI and tests) every existing output is byte-identical, and a served
+   request's outputs match the one-shot pipeline's.  Within one request
+   the collector is purely domain-local (a request executes
    start-to-finish on one worker domain), so the per-request event order
    is the sequential order regardless of [--jobs]. *)
 
@@ -39,234 +40,6 @@ let mint ?deadline_s ?chaos_seed () =
   let id = "req-" ^ String.sub (Digest.to_hex (Digest.string raw)) 0 12 in
   Some
     { tc_id = id; tc_parent = 0; tc_deadline_s = deadline_s; tc_chaos_seed = chaos_seed }
-
-(* ---- rolling window ---------------------------------------------------- *)
-
-let sorted_bindings tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let quantile_of_sorted sorted n q =
-  if n = 0 then 0.0
-  else begin
-    let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
-    let rank = if rank < 1 then 1 else if rank > n then n else rank in
-    List.nth sorted (rank - 1)
-  end
-
-module Window = struct
-  type quantiles = {
-    q_count : int;
-    q_sum : float;
-    q_min : float;
-    q_max : float;
-    q_p50 : float;
-    q_p90 : float;
-    q_p99 : float;
-  }
-
-  type snapshot = {
-    w_span_s : float;
-    w_counters : (string * int) list;
-    w_gauges : (string * float) list;
-    w_histograms : (string * quantiles) list;
-  }
-
-  (* One fixed-width time bucket.  [b_epoch] is the absolute bucket
-     index (now / bucket_s); a bucket whose epoch has rotated out of the
-     live range is logically empty and is reset lazily on reuse. *)
-  type bucket = {
-    mutable b_epoch : int;  (* -1 = never used *)
-    b_counts : (string, int) Hashtbl.t;
-    b_samples : (string, float list ref) Hashtbl.t;
-  }
-
-  type t = {
-    w_m : Mutex.t;
-    w_bucket_s : float;
-    w_buckets : bucket array;
-    w_gauge_tbl : (string, float) Hashtbl.t;
-  }
-
-  let create ?(buckets = 30) ?(bucket_s = 1.0) () =
-    {
-      w_m = Mutex.create ();
-      w_bucket_s = (if bucket_s <= 0.0 then 1.0 else bucket_s);
-      w_buckets =
-        Array.init (max 1 buckets) (fun _ ->
-            { b_epoch = -1; b_counts = Hashtbl.create 8; b_samples = Hashtbl.create 8 });
-      w_gauge_tbl = Hashtbl.create 8;
-    }
-
-  let span_s t = float_of_int (Array.length t.w_buckets) *. t.w_bucket_s
-  let epoch_of t now = int_of_float (now /. t.w_bucket_s)
-  let now_or = function Some n -> n | None -> Unix.gettimeofday ()
-
-  let live t ~epoch_now e =
-    e >= 0 && e > epoch_now - Array.length t.w_buckets && e <= epoch_now
-
-  (* with [w_m] held: the bucket slot for [epoch], reset if it still
-     holds an older rotation; [None] if a newer epoch already occupies
-     the slot (writing "into the past" across the ring seam). *)
-  let bucket_at t epoch =
-    let n = Array.length t.w_buckets in
-    let b = t.w_buckets.(((epoch mod n) + n) mod n) in
-    if b.b_epoch = epoch then Some b
-    else if b.b_epoch > epoch then None
-    else begin
-      Hashtbl.reset b.b_counts;
-      Hashtbl.reset b.b_samples;
-      b.b_epoch <- epoch;
-      Some b
-    end
-
-  let incr t ?now ?(by = 1) name =
-    let now = now_or now in
-    Mutex.protect t.w_m (fun () ->
-        match bucket_at t (epoch_of t now) with
-        | None -> ()
-        | Some b ->
-          let v = Option.value ~default:0 (Hashtbl.find_opt b.b_counts name) in
-          Hashtbl.replace b.b_counts name (v + by))
-
-  let observe t ?now name x =
-    let now = now_or now in
-    Mutex.protect t.w_m (fun () ->
-        match bucket_at t (epoch_of t now) with
-        | None -> ()
-        | Some b -> (
-          match Hashtbl.find_opt b.b_samples name with
-          | Some r -> r := x :: !r
-          | None -> Hashtbl.replace b.b_samples name (ref [ x ])))
-
-  let set_gauge t name v =
-    Mutex.protect t.w_m (fun () -> Hashtbl.replace t.w_gauge_tbl name v)
-
-  let gauge_value t name =
-    Mutex.protect t.w_m (fun () -> Hashtbl.find_opt t.w_gauge_tbl name)
-
-  (* Copy [src]'s live buckets into [into], aligning epochs through
-     absolute time (the two windows may use different bucket widths).
-     Locks are taken one at a time — src is drained to a list first — so
-     merging in both directions from two domains cannot deadlock. *)
-  let merge ~into ?now src =
-    if into != src then begin
-      let now = now_or now in
-      let data, gauges =
-        Mutex.protect src.w_m (fun () ->
-            ( Array.to_list src.w_buckets
-              |> List.filter_map (fun b ->
-                     if b.b_epoch < 0 then None
-                     else
-                       Some
-                         ( b.b_epoch,
-                           sorted_bindings b.b_counts,
-                           Hashtbl.fold
-                             (fun k r acc -> (k, !r) :: acc)
-                             b.b_samples [] )),
-              sorted_bindings src.w_gauge_tbl ))
-      in
-      Mutex.protect into.w_m (fun () ->
-          let epoch_now = epoch_of into now in
-          List.iter
-            (fun (src_epoch, counts, samples) ->
-              let t0 = float_of_int src_epoch *. src.w_bucket_s in
-              let epoch = epoch_of into t0 in
-              if live into ~epoch_now epoch then
-                match bucket_at into epoch with
-                | None -> ()
-                | Some b ->
-                  List.iter
-                    (fun (k, v) ->
-                      let cur =
-                        Option.value ~default:0 (Hashtbl.find_opt b.b_counts k)
-                      in
-                      Hashtbl.replace b.b_counts k (cur + v))
-                    counts;
-                  List.iter
-                    (fun (k, xs) ->
-                      match Hashtbl.find_opt b.b_samples k with
-                      | Some r -> r := xs @ !r
-                      | None -> Hashtbl.replace b.b_samples k (ref xs))
-                    samples)
-            data;
-          List.iter
-            (fun (k, v) -> Hashtbl.replace into.w_gauge_tbl k v)
-            gauges)
-    end
-
-  let snapshot ?now t =
-    let now = now_or now in
-    Mutex.protect t.w_m (fun () ->
-        let epoch_now = epoch_of t now in
-        let counts : (string, int) Hashtbl.t = Hashtbl.create 16 in
-        let samples : (string, float list) Hashtbl.t = Hashtbl.create 16 in
-        Array.iter
-          (fun b ->
-            if live t ~epoch_now b.b_epoch then begin
-              Hashtbl.iter
-                (fun k v ->
-                  let cur = Option.value ~default:0 (Hashtbl.find_opt counts k) in
-                  Hashtbl.replace counts k (cur + v))
-                b.b_counts;
-              Hashtbl.iter
-                (fun k r ->
-                  let cur =
-                    Option.value ~default:[] (Hashtbl.find_opt samples k)
-                  in
-                  Hashtbl.replace samples k (!r @ cur))
-                b.b_samples
-            end)
-          t.w_buckets;
-        let histograms =
-          sorted_bindings samples
-          |> List.map (fun (name, xs) ->
-                 let sorted = List.sort compare xs in
-                 let n = List.length sorted in
-                 let q p = quantile_of_sorted sorted n p in
-                 let sum = List.fold_left ( +. ) 0.0 sorted in
-                 ( name,
-                   {
-                     q_count = n;
-                     q_sum = sum;
-                     q_min = (match sorted with x :: _ -> x | [] -> 0.0);
-                     q_max =
-                       (match List.rev sorted with x :: _ -> x | [] -> 0.0);
-                     q_p50 = q 0.5;
-                     q_p90 = q 0.9;
-                     q_p99 = q 0.99;
-                   } ))
-        in
-        {
-          w_span_s = span_s t;
-          w_counters = sorted_bindings counts;
-          w_gauges = sorted_bindings t.w_gauge_tbl;
-          w_histograms = histograms;
-        })
-
-  let reset t =
-    Mutex.protect t.w_m (fun () ->
-        Array.iter
-          (fun b ->
-            b.b_epoch <- -1;
-            Hashtbl.reset b.b_counts;
-            Hashtbl.reset b.b_samples)
-          t.w_buckets;
-        Hashtbl.reset t.w_gauge_tbl)
-
-  let counter_value s name =
-    Option.value ~default:0 (List.assoc_opt name s.w_counters)
-
-  let quantiles s name = List.assoc_opt name s.w_histograms
-end
-
-(* the daemon's window: 30 one-second buckets *)
-let global_window = Window.create ()
-
-let win_incr ?by name = Window.incr global_window ?by name
-let win_observe name x = Window.observe global_window name x
-let win_gauge name v = Window.set_gauge global_window name v
-let win_snapshot () = Window.snapshot global_window
 
 (* ---- per-request span-tree collector ----------------------------------- *)
 
@@ -372,11 +145,13 @@ let start ctx ~kind ~queue_wait_s =
 let run act f =
   match act with
   | None -> f ()
-  | Some _ ->
+  | Some a ->
     let slot = Domain.DLS.get slot_key in
     let saved = !slot in
     slot := act;
-    Fun.protect ~finally:(fun () -> slot := saved) f
+    Fun.protect
+      ~finally:(fun () -> slot := saved)
+      (fun () -> Metrics.with_request_counters a.a_counts f)
 
 let span_enter name fields =
   match !(Domain.DLS.get slot_key) with
@@ -401,7 +176,7 @@ let span_exit ~dur_s =
          never by an instrumentation exit *)
       sp.sp_dur_us <- dur_s *. 1e6;
       a.a_stack <- rest;
-      win_observe ("span." ^ sp.sp_name ^ "_s") dur_s
+      Metrics.Window.observe Metrics.window ("span." ^ sp.sp_name ^ "_s") dur_s
     | _ -> ())
 
 let note kind fields =
@@ -412,13 +187,6 @@ let note kind fields =
     a.a_notes_rev <-
       { nt_span = parent; nt_ts_us = now_us a; nt_kind = kind; nt_fields = fields }
       :: a.a_notes_rev
-
-let count ?(by = 1) name =
-  match !(Domain.DLS.get slot_key) with
-  | None -> ()
-  | Some a ->
-    let v = Option.value ~default:0 (Hashtbl.find_opt a.a_counts name) in
-    Hashtbl.replace a.a_counts name (v + by)
 
 (* ---- finished-trace ring ----------------------------------------------- *)
 
@@ -447,16 +215,17 @@ let finish act ~outcome =
     tr.tr_total_s <- tr.tr_queue_wait_s +. exec_s;
     tr.tr_spans <- List.rev a.a_spans_rev;
     tr.tr_notes <- List.rev a.a_notes_rev;
-    tr.tr_counters <- sorted_bindings a.a_counts;
+    tr.tr_counters <- Metrics.sorted_bindings a.a_counts;
     Mutex.protect ring_m (fun () ->
         Queue.push tr ring;
         while Queue.length ring > !ring_cap do
           ignore (Queue.pop ring)
         done);
-    win_incr ("serve.req." ^ outcome);
-    win_observe "serve.latency_s" tr.tr_total_s;
-    win_observe "serve.queue_wait_s" tr.tr_queue_wait_s;
-    win_observe "serve.execute_s" exec_s
+    let w = Metrics.window in
+    Metrics.Window.incr w ("serve.req." ^ outcome);
+    Metrics.Window.observe w "serve.latency_s" tr.tr_total_s;
+    Metrics.Window.observe w "serve.queue_wait_s" tr.tr_queue_wait_s;
+    Metrics.Window.observe w "serve.execute_s" exec_s
 
 let find id =
   Mutex.protect ring_m (fun () ->
@@ -469,7 +238,7 @@ let recent () =
 
 let reset () =
   Mutex.protect ring_m (fun () -> Queue.clear ring);
-  Window.reset global_window
+  Metrics.Window.reset Metrics.window
 
 (* ---- rendering and well-formedness ------------------------------------- *)
 

@@ -1,6 +1,6 @@
 (** Request-scoped telemetry for the resident compile service.
 
-    Three layers, all inert unless the serve scheduler installs a
+    Two layers, both inert unless the serve scheduler installs a
     collector on the executing domain:
 
     - a {!ctx} minted per client RPC and carried in the protocol frame,
@@ -8,10 +8,13 @@
       attributable;
     - a per-request {e span tree} assembled from the existing
       {!Trace.span} / {!Trace.record} / {!Metrics.incr} call sites
-      (those modules notify this one when a collector is {!active}),
-      kept in a bounded in-process ring of recently finished requests;
-    - a rolling {!Window} of fixed-width time buckets answering "what is
-      p99 latency {e right now}" rather than over process lifetime.
+      (Trace notifies this module when a collector is {!active};
+      Metrics counts into the collector's table), kept in a bounded
+      in-process ring of recently finished requests.
+
+    Aggregation is not kept here: a finished request, and every
+    instrumentation span it closed, is recorded into the daemon's
+    rolling window {!Metrics.window}.
 
     Determinism: this module never writes to the Trace stream or the
     Metrics registry, so with no collector installed — the one-shot
@@ -37,72 +40,6 @@ val mint : ?deadline_s:float -> ?chaos_seed:int -> unit -> ctx option
 (** Mint a fresh request context; always [Some], typed as an option so
     callers pass it straight to [Protocol.write_request ?ctx].  Called by
     [Client.rpc] for job-carrying requests. *)
-
-(** {1 Rolling window} *)
-
-module Window : sig
-  type t
-  (** A mutex-guarded ring of fixed-width time buckets.  Ops take an
-      optional [?now] (seconds, as from [Unix.gettimeofday]) so tests
-      can drive the clock deterministically. *)
-
-  type quantiles = {
-    q_count : int;
-    q_sum : float;
-    q_min : float;
-    q_max : float;
-    q_p50 : float;  (** exact nearest-rank over the window's samples *)
-    q_p90 : float;
-    q_p99 : float;
-  }
-
-  type snapshot = {
-    w_span_s : float;  (** window length covered: buckets × bucket_s *)
-    w_counters : (string * int) list;  (** sorted by name *)
-    w_gauges : (string * float) list;  (** sorted by name *)
-    w_histograms : (string * quantiles) list;  (** sorted by name *)
-  }
-
-  val create : ?buckets:int -> ?bucket_s:float -> unit -> t
-  (** Default 30 buckets × 1s: a 30-second window. *)
-
-  val incr : t -> ?now:float -> ?by:int -> string -> unit
-  val observe : t -> ?now:float -> string -> float -> unit
-
-  val set_gauge : t -> string -> float -> unit
-  (** Gauges are last-value-wins and not bucketed (a gauge is a level,
-      not a flow — expiring it with a bucket would invent a zero). *)
-
-  val gauge_value : t -> string -> float option
-
-  val merge : into:t -> ?now:float -> t -> unit
-  (** Fold [src]'s live buckets into [into], aligning epochs through
-      absolute time (bucket widths may differ); [src]'s gauges overwrite
-      [into]'s.  Buckets older than [into]'s window are dropped.  Safe
-      against concurrent writers on either side. *)
-
-  val snapshot : ?now:float -> t -> snapshot
-  (** Aggregate over the buckets still inside the window at [now]:
-      summed counters, exact nearest-rank quantiles over the union of
-      samples.  An empty window yields empty lists (no zero-filled
-      quantiles). *)
-
-  val reset : t -> unit
-
-  val counter_value : snapshot -> string -> int
-  (** 0 when absent. *)
-
-  val quantiles : snapshot -> string -> quantiles option
-end
-
-val global_window : Window.t
-(** The daemon's window (30 × 1s).  The helpers below write to it; read
-    it with {!win_snapshot}. *)
-
-val win_incr : ?by:int -> string -> unit
-val win_observe : string -> float -> unit
-val win_gauge : string -> float -> unit
-val win_snapshot : unit -> Window.snapshot
 
 (** {1 Per-request collector}
 
@@ -148,18 +85,19 @@ val start : ctx option -> kind:string -> queue_wait_s:float -> active option
     [None] in, [None] out. *)
 
 val run : active option -> (unit -> 'a) -> 'a
-(** Run the worker thunk with the collector installed domain-locally
-    (restored on exit, even on exception). *)
+(** Run the worker thunk with the collector installed domain-locally,
+    its counter table included ({!Metrics.with_request_counters});
+    restored on exit, even on exception. *)
 
 val finish : active option -> outcome:string -> unit
 (** Close the frame spans, stamp the outcome, push the finished trace
-    into the ring, and record the request into the global window
+    into the ring, and record the request into {!Metrics.window}
     ([serve.req.<outcome>] counter; [serve.latency_s],
     [serve.queue_wait_s], [serve.execute_s] histograms). *)
 
 val active : unit -> bool
 (** Whether a collector is installed on the calling domain — the guard
-    Trace and Metrics use before notifying. *)
+    Trace uses before notifying. *)
 
 val span_enter : string -> (string * value) list -> unit
 (** Called by [Trace.span] on entry; opens a child of the innermost open
@@ -167,16 +105,12 @@ val span_enter : string -> (string * value) list -> unit
 
 val span_exit : dur_s:float -> unit
 (** Called by [Trace.span] on exit (normal or exceptional); closes the
-    innermost instrumentation span and records [span.<name>_s] into the
-    global window.  Never closes the synthesized frame spans. *)
+    innermost instrumentation span and records [span.<name>_s] into
+    {!Metrics.window}.  Never closes the synthesized frame spans. *)
 
 val note : string -> (string * value) list -> unit
 (** Called by [Trace.record]; attaches a point event to the innermost
     open span. *)
-
-val count : ?by:int -> string -> unit
-(** Called by [Metrics.incr]; accumulates into the request's private
-    counter table (surfaced as [tr_counters]). *)
 
 (** {1 Finished-trace ring} *)
 
@@ -190,7 +124,7 @@ val recent : unit -> trace list
 (** Newest first. *)
 
 val reset : unit -> unit
-(** Clear the ring and the global window (tests). *)
+(** Clear the ring and {!Metrics.window} (tests). *)
 
 (** {1 Rendering and validation} *)
 

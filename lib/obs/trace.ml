@@ -53,7 +53,6 @@ let tag_key = Domain.DLS.new_key (fun () -> { cur_cell = -1; cur_seq = 0 })
    field lists when either consumer is listening: the global stream, or
    a request-scoped collector on this domain. *)
 let is_enabled () = Atomic.get enabled || Telemetry.active ()
-let spans_enabled () = Atomic.get spans_flag
 
 let start ?(spans = false) () =
   Mutex.protect mutex (fun () -> events := []);

@@ -46,9 +46,6 @@ val is_enabled : unit -> bool
     {!Telemetry} collector is installed on the calling domain — either
     consumer wants the events. *)
 
-val spans_enabled : unit -> bool
-(** Whether span mode is on (see {!start}). *)
-
 val span :
   ?fields:(string * value) list ->
   ?on_close:(float -> unit) ->
@@ -72,9 +69,6 @@ val with_cell : int -> (unit -> 'a) -> 'a
 (** [with_cell i f] runs [f] with the calling domain's cell index set to
     [i] and its sequence counter reset to [0]; restores the previous
     tagging on exit.  The engine wraps every sweep slot in this. *)
-
-val compare_event : event -> event -> int
-(** Orders by [(cell, seq)] — the deterministic trace order. *)
 
 val to_json : event -> string
 (** One JSON object, no trailing newline.  Field order: [cell], [seq],

@@ -10,6 +10,7 @@
    wall-clock. *)
 
 module Telemetry = Trips_obs.Telemetry
+module Metrics = Trips_obs.Metrics
 
 let label_escape s =
   let buf = Buffer.create (String.length s) in
@@ -52,29 +53,24 @@ let render_prom (st : Protocol.stats_payload) =
       l "chfc_store_capacity" s.Protocol.sc_capacity)
     st.Protocol.st_stores;
   let w = st.Protocol.st_window in
-  float_metric "chfc_window_seconds" w.Telemetry.Window.w_span_s;
+  float_metric "chfc_window_seconds" w.Metrics.Window.w_span_s;
   List.iter
     (fun (name, v) ->
       line "chfc_window_count{name=\"%s\"} %d\n" (label_escape name) v)
-    w.Telemetry.Window.w_counters;
+    w.Metrics.Window.w_counters;
   List.iter
     (fun (name, v) ->
       line "chfc_window_gauge{name=\"%s\"} %.6f\n" (label_escape name) v)
-    w.Telemetry.Window.w_gauges;
+    w.Metrics.Window.w_gauges;
   List.iter
-    (fun (name, (q : Telemetry.Window.quantiles)) ->
+    (fun (name, (h : Metrics.histogram)) ->
       let n = label_escape name in
-      line "chfc_window_quantile{name=\"%s\",q=\"0.5\"} %.6f\n" n
-        q.Telemetry.Window.q_p50;
-      line "chfc_window_quantile{name=\"%s\",q=\"0.9\"} %.6f\n" n
-        q.Telemetry.Window.q_p90;
-      line "chfc_window_quantile{name=\"%s\",q=\"0.99\"} %.6f\n" n
-        q.Telemetry.Window.q_p99;
-      line "chfc_window_quantile_count{name=\"%s\"} %d\n" n
-        q.Telemetry.Window.q_count;
-      line "chfc_window_quantile_sum{name=\"%s\"} %.6f\n" n
-        q.Telemetry.Window.q_sum)
-    w.Telemetry.Window.w_histograms;
+      line "chfc_window_quantile{name=\"%s\",q=\"0.5\"} %.6f\n" n h.h_p50;
+      line "chfc_window_quantile{name=\"%s\",q=\"0.9\"} %.6f\n" n h.h_p90;
+      line "chfc_window_quantile{name=\"%s\",q=\"0.99\"} %.6f\n" n h.h_p99;
+      line "chfc_window_quantile_count{name=\"%s\"} %d\n" n h.h_count;
+      line "chfc_window_quantile_sum{name=\"%s\"} %.6f\n" n h.h_sum)
+    w.Metrics.Window.w_histograms;
   Buffer.contents buf
 
 (* A finished request's span tree as Trace events, through the existing

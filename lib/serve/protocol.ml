@@ -19,6 +19,7 @@
    via [Marshal]'s own header. *)
 
 module Telemetry = Trips_obs.Telemetry
+module Metrics = Trips_obs.Metrics
 
 (* ---- message payloads -------------------------------------------------- *)
 
@@ -67,7 +68,7 @@ type stats_payload = {
   st_crashed : int;
   st_stores : store_counters list;
   st_degraded : bool;
-  st_window : Telemetry.Window.snapshot;
+  st_window : Metrics.Window.snapshot;
 }
 
 type served_error =

@@ -31,6 +31,7 @@
     instrumentation tags the owning request. *)
 
 module Telemetry = Trips_obs.Telemetry
+module Metrics = Trips_obs.Metrics
 
 (** {1 Message payloads} *)
 
@@ -82,7 +83,7 @@ type stats_payload = {
   st_crashed : int;
   st_stores : store_counters list;  (** prefix store, output store, ... *)
   st_degraded : bool;  (** the SLO sentinel's verdict on the window *)
-  st_window : Telemetry.Window.snapshot;
+  st_window : Metrics.Window.snapshot;
       (** rolling-window counters / gauges / quantiles *)
 }
 

@@ -105,9 +105,9 @@ let create ?queue_depth ?default_deadline_s ?deadline_of ?ctx_of ?kind_of
   }
 
 (* Queue depth and pool utilization are levels, not flows — they go up
-   and down — so they live in gauges (lifetime registry and rolling
-   window both), published outside the scheduler mutex: Metrics and the
-   window have their own locks, and nesting would order them for no
+   and down — so they live in gauges (stored once; the rolling window's
+   snapshot reports them too), published outside the scheduler mutex:
+   Metrics has its own lock, and nesting would order them for no
    benefit. *)
 let publish_gauges t =
   let pending, workers =
@@ -118,9 +118,7 @@ let publish_gauges t =
     else Float.min 1.0 (float_of_int pending /. float_of_int workers)
   in
   Metrics.set_gauge "serve.queue.depth" (float_of_int pending);
-  Metrics.set_gauge "serve.pool.utilization" util;
-  Telemetry.win_gauge "serve.queue.depth" (float_of_int pending);
-  Telemetry.win_gauge "serve.pool.utilization" util
+  Metrics.set_gauge "serve.pool.utilization" util
 
 (* Compare the rolling window against the configured thresholds and flip
    the degraded bit accordingly — in both directions, so the daemon
@@ -130,8 +128,8 @@ let evaluate_slo t =
   match t.slo with
   | None -> ()
   | Some slo ->
-    let snap = Telemetry.win_snapshot () in
-    let c name = Telemetry.Window.counter_value snap name in
+    let snap = Metrics.Window.snapshot Metrics.window in
+    let c name = Metrics.Window.counter_value snap name in
     let ok = c "serve.req.ok" and bad = c "serve.req.bad_request" in
     let errs =
       c "serve.req.failed" + c "serve.req.timed_out" + c "serve.req.crashed"
@@ -139,8 +137,8 @@ let evaluate_slo t =
     in
     let total = ok + bad + errs in
     let lat_breach =
-      match (slo.slo_p99_s, Telemetry.Window.quantiles snap "serve.latency_s") with
-      | Some th, Some q -> q.Telemetry.Window.q_p99 > th
+      match (slo.slo_p99_s, Metrics.Window.histogram snap "serve.latency_s") with
+      | Some th, Some h -> h.Metrics.h_p99 > th
       | _ -> false
     in
     let err_breach =
@@ -235,12 +233,12 @@ let submit t job =
     (* refusals never reach a worker, so their window accounting — each
        request in exactly one outcome class — happens here *)
     (match o with
-    | Overloaded _ -> Telemetry.win_incr "serve.req.shed"
-    | _ -> Telemetry.win_incr "serve.req.draining");
+    | Overloaded _ -> Metrics.(Window.incr window "serve.req.shed")
+    | _ -> Metrics.(Window.incr window "serve.req.draining"));
     evaluate_slo t;
     Error o
   | Ok depth_now -> (
-    Telemetry.win_observe "serve.queue_depth" (float_of_int depth_now);
+    Metrics.(Window.observe window "serve.queue_depth" (float_of_int depth_now));
     publish_gauges t;
     (* the wrapper never raises, so the pool job always carries an
        outcome; Pool.submit itself can refuse only after shutdown, which

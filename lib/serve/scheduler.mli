@@ -83,8 +83,8 @@ val create :
     installed around the run, and finished with the outcome class —
     [class_of] (default ["ok"]) classifies a [Done] result, timeouts and
     crashes classify themselves.  [kind_of] names the job kind in the
-    trace.  [slo] arms the sentinel (see {!slo}); it reads the global
-    rolling window, so it only fires when telemetry is enabled. *)
+    trace.  [slo] arms the sentinel (see {!slo}); it reads the daemon's
+    rolling window, {!Trips_obs.Metrics.window}. *)
 
 val submit : ('j, 'r) t -> 'j -> ('r ticket, 'r outcome) result
 (** Admit a job, or refuse with [Error Overloaded] / [Error Draining].

@@ -18,6 +18,7 @@ module Store = Trips_store.Store
 module Engine = Trips_harness.Engine
 module Stage = Trips_harness.Stage
 module Telemetry = Trips_obs.Telemetry
+module Metrics = Trips_obs.Metrics
 
 type t = {
   socket_path : string;
@@ -63,7 +64,7 @@ let stats t =
         (Stage.store_counters (Worker.cache t.worker))
       @ [ store "serve.output" (Store.counters (Worker.output_store t.worker)) ];
     st_degraded = Scheduler.degraded t.sched;
-    st_window = Telemetry.win_snapshot ();
+    st_window = Metrics.Window.snapshot Metrics.window;
   }
 
 (* Every scheduler outcome is a structured reply; a crashed job is

@@ -6,9 +6,10 @@
    artifacts outside it (see [find_or_add]), so a slow compilation never
    serializes the other domains' lookups.
 
-   Counter updates happen under the same lock; the Metrics mirror is
-   bumped outside it (Metrics has its own lock, and nesting the two
-   would order them for no benefit). *)
+   Counter updates happen under the same lock; the same event is also
+   counted in Metrics, in the lifetime registry and in the daemon's
+   rolling window, outside it (Metrics has its own locks, and nesting
+   them would order them for no benefit). *)
 
 type key = { src : string; stage : string; config : string }
 
@@ -59,7 +60,7 @@ let metric t suffix =
   Trips_obs.Metrics.incr name;
   (* same name in the rolling window, so the exposition surface can
      report a recent hit rate next to the lifetime one *)
-  Trips_obs.Telemetry.win_incr name
+  Trips_obs.Metrics.(Window.incr window name)
 
 (* ---- recency list (call with t.m held) -------------------------------- *)
 

@@ -15,10 +15,10 @@
     byte-identical to a recomputed one, which is the determinism contract
     [chfc serve] advertises.
 
-    Every store keeps hit/miss/eviction counters (also mirrored into the
-    {!Trips_obs.Metrics} registry under ["store.<name>.hit|miss|eviction"])
-    so [--cache-stats] and the [Stats] protocol request can report shared
-    cache effectiveness. *)
+    Every store keeps hit/miss/eviction counters (also counted in
+    {!Trips_obs.Metrics}, lifetime registry and rolling window, under
+    ["store.<name>.hit|miss|eviction"]) so [--cache-stats] and the
+    [Stats] protocol request can report shared cache effectiveness. *)
 
 type key = {
   src : string;  (** content digest of the source (e.g. [Stage.content_key]) *)

@@ -43,6 +43,19 @@ let ordering_of_name = function
   | "iupo-merged" | "convergent" -> Ok Chf.Phases.Iupo_merged
   | s -> Error (`Msg (Fmt.str "unknown ordering %S" s))
 
+(* A [-w] selection: every name resolves through [find_workload] and an
+   unknown one is an error; no names selects [default], the only part
+   that differs between tables. *)
+let select_workloads ~default = function
+  | [] -> Ok default
+  | names ->
+    List.fold_left
+      (fun acc name ->
+        Result.bind acc (fun ws ->
+            Result.map (fun w -> w :: ws) (find_workload name)))
+      (Ok []) names
+    |> Result.map List.rev
+
 let policy_of_name = function
   | "bf" -> Ok Chf.Policy.edge_default
   | "df" ->
@@ -216,22 +229,13 @@ let w_compile t (s : Protocol.compile_spec) : Protocol.output =
       with_output_cache t ~src:(Stage.content_key w) ~kind:"compile"
         ~config:config_key (fun () -> Result.map snd (compile ())))
 
-let micro_selection = function
-  | [] -> Ok Micro.all
-  | names ->
-    List.fold_right
-      (fun name acc ->
-        Result.bind acc (fun ws ->
-            Result.map (fun w -> w :: ws) (find_workload name)))
-      names (Ok [])
-
 (* one digest covering the whole workload selection, in order *)
 let selection_key ws =
   Digest.to_hex (Digest.string (String.concat ";" (List.map Stage.content_key ws)))
 
 let w_report t (s : Protocol.report_spec) : Protocol.output =
   match
-    ( micro_selection s.Protocol.rs_workloads,
+    ( select_workloads ~default:Micro.all s.Protocol.rs_workloads,
       ordering_of_name s.Protocol.rs_ordering,
       policy_of_name s.Protocol.rs_policy )
   with
@@ -247,52 +251,40 @@ let w_report t (s : Protocol.report_spec) : Protocol.output =
         Ok (Trace.span "render" (fun () -> Fmt.str "%a" Reporter.render o)))
 
 let w_sweep_cell t (s : Protocol.sweep_spec) : Protocol.output =
-  let spec_selection = function
-    | [] -> Ok Spec_like.all
-    | names ->
-      List.fold_right
-        (fun name acc ->
-          Result.bind acc (fun ws ->
-              Result.map (fun w -> w :: ws) (find_workload name)))
-        names (Ok [])
-  in
-  let render =
+  let sweep =
     match s.Protocol.ss_table with
     | "table1" ->
-      Result.map
-        (fun ws cache ->
-          Fmt.str "%a" Table1.render (Table1.run ~cache ~jobs:1 ~workloads:ws ()))
-        (micro_selection s.Protocol.ss_workloads)
+      Ok
+        ( Micro.all,
+          fun ws cache ->
+            Fmt.str "%a" Table1.render (Table1.run ~cache ~jobs:1 ~workloads:ws ()) )
     | "table2" ->
-      Result.map
-        (fun ws cache ->
-          Fmt.str "%a" Table2.render (Table2.run ~cache ~jobs:1 ~workloads:ws ()))
-        (micro_selection s.Protocol.ss_workloads)
+      Ok
+        ( Micro.all,
+          fun ws cache ->
+            Fmt.str "%a" Table2.render (Table2.run ~cache ~jobs:1 ~workloads:ws ()) )
     | "table3" ->
-      Result.map
-        (fun ws cache ->
-          Fmt.str "%a" Table3.render (Table3.run ~cache ~jobs:1 ~workloads:ws ()))
-        (spec_selection s.Protocol.ss_workloads)
+      Ok
+        ( Spec_like.all,
+          fun ws cache ->
+            Fmt.str "%a" Table3.render (Table3.run ~cache ~jobs:1 ~workloads:ws ()) )
     | "figure7" ->
-      Result.map
-        (fun ws cache ->
-          Fmt.str "%a" Figure7.render (Table1.run ~cache ~jobs:1 ~workloads:ws ()))
-        (micro_selection s.Protocol.ss_workloads)
+      Ok
+        ( Micro.all,
+          fun ws cache ->
+            Fmt.str "%a" Figure7.render (Table1.run ~cache ~jobs:1 ~workloads:ws ()) )
     | t -> Error (`Msg (Fmt.str "unknown table %S (table1|table2|table3|figure7)" t))
   in
-  match render with
+  match
+    Result.bind sweep (fun (default, render) ->
+        Result.map
+          (fun ws -> (ws, render ws))
+          (select_workloads ~default s.Protocol.ss_workloads))
+  with
   | Error (`Msg m) -> bad_request m
-  | Ok render ->
-    let selection =
-      match s.Protocol.ss_table with
-      | "table3" -> spec_selection s.Protocol.ss_workloads
-      | _ -> micro_selection s.Protocol.ss_workloads
-    in
-    let src =
-      match selection with Ok ws -> selection_key ws | Error _ -> "?"
-    in
-    with_output_cache t ~src ~kind:"sweep" ~config:s.Protocol.ss_table
-      (fun () -> Ok (render t.cache))
+  | Ok (ws, render) ->
+    with_output_cache t ~src:(selection_key ws) ~kind:"sweep"
+      ~config:s.Protocol.ss_table (fun () -> Ok (render t.cache))
 
 let handlers t =
   {

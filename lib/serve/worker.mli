@@ -19,6 +19,16 @@ open Trips_harness
 (** {1 Name resolution (shared with the [chfc] CLI)} *)
 
 val find_workload : string -> (Workload.t, [ `Msg of string ]) result
+
+val select_workloads :
+  default:Workload.t list ->
+  string list ->
+  (Workload.t list, [ `Msg of string ]) result
+(** The workloads a [-w NAME ...] list selects, in order: each name
+    resolves through {!find_workload} (micro or SPEC-like) and an unknown
+    one is an error.  No names selects [default] — the only part that
+    differs between the tables, the report and the daemon's sweep cells. *)
+
 val ordering_of_name : string -> (Chf.Phases.ordering, [ `Msg of string ]) result
 val policy_of_name : string -> (Chf.Policy.config, [ `Msg of string ]) result
 

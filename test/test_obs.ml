@@ -82,18 +82,17 @@ let test_metrics_registry () =
   check Alcotest.int "reset drops counters" 0
     (List.length (Metrics.snapshot ()).Metrics.counters)
 
-(* Gauges: last value wins under set, add accumulates, render/json keep
-   them between counters and histograms, sorted by name. *)
+(* Gauges: last value wins, render/json keep them between counters and
+   histograms, sorted by name. *)
 let test_metrics_gauges () =
   Metrics.reset ();
   Metrics.set_gauge "z.depth" 3.0;
   Metrics.set_gauge "z.depth" 1.0;
-  Metrics.add_gauge "a.util" 0.25;
-  Metrics.add_gauge "a.util" 0.5;
+  Metrics.set_gauge "a.util" 0.75;
   let s = Metrics.snapshot () in
   check
     Alcotest.(list (pair string (float 1e-9)))
-    "gauges sorted, set overwrites, add accumulates"
+    "gauges sorted, set overwrites"
     [ ("a.util", 0.75); ("z.depth", 1.0) ]
     s.Metrics.gauges;
   check (Alcotest.float 1e-9) "gauge_value hit" 1.0
@@ -386,6 +385,35 @@ let test_metrics_quantiles () =
   | _ -> Alcotest.fail "expected exactly the q histogram");
   Metrics.reset ()
 
+(* One summary for both views: the lifetime registry and a rolling
+   window fed the same samples, each in two orders, report structurally
+   equal histograms.  The samples' float sum depends on the order they
+   are added in (0 in the first order, 1 in the second), so this pins
+   the sum to the sorted samples. *)
+let test_one_summary_both_views () =
+  let orders = [ [ 1.0; 1e16; -1e16 ]; [ 1e16; -1e16; 1.0 ] ] in
+  let lifetime xs =
+    Metrics.reset ();
+    List.iter (Metrics.observe "x") xs;
+    let h = List.assoc "x" (Metrics.snapshot ()).Metrics.histograms in
+    Metrics.reset ();
+    h
+  in
+  let windowed xs =
+    let w = Metrics.Window.create () in
+    List.iter (Metrics.Window.observe w ~now:5.0 "x") xs;
+    Option.get (Metrics.Window.histogram (Metrics.Window.snapshot ~now:5.0 w) "x")
+  in
+  match List.concat_map (fun xs -> [ lifetime xs; windowed xs ]) orders with
+  | first :: rest ->
+    List.iter
+      (fun h ->
+        check Alcotest.bool "same histogram in every view and order" true
+          (h = first))
+      rest;
+    check Alcotest.int "all three samples" 3 first.Metrics.h_count
+  | [] -> assert false
+
 (* ---- formation decision log -------------------------------------------- *)
 
 (* Hand-built three-block loop: the seed b0 branches to the loop body b1
@@ -512,7 +540,6 @@ let test_trace_jobs_invariant () =
     let counters =
       (* drop timing-dependent histograms; counters are deterministic *)
       (Metrics.snapshot ()).Metrics.counters
-      |> List.filter (fun (name, _) -> name <> "stage.cache.hit" && name <> "stage.cache.miss")
     in
     (List.map Trace.to_json evs, counters)
   in
@@ -613,6 +640,8 @@ let suite =
       Alcotest.test_case "metrics multi-domain golden" `Quick
         test_metrics_multidomain_golden;
       Alcotest.test_case "metrics quantiles" `Quick test_metrics_quantiles;
+      Alcotest.test_case "one summary for both views" `Quick
+        test_one_summary_both_views;
       Alcotest.test_case "structural failure never retried" `Quick
         test_structural_failure_not_retried;
       Alcotest.test_case "trace agrees with stats" `Quick

@@ -532,6 +532,33 @@ let test_baseline_once_per_source () =
     (served "iupo-merged/bf" first);
   Alcotest.(check string) "upio/df = one-shot" upio (served "upio/df" second)
 
+(* An unknown workload name in a report or sweep-cell request is a
+   Bad_request naming it, for every table — never a silently shorter
+   selection. *)
+let test_unknown_workload_bad_request () =
+  let h = Trips_serve.Worker.handlers (Trips_serve.Worker.create ()) in
+  let workloads = [ "sieve"; "nosuch" ] in
+  let expect what = function
+    | Error (P.Bad_request m) ->
+      Alcotest.(check string) what "unknown workload \"nosuch\"; try `chfc list`" m
+    | Ok _ -> Alcotest.failf "%s: answered an unknown workload" what
+    | Error e -> Alcotest.failf "%s: %a" what P.pp_served_error e
+  in
+  expect "report"
+    (h.P.w_report
+       {
+         P.rs_workloads = workloads;
+         rs_ordering = "iupo-merged";
+         rs_policy = "bf";
+         rs_deadline_s = None;
+       });
+  List.iter
+    (fun table ->
+      expect ("sweep-cell " ^ table)
+        (h.P.w_sweep_cell
+           { P.ss_table = table; ss_workloads = workloads; ss_deadline_s = None }))
+    [ "table1"; "table2"; "table3"; "figure7" ]
+
 (* ---- client descriptor hygiene ------------------------------------------ *)
 
 let test_client_close_once () =
@@ -648,6 +675,8 @@ let suite =
         test_served_byte_identity;
       Alcotest.test_case "serve: one basic-block baseline per source" `Quick
         test_baseline_once_per_source;
+      Alcotest.test_case "worker: unknown workload names are Bad_request"
+        `Quick test_unknown_workload_bad_request;
       Alcotest.test_case "client: close closes its descriptor once" `Quick
         test_client_close_once;
       pool_equivalence_prop;

@@ -1,5 +1,5 @@
 (* Request-scoped telemetry: the rolling window's bucket arithmetic
-   (expiry across the ring seam, epoch-aligned merge), the per-request
+   (expiry across the ring seam, stale-write refusal), the per-request
    collector lifecycle (span-tree well-formedness, window reconciliation,
    ring eviction). *)
 
@@ -11,23 +11,23 @@ let check = Alcotest.check
 
 (* A fresh window answers with empty lists, not zero-filled quantiles. *)
 let test_window_empty () =
-  let w = Telemetry.Window.create ~buckets:4 ~bucket_s:1.0 () in
-  let s = Telemetry.Window.snapshot ~now:10.0 w in
-  check Alcotest.int "no counters" 0 (List.length s.Telemetry.Window.w_counters);
-  check Alcotest.int "no gauges" 0 (List.length s.Telemetry.Window.w_gauges);
+  let w = Metrics.Window.create ~buckets:4 ~bucket_s:1.0 () in
+  let s = Metrics.Window.snapshot ~now:10.0 w in
+  check Alcotest.int "no counters" 0 (List.length s.Metrics.Window.w_counters);
+  check Alcotest.int "no gauges" 0 (List.length s.Metrics.Window.w_gauges);
   check Alcotest.int "no histograms" 0
-    (List.length s.Telemetry.Window.w_histograms);
+    (List.length s.Metrics.Window.w_histograms);
   check (Alcotest.float 1e-9) "span still reported" 4.0
-    s.Telemetry.Window.w_span_s;
+    s.Metrics.Window.w_span_s;
   check Alcotest.int "absent counter reads 0" 0
-    (Telemetry.Window.counter_value s "nope");
+    (Metrics.Window.counter_value s "nope");
   check Alcotest.bool "absent histogram is None" true
-    (Telemetry.Window.quantiles s "nope" = None)
+    (Metrics.Window.histogram s "nope" = None)
 
 (* Buckets expire individually as [now] advances, including across the
    ring seam where a new epoch reclaims an old bucket's slot. *)
 let test_window_expiry_seam () =
-  let module W = Telemetry.Window in
+  let module W = Metrics.Window in
   let w = W.create ~buckets:4 ~bucket_s:1.0 () in
   W.observe w ~now:0.5 "lat" 10.0;
   W.observe w ~now:3.5 "lat" 20.0;
@@ -36,72 +36,37 @@ let test_window_expiry_seam () =
   (* At 3.9 both buckets (epochs 0 and 3) are inside the 4s window. *)
   let s = W.snapshot ~now:3.9 w in
   check Alcotest.int "both samples live" 2
-    (match W.quantiles s "lat" with Some q -> q.W.q_count | None -> 0);
+    (match W.histogram s "lat" with Some h -> h.Metrics.h_count | None -> 0);
   check Alcotest.int "both increments live" 2 (W.counter_value s "req");
   (* At 4.6 epoch 0 has aged out; epoch 3 remains. *)
   let s = W.snapshot ~now:4.6 w in
-  (match W.quantiles s "lat" with
-  | Some q ->
-    check Alcotest.int "old bucket expired" 1 q.W.q_count;
-    check (Alcotest.float 1e-9) "surviving sample" 20.0 q.W.q_max
+  (match W.histogram s "lat" with
+  | Some h ->
+    check Alcotest.int "old bucket expired" 1 h.Metrics.h_count;
+    check (Alcotest.float 1e-9) "surviving sample" 20.0 h.Metrics.h_max
   | None -> Alcotest.fail "expected the 3.5s sample to survive at 4.6");
   check Alcotest.int "counter follows" 1 (W.counter_value s "req");
   (* Writing at 4.2 lands in epoch 4, which reuses epoch 0's slot: the
      seam write must not resurrect the expired samples. *)
   W.observe w ~now:4.2 "lat" 30.0;
   let s = W.snapshot ~now:4.6 w in
-  (match W.quantiles s "lat" with
-  | Some q ->
-    check Alcotest.int "seam write joins the window" 2 q.W.q_count;
-    check (Alcotest.float 1e-9) "sum is 20+30" 50.0 q.W.q_sum
+  (match W.histogram s "lat" with
+  | Some h ->
+    check Alcotest.int "seam write joins the window" 2 h.Metrics.h_count;
+    check (Alcotest.float 1e-9) "sum is 20+30" 50.0 h.Metrics.h_sum
   | None -> Alcotest.fail "expected two live samples after the seam write");
   (* A write into the past (older epoch than the slot now holds) is
      refused rather than polluting the newer bucket. *)
   W.observe w ~now:0.7 "lat" 999.0;
   let s = W.snapshot ~now:4.6 w in
-  (match W.quantiles s "lat" with
-  | Some q ->
-    check Alcotest.int "stale write refused" 2 q.W.q_count;
-    check (Alcotest.float 1e-9) "max unchanged" 30.0 q.W.q_max
+  (match W.histogram s "lat" with
+  | Some h ->
+    check Alcotest.int "stale write refused" 2 h.Metrics.h_count;
+    check (Alcotest.float 1e-9) "max unchanged" 30.0 h.Metrics.h_max
   | None -> Alcotest.fail "window emptied unexpectedly");
   (* Far enough ahead, everything expires. *)
   let s = W.snapshot ~now:9.0 w in
   check Alcotest.bool "fully drained" true (s.W.w_histograms = [])
-
-(* Domain-local windows written concurrently merge into one, with
-   epoch alignment through absolute time. *)
-let test_window_merge_domains () =
-  let module W = Telemetry.Window in
-  let mk vals =
-    let w = W.create ~buckets:8 ~bucket_s:1.0 () in
-    fun () ->
-      List.iter
-        (fun (now, x) ->
-          W.observe w ~now "lat" x;
-          W.incr w ~now "n")
-        vals;
-      w
-  in
-  let d1 = Domain.spawn (mk [ (100.2, 1.0); (101.4, 3.0) ]) in
-  let d2 = Domain.spawn (mk [ (100.8, 2.0); (102.1, 4.0) ]) in
-  let w1 = Domain.join d1 and w2 = Domain.join d2 in
-  let into = W.create ~buckets:8 ~bucket_s:1.0 () in
-  W.set_gauge into "depth" 1.0;
-  W.set_gauge w2 "depth" 7.0;
-  W.merge ~into ~now:102.5 w1;
-  W.merge ~into ~now:102.5 w2;
-  let s = W.snapshot ~now:102.5 into in
-  (match W.quantiles s "lat" with
-  | Some q ->
-    check Alcotest.int "all four samples" 4 q.W.q_count;
-    check (Alcotest.float 1e-9) "sum" 10.0 q.W.q_sum;
-    check (Alcotest.float 1e-9) "min" 1.0 q.W.q_min;
-    check (Alcotest.float 1e-9) "max" 4.0 q.W.q_max;
-    check (Alcotest.float 1e-9) "p50 nearest-rank" 2.0 q.W.q_p50
-  | None -> Alcotest.fail "merge lost the histogram");
-  check Alcotest.int "counters sum" 4 (W.counter_value s "n");
-  check Alcotest.bool "src gauge overwrites" true
-    (s.W.w_gauges = [ ("depth", 7.0) ])
 
 (* ---- collector lifecycle ----------------------------------------------- *)
 
@@ -165,13 +130,13 @@ let test_collector_roundtrip () =
     (List.for_all (contains txt) names);
   (* Window reconciliation: exactly one appearance per request, under
      the right outcome class. *)
-  let s = Telemetry.win_snapshot () in
-  let module W = Telemetry.Window in
+  let s = Metrics.Window.snapshot Metrics.window in
+  let module W = Metrics.Window in
   check Alcotest.int "one ok in window" 1 (W.counter_value s "serve.req.ok");
   check Alcotest.int "one failed in window" 1
     (W.counter_value s "serve.req.failed");
-  (match W.quantiles s "serve.latency_s" with
-  | Some q -> check Alcotest.int "latency sampled once per request" 2 q.W.q_count
+  (match W.histogram s "serve.latency_s" with
+  | Some h -> check Alcotest.int "latency sampled once per request" 2 h.Metrics.h_count
   | None -> Alcotest.fail "latency histogram missing");
   check Alcotest.bool "second trace also retained" true
     (Telemetry.find id2 <> None)
@@ -243,8 +208,6 @@ let suite =
       Alcotest.test_case "window: empty" `Quick test_window_empty;
       Alcotest.test_case "window: expiry across ring seam" `Quick
         test_window_expiry_seam;
-      Alcotest.test_case "window: merge across domains" `Quick
-        test_window_merge_domains;
       Alcotest.test_case "collector: roundtrip + reconciliation" `Quick
         test_collector_roundtrip;
       Alcotest.test_case "collector: ring eviction" `Quick test_ring_eviction;

@@ -198,7 +198,7 @@ let () =
   (* rolling-window accounting: every request appears exactly once, under
      its outcome class, and the window agrees with the lifetime counters
      (the whole smoke fits inside the 30s window) *)
-  let module W = Trips_obs.Telemetry.Window in
+  let module W = Trips_obs.Metrics.Window in
   let w = st.P.st_window in
   let ok = W.counter_value w "serve.req.ok"
   and crashed = W.counter_value w "serve.req.crashed"
@@ -215,10 +215,10 @@ let () =
     fail "window: classes sum to %d, %d submitted"
       (ok + crashed + timed_out)
       st.P.st_submitted;
-  (match W.quantiles w "serve.latency_s" with
-  | Some q ->
-    if q.W.q_count <> st.P.st_submitted then
-      fail "window: %d latency samples, %d submitted" q.W.q_count
+  (match W.histogram w "serve.latency_s" with
+  | Some h ->
+    if h.Trips_obs.Metrics.h_count <> st.P.st_submitted then
+      fail "window: %d latency samples, %d submitted" h.Trips_obs.Metrics.h_count
         st.P.st_submitted
   | None -> fail "window: no latency histogram");
   if st.P.st_degraded then fail "degraded with no SLO armed";

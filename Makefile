@@ -118,9 +118,16 @@ perf-check: build
 check: build test chaos fuzz-smoke trace-check equiv-check report-check \
 	serve-smoke telemetry-check perf-check
 
-# Every experiment: tables, figure, ablations, Bechamel micro-benchmarks.
+# Every EXPERIMENTS.md block: the paper's Tables 1-3 and Figure 7, the
+# design-knob ablation and the placement study, one chfc command each
+# (`chfc --help` lists them; each takes -w, -j and the observability flags).
+EXPERIMENTS = table1 table2 table3 figure7 ablation placement
+
 bench-all: build
-	dune exec bench/main.exe
+	@for e in $(EXPERIMENTS); do \
+	  echo "== chfc $$e"; \
+	  dune exec bin/chfc.exe -- $$e || exit 1; \
+	done
 
 clean:
 	dune clean

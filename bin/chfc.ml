@@ -9,7 +9,9 @@
      chfc compile bzip2_3 --policy df --no-backend
      chfc compile sieve --verify          (re-check after every phase)
      chfc chaos 42 --workload sieve       (fault-injection suite)
-     chfc table1 [--workload NAME ...]   (and table2 / table3 / figure7) *)
+     chfc table1 [--workload NAME ...]   (and every other experiment:
+                                          table2 / table3 / figure7 /
+                                          ablation / placement) *)
 
 open Cmdliner
 open Trips_workloads
@@ -22,6 +24,36 @@ open Trips_harness
 let find_workload = Trips_serve.Worker.find_workload
 let ordering_of_string = Trips_serve.Worker.ordering_of_name
 let policy_of_string = Trips_serve.Worker.policy_of_name
+
+(* a bad name or argument: one line on stderr, exit 2 *)
+let or_exit = function
+  | Ok v -> v
+  | Error (`Msg m) ->
+    Fmt.epr "chfc: %s@." m;
+    exit 2
+
+(* ---- flags shared by several commands ---------------------------------- *)
+
+let ordering_arg =
+  Arg.(
+    value
+    & opt string "iupo-merged"
+    & info [ "ordering"; "o" ] ~docv:"ORDERING"
+        ~doc:"Phase ordering: bb, upio, iupo, iup-o, iupo-merged.")
+
+let policy_arg =
+  Arg.(
+    value & opt string "bf"
+    & info [ "policy"; "p" ] ~docv:"POLICY"
+        ~doc:"Block-selection policy: bf, df, vliw.")
+
+let backend_arg =
+  Arg.(
+    value & opt bool true
+    & info [ "backend" ] ~docv:"BOOL"
+        ~doc:"Run register allocation and fanout insertion.")
+
+let dump_arg = Arg.(value & flag & info [ "dump" ] ~doc:"Print the compiled CFG.")
 
 (* ---- observability plumbing ------------------------------------------- *)
 
@@ -132,11 +164,6 @@ let list_cmd =
 
 (* ---- compile ---------------------------------------------------------- *)
 
-let write_file path content =
-  let oc = open_out path in
-  output_string oc content;
-  close_out oc
-
 (* The report text itself is rendered by the serve worker
    (Trips_serve.Worker.compile_report) and printed verbatim, so the
    daemon's served replies and the one-shot CLI output are the same
@@ -147,6 +174,10 @@ let compile_workload_report w ordering config dump backend verify emit_asm
   match
     Trips_serve.Worker.compile_report ~ordering ~config ~backend ~verify w
   with
+  | exception (Trips_sim.Func_sim.Out_of_fuel _ as e) ->
+    Fmt.epr "chfc: %a@." Pipeline.pp_failure
+      (Pipeline.failure_of_exn ~workload:w ~ordering:(Some ordering) e);
+    exit 2
   | Error msg ->
     Fmt.epr "chfc: %s@." msg;
     exit 1
@@ -154,70 +185,57 @@ let compile_workload_report w ordering config dump backend verify emit_asm
     if dump then Fmt.pr "%a@.@." Trips_ir.Cfg.pp c.Pipeline.cfg;
     (match emit_asm with
     | Some path ->
-      write_file path (Trips_regalloc.Tasm.to_string c.Pipeline.cfg);
+      write_text_file path (Trips_regalloc.Tasm.to_string c.Pipeline.cfg);
       Fmt.pr "assembly        : written to %s@." path
     | None -> ());
     (match emit_dot with
     | Some path ->
-      write_file path (Trips_ir.Dot.to_string c.Pipeline.cfg);
+      write_text_file path (Trips_ir.Dot.to_string c.Pipeline.cfg);
       Fmt.pr "dot graph       : written to %s@." path
     | None -> ());
     print_string text
 
 let compile_run name ordering policy dump backend verify emit_asm emit_dot
     trace chrome metrics metrics_json =
-  match
-    (find_workload name, ordering_of_string ordering, policy_of_string policy)
-  with
-  | Error (`Msg m), _, _ | _, Error (`Msg m), _ | _, _, Error (`Msg m) ->
-    Fmt.epr "chfc: %s@." m;
-    exit 2
-  | Ok w, Ok ordering, Ok config ->
-    with_obs trace chrome metrics metrics_json (fun () ->
-        compile_workload_report w ordering config dump backend verify
-          emit_asm emit_dot)
+  let w = or_exit (find_workload name) in
+  let ordering = or_exit (ordering_of_string ordering) in
+  let config = or_exit (policy_of_string policy) in
+  with_obs trace chrome metrics metrics_json (fun () ->
+      compile_workload_report w ordering config dump backend verify emit_asm
+        emit_dot)
+
+(* one --arg NAME=VALUE binding *)
+let parse_arg spec =
+  let bad = Error (`Msg (Fmt.str "bad --arg %S (expected name=integer)" spec)) in
+  match String.split_on_char '=' spec with
+  | [ name; v ] ->
+    Option.fold ~none:bad ~some:(fun n -> Ok (name, n)) (int_of_string_opt v)
+  | _ -> bad
 
 (* compile a kernel from a source file; parameters default to 0 unless
    given as name=value *)
 let compile_file_run path ordering policy dump backend verify emit_asm emit_dot
     args memory_words unroll trace chrome metrics metrics_json =
-  match (ordering_of_string ordering, policy_of_string policy) with
-  | Error (`Msg m), _ | _, Error (`Msg m) ->
-    Fmt.epr "chfc: %s@." m;
-    exit 2
-  | Ok ordering, Ok config -> (
-    let parsed =
-      try
-        let ic = open_in path in
-        let len = in_channel_length ic in
-        let src = really_input_string ic len in
-        close_in ic;
-        Ok (Trips_lang.Inline.program_of_unit (Trips_lang.Parser.parse_unit src))
-      with
-      | Trips_lang.Parser.Parse_error m -> Error m
-      | Trips_lang.Inline.Not_inlinable m -> Error m
-    in
-    match parsed with
-    | Error m ->
-      Fmt.epr "chfc: %s: %s@." path m;
-      exit 2
-    | Ok program ->
-      let parsed_args =
-        List.map
-          (fun spec ->
-            match String.split_on_char '=' spec with
-            | [ name; v ] -> (name, int_of_string v)
-            | _ -> Fmt.failwith "bad --arg %S (expected name=value)" spec)
-          args
-      in
-      let w =
-        Workload.make ~name:program.Trips_lang.Ast.prog_name
-          ~description:("kernel from " ^ path)
-          ~args:parsed_args ~memory_words ~frontend_unroll:unroll program
-      in
-      with_obs trace chrome metrics metrics_json (fun () ->
-          compile_workload_report w ordering config dump backend verify
-            emit_asm emit_dot))
+  let ordering = or_exit (ordering_of_string ordering) in
+  let config = or_exit (policy_of_string policy) in
+  let program =
+    or_exit
+      (try
+         let src = In_channel.with_open_bin path In_channel.input_all in
+         Ok (Trips_lang.Inline.program_of_unit (Trips_lang.Parser.parse_unit src))
+       with
+       | Trips_lang.Parser.Parse_error m | Trips_lang.Inline.Not_inlinable m ->
+         Error (`Msg (path ^ ": " ^ m)))
+  in
+  let args = List.map (fun spec -> or_exit (parse_arg spec)) args in
+  let w =
+    Workload.make ~name:program.Trips_lang.Ast.prog_name
+      ~description:("kernel from " ^ path)
+      ~args ~memory_words ~frontend_unroll:unroll program
+  in
+  with_obs trace chrome metrics metrics_json (fun () ->
+      compile_workload_report w ordering config dump backend verify emit_asm
+        emit_dot)
 
 let verify_arg =
   Arg.(
@@ -245,32 +263,11 @@ let compile_cmd =
   let workload_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD")
   in
-  let ordering =
-    Arg.(
-      value
-      & opt string "iupo-merged"
-      & info [ "ordering"; "o" ] ~docv:"ORDERING"
-          ~doc:"Phase ordering: bb, upio, iupo, iup-o, iupo-merged.")
-  in
-  let policy =
-    Arg.(
-      value & opt string "bf"
-      & info [ "policy"; "p" ] ~docv:"POLICY"
-          ~doc:"Block-selection policy: bf, df, vliw.")
-  in
-  let dump =
-    Arg.(value & flag & info [ "dump" ] ~doc:"Print the compiled CFG.")
-  in
-  let backend =
-    Arg.(
-      value & opt bool true
-      & info [ "backend" ] ~docv:"BOOL"
-          ~doc:"Run register allocation and fanout insertion.")
-  in
   Cmd.v
     (Cmd.info "compile" ~doc)
     Term.(
-      const compile_run $ workload_arg $ ordering $ policy $ dump $ backend
+      const compile_run $ workload_arg $ ordering_arg $ policy_arg $ dump_arg
+      $ backend_arg
       $ verify_arg $ emit_asm_arg $ emit_dot_arg $ trace_arg
       $ chrome_trace_arg $ metrics_arg $ metrics_json_arg)
 
@@ -278,22 +275,6 @@ let compile_file_cmd =
   let doc = "Compile a kernel source file (see `chfc syntax`)." in
   let path_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
-  in
-  let ordering =
-    Arg.(
-      value
-      & opt string "iupo-merged"
-      & info [ "ordering"; "o" ] ~docv:"ORDERING"
-          ~doc:"Phase ordering: bb, upio, iupo, iup-o, iupo-merged.")
-  in
-  let policy =
-    Arg.(
-      value & opt string "bf"
-      & info [ "policy"; "p" ] ~docv:"POLICY" ~doc:"bf, df or vliw.")
-  in
-  let dump = Arg.(value & flag & info [ "dump" ] ~doc:"Print the compiled CFG.") in
-  let backend =
-    Arg.(value & opt bool true & info [ "backend" ] ~docv:"BOOL" ~doc:"Run the back end.")
   in
   let args =
     Arg.(
@@ -311,8 +292,9 @@ let compile_file_cmd =
   Cmd.v
     (Cmd.info "compile-file" ~doc)
     Term.(
-      const compile_file_run $ path_arg $ ordering $ policy $ dump $ backend
-      $ verify_arg $ emit_asm_arg $ emit_dot_arg $ args $ memory_words $ unroll
+      const compile_file_run $ path_arg $ ordering_arg $ policy_arg $ dump_arg
+      $ backend_arg $ verify_arg $ emit_asm_arg $ emit_dot_arg $ args
+      $ memory_words $ unroll
       $ trace_arg $ chrome_trace_arg $ metrics_arg $ metrics_json_arg)
 
 (* ---- chaos ------------------------------------------------------------- *)
@@ -321,32 +303,28 @@ let compile_file_cmd =
    check the verifier catches each one.  Exit 1 on any escape: that is a
    verifier gap, not a compiler bug. *)
 let chaos_run seed name ordering policy =
-  match
-    (find_workload name, ordering_of_string ordering, policy_of_string policy)
-  with
-  | Error (`Msg m), _, _ | _, Error (`Msg m), _ | _, _, Error (`Msg m) ->
-    Fmt.epr "chfc: %s@." m;
-    exit 2
-  | Ok w, Ok ordering, Ok config ->
-    let c = Pipeline.compile ~config ~backend:false ordering w in
-    Fmt.pr "chaos suite: %s under %s, seed %d@." w.Workload.name
-      (Chf.Phases.name ordering) seed;
-    let outcomes =
-      Trips_verify.Chaos.run_suite ~seed ~registers:c.Pipeline.registers
-        ~fresh_memory:(fun () -> Workload.memory w)
-        c.Pipeline.cfg
-    in
-    List.iter
-      (fun o -> Fmt.pr "  %a@." Trips_verify.Chaos.pp_outcome o)
-      outcomes;
-    let gaps = Trips_verify.Chaos.undetected outcomes in
-    if gaps = [] then
-      Fmt.pr "all %d injected fault classes detected@." (List.length outcomes)
-    else begin
-      Fmt.epr "chfc: %d fault class(es) escaped the verifier@."
-        (List.length gaps);
-      exit 1
-    end
+  let w = or_exit (find_workload name) in
+  let ordering = or_exit (ordering_of_string ordering) in
+  let config = or_exit (policy_of_string policy) in
+  let c = Pipeline.compile ~config ~backend:false ordering w in
+  Fmt.pr "chaos suite: %s under %s, seed %d@." w.Workload.name
+    (Chf.Phases.name ordering) seed;
+  let outcomes =
+    Trips_verify.Chaos.run_suite ~seed ~registers:c.Pipeline.registers
+      ~fresh_memory:(fun () -> Workload.memory w)
+      c.Pipeline.cfg
+  in
+  List.iter
+    (fun o -> Fmt.pr "  %a@." Trips_verify.Chaos.pp_outcome o)
+    outcomes;
+  let gaps = Trips_verify.Chaos.undetected outcomes in
+  if gaps = [] then
+    Fmt.pr "all %d injected fault classes detected@." (List.length outcomes)
+  else begin
+    Fmt.epr "chfc: %d fault class(es) escaped the verifier@."
+      (List.length gaps);
+    exit 1
+  end
 
 let chaos_cmd =
   let doc =
@@ -360,21 +338,9 @@ let chaos_cmd =
       value & opt string "sieve"
       & info [ "workload"; "w" ] ~docv:"NAME" ~doc:"Victim workload.")
   in
-  let ordering =
-    Arg.(
-      value
-      & opt string "iupo-merged"
-      & info [ "ordering"; "o" ] ~docv:"ORDERING"
-          ~doc:"Phase ordering: bb, upio, iupo, iup-o, iupo-merged.")
-  in
-  let policy =
-    Arg.(
-      value & opt string "bf"
-      & info [ "policy"; "p" ] ~docv:"POLICY" ~doc:"bf, df or vliw.")
-  in
   Cmd.v
     (Cmd.info "chaos" ~doc)
-    Term.(const chaos_run $ seed_arg $ workload $ ordering $ policy)
+    Term.(const chaos_run $ seed_arg $ workload $ ordering_arg $ policy_arg)
 
 (* ---- fuzz -------------------------------------------------------------- *)
 
@@ -521,73 +487,22 @@ let report_cache cache cache_stats =
       (Stage.store_counters cache)
   end
 
-(* the daemon's selection rule: an unknown name is an error, exit 2 *)
-let select_workloads ~default names =
-  match Trips_serve.Worker.select_workloads ~default names with
-  | Ok ws -> ws
-  | Error (`Msg m) ->
-    Fmt.epr "chfc: %s@." m;
-    exit 2
-
-let table1_cmd =
-  let doc = "Reproduce Table 1 (phase orderings, cycle counts)." in
+(* One command per registered experiment, all with the same flags.  The
+   selection rule is the daemon's: an unknown [-w] name is an error. *)
+let experiment_cmd (e : Experiment.t) =
   let run names jobs cache_stats deadline trace chrome metrics metrics_json =
-    let workloads = select_workloads ~default:Micro.all names in
+    let workloads =
+      or_exit
+        (Trips_serve.Worker.select_workloads ~default:e.Experiment.defaults names)
+    in
     apply_stage_deadline deadline;
     with_obs trace chrome metrics metrics_json (fun () ->
         let jobs, cache = sweep_env jobs in
-        Table1.render Fmt.stdout (Table1.run ~cache ~jobs ~workloads ());
+        print_string (e.Experiment.render ~cache ~jobs workloads);
         report_cache cache cache_stats)
   in
-  Cmd.v (Cmd.info "table1" ~doc)
-    Term.(
-      const run $ workloads_arg $ jobs_arg $ cache_stats_arg
-      $ stage_deadline_arg $ trace_arg $ chrome_trace_arg $ metrics_arg
-      $ metrics_json_arg)
-
-let table2_cmd =
-  let doc = "Reproduce Table 2 (block-selection heuristics)." in
-  let run names jobs cache_stats deadline trace chrome metrics metrics_json =
-    let workloads = select_workloads ~default:Micro.all names in
-    apply_stage_deadline deadline;
-    with_obs trace chrome metrics metrics_json (fun () ->
-        let jobs, cache = sweep_env jobs in
-        Table2.render Fmt.stdout (Table2.run ~cache ~jobs ~workloads ());
-        report_cache cache cache_stats)
-  in
-  Cmd.v (Cmd.info "table2" ~doc)
-    Term.(
-      const run $ workloads_arg $ jobs_arg $ cache_stats_arg
-      $ stage_deadline_arg $ trace_arg $ chrome_trace_arg $ metrics_arg
-      $ metrics_json_arg)
-
-let table3_cmd =
-  let doc = "Reproduce Table 3 (SPEC-like block counts)." in
-  let run names jobs cache_stats deadline trace chrome metrics metrics_json =
-    let workloads = select_workloads ~default:Spec_like.all names in
-    apply_stage_deadline deadline;
-    with_obs trace chrome metrics metrics_json (fun () ->
-        let jobs, cache = sweep_env jobs in
-        Table3.render Fmt.stdout (Table3.run ~cache ~jobs ~workloads ());
-        report_cache cache cache_stats)
-  in
-  Cmd.v (Cmd.info "table3" ~doc)
-    Term.(
-      const run $ workloads_arg $ jobs_arg $ cache_stats_arg
-      $ stage_deadline_arg $ trace_arg $ chrome_trace_arg $ metrics_arg
-      $ metrics_json_arg)
-
-let figure7_cmd =
-  let doc = "Reproduce Figure 7 (cycle vs block count reduction)." in
-  let run names jobs cache_stats deadline trace chrome metrics metrics_json =
-    let workloads = select_workloads ~default:Micro.all names in
-    apply_stage_deadline deadline;
-    with_obs trace chrome metrics metrics_json (fun () ->
-        let jobs, cache = sweep_env jobs in
-        Figure7.render Fmt.stdout (Table1.run ~cache ~jobs ~workloads ());
-        report_cache cache cache_stats)
-  in
-  Cmd.v (Cmd.info "figure7" ~doc)
+  Cmd.v
+    (Cmd.info e.Experiment.name ~doc:e.Experiment.doc)
     Term.(
       const run $ workloads_arg $ jobs_arg $ cache_stats_arg
       $ stage_deadline_arg $ trace_arg $ chrome_trace_arg $ metrics_arg
@@ -600,18 +515,6 @@ let report_cmd =
     "Per-block utilization report: slot usage, useful-instruction ratio, \
      cycle and flush attribution by lineage class, and the formation \
      decisions that shaped each hyperblock."
-  in
-  let ordering =
-    Arg.(
-      value
-      & opt string "iupo-merged"
-      & info [ "ordering"; "o" ] ~docv:"ORDERING"
-          ~doc:"Phase ordering: bb, upio, iupo, iup-o, iupo-merged.")
-  in
-  let policy =
-    Arg.(
-      value & opt string "bf"
-      & info [ "policy"; "p" ] ~docv:"POLICY" ~doc:"bf, df or vliw.")
   in
   let json_arg =
     Arg.(
@@ -629,30 +532,29 @@ let report_cmd =
   in
   let run names ordering policy jobs cache_stats deadline json out trace
       chrome metrics metrics_json =
-    match (ordering_of_string ordering, policy_of_string policy) with
-    | Error (`Msg m), _ | _, Error (`Msg m) ->
-      Fmt.epr "chfc: %s@." m;
-      exit 2
-    | Ok ordering, Ok config ->
-      let workloads = select_workloads ~default:Micro.all names in
-      apply_stage_deadline deadline;
-      with_obs trace chrome metrics metrics_json (fun () ->
-          let jobs, cache = sweep_env jobs in
-          let o = Reporter.run ~config ~cache ~jobs ~ordering ~workloads () in
-          (match out with
-          | Some path -> write_text_file path (Fmt.str "%a" Reporter.render o)
-          | None -> Reporter.render Fmt.stdout o);
-          (match json with
-          | Some path ->
-            write_text_file path
-              (Trips_obs.Report.to_json o.Reporter.reports ^ "\n")
-          | None -> ());
-          report_cache cache cache_stats;
-          if o.Reporter.failures <> [] then exit 1)
+    let ordering = or_exit (ordering_of_string ordering) in
+    let config = or_exit (policy_of_string policy) in
+    let workloads =
+      or_exit (Trips_serve.Worker.select_workloads ~default:Micro.all names)
+    in
+    apply_stage_deadline deadline;
+    with_obs trace chrome metrics metrics_json (fun () ->
+        let jobs, cache = sweep_env jobs in
+        let o = Reporter.run ~config ~cache ~jobs ~ordering ~workloads () in
+        (match out with
+        | Some path -> write_text_file path (Fmt.str "%a" Reporter.render o)
+        | None -> Reporter.render Fmt.stdout o);
+        (match json with
+        | Some path ->
+          write_text_file path
+            (Trips_obs.Report.to_json o.Reporter.reports ^ "\n")
+        | None -> ());
+        report_cache cache cache_stats;
+        if o.Reporter.failures <> [] then exit 1)
   in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(
-      const run $ workloads_arg $ ordering $ policy $ jobs_arg
+      const run $ workloads_arg $ ordering_arg $ policy_arg $ jobs_arg
       $ cache_stats_arg $ stage_deadline_arg
       $ json_arg $ out_arg $ trace_arg $ chrome_trace_arg $ metrics_arg
       $ metrics_json_arg)
@@ -773,23 +675,6 @@ let submit_cmd =
      experiment table over the given (or default) workloads."
   in
   let workloads = Arg.(value & pos_all string [] & info [] ~docv:"WORKLOAD") in
-  let ordering =
-    Arg.(
-      value
-      & opt string "iupo-merged"
-      & info [ "ordering"; "o" ] ~docv:"ORDERING"
-          ~doc:"Phase ordering: bb, upio, iupo, iup-o, iupo-merged.")
-  in
-  let policy =
-    Arg.(
-      value & opt string "bf"
-      & info [ "policy"; "p" ] ~docv:"POLICY" ~doc:"bf, df or vliw.")
-  in
-  let backend =
-    Arg.(
-      value & opt bool true
-      & info [ "backend" ] ~docv:"BOOL" ~doc:"Run the back end.")
-  in
   let deadline =
     Arg.(
       value
@@ -812,7 +697,11 @@ let submit_cmd =
       value
       & opt (some string) None
       & info [ "table" ] ~docv:"TABLE"
-          ~doc:"Request a rendered table: table1, table2, table3 or figure7.")
+          ~doc:
+            ("Request a rendered experiment table: "
+            ^ String.concat ", "
+                (List.map (fun e -> e.Experiment.name) Experiment.all)
+            ^ "."))
   in
   let report =
     Arg.(
@@ -872,8 +761,8 @@ let submit_cmd =
   in
   Cmd.v (Cmd.info "submit" ~doc)
     Term.(
-      const run $ socket_arg $ workloads $ ordering $ policy $ backend
-      $ verify_arg $ deadline $ chaos_seed $ table $ report)
+      const run $ socket_arg $ workloads $ ordering_arg $ policy_arg
+      $ backend_arg $ verify_arg $ deadline $ chaos_seed $ table $ report)
 
 let stats_cmd =
   let doc =
@@ -1007,8 +896,9 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [
-            list_cmd; compile_cmd; compile_file_cmd; chaos_cmd; fuzz_cmd;
-            report_cmd; table1_cmd; table2_cmd; table3_cmd; figure7_cmd;
-            serve_cmd; submit_cmd; stats_cmd; trace_cmd; shutdown_cmd;
-          ]))
+          ([
+             list_cmd; compile_cmd; compile_file_cmd; chaos_cmd; fuzz_cmd;
+             report_cmd;
+           ]
+          @ List.map experiment_cmd Experiment.all
+          @ [ serve_cmd; submit_cmd; stats_cmd; trace_cmd; shutdown_cmd ])))

@@ -106,12 +106,10 @@ let plan ?(config = Policy.edge_default) o cfg (profile : Profile.t) :
         optimize "final-optimize";
       ]
     | Iupo_merged ->
-      [
-        optimize "optimize";
-        formation
-          { config with Policy.enable_head_dup = true; iterate_opt = true };
-        optimize "final-optimize";
-      ]
+      (* the policy as given: every named policy already enables head
+         duplication and iterative optimization, and the ablation turns
+         them off one at a time *)
+      [ optimize "optimize"; formation config; optimize "final-optimize" ]
   in
   (stats, steps)
 

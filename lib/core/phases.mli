@@ -11,7 +11,9 @@
     - (IUP)O: convergent formation with head duplication but optimization
       only at the end;
     - (IUPO): full convergent formation — optimization after every merge,
-      so size estimates are tight and more blocks fit. *)
+      so size estimates are tight and more blocks fit.  It runs formation
+      under the policy as given, so a policy that turns off head
+      duplication or iterative optimization ablates that knob. *)
 
 open Trips_profile
 

@@ -199,24 +199,10 @@ let pp_report fmt r =
     (if r.r_early_stop then " (time budget hit)" else "");
   List.iter (fun f -> Fmt.pf fmt "%a@." pp_finding f) r.r_findings
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let report_json r =
   let buf = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let add fmt = Printf.bprintf buf fmt in
+  let esc = Trips_obs.Trace.escape in
   add
     "{\"seed\":%d,\"requested\":%d,\"executed\":%d,\"passed\":%d,\"elapsed_s\":%.3f,\"early_stop\":%b,\"findings\":["
     r.r_seed r.r_requested r.r_executed r.r_passed r.r_elapsed_s r.r_early_stop;
@@ -224,15 +210,15 @@ let report_json r =
     (fun i f ->
       if i > 0 then add ",";
       add
-        "{\"bucket\":\"%s\",\"stage\":\"%s\",\"shape\":\"%s\",\"seed\":%d,\"first_case\":%d,\"count\":%d,\"reason\":\"%s\""
-        (json_escape f.fd_bucket) (json_escape f.fd_stage)
+        "{\"bucket\":\"%a\",\"stage\":\"%a\",\"shape\":\"%s\",\"seed\":%d,\"first_case\":%d,\"count\":%d,\"reason\":\"%a\""
+        esc f.fd_bucket esc f.fd_stage
         (Gen.shape_name f.fd_shape) f.fd_seed f.fd_index f.fd_count
-        (json_escape f.fd_reason);
+        esc f.fd_reason;
       (match Option.bind f.fd_min min_blocks with
       | Some n -> add ",\"min_blocks\":%d" n
       | None -> ());
       (match f.fd_repro with
-      | Some p -> add ",\"repro\":\"%s\"" (json_escape p)
+      | Some p -> add ",\"repro\":\"%a\"" esc p
       | None -> ());
       add "}")
     r.r_findings;

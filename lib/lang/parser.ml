@@ -68,7 +68,10 @@ let tokenize (src : string) : (token * int) list =
       | c when is_digit c ->
         let j = ref i in
         while !j < n && is_digit src.[!j] do incr j done;
-        emit (INT (int_of_string (String.sub src i (!j - i))));
+        let digits = String.sub src i (!j - i) in
+        (match int_of_string_opt digits with
+        | Some v -> emit (INT v)
+        | None -> error "line %d: integer literal %s out of range" !line digits);
         go !j
       | c when is_ident_start c ->
         let j = ref i in

@@ -131,23 +131,11 @@ let render fmt reports =
 
 (* ---- JSON ---------------------------------------------------------------- *)
 
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let to_json reports =
   let buf = Buffer.create 4096 in
   let str s =
     Buffer.add_char buf '"';
-    escape buf s;
+    Trace.escape buf s;
     Buffer.add_char buf '"'
   in
   Buffer.add_string buf "{\"functions\":[";

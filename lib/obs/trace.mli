@@ -70,6 +70,12 @@ val with_cell : int -> (unit -> 'a) -> 'a
     [i] and its sequence counter reset to [0]; restores the previous
     tagging on exit.  The engine wraps every sweep slot in this. *)
 
+val escape : Buffer.t -> string -> unit
+(** Append [s] escaped as the body of a JSON string (no quotes): quote,
+    backslash, newline, tab and CR by name, other control bytes as
+    [\u00XX].  The one escaper behind every JSON writer (traces, block
+    reports, fuzz reports). *)
+
 val to_json : event -> string
 (** One JSON object, no trailing newline.  Field order: [cell], [seq],
     [kind], then [fields] in emission order. *)

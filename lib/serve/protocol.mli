@@ -56,8 +56,9 @@ type report_spec = {
 }
 
 type sweep_spec = {
-  ss_table : string;  (** "table1" | "table2" | "table3" | "figure7" *)
-  ss_workloads : string list;  (** [[]] = the table's default set *)
+  ss_table : string;
+      (** any {!Trips_harness.Experiment} name: "table1" … "placement" *)
+  ss_workloads : string list;  (** [[]] = the experiment's default set *)
   ss_deadline_s : float option;
 }
 

@@ -251,40 +251,17 @@ let w_report t (s : Protocol.report_spec) : Protocol.output =
         Ok (Trace.span "render" (fun () -> Fmt.str "%a" Reporter.render o)))
 
 let w_sweep_cell t (s : Protocol.sweep_spec) : Protocol.output =
-  let sweep =
-    match s.Protocol.ss_table with
-    | "table1" ->
-      Ok
-        ( Micro.all,
-          fun ws cache ->
-            Fmt.str "%a" Table1.render (Table1.run ~cache ~jobs:1 ~workloads:ws ()) )
-    | "table2" ->
-      Ok
-        ( Micro.all,
-          fun ws cache ->
-            Fmt.str "%a" Table2.render (Table2.run ~cache ~jobs:1 ~workloads:ws ()) )
-    | "table3" ->
-      Ok
-        ( Spec_like.all,
-          fun ws cache ->
-            Fmt.str "%a" Table3.render (Table3.run ~cache ~jobs:1 ~workloads:ws ()) )
-    | "figure7" ->
-      Ok
-        ( Micro.all,
-          fun ws cache ->
-            Fmt.str "%a" Figure7.render (Table1.run ~cache ~jobs:1 ~workloads:ws ()) )
-    | t -> Error (`Msg (Fmt.str "unknown table %S (table1|table2|table3|figure7)" t))
-  in
   match
-    Result.bind sweep (fun (default, render) ->
+    Result.bind (Experiment.find s.Protocol.ss_table) (fun e ->
         Result.map
-          (fun ws -> (ws, render ws))
-          (select_workloads ~default s.Protocol.ss_workloads))
+          (fun ws -> (e, ws))
+          (select_workloads ~default:e.Experiment.defaults s.Protocol.ss_workloads))
   with
   | Error (`Msg m) -> bad_request m
-  | Ok (ws, render) ->
+  | Ok (e, ws) ->
     with_output_cache t ~src:(selection_key ws) ~kind:"sweep"
-      ~config:s.Protocol.ss_table (fun () -> Ok (render t.cache))
+      ~config:s.Protocol.ss_table (fun () ->
+        Ok (e.Experiment.render ~cache:t.cache ~jobs:1 ws))
 
 let handlers t =
   {

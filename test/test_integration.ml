@@ -170,43 +170,63 @@ let test_verification_catches_bad_compile () =
     with Pipeline.Miscompiled _ -> true)
 
 (* EXPERIMENTS.md cannot go stale: every line of the fenced blocks
-   under the Table 1, Table 2, Table 3 and Figure 7 headings must appear
-   verbatim in the committed perf goldens, which the benchmark
-   byte-checks against a fresh run of the paper experiments. *)
-let quoted_sections = [ "Table 1"; "Table 2"; "Table 3"; "Figure 7" ]
-
+   under a quoted heading must appear verbatim in the output that
+   produces it.  [quoted_lines sections] pairs each such line with its
+   section; every listed section must quote at least one fenced block. *)
 let read_lines path =
   String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all)
 
-let test_experiments_quote_goldens () =
-  let golden =
-    read_lines "../perf/golden/paper_micro.txt"
-    @ read_lines "../perf/golden/spec_gen_seed0.txt"
-  in
-  let section = ref None and fenced = ref false in
-  let quoted = Hashtbl.create 4 in
+let quoted_lines sections =
+  let section = ref None and fenced = ref false and quoted = ref [] in
   List.iter
     (fun line ->
       if String.starts_with ~prefix:"## " line then
         section :=
           List.find_opt
             (fun s -> String.starts_with ~prefix:("## " ^ s) line)
-            quoted_sections
+            sections
       else if String.starts_with ~prefix:"```" line then fenced := not !fenced
       else
         match !section with
         | Some s when !fenced && String.trim line <> "" ->
-          Hashtbl.replace quoted s ();
-          if not (List.mem line golden) then
-            Alcotest.failf "EXPERIMENTS.md %s line not in perf/golden: %S" s
-              line
+          quoted := (s, line) :: !quoted
         | _ -> ())
     (read_lines "../EXPERIMENTS.md");
   List.iter
     (fun s ->
       check Alcotest.bool (s ^ " quotes a fenced block") true
-        (Hashtbl.mem quoted s))
-    quoted_sections
+        (List.mem_assoc s !quoted))
+    sections;
+  List.rev !quoted
+
+let check_quotes ~source sections output =
+  List.iter
+    (fun (s, line) ->
+      if not (List.mem line output) then
+        Alcotest.failf "EXPERIMENTS.md %s line not in %s: %S" s source line)
+    (quoted_lines sections)
+
+(* The paper's tables against the committed perf goldens, which the
+   benchmark byte-checks against a fresh run of the paper experiments. *)
+let test_experiments_quote_goldens () =
+  check_quotes ~source:"perf/golden"
+    [ "Table 1"; "Table 2"; "Table 3"; "Figure 7" ]
+    (read_lines "../perf/golden/paper_micro.txt"
+    @ read_lines "../perf/golden/spec_gen_seed0.txt")
+
+(* The two studies beyond the paper against a fresh render through the
+   experiment registry, exactly as `chfc ablation` / `chfc placement`
+   print them. *)
+let test_experiments_quote_ablation_placement () =
+  let render name =
+    let e = Result.get_ok (Experiment.find name) in
+    String.split_on_char '\n'
+      (e.Experiment.render ~cache:(Stage.create ()) ~jobs:1
+         e.Experiment.defaults)
+  in
+  check_quotes ~source:"the registry render"
+    [ "Ablations"; "Placement sensitivity" ]
+    (render "ablation" @ render "placement")
 
 let suite =
   ( "integration",
@@ -224,4 +244,6 @@ let suite =
         test_verification_catches_bad_compile;
       Alcotest.test_case "EXPERIMENTS.md quotes the perf goldens" `Quick
         test_experiments_quote_goldens;
+      Alcotest.test_case "EXPERIMENTS.md quotes the ablation and placement"
+        `Quick test_experiments_quote_ablation_placement;
     ] )

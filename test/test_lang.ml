@@ -333,6 +333,15 @@ let test_parser_errors () =
   check Alcotest.bool "unknown char" true (fails "kernel t() { x = 1 @ 2; }");
   check Alcotest.bool "trailing garbage" true (fails "kernel t() { } zzz")
 
+let test_parser_literal_overflow () =
+  match
+    Parser.parse_program "kernel t() {\n  x = 99999999999999999999999;\n}"
+  with
+  | exception Parser.Parse_error m ->
+    check Alcotest.string "located error"
+      "line 2: integer literal 99999999999999999999999 out of range" m
+  | _ -> Alcotest.fail "an overflowing literal parsed"
+
 let roundtrip_micro () =
   (* every microbenchmark program survives print -> parse exactly *)
   List.iter
@@ -524,6 +533,8 @@ let suite =
       Alcotest.test_case "parser constructs" `Quick test_parser_full_constructs;
       Alcotest.test_case "parser matches DSL" `Quick test_parser_matches_dsl;
       Alcotest.test_case "parser errors" `Quick test_parser_errors;
+      Alcotest.test_case "parser rejects an overflowing literal" `Quick
+        test_parser_literal_overflow;
       Alcotest.test_case "arithmetic" `Quick test_arith;
       Alcotest.test_case "logic is boolean" `Quick test_logic_is_boolean;
       Alcotest.test_case "if/else" `Quick test_if_else;

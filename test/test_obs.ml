@@ -24,12 +24,14 @@ let test_trace_json_stable () =
           ("classify", Trace.Str "simple");
           ("ok", Trace.Bool true);
           ("msg", Trace.Str "quote\" and \\slash");
+          ("ctl", Trace.Str "tab\tcr\r\001");
         ];
     }
   in
   check Alcotest.string "field order and escaping preserved"
     "{\"cell\":3,\"seq\":7,\"kind\":\"merge-attempt\",\"seed\":4,\"prob\":0.25,\
-     \"classify\":\"simple\",\"ok\":true,\"msg\":\"quote\\\" and \\\\slash\"}"
+     \"classify\":\"simple\",\"ok\":true,\"msg\":\"quote\\\" and \\\\slash\",\
+     \"ctl\":\"tab\\tcr\\r\\u0001\"}"
     (Trace.to_json ev)
 
 let test_trace_cell_tagging () =

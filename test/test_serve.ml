@@ -557,7 +557,9 @@ let test_unknown_workload_bad_request () =
       expect ("sweep-cell " ^ table)
         (h.P.w_sweep_cell
            { P.ss_table = table; ss_workloads = workloads; ss_deadline_s = None }))
-    [ "table1"; "table2"; "table3"; "figure7" ]
+    (List.map
+       (fun e -> e.Trips_harness.Experiment.name)
+       Trips_harness.Experiment.all)
 
 (* ---- client descriptor hygiene ------------------------------------------ *)
 

@@ -496,10 +496,15 @@ let experiment_cmd (e : Experiment.t) =
         (Trips_serve.Worker.select_workloads ~default:e.Experiment.defaults names)
     in
     apply_stage_deadline deadline;
-    with_obs trace chrome metrics metrics_json (fun () ->
-        let jobs, cache = sweep_env jobs in
-        print_string (e.Experiment.render ~cache ~jobs workloads);
-        report_cache cache cache_stats)
+    let failures =
+      with_obs trace chrome metrics metrics_json (fun () ->
+          let jobs, cache = sweep_env jobs in
+          let text, failures = e.Experiment.render ~cache ~jobs workloads in
+          print_string text;
+          report_cache cache cache_stats;
+          failures)
+    in
+    if failures <> [] then exit 1
   in
   Cmd.v
     (Cmd.info e.Experiment.name ~doc:e.Experiment.doc)
@@ -538,19 +543,22 @@ let report_cmd =
       or_exit (Trips_serve.Worker.select_workloads ~default:Micro.all names)
     in
     apply_stage_deadline deadline;
-    with_obs trace chrome metrics metrics_json (fun () ->
-        let jobs, cache = sweep_env jobs in
-        let o = Reporter.run ~config ~cache ~jobs ~ordering ~workloads () in
-        (match out with
-        | Some path -> write_text_file path (Fmt.str "%a" Reporter.render o)
-        | None -> Reporter.render Fmt.stdout o);
-        (match json with
-        | Some path ->
-          write_text_file path
-            (Trips_obs.Report.to_json o.Reporter.reports ^ "\n")
-        | None -> ());
-        report_cache cache cache_stats;
-        if o.Reporter.failures <> [] then exit 1)
+    let o =
+      with_obs trace chrome metrics metrics_json (fun () ->
+          let jobs, cache = sweep_env jobs in
+          let o = Reporter.run ~config ~cache ~jobs ~ordering ~workloads () in
+          (match out with
+          | Some path -> write_text_file path (Fmt.str "%a" Reporter.render o)
+          | None -> Reporter.render Fmt.stdout o);
+          (match json with
+          | Some path ->
+            write_text_file path
+              (Trips_obs.Report.to_json o.Reporter.reports ^ "\n")
+          | None -> ());
+          report_cache cache cache_stats;
+          o)
+    in
+    if o.Reporter.failures <> [] then exit 1
   in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(

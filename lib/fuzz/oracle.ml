@@ -147,39 +147,34 @@ let check_lang_case ~seed recipe =
   let open Trips_harness in
   let w = Trips_workloads.Spec_like.generate recipe in
   let ordering = ordering_for ~seed in
-  match Pipeline.compile ~backend:false Chf.Phases.Basic_blocks w with
+  match Pipeline.baseline ~backend:false ~cycles:false w with
   | exception e ->
     fail "lang-baseline" ("input:" ^ Triage.of_exn ~stage:"baseline" e)
       (Printexc.to_string e)
-  | base_c -> (
-    match Pipeline.run_functional base_c with
+  | { Stage.base_functional = baseline; _ } -> (
+    match Pipeline.compile ~verify:true ordering w with
+    | exception Pipeline.Verify_failed { vf_failure; _ } ->
+      fail "formation" (Triage.of_diff_failure vf_failure)
+        (Fmt.str "%a" Diff_check.pp_failure vf_failure)
     | exception e ->
-      fail "lang-baseline" ("input:" ^ Triage.of_exn ~stage:"baseline" e)
-        (Printexc.to_string e)
-    | baseline -> (
-      match Pipeline.compile ~verify:true ordering w with
-      | exception Pipeline.Verify_failed { vf_failure; _ } ->
-        fail "formation" (Triage.of_diff_failure vf_failure)
-          (Fmt.str "%a" Diff_check.pp_failure vf_failure)
+      fail "pipeline" (Triage.of_exn ~stage:"pipeline" e) (Printexc.to_string e)
+    | c -> (
+      match Pipeline.verify_against ~baseline c with
       | exception e ->
-        fail "pipeline" (Triage.of_exn ~stage:"pipeline" e) (Printexc.to_string e)
-      | c -> (
-        match Pipeline.verify_against ~baseline c with
+        fail "verify" (Triage.of_exn ~stage:"verify" e) (Printexc.to_string e)
+      | _ -> (
+        match
+          let profile, _ = Pipeline.profile_workload w in
+          let cfg, _ = Pipeline.lower_workload w in
+          Trips_opt.Optimizer.optimize_cfg cfg;
+          (cfg, profile)
+        with
         | exception e ->
-          fail "verify" (Triage.of_exn ~stage:"verify" e) (Printexc.to_string e)
-        | _ -> (
-          match
-            let profile, _ = Pipeline.profile_workload w in
-            let cfg, _ = Pipeline.lower_workload w in
-            Trips_opt.Optimizer.optimize_cfg cfg;
-            (cfg, profile)
-          with
-          | exception e ->
-            fail "equiv" (Triage.of_exn ~stage:"equiv" e) (Printexc.to_string e)
-          | cfg, profile ->
-            Option.value
-              (check_equiv ~config:(config_for ~seed) cfg profile)
-              ~default:Pass))))
+          fail "equiv" (Triage.of_exn ~stage:"equiv" e) (Printexc.to_string e)
+        | cfg, profile ->
+          Option.value
+            (check_equiv ~config:(config_for ~seed) cfg profile)
+            ~default:Pass)))
 
 let check ?(fuel = 2_000_000) (case : Gen.case) =
   match case.Gen.payload with

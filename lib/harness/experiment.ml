@@ -1,16 +1,19 @@
 (* The experiment registry: every table EXPERIMENTS.md quotes is one
    entry here, and the CLI and the daemon both read this list.  The
    paper's tables render their existing modules; the ablation is Table
-   2's sweep over policy variants and the placement study a pair of
-   compiles per kernel, both through the one Pipeline. *)
+   2's sweep over policy variants and the placement study a two-column
+   sweep, so every cell is measured (and checksum-verified) by Sweep. *)
 
+open Trips_sim
 open Trips_workloads
 
 type t = {
   name : string;
   doc : string;
   defaults : Workload.t list;
-  render : cache:Stage.cache -> jobs:int -> Workload.t list -> string;
+  render :
+    cache:Stage.cache -> jobs:int -> Workload.t list ->
+    string * Pipeline.failure list;
 }
 
 let kernels names = List.filter_map Micro.by_name names
@@ -83,42 +86,55 @@ let render_ablation fmt (o : Table2.cell Sweep.outcome) =
       in
       Fmt.pf fmt " | %5.1f@." (Stats.mean improvements))
     variants;
-  if o.Sweep.failures <> [] then begin
-    Fmt.pf fmt "@.%d failure(s):@." (List.length o.Sweep.failures);
-    List.iter (fun f -> Fmt.pf fmt "  %a@." Pipeline.pp_failure f) o.Sweep.failures
-  end
+  Pipeline.pp_failures fmt o.Sweep.failures
 
 (* ---- placement ---------------------------------------------------------- *)
 
 (* Placement-quality sensitivity: how much of (IUPO)'s win survives an
-   unoptimized (round-robin) SPDI placement. *)
-let placement_line ~cache w =
-  let bb = Pipeline.compile ~cache ~backend:true Chf.Phases.Basic_blocks w in
-  let c = Pipeline.compile ~cache ~backend:true Chf.Phases.Iupo_merged w in
-  let measure timing =
-    let base = Pipeline.run_cycles ?timing bb in
-    let r = Pipeline.run_cycles ?timing c in
-    Stats.percent_improvement ~base:base.Trips_sim.Cycle_sim.cycles
-      ~v:r.Trips_sim.Cycle_sim.cycles
-  in
-  let flat = measure None in
-  let spatial =
-    measure
-      (Some
-         { Trips_sim.Cycle_sim.default_timing with
-           Trips_sim.Cycle_sim.spatial_grid = 4 })
-  in
-  Fmt.str "%-14s | %28.1f | %28.1f@." w.Workload.name flat spatial
+   unoptimized (round-robin) SPDI placement.  A cell is a column's flat
+   and round-robin cycles; the flat BB cycles come from the baseline. *)
+let round_robin = { Cycle_sim.default_timing with Cycle_sim.spatial_grid = 4 }
 
-let render_placement ~cache ~jobs ws =
-  Fmt.str "%-14s | %-28s | %-28s@." "benchmark" "optimized placement (IUPO)%"
-    "round-robin placement (IUPO)%"
-  ^ String.concat ""
-      (List.map
-         (function Ok line -> line | Error e -> raise e)
-         (Engine.map ~jobs (placement_line ~cache) ws))
+let placement_spec =
+  {
+    Sweep.columns = [ Chf.Phases.Basic_blocks; Chf.Phases.Iupo_merged ];
+    configure = (fun ordering -> (ordering, Chf.Policy.edge_default));
+    backend = true;
+    cycles = true;
+    attribution = false;
+    cell =
+      (fun _ ordering m ->
+        let rr = Pipeline.run_cycles ~timing:round_robin m.Pipeline.compiled in
+        (ordering, ((Option.get m.Pipeline.cycles).Cycle_sim.cycles, rr.Cycle_sim.cycles)));
+  }
+
+let render_placement fmt (o : _ Sweep.outcome) =
+  Fmt.pf fmt "%-14s | %-28s | %-28s@." "benchmark" "optimized placement (IUPO)%"
+    "round-robin placement (IUPO)%";
+  List.iter
+    (fun r ->
+      let cycles ordering pick =
+        Option.map pick (List.assoc_opt ordering r.Sweep.row_cells)
+      in
+      let improvement base v =
+        match (base, v) with
+        | Some base, Some v -> Fmt.str "%28.1f" (Stats.percent_improvement ~base ~v)
+        | _ -> Fmt.str "%28s" "failed"
+      in
+      let bb = Option.get r.Sweep.row_baseline.Sweep.base_cycles in
+      Fmt.pf fmt "%-14s | %s | %s@." r.Sweep.row_workload
+        (improvement (Some bb.Cycle_sim.cycles) (cycles Chf.Phases.Iupo_merged fst))
+        (improvement
+           (cycles Chf.Phases.Basic_blocks snd)
+           (cycles Chf.Phases.Iupo_merged snd)))
+    o.Sweep.rows;
+  Pipeline.pp_failures fmt o.Sweep.failures
 
 (* ---- the registry ------------------------------------------------------- *)
+
+let sweep render spec ~cache ~jobs workloads =
+  let o = Sweep.run ~cache ~jobs spec workloads in
+  (Fmt.str "%a" render o, o.Sweep.failures)
 
 let all =
   [
@@ -128,7 +144,8 @@ let all =
       defaults = Micro.all;
       render =
         (fun ~cache ~jobs workloads ->
-          Fmt.str "%a" Table1.render (Table1.run ~cache ~jobs ~workloads ()));
+          let o = Table1.run ~cache ~jobs ~workloads () in
+          (Fmt.str "%a" Table1.render o, o.Table1.failures));
     };
     {
       name = "table2";
@@ -136,7 +153,8 @@ let all =
       defaults = Micro.all;
       render =
         (fun ~cache ~jobs workloads ->
-          Fmt.str "%a" Table2.render (Table2.run ~cache ~jobs ~workloads ()));
+          let o = Table2.run ~cache ~jobs ~workloads () in
+          (Fmt.str "%a" Table2.render o, o.Table2.failures));
     };
     {
       name = "table3";
@@ -144,7 +162,8 @@ let all =
       defaults = Spec_like.all;
       render =
         (fun ~cache ~jobs workloads ->
-          Fmt.str "%a" Table3.render (Table3.run ~cache ~jobs ~workloads ()));
+          let o = Table3.run ~cache ~jobs ~workloads () in
+          (Fmt.str "%a" Table3.render o, o.Table3.failures));
     };
     {
       name = "figure7";
@@ -152,7 +171,8 @@ let all =
       defaults = Micro.all;
       render =
         (fun ~cache ~jobs workloads ->
-          Fmt.str "%a" Figure7.render (Table1.run ~cache ~jobs ~workloads ()));
+          let o = Table1.run ~cache ~jobs ~workloads () in
+          (Fmt.str "%a" Figure7.render o, o.Table1.failures));
     };
     {
       name = "ablation";
@@ -161,14 +181,13 @@ let all =
         kernels [ "ammp_1"; "bzip2_3"; "gzip_1"; "matrix_1"; "sieve"; "parser_1" ];
       render =
         (fun ~cache ~jobs workloads ->
-          Fmt.str "%a" render_ablation
-            (Sweep.run ~cache ~jobs ablation_spec workloads));
+          sweep render_ablation ablation_spec ~cache ~jobs workloads);
     };
     {
       name = "placement";
       doc = "Optimized (flat-hop) vs round-robin SPDI placement under (IUPO).";
       defaults = kernels [ "gzip_1"; "matrix_1"; "vadd"; "parser_1" ];
-      render = render_placement;
+      render = sweep render_placement placement_spec;
     };
   ]
 

@@ -13,8 +13,11 @@ type t = {
   name : string;  (** the command / [--table] name, e.g. ["table1"] *)
   doc : string;  (** one line, shown by [chfc --help] *)
   defaults : Workload.t list;  (** the workloads when no [-w] is given *)
-  render : cache:Stage.cache -> jobs:int -> Workload.t list -> string;
-      (** run the experiment over the workloads and render its table;
+  render :
+    cache:Stage.cache -> jobs:int -> Workload.t list ->
+    string * Pipeline.failure list;
+      (** run the experiment over the workloads: its rendered table
+          (ending in the failure footer, if any) and the failures;
           [jobs] parallelizes rows and never changes the text *)
 }
 

@@ -67,4 +67,5 @@ let render fmt (outcome : Table1.outcome) =
     (Float.max
        (block_ratio rows Chf.Phases.Upio)
        (block_ratio rows Chf.Phases.Iupo))
-    (block_ratio rows Chf.Phases.Iupo_merged)
+    (block_ratio rows Chf.Phases.Iupo_merged);
+  Pipeline.pp_failures fmt outcome.Table1.failures

@@ -19,3 +19,5 @@ val block_ratio : Table1.row list -> Chf.Phases.ordering -> float
 (** Aggregate executed-block ratio (BB / configuration). *)
 
 val render : Format.formatter -> Table1.outcome -> unit
+(** The scatter, fit and ratios, then Table 1's failure footer
+    ({!Pipeline.pp_failures}). *)

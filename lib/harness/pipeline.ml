@@ -14,7 +14,7 @@
    The pipeline degrades gracefully rather than aborting a sweep: a
    back-end rejection triggers a recompile that splits every over-budget
    hyperblock ([Trips_transform.Split]) before retrying, and
-   [compile_checked] turns any unrecoverable error into a structured
+   [failure_of_exn] turns any unrecoverable error into a structured
    per-workload failure report. *)
 
 open Trips_ir
@@ -67,6 +67,12 @@ let pp_failure fmt f =
   Fmt.pf fmt "%s%a %s in %s: %s" f.fail_workload
     Fmt.(option (using Chf.Phases.name (fmt " under %s")))
     f.fail_ordering verb f.fail_phase f.fail_reason
+
+let pp_failures fmt = function
+  | [] -> ()
+  | failures ->
+    Fmt.pf fmt "@.%d failure(s):@." (List.length failures);
+    List.iter (fun f -> Fmt.pf fmt "  %a@." pp_failure f) failures
 
 type compiled = {
   workload : Workload.t;
@@ -242,15 +248,15 @@ let baseline ?cache ~backend ~cycles (w : Workload.t) : Stage.baseline =
         base_cycles = (if cycles then Some (run_cycles bb) else None) })
 
 (* On a checksum mismatch, re-run the formation phases with differential
-   checking on a fresh lowering to name the first phase that diverged;
-   if they all pass, the divergence came from the back end. *)
-let localize_divergence (c : compiled) =
+   checking on a fresh copy of the cached lowering to name the first phase
+   that diverged; if they all pass, the divergence came from the back end. *)
+let localize_divergence ?cache (c : compiled) =
   match
-    let profile, _ = profile_workload c.workload in
-    let cfg, registers = lower_workload c.workload in
-    Trips_verify.Diff_check.run ~config:c.config ~registers
+    let prefix = Stage.prefix ?cache c.workload in
+    let { Stage.low_cfg; low_registers } = Stage.instantiate prefix in
+    Trips_verify.Diff_check.run ~config:c.config ~registers:low_registers
       ~fresh_memory:(fun () -> Workload.memory c.workload)
-      c.ordering cfg profile
+      c.ordering low_cfg prefix.Stage.pre_profiled.Stage.prof_profile
   with
   | Error f -> Some f.Trips_verify.Diff_check.phase
   | Ok _ -> if c.backend <> None then Some "backend" else None
@@ -259,7 +265,7 @@ let localize_divergence (c : compiled) =
 (** Raise [Miscompiled] unless [c] produces the same functional checksum
     as the basic-block baseline result [baseline]; the payload names the
     workload, ordering and (when localizable) the diverging phase. *)
-let verify_against ~(baseline : Func_sim.result) (c : compiled) =
+let verify_against ?cache ~(baseline : Func_sim.result) (c : compiled) =
   let r = run_functional c in
   if r.Func_sim.checksum <> baseline.Func_sim.checksum then
     raise
@@ -267,11 +273,35 @@ let verify_against ~(baseline : Func_sim.result) (c : compiled) =
          {
            div_workload = c.workload.Workload.name;
            div_ordering = c.ordering;
-           div_phase = localize_divergence c;
+           div_phase = localize_divergence ?cache c;
            div_got = r.Func_sim.checksum;
            div_expected = baseline.Func_sim.checksum;
          });
   r
+
+type measured = {
+  compiled : compiled;
+  functional : Func_sim.result;
+  cycles : Cycle_sim.result option;
+  attribution : Attribution.t option;
+}
+
+(** The one measured cell: compile, check the checksum against the BB
+    baseline, then simulate — functionally always (that run is the
+    check), at cycle level when [cycles]. *)
+let measure ?cache ?config ?backend ?verify ?attribution ~cycles
+    ~(baseline : Stage.baseline) ordering (w : Workload.t) : measured =
+  let compiled = compile ?cache ?config ?backend ?verify ordering w in
+  let functional =
+    verify_against ?cache ~baseline:baseline.Stage.base_functional compiled
+  in
+  {
+    compiled;
+    functional;
+    cycles =
+      (if cycles then Some (run_cycles ?attribution compiled) else None);
+    attribution;
+  }
 
 (** Structured failure report for an exception escaping the pipeline. *)
 let failure_of_exn ~(workload : Workload.t) ~ordering exn =
@@ -311,12 +341,3 @@ let failure_of_exn ~(workload : Workload.t) ~ordering exn =
     fail_reason = reason;
     fail_kind = kind;
   }
-
-(** [compile], but an unrecoverable workload becomes a structured
-    per-workload failure report instead of an exception, so experiment
-    sweeps always complete. *)
-let compile_checked ?cache ?config ?backend ?verify ordering (w : Workload.t) :
-    (compiled, failure) result =
-  match compile ?cache ?config ?backend ?verify ordering w with
-  | c -> Ok c
-  | exception e -> Error (failure_of_exn ~workload:w ~ordering:(Some ordering) e)

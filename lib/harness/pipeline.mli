@@ -4,9 +4,9 @@
     allocation / reverse if-conversion / fanout insertion -> functional
     and cycle-level simulation.
 
-    Every compiled configuration can be checked against the basic-block
-    baseline's functional checksum ({!verify_against}), so a
-    miscompilation can never silently pollute experiment results; with
+    Every measured configuration ({!measure}) is checked against the
+    basic-block baseline's functional checksum before it is simulated,
+    so a miscompilation can never silently pollute experiment results; with
     [verify], structure and behavior are additionally re-checked after
     {e every} formation phase via {!Trips_verify.Diff_check}, naming the
     first transform that broke.
@@ -14,7 +14,7 @@
     The pipeline degrades gracefully rather than aborting a sweep: a
     back-end rejection triggers a recompile that splits every over-budget
     hyperblock ({!Trips_transform.Split}) before retrying, and
-    {!compile_checked} turns any unrecoverable error into a structured
+    {!failure_of_exn} turns any unrecoverable error into a structured
     per-workload {!failure} report. *)
 
 open Trips_ir
@@ -65,6 +65,11 @@ type failure = {
 val pp_divergence : Format.formatter -> divergence -> unit
 val pp_failure : Format.formatter -> failure -> unit
 
+val pp_failures : Format.formatter -> failure list -> unit
+(** The failure footer every table and report ends with: nothing when
+    the list is empty, else a blank line, ["N failure(s):"] and one
+    indented {!pp_failure} line each. *)
+
 type compiled = {
   workload : Workload.t;
   ordering : Chf.Phases.ordering;
@@ -102,21 +107,10 @@ val compile :
     every ordering and policy of the same workload content shares.
     @raise Verify_failed when [verify] and a phase breaks. *)
 
-val compile_checked :
-  ?cache:Stage.cache ->
-  ?config:Chf.Policy.config ->
-  ?backend:bool ->
-  ?verify:bool ->
-  Chf.Phases.ordering ->
-  Workload.t ->
-  (compiled, failure) result
-(** [compile], but an unrecoverable workload becomes a structured
-    failure report instead of an exception. *)
-
 val failure_of_exn :
   workload:Workload.t -> ordering:Chf.Phases.ordering option -> exn -> failure
 (** Classify an exception escaping the pipeline into a {!failure} (used
-    by the sweep harnesses around {!verify_against} and the simulators). *)
+    by {!Sweep.run} around every {!measure}). *)
 
 val run_functional : compiled -> Func_sim.result
 
@@ -141,8 +135,36 @@ val baseline :
     memoizes it per source ({!Stage.baseline}) and a second ordering or
     policy reuses it.  Exceptions propagate; nothing is then stored. *)
 
-val verify_against : baseline:Func_sim.result -> compiled -> Func_sim.result
+val verify_against :
+  ?cache:Stage.cache -> baseline:Func_sim.result -> compiled -> Func_sim.result
 (** @raise Miscompiled unless the compiled workload reproduces the
     baseline checksum; the payload names workload, ordering and — when
     localizable by re-running the phases under {!Trips_verify.Diff_check}
-    — the first diverging phase. *)
+    on a copy of the [cache]d lowering — the first diverging phase. *)
+
+type measured = {
+  compiled : compiled;
+  functional : Func_sim.result;  (** the checksum-verified run *)
+  cycles : Cycle_sim.result option;  (** present when cycles were asked for *)
+  attribution : Attribution.t option;
+      (** the collector the cycle run filled, when one was given *)
+}
+
+val measure :
+  ?cache:Stage.cache ->
+  ?config:Chf.Policy.config ->
+  ?backend:bool ->
+  ?verify:bool ->
+  ?attribution:Attribution.t ->
+  cycles:bool ->
+  baseline:Stage.baseline ->
+  Chf.Phases.ordering ->
+  Workload.t ->
+  measured
+(** The one measured cell, and the only code that orders compile ->
+    verify -> simulate: {!compile}, then {!verify_against} the
+    baseline's functional checksum (that run is the functional
+    measurement), then, when [cycles], {!run_cycles} with [attribution].
+    Every table, report and served compile measures through here.
+    Exceptions propagate; {!Sweep.run} classifies them with
+    {!failure_of_exn}. *)

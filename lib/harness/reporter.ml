@@ -1,13 +1,13 @@
-(* The [chfc report] harness: compile each workload, cycle-simulate it
-   with an attribution collector, and assemble the per-function
-   utilization reports ({!Trips_obs.Report}).
+(* The [chfc report] harness: a one-column sweep whose cell is the
+   measured configuration's attributed cycle run, assembled into the
+   per-function utilization reports ({!Trips_obs.Report}).  Sweep
+   checksum-verifies every cell against the BB baseline first.
 
-   Determinism across [--jobs]: workloads are mapped over the engine's
-   domain pool, but each report depends only on its own workload (the
-   compile is deterministic, the cycle model has no wall clock, and
-   attribution rows come out sorted), and {!Engine.map} returns results
-   in input order — so the assembled report list is byte-identical at
-   any parallelism (make report-check). *)
+   Determinism across [--jobs]: each report depends only on its own
+   workload (the compile is deterministic, the cycle model has no wall
+   clock, and attribution rows come out sorted), and Sweep merges rows in
+   workload order — so the assembled report list is byte-identical at any
+   parallelism (make report-check). *)
 
 open Trips_ir
 open Trips_sim
@@ -19,14 +19,11 @@ type outcome = {
   failures : Pipeline.failure list;
 }
 
-(* One workload -> one report: the final CFG provides static sizes and
-   formation decisions, the attributed cycle run the dynamic counts. *)
-let report_workload ?cache ?config ~ordering (w : Workload.t) :
-    Report.func_report =
-  let c = Pipeline.compile ?cache ?config ~backend:true ordering w in
-  let attribution = Attribution.create () in
-  let r = Pipeline.run_cycles ~attribution c in
-  let dyn = Attribution.rows attribution in
+(* One measured cell -> one report: the final CFG provides static sizes
+   and formation decisions, the attributed cycle run the dynamic counts. *)
+let report_of (m : Pipeline.measured) : Report.func_report =
+  let c = m.Pipeline.compiled in
+  let dyn = Attribution.rows (Option.get m.Pipeline.attribution) in
   let dyn_of id =
     List.find_opt (fun (row : Attribution.row) -> row.Attribution.r_block = id) dyn
   in
@@ -63,40 +60,34 @@ let report_workload ?cache ?config ~ordering (w : Workload.t) :
       (Cfg.blocks c.Pipeline.cfg)
   in
   {
-    Report.fn = w.Workload.name;
+    Report.fn = c.Pipeline.workload.Workload.name;
     capacity = Machine.max_instrs;
-    total_cycles = r.Cycle_sim.cycles;
+    total_cycles = (Option.get m.Pipeline.cycles).Cycle_sim.cycles;
     blocks;
   }
 
 (** Build reports for [workloads] (default: the 24 microbenchmarks)
     under [ordering] (default: merged convergent formation, the paper's
     headline configuration).  Failures are collected, not raised. *)
-let run ?config ?(cache = Stage.create ()) ?jobs
+let run ?(config = Chf.Policy.edge_default) ?(cache = Stage.create ()) ?jobs
     ?(ordering = Chf.Phases.Iupo_merged) ?(workloads = Micro.all) () : outcome =
-  let results =
-    Engine.map ?jobs
-      (fun w ->
-        match report_workload ~cache ?config ~ordering w with
-        | r -> Ok r
-        | exception e ->
-          Error (Pipeline.failure_of_exn ~workload:w ~ordering:(Some ordering) e))
-      workloads
+  let spec =
+    {
+      Sweep.columns = [ ordering ];
+      configure = (fun ordering -> (ordering, config));
+      (* Tables 1-2's baseline key, so a shared cache reuses baselines *)
+      backend = true;
+      cycles = true;
+      attribution = true;
+      cell = (fun _ _ m -> report_of m);
+    }
   in
-  let reports, failures =
-    List.fold_left
-      (fun (rs, fs) outcome ->
-        match outcome with
-        | Ok (Ok r) -> (r :: rs, fs)
-        | Ok (Error f) -> (rs, f :: fs)
-        | Error e -> raise e)
-      ([], []) results
-  in
-  { reports = List.rev reports; failures = List.rev failures }
+  let o = Sweep.run ~cache ?jobs spec workloads in
+  {
+    reports = List.concat_map (fun r -> r.Sweep.row_cells) o.Sweep.rows;
+    failures = o.Sweep.failures;
+  }
 
 let render fmt (o : outcome) =
   Report.render fmt o.reports;
-  if o.failures <> [] then begin
-    Fmt.pf fmt "@.%d failure(s):@." (List.length o.failures);
-    List.iter (fun f -> Fmt.pf fmt "  %a@." Pipeline.pp_failure f) o.failures
-  end
+  Pipeline.pp_failures fmt o.failures

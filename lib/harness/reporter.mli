@@ -1,8 +1,9 @@
-(** The [chfc report] harness: per-workload compile + attributed cycle
-    simulation, assembled into {!Trips_obs.Report} utilization reports.
+(** The [chfc report] harness: a one-column {!Sweep} whose cells are
+    checksum-verified, attributed cycle runs ({!Pipeline.measure}),
+    assembled into {!Trips_obs.Report} utilization reports.
 
     Byte-identical output at any [--jobs] setting: each report depends
-    only on its own workload and {!Engine.map} preserves input order. *)
+    only on its own workload and {!Sweep.run} merges in input order. *)
 
 open Trips_workloads
 open Trips_obs
@@ -11,16 +12,6 @@ type outcome = {
   reports : Report.func_report list;  (** workload order *)
   failures : Pipeline.failure list;
 }
-
-val report_workload :
-  ?cache:Stage.cache ->
-  ?config:Chf.Policy.config ->
-  ordering:Chf.Phases.ordering ->
-  Workload.t ->
-  Report.func_report
-(** Compile one workload (back end on), cycle-simulate with attribution,
-    and assemble its report.  Raises on unrecoverable compile errors —
-    {!run} wraps this with failure collection. *)
 
 val run :
   ?config:Chf.Policy.config ->

@@ -1,19 +1,20 @@
 (* Declarative experiment sweeps over the shared engine.
 
-   Every table/figure of the evaluation is a cross-product of workloads
-   (rows) and configurations (columns): take the basic-block baseline
-   for the row (Pipeline.baseline, memoized per source), then compile,
-   checksum-verify and measure one cell per column.  This module owns that skeleton once — the per-experiment
-   modules supply axes, a cell function and a renderer — so the sweep
-   machinery (prefix caching, domain-pool parallelism, graceful failure
+   Every table of the evaluation, the report and the two studies are a
+   cross-product of workloads (rows) and configurations (columns): take
+   the basic-block baseline for the row (Pipeline.baseline, memoized per
+   source), then Pipeline.measure one cell per column against it.  This
+   module owns that skeleton once — the per-experiment modules supply
+   axes, a cell extractor and a renderer — so the sweep machinery
+   (prefix caching, domain-pool parallelism, graceful failure
    collection, deterministic merge order) is written in exactly one
    place.
 
    Rows are the unit of parallelism: each row's baseline and cells run
    sequentially on one domain, rows are distributed over the Engine
    pool, and results merge in workload order.  A row or cell that fails
-   becomes a structured [Pipeline.failure] in sweep order — identical to
-   the historical sequential loops — and never disturbs its siblings. *)
+   becomes a structured [Pipeline.failure] in sweep order and never
+   disturbs its siblings. *)
 
 open Trips_sim
 open Trips_workloads
@@ -25,14 +26,11 @@ type baseline = Stage.baseline = {
 
 type ('col, 'cell) spec = {
   columns : 'col list;
-  baseline_backend : bool;  (* compile the BB baseline through the back end *)
-  baseline_cycles : bool;  (* cycle-simulate the BB baseline *)
-  cell :
-    cache:Stage.cache option ->
-    baseline ->
-    Workload.t ->
-    'col ->
-    ('cell, Pipeline.failure) result;
+  configure : 'col -> Chf.Phases.ordering * Chf.Policy.config;
+  backend : bool;
+  cycles : bool;
+  attribution : bool;
+  cell : baseline -> 'col -> Pipeline.measured -> 'cell;
 }
 
 type 'cell row = {
@@ -47,26 +45,27 @@ type 'cell outcome = {
 }
 
 (* One row: BB baseline (shared through the cache with every other
-   sweep of the same source), then every column against it.  Total — any
-   escape is classified into a failure by the caller via Engine. *)
+   sweep of the same source), then every column measured against it. *)
 let run_row ~cache spec (w : Workload.t) :
     ('cell row, Pipeline.failure) result * Pipeline.failure list =
-  match
-    Pipeline.baseline ?cache ~backend:spec.baseline_backend
-      ~cycles:spec.baseline_cycles w
-  with
-  | exception e ->
-    ( Error
-        (Pipeline.failure_of_exn ~workload:w
-           ~ordering:(Some Chf.Phases.Basic_blocks) e),
-      [] )
+  let fail ordering e = Pipeline.failure_of_exn ~workload:w ~ordering:(Some ordering) e in
+  match Pipeline.baseline ?cache ~backend:spec.backend ~cycles:spec.cycles w with
+  | exception e -> (Error (fail Chf.Phases.Basic_blocks e), [])
   | baseline ->
     let cells, failures =
       List.fold_left
         (fun (cells, failures) col ->
-          match spec.cell ~cache baseline w col with
-          | Ok c -> (c :: cells, failures)
-          | Error f -> (cells, f :: failures))
+          let ordering, config = spec.configure col in
+          let attribution =
+            if spec.attribution then Some (Attribution.create ()) else None
+          in
+          match
+            spec.cell baseline col
+              (Pipeline.measure ?cache ~config ~backend:spec.backend
+                 ?attribution ~cycles:spec.cycles ~baseline ordering w)
+          with
+          | c -> (c :: cells, failures)
+          | exception e -> (cells, fail ordering e :: failures))
         ([], []) spec.columns
     in
     ( Ok
@@ -87,8 +86,7 @@ let run ?cache ?jobs (spec : ('col, 'cell) spec)
         | Ok (Ok r, fs) -> (r :: rows, List.rev_append fs failures)
         | Ok (Error f, fs) -> (rows, List.rev_append fs (f :: failures))
         | Error e ->
-          (* a cell let an exception escape [compile_checked]'s net (or
-             the engine itself failed); classify it, keep sweeping *)
+          (* the engine itself failed on this row; classify, keep sweeping *)
           (rows, Pipeline.failure_of_exn ~workload:w ~ordering:None e :: failures))
       ([], []) workloads results
   in

@@ -30,43 +30,26 @@ type outcome = { rows : row list; failures : Pipeline.failure list }
 
 let orderings = Chf.Phases.table_orderings
 
-(* Compile, baseline-check and cycle-simulate one configuration;
-   exceptions past compile_checked (miscompares, simulator faults) are
-   classified into failures too. *)
-let spec ?config ?verify () : (Chf.Phases.ordering, cell) Sweep.spec =
+let spec : (Chf.Phases.ordering, cell) Sweep.spec =
   {
     Sweep.columns = orderings;
-    baseline_backend = true;
-    baseline_cycles = true;
+    configure = (fun ordering -> (ordering, Chf.Policy.edge_default));
+    backend = true;
+    cycles = true;
+    attribution = false;
     cell =
-      (fun ~cache baseline w ordering ->
-        match
-          Pipeline.compile_checked ?cache ?config ?verify ~backend:true
-            ordering w
-        with
-        | Error f -> Error f
-        | Ok c -> (
-          match
-            ignore
-              (Pipeline.verify_against
-                 ~baseline:baseline.Sweep.base_functional c);
-            Pipeline.run_cycles c
-          with
-          | r ->
-            let bb_cycle = Option.get baseline.Sweep.base_cycles in
-            Ok
-              {
-                ordering;
-                cycles = r.Trips_sim.Cycle_sim.cycles;
-                dyn_blocks = r.Trips_sim.Cycle_sim.blocks;
-                stats = c.Pipeline.stats;
-                improvement =
-                  Stats.percent_improvement
-                    ~base:bb_cycle.Trips_sim.Cycle_sim.cycles
-                    ~v:r.Trips_sim.Cycle_sim.cycles;
-              }
-          | exception e ->
-            Error (Pipeline.failure_of_exn ~workload:w ~ordering:(Some ordering) e)));
+      (fun baseline ordering m ->
+        let bb = Option.get baseline.Sweep.base_cycles in
+        let r = Option.get m.Pipeline.cycles in
+        {
+          ordering;
+          cycles = r.Trips_sim.Cycle_sim.cycles;
+          dyn_blocks = r.Trips_sim.Cycle_sim.blocks;
+          stats = m.Pipeline.compiled.Pipeline.stats;
+          improvement =
+            Stats.percent_improvement ~base:bb.Trips_sim.Cycle_sim.cycles
+              ~v:r.Trips_sim.Cycle_sim.cycles;
+        });
   }
 
 (** Run the Table 1 experiment.  [workloads] defaults to all 24
@@ -74,9 +57,8 @@ let spec ?config ?verify () : (Chf.Phases.ordering, cell) Sweep.spec =
     always completes.  [jobs] parallelizes rows over the engine's domain
     pool; [cache] (fresh per run by default) shares the lower+profile
     prefix across the five compiles of every workload. *)
-let run ?config ?verify ?(cache = Stage.create ()) ?jobs
-    ?(workloads = Micro.all) () : outcome =
-  let o = Sweep.run ~cache ?jobs (spec ?config ?verify ()) workloads in
+let run ?(cache = Stage.create ()) ?jobs ?(workloads = Micro.all) () : outcome =
+  let o = Sweep.run ~cache ?jobs spec workloads in
   {
     rows =
       List.map
@@ -126,7 +108,4 @@ let render fmt { rows; failures } =
     (fun o -> Fmt.pf fmt " | %-12s %6.1f" "" (average rows o))
     orderings;
   Fmt.pf fmt "@.";
-  if failures <> [] then begin
-    Fmt.pf fmt "@.%d failure(s):@." (List.length failures);
-    List.iter (fun f -> Fmt.pf fmt "  %a@." Pipeline.pp_failure f) failures
-  end
+  Pipeline.pp_failures fmt failures

@@ -27,23 +27,16 @@ type outcome = { rows : row list; failures : Pipeline.failure list }
 val orderings : Chf.Phases.ordering list
 (** = {!Chf.Phases.table_orderings}. *)
 
-val spec :
-  ?config:Chf.Policy.config ->
-  ?verify:bool ->
-  unit ->
-  (Chf.Phases.ordering, cell) Sweep.spec
-(** The declarative sweep spec (axes + cell function) behind {!run}. *)
+val spec : (Chf.Phases.ordering, cell) Sweep.spec
+(** The declarative sweep spec (axes + cell extractor) behind {!run}. *)
 
 val run :
-  ?config:Chf.Policy.config ->
-  ?verify:bool ->
   ?cache:Stage.cache ->
   ?jobs:int ->
   ?workloads:Workload.t list ->
   unit ->
   outcome
-(** [verify] additionally runs the per-phase differential verifier on
-    every compile.  [jobs] parallelizes rows over the engine's domain
+(** [jobs] parallelizes rows over the engine's domain
     pool (output is identical for any [jobs]); [cache] (fresh per run by
     default) shares the lower+profile prefix across the row's compiles
     and may be shared across experiments. *)

@@ -46,38 +46,23 @@ type outcome = { rows : row list; failures : Pipeline.failure list }
 let spec : (column, cell) Sweep.spec =
   {
     Sweep.columns;
-    baseline_backend = true;
-    baseline_cycles = true;
+    configure = (fun col -> (col.ordering, col.config));
+    backend = true;
+    cycles = true;
+    attribution = false;
     cell =
-      (fun ~cache baseline w col ->
-        match
-          Pipeline.compile_checked ?cache ~config:col.config ~backend:true
-            col.ordering w
-        with
-        | Error f -> Error f
-        | Ok c -> (
-          match
-            ignore
-              (Pipeline.verify_against
-                 ~baseline:baseline.Sweep.base_functional c);
-            Pipeline.run_cycles c
-          with
-          | r ->
-            let bb_cycle = Option.get baseline.Sweep.base_cycles in
-            Ok
-              {
-                label = col.label;
-                cycles = r.Trips_sim.Cycle_sim.cycles;
-                improvement =
-                  Stats.percent_improvement
-                    ~base:bb_cycle.Trips_sim.Cycle_sim.cycles
-                    ~v:r.Trips_sim.Cycle_sim.cycles;
-                mispredictions = r.Trips_sim.Cycle_sim.mispredictions;
-                stats = c.Pipeline.stats;
-              }
-          | exception e ->
-            Error
-              (Pipeline.failure_of_exn ~workload:w ~ordering:(Some col.ordering) e)));
+      (fun baseline col m ->
+        let bb = Option.get baseline.Sweep.base_cycles in
+        let r = Option.get m.Pipeline.cycles in
+        {
+          label = col.label;
+          cycles = r.Trips_sim.Cycle_sim.cycles;
+          improvement =
+            Stats.percent_improvement ~base:bb.Trips_sim.Cycle_sim.cycles
+              ~v:r.Trips_sim.Cycle_sim.cycles;
+          mispredictions = r.Trips_sim.Cycle_sim.mispredictions;
+          stats = m.Pipeline.compiled.Pipeline.stats;
+        });
   }
 
 let run ?(cache = Stage.create ()) ?jobs ?(workloads = Micro.all) () : outcome =
@@ -126,7 +111,4 @@ let render fmt { rows; failures } =
     (fun (col : column) -> Fmt.pf fmt " | %8.1f" (average rows col.label))
     columns;
   Fmt.pf fmt "@.";
-  if failures <> [] then begin
-    Fmt.pf fmt "@.%d failure(s):@." (List.length failures);
-    List.iter (fun f -> Fmt.pf fmt "  %a@." Pipeline.pp_failure f) failures
-  end
+  Pipeline.pp_failures fmt failures

@@ -3,7 +3,7 @@
    simulator (the paper's argument: block counts correlate with cycles,
    and full programs are too slow for cycle-level simulation).
 
-   A sweep spec with no back end and no cycle-level baseline: the cell
+   A sweep spec with no back end and no cycle simulation: the cell
    measurement is the checksum-verification run itself. *)
 
 open Trips_workloads
@@ -23,31 +23,22 @@ let orderings = Chf.Phases.table_orderings
 let spec : (Chf.Phases.ordering, cell) Sweep.spec =
   {
     Sweep.columns = orderings;
+    configure = (fun ordering -> (ordering, Chf.Policy.edge_default));
     (* no back end: Table 3 uses the functional simulator only *)
-    baseline_backend = false;
-    baseline_cycles = false;
+    backend = false;
+    cycles = false;
+    attribution = false;
     cell =
-      (fun ~cache baseline w ordering ->
-        match Pipeline.compile_checked ?cache ~backend:false ordering w with
-        | Error f -> Error f
-        | Ok c -> (
-          match
-            Pipeline.verify_against ~baseline:baseline.Sweep.base_functional c
-          with
-          | r ->
-            Ok
-              {
-                ordering;
-                dyn_blocks = r.Trips_sim.Func_sim.blocks_executed;
-                improvement =
-                  Stats.percent_improvement
-                    ~base:
-                      baseline.Sweep.base_functional
-                        .Trips_sim.Func_sim.blocks_executed
-                    ~v:r.Trips_sim.Func_sim.blocks_executed;
-              }
-          | exception e ->
-            Error (Pipeline.failure_of_exn ~workload:w ~ordering:(Some ordering) e)));
+      (fun baseline ordering m ->
+        let blocks (r : Trips_sim.Func_sim.result) = r.Trips_sim.Func_sim.blocks_executed in
+        {
+          ordering;
+          dyn_blocks = blocks m.Pipeline.functional;
+          improvement =
+            Stats.percent_improvement
+              ~base:(blocks baseline.Sweep.base_functional)
+              ~v:(blocks m.Pipeline.functional);
+        });
   }
 
 let run ?(cache = Stage.create ()) ?jobs ?(workloads = Spec_like.all) () :
@@ -95,7 +86,4 @@ let render fmt { rows; failures } =
   Fmt.pf fmt "%-10s %12s" "Average" "";
   List.iter (fun o -> Fmt.pf fmt " | %7.1f" (average rows o)) orderings;
   Fmt.pf fmt "@.";
-  if failures <> [] then begin
-    Fmt.pf fmt "@.%d failure(s):@." (List.length failures);
-    List.iter (fun f -> Fmt.pf fmt "  %a@." Pipeline.pp_failure f) failures
-  end
+  Pipeline.pp_failures fmt failures

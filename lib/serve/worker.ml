@@ -80,11 +80,13 @@ let policy_of_name = function
    cannot re-flow them and the bytes are identical. *)
 let compile_report ?cache ~ordering ~config ~backend ~verify w =
   try
-    let base = Pipeline.baseline ?cache ~backend ~cycles:true w in
-    let bb_cycles = Option.get base.Stage.base_cycles in
-    let c = Pipeline.compile ?cache ~config ~backend ~verify ordering w in
-    let r = Pipeline.verify_against ~baseline:base.Stage.base_functional c in
-    let cycles = Pipeline.run_cycles c in
+    let baseline = Pipeline.baseline ?cache ~backend ~cycles:true w in
+    let bb_cycles = Option.get baseline.Stage.base_cycles in
+    let { Pipeline.compiled = c; functional = r; cycles; _ } =
+      Pipeline.measure ?cache ~config ~backend ~verify ~cycles:true ~baseline
+        ordering w
+    in
+    let cycles = Option.get cycles in
     (* report rendering under its own span, so a request's latency
        breakdown separates compute from formatting *)
     Trace.span "render" (fun () ->
@@ -261,7 +263,7 @@ let w_sweep_cell t (s : Protocol.sweep_spec) : Protocol.output =
   | Ok (e, ws) ->
     with_output_cache t ~src:(selection_key ws) ~kind:"sweep"
       ~config:s.Protocol.ss_table (fun () ->
-        Ok (e.Experiment.render ~cache:t.cache ~jobs:1 ws))
+        Ok (fst (e.Experiment.render ~cache:t.cache ~jobs:1 ws)))
 
 let handlers t =
   {

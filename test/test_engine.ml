@@ -172,50 +172,43 @@ let test_experiments_cache_and_jobs_invariant () =
 
 (* ---- fault containment in a parallel sweep ----------------------------- *)
 
-(* A sweep whose cell corrupts its own compiled CFG (via the chaos
+(* A sweep whose cell corrupts its own measured CFG (via the chaos
    injector) for exactly one victim workload, then checksum-verifies: the
    corruption must surface as one structured failure in the victim's
    slot, with every sibling row complete — under both -j 1 and -j 4. *)
 let chaos_spec victim : (string, int) Sweep.spec =
   {
     Sweep.columns = [ "clean"; "chaos" ];
-    baseline_backend = false;
-    baseline_cycles = false;
+    configure = (fun _ -> (Chf.Phases.Iupo_merged, Chf.Policy.edge_default));
+    backend = false;
+    cycles = false;
+    attribution = false;
     cell =
-      (fun ~cache baseline w col ->
-        match Pipeline.compile_checked ?cache ~backend:false Chf.Phases.Iupo_merged w with
-        | Error f -> Error f
-        | Ok c -> (
-          let verify c =
-            match
-              Pipeline.verify_against ~baseline:baseline.Sweep.base_functional c
-            with
-            | r -> Ok r.Trips_sim.Func_sim.blocks_executed
-            | exception e ->
-              Error
-                (Pipeline.failure_of_exn ~workload:w
-                   ~ordering:(Some Chf.Phases.Iupo_merged) e)
+      (fun baseline col m ->
+        let c = m.Pipeline.compiled in
+        let verify c =
+          (Pipeline.verify_against ~baseline:baseline.Sweep.base_functional c)
+            .Trips_sim.Func_sim.blocks_executed
+        in
+        if col = "chaos" && c.Pipeline.workload.Workload.name = victim then begin
+          (* draw injection sites like Chaos.run_suite until one is
+             actually observable (a dead stripped block would pass) *)
+          let rng = Random.State.make [| 1234 |] in
+          let rec attempt k =
+            if k = 0 then Alcotest.fail "no chaos injection diverged"
+            else
+              match
+                Trips_verify.Chaos.inject rng Trips_verify.Chaos.Strip_exits
+                  c.Pipeline.cfg
+              with
+              | None -> Alcotest.fail "chaos injector found no site"
+              | Some inj ->
+                ignore (verify { c with Pipeline.cfg = inj.Trips_verify.Chaos.cfg });
+                attempt (k - 1)
           in
-          if col = "chaos" && w.Workload.name = victim then begin
-            (* draw injection sites like Chaos.run_suite until one is
-               actually observable (a dead stripped block would pass) *)
-            let rng = Random.State.make [| 1234 |] in
-            let rec attempt k =
-              if k = 0 then Alcotest.fail "no chaos injection diverged"
-              else
-                match
-                  Trips_verify.Chaos.inject rng Trips_verify.Chaos.Strip_exits
-                    c.Pipeline.cfg
-                with
-                | None -> Alcotest.fail "chaos injector found no site"
-                | Some inj -> (
-                  match verify { c with Pipeline.cfg = inj.Trips_verify.Chaos.cfg } with
-                  | Ok _ -> attempt (k - 1)
-                  | Error f -> Error f)
-            in
-            attempt 8
-          end
-          else verify c));
+          attempt 8
+        end
+        else m.Pipeline.functional.Trips_sim.Func_sim.blocks_executed);
   }
 
 let test_parallel_chaos_containment () =

@@ -301,9 +301,13 @@ let clear_stage_policy () = Trips_obs.Watchdog.set_stage_policy ()
 let test_timeout_is_structured () =
   Trips_obs.Watchdog.set_stage_policy ~fuel:1 ~stages:[ "formation" ] ();
   Fun.protect ~finally:clear_stage_policy (fun () ->
-      match Pipeline.compile_checked Chf.Phases.Iupo_merged (sieve ()) with
-      | Ok _ -> Alcotest.fail "expected a timeout"
-      | Error f -> (
+      let w = sieve () in
+      match Pipeline.compile Chf.Phases.Iupo_merged w with
+      | _ -> Alcotest.fail "expected a timeout"
+      | exception e -> (
+        let f =
+          Pipeline.failure_of_exn ~workload:w ~ordering:(Some Chf.Phases.Iupo_merged) e
+        in
         check Alcotest.string "phase is formation" "formation"
           f.Pipeline.fail_phase;
         match f.Pipeline.fail_kind with

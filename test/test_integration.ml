@@ -221,8 +221,9 @@ let test_experiments_quote_ablation_placement () =
   let render name =
     let e = Result.get_ok (Experiment.find name) in
     String.split_on_char '\n'
-      (e.Experiment.render ~cache:(Stage.create ()) ~jobs:1
-         e.Experiment.defaults)
+      (fst
+         (e.Experiment.render ~cache:(Stage.create ()) ~jobs:1
+            e.Experiment.defaults))
   in
   check_quotes ~source:"the registry render"
     [ "Ablations"; "Placement sensitivity" ]

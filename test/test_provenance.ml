@@ -94,7 +94,7 @@ let test_lineage_survives_copy () =
    per-block cycles sum to the run total. *)
 let test_attribution_partitions () =
   let r =
-    Reporter.report_workload ~ordering:Chf.Phases.Iupo_merged (workload "sieve")
+    List.hd (Reporter.run ~jobs:1 ~workloads:[ workload "sieve" ] ()).Reporter.reports
   in
   check Alcotest.bool "some block executed" true
     (List.exists (fun b -> b.Trips_obs.Report.execs > 0) r.Trips_obs.Report.blocks);

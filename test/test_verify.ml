@@ -401,10 +401,42 @@ let test_sweep_survives_poisoned_workload () =
   (* rendering the partial table must not raise *)
   ignore (Fmt.str "%a" Table1.render outcome)
 
-let test_compile_checked_poisoned () =
-  match Pipeline.compile_checked ~backend:false Chf.Phases.Iupo_merged (poisoned ()) with
-  | Ok _ -> Alcotest.fail "expected a failure report"
-  | Error f ->
+(* Every registered experiment and the report share Sweep's failure
+   collection: the poisoned row becomes one footer line and the healthy
+   row still renders. *)
+let test_every_experiment_survives_poisoned_workload () =
+  let ws = [ poisoned (); Option.get (Micro.by_name "vadd") ] in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  let check_rendered name (text, failures) =
+    match failures with
+    | [ f ] ->
+      check Alcotest.string (name ^ ": names the workload") "poisoned"
+        f.Pipeline.fail_workload;
+      check Alcotest.string (name ^ ": names the phase") "lower" f.Pipeline.fail_phase;
+      check Alcotest.bool (name ^ ": renders the healthy row") true (contains text "vadd");
+      check Alcotest.bool (name ^ ": renders the footer") true
+        (contains text
+           (Fmt.str "1 failure(s):\n  %a\n" Pipeline.pp_failure f))
+    | fs -> Alcotest.failf "%s: %d failures, expected 1" name (List.length fs)
+  in
+  List.iter
+    (fun (e : Experiment.t) ->
+      check_rendered e.Experiment.name
+        (e.Experiment.render ~cache:(Stage.create ()) ~jobs:1 ws))
+    Experiment.all;
+  let o = Reporter.run ~jobs:1 ~workloads:ws () in
+  check_rendered "report" (Fmt.str "%a" Reporter.render o, o.Reporter.failures)
+
+let test_poisoned_failure_names_lower () =
+  let w = poisoned () in
+  match Pipeline.compile ~backend:false Chf.Phases.Iupo_merged w with
+  | _ -> Alcotest.fail "expected a failure report"
+  | exception e ->
+    let f = Pipeline.failure_of_exn ~workload:w ~ordering:(Some Chf.Phases.Iupo_merged) e in
     check Alcotest.string "workload" "poisoned" f.Pipeline.fail_workload;
     check Alcotest.string "phase" "lower" f.Pipeline.fail_phase;
     check Alcotest.bool "reason mentions the parameter" true
@@ -473,8 +505,10 @@ let suite =
         test_chaos_classes_distinct;
       Alcotest.test_case "sweep survives poisoned workload" `Quick
         test_sweep_survives_poisoned_workload;
-      Alcotest.test_case "compile_checked reports poisoned" `Quick
-        test_compile_checked_poisoned;
+      Alcotest.test_case "every experiment and the report survive poisoned"
+        `Quick test_every_experiment_survives_poisoned_workload;
+      Alcotest.test_case "failure_of_exn reports poisoned" `Quick
+        test_poisoned_failure_names_lower;
       Alcotest.test_case "verify_against structured payload" `Quick
         test_verify_against_structured_payload;
     ] )

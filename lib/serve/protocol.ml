@@ -1,12 +1,13 @@
-(* The typed client/scheduler/worker protocol of `chfc serve`.
+(* The typed client/daemon protocol of `chfc serve`.
 
-   Modeled on ocaml-mpst's explicit-handler session style: the request
-   type is a GADT indexed by its reply type, and each role implements a
-   closed record of handlers — one field per message it can receive.
-   In-process, a protocol violation (wrong reply shape, unhandled
-   message) is a type error; across the wire, the decoded frame is
-   checked against the request's type index and a mismatch raises a
-   structured [Protocol_error] instead of a marshal crash.
+   One message type: the request GADT, indexed by its reply type.  The
+   daemon answers a request with one exhaustive match over it, the
+   worker pool runs the [output request]s, and the wire carries the
+   request value itself.  In-process, a wrong reply shape or an
+   unhandled constructor is a type error; across the wire, the decoded
+   reply frame is checked against the request's type index and a
+   mismatch raises a structured [Protocol_error] instead of a marshal
+   crash.
 
    Wire layer: every frame is
 
@@ -14,9 +15,12 @@
 
    The magic rejects non-protocol peers, the version byte rejects skewed
    binaries (client and daemon must be the same build for [Marshal] to be
-   sound — that is exactly what the version check enforces), and the
-   marshaled payload is a plain variant, so framing is self-delimiting
-   via [Marshal]'s own header. *)
+   sound — that is exactly what the version check enforces), and
+   framing is self-delimiting via [Marshal]'s own header.  A payload
+   [Marshal] cannot decode (junk, or a frame cut short) is a
+   [Protocol_error] too; a payload that decodes to a value of the wrong
+   type (a flipped bit, say) is not detected — that needs an explicit
+   codec in place of [Marshal]. *)
 
 module Telemetry = Trips_obs.Telemetry
 module Metrics = Trips_obs.Metrics
@@ -111,51 +115,23 @@ type _ request =
   | Trace_of : string -> Telemetry.trace option request
   | Shutdown : unit request
 
-type packed = Packed : 'a request -> packed
+type packed = Packed : 'a request -> packed [@@unboxed]
 
-(* ---- role handler records ---------------------------------------------- *)
+(* ---- jobs -------------------------------------------------------------- *)
 
-type job =
-  | Job_compile of compile_spec
-  | Job_report of report_spec
-  | Job_sweep of sweep_spec
+(* The queueable requests are exactly those indexed by [output]: the
+   match below is exhaustive over [output request] because the other
+   constructors' indices are not [output], so a new job constructor is a
+   compile error here and in [Worker.run]. *)
+let job_deadline : output request -> float option = function
+  | Compile c -> c.cs_deadline_s
+  | Report r -> r.rs_deadline_s
+  | Sweep_cell s -> s.ss_deadline_s
 
-let job_deadline = function
-  | Job_compile c -> c.cs_deadline_s
-  | Job_report r -> r.rs_deadline_s
-  | Job_sweep s -> s.ss_deadline_s
-
-let job_kind = function
-  | Job_compile _ -> "compile"
-  | Job_report _ -> "report"
-  | Job_sweep _ -> "sweep-cell"
-
-type worker = {
-  w_compile : compile_spec -> output;
-  w_report : report_spec -> output;
-  w_sweep_cell : sweep_spec -> output;
-}
-
-let run_worker (w : worker) = function
-  | Job_compile c -> w.w_compile c
-  | Job_report r -> w.w_report r
-  | Job_sweep s -> w.w_sweep_cell s
-
-type scheduler_handlers = {
-  sh_job : Telemetry.ctx option -> job -> output;
-  sh_stats : unit -> stats_payload;
-  sh_trace : string -> Telemetry.trace option;
-  sh_shutdown : unit -> unit;
-}
-
-let dispatch : type a. scheduler_handlers -> ctx:Telemetry.ctx option -> a request -> a =
- fun h ~ctx -> function
-  | Compile c -> h.sh_job ctx (Job_compile c)
-  | Report r -> h.sh_job ctx (Job_report r)
-  | Sweep_cell s -> h.sh_job ctx (Job_sweep s)
-  | Stats -> h.sh_stats ()
-  | Trace_of id -> h.sh_trace id
-  | Shutdown -> h.sh_shutdown ()
+let job_kind : output request -> string = function
+  | Compile _ -> "compile"
+  | Report _ -> "report"
+  | Sweep_cell _ -> "sweep-cell"
 
 (* ---- versioned wire encoding ------------------------------------------- *)
 
@@ -167,13 +143,12 @@ let magic = "CHFS"
 
 exception Protocol_error of string
 
-type wire_request =
-  | W_compile of compile_spec
-  | W_report of report_spec
-  | W_sweep of sweep_spec
-  | W_stats
-  | W_trace of string
-  | W_shutdown
+(* A request frame marshals the request itself.  [packed] is unboxed, so
+   its representation is the GADT value, whose constructors carry the
+   same block tags and constant numbers, in the same order, as the plain
+   message variant v2 was first framed with: the frames are
+   byte-identical to every v2 peer's. *)
+type wire_request = packed
 
 type wire_reply =
   | R_output of output
@@ -182,21 +157,8 @@ type wire_reply =
   | R_unit
   | R_error of string  (* protocol-level failure reported by the peer *)
 
-let wire_of_request : type a. a request -> wire_request = function
-  | Compile c -> W_compile c
-  | Report r -> W_report r
-  | Sweep_cell s -> W_sweep s
-  | Stats -> W_stats
-  | Trace_of id -> W_trace id
-  | Shutdown -> W_shutdown
-
-let request_of_wire = function
-  | W_compile c -> Packed (Compile c)
-  | W_report r -> Packed (Report r)
-  | W_sweep s -> Packed (Sweep_cell s)
-  | W_stats -> Packed Stats
-  | W_trace id -> Packed (Trace_of id)
-  | W_shutdown -> Packed Shutdown
+let wire_of_request r = Packed r
+let request_of_wire w = w
 
 let reply_to_wire : type a. a request -> a -> wire_reply =
  fun req reply ->
@@ -252,7 +214,10 @@ let read_frame ic =
       (Protocol_error
          (Fmt.str "protocol version mismatch: peer speaks v%d, this is v%d" v
             version));
-  Marshal.from_channel ic
+  match Marshal.from_channel ic with
+  | v -> v
+  | exception Failure msg ->
+    raise (Protocol_error (Fmt.str "malformed payload: %s" msg))
 
 (* A request frame carries the minted telemetry context beside the
    message — [None] for control requests. *)

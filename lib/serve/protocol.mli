@@ -1,33 +1,29 @@
-(** The typed client ↔ scheduler ↔ worker protocol of [chfc serve].
+(** The typed client ↔ daemon protocol of [chfc serve].
 
-    The protocol follows the multiparty-session style of ocaml-mpst's
-    explicit-handler encoding: each role implements a {e closed} record
-    of handlers, one per message it can receive, and the request type is
-    a GADT whose index is the reply type — so a client that sends
-    {!Stats} gets a {!stats_payload} back {e by type}, a scheduler that
-    forgot to handle [Shutdown] does not compile, and a reply of the
-    wrong shape is a type error in-process (and a structured
-    {!Protocol_error} across the wire, where the index is checked against
-    the decoded frame).
+    One message type: {!request} is a GADT whose index is the reply
+    type, so a client that sends {!Stats} gets a {!stats_payload} back
+    {e by type}, and a reply of the wrong shape is a type error
+    in-process (and a structured {!Protocol_error} across the wire,
+    where the index is checked against the decoded frame).
 
-    Three roles:
-
-    - {b client} ([chfc submit] / [chfc shutdown] / the load harness)
-      speaks {!request}s through [Client.rpc].
-    - {b scheduler} (the daemon's connection threads) implements
-      {!scheduler_handlers}: job messages are queued onto the worker
-      pool, control messages ([Stats], [Shutdown]) are answered
-      directly.
-    - {b worker} (the resident domain pool) implements {!worker}: one
-      handler per job kind, pure compile work, no protocol state.
+    - The {b client} ([chfc submit] / [chfc shutdown] / the load
+      harness) sends {!request}s through [Client.rpc].
+    - The {b daemon}'s connection threads answer a request with one
+      exhaustive match: the three requests indexed by {!output}
+      ([Compile], [Report], [Sweep_cell]) are jobs, queued whole onto
+      the worker pool, which runs them with [Worker.run]; [Stats],
+      [Trace_of] and [Shutdown] are answered directly.  A new request
+      constructor fails to compile in both matches.
 
     Wire encoding is versioned: every frame starts with a magic tag and
     a version byte, so an old client talking to a new daemon fails with
-    a structured error, not a marshal crash.
+    a structured error, not a marshal crash.  A request frame marshals
+    the request value itself; {!packed} is unboxed, so those bytes are
+    the ones every v2 peer sends.
 
     Since v2 every request frame also carries the client-minted
     {!Trips_obs.Telemetry.ctx} ([None] for control requests), which the
-    scheduler installs around the worker thunk so the whole pipeline's
+    scheduler installs around the job so the whole pipeline's
     instrumentation tags the owning request. *)
 
 module Telemetry = Trips_obs.Telemetry
@@ -120,55 +116,23 @@ type _ request =
           bounded ring ([None] = unknown id or already evicted) *)
   | Shutdown : unit request
 
-type packed = Packed : 'a request -> packed
+type packed = Packed : 'a request -> packed [@@unboxed]
 
-(** {1 Role handler records} *)
+(** {1 Jobs} *)
 
-type job =
-  | Job_compile of compile_spec
-  | Job_report of report_spec
-  | Job_sweep of sweep_spec
-      (** the queueable subset of the protocol — what the scheduler may
-          hand to the worker pool *)
-
-val job_deadline : job -> float option
+val job_deadline : output request -> float option
 (** The per-request deadline override carried by the spec, if any. *)
 
-val job_kind : job -> string
+val job_kind : output request -> string
 (** "compile" | "report" | "sweep-cell" — for metrics and logs. *)
-
-type worker = {
-  w_compile : compile_spec -> output;
-  w_report : report_spec -> output;
-  w_sweep_cell : sweep_spec -> output;
-}
-(** The worker role: one handler per job kind.  Closed — adding a job
-    constructor breaks every worker implementation at compile time. *)
-
-val run_worker : worker -> job -> output
-
-type scheduler_handlers = {
-  sh_job : Telemetry.ctx option -> job -> output;
-      (** queue onto the pool and await; the context (if any) rides
-          along so the executing worker can attribute its events *)
-  sh_stats : unit -> stats_payload;
-  sh_trace : string -> Telemetry.trace option;
-  sh_shutdown : unit -> unit;
-}
-(** The scheduler role: jobs are delegated, control is answered
-    directly. *)
-
-val dispatch : scheduler_handlers -> ctx:Telemetry.ctx option -> 'a request -> 'a
-(** Type-indexed dispatch: the reply type follows the request
-    constructor, so a handler returning the wrong shape is a type
-    error. *)
 
 (** {1 Versioned wire encoding} *)
 
 val version : int
 
 exception Protocol_error of string
-(** Bad magic, version mismatch, or a reply whose shape contradicts the
+(** Bad magic, version mismatch, a payload [Marshal] cannot decode (junk
+    or a truncated frame), or a reply whose shape contradicts the
     request's type index. *)
 
 type wire_request
@@ -193,5 +157,6 @@ val write_reply : out_channel -> wire_reply -> unit
 val read_reply : in_channel -> wire_reply
 (** Framed I/O: magic + version byte + marshaled payload; writers flush.
     A request frame carries the minted telemetry context beside the
-    message.  Readers raise {!Protocol_error} on bad magic or version
-    skew and [End_of_file] on a closed peer. *)
+    message.  Readers raise {!Protocol_error} on bad magic, version
+    skew or an undecodable payload, and [End_of_file] on a closed
+    peer. *)

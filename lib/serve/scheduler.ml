@@ -200,14 +200,10 @@ let execute t ~queued_at job =
     in
     finish ~cls:"timed_out"
       (Timed_out { to_deadline_s; to_spent_s = wd_spent_s })
-      (fun () ->
-        t.timed_out <- t.timed_out + 1;
-        Metrics.incr "serve.timed_out")
+      (fun () -> t.timed_out <- t.timed_out + 1)
   | exception e ->
     finish ~cls:"crashed" (Crashed e)
-      (fun () ->
-        t.crashed <- t.crashed + 1;
-        Metrics.incr "serve.crashed")
+      (fun () -> t.crashed <- t.crashed + 1)
 
 let submit t job =
   (* admission and the in-flight count move together under the mutex, so
@@ -218,7 +214,6 @@ let submit t job =
         if t.draining then Error Draining
         else if t.pending >= t.queue_depth then begin
           t.shed <- t.shed + 1;
-          Metrics.incr "serve.shed";
           Error
             (Overloaded { ov_pending = t.pending; ov_depth = t.queue_depth })
         end

@@ -15,9 +15,12 @@
       {!Draining} while admitted jobs run to completion.
 
     The scheduler is generic in the job and result types so its
-    semantics are testable with synthetic jobs; the serve daemon
-    instantiates it with {!Protocol.job} and the worker role's handler
-    record. *)
+    semantics are testable with synthetic jobs; the serve daemon's jobs
+    are its [Protocol.output Protocol.request]s, each paired with the
+    request's telemetry context, and {!Worker.run} runs them.
+
+    Each outcome is counted once: in {!counters} here, and by outcome
+    class in the rolling window ([serve.req.*]). *)
 
 type 'r outcome =
   | Done of 'r

@@ -8,7 +8,7 @@
    compile domain.
 
    Shutdown sequencing: the Shutdown ack is written by the connection
-   thread *before* teardown begins (the handler itself is a no-op and
+   thread *before* teardown begins (its arm in [answer] is a no-op and
    the connection loop initiates after flushing the reply), then the
    accept loop is woken by a self-connect poke, stops accepting, drains
    the scheduler, joins the pool, closes and unlinks the socket, and
@@ -23,7 +23,10 @@ module Metrics = Trips_obs.Metrics
 type t = {
   socket_path : string;
   listen_fd : Unix.file_descr;
-  sched : (Protocol.job * Telemetry.ctx option, Protocol.output) Scheduler.t;
+  sched :
+    ( Protocol.output Protocol.request * Telemetry.ctx option,
+      Protocol.output )
+    Scheduler.t;
   worker : Worker.t;
   started_at : float;
   quiet : bool;
@@ -32,8 +35,6 @@ type t = {
   fc : Condition.t;
   mutable finished : bool;
 }
-
-let scheduler t = t.sched
 
 let stats t =
   let k = Scheduler.counters t.sched in
@@ -94,28 +95,32 @@ let poke t =
 
 let initiate t = if Atomic.compare_and_set t.stopping false true then poke t
 
+(* Job requests go through the scheduler onto the pool; control
+   requests are answered here.  One arm per constructor: an or-pattern
+   would not refine [a] to [output]. *)
+let answer : type a. t -> Telemetry.ctx option -> a Protocol.request -> a =
+ fun t ctx req ->
+  let job req = output_of_outcome (Scheduler.run_sync t.sched (req, ctx)) in
+  match req with
+  | Protocol.Compile _ -> job req
+  | Protocol.Report _ -> job req
+  | Protocol.Sweep_cell _ -> job req
+  | Protocol.Stats -> stats t
+  | Protocol.Trace_of id -> Telemetry.find id
+  (* ack first: the connection loop initiates after the reply has been
+     flushed, so the shutdown client always hears back *)
+  | Protocol.Shutdown -> ()
+
 let handle_conn t fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
-  let handlers =
-    {
-      Protocol.sh_job =
-        (fun ctx job ->
-          output_of_outcome (Scheduler.run_sync t.sched (job, ctx)));
-      sh_stats = (fun () -> stats t);
-      sh_trace = Telemetry.find;
-      (* ack first: the connection loop initiates after the reply has
-         been flushed, so the shutdown client always hears back *)
-      sh_shutdown = (fun () -> ());
-    }
-  in
   let rec loop () =
     match Protocol.read_request ic with
     | ctx, wire -> (
       match Protocol.request_of_wire wire with
       | Protocol.Packed req ->
         let reply =
-          match Protocol.dispatch handlers ~ctx req with
+          match answer t ctx req with
           | v -> Protocol.reply_to_wire req v
           | exception e -> Protocol.error_reply (Printexc.to_string e)
         in
@@ -125,7 +130,8 @@ let handle_conn t fd =
         | _ -> loop ()))
     | exception End_of_file -> ()
     | exception Protocol.Protocol_error msg -> (
-      (* a skewed or alien peer: answer structurally, then hang up *)
+      (* a skewed, alien or garbled peer: answer structurally, then hang
+         up *)
       try Protocol.write_reply oc (Protocol.error_reply msg)
       with Sys_error _ | Unix.Unix_error _ -> ())
   in
@@ -173,7 +179,6 @@ let start ?workers ?queue_depth ?default_deadline_s ?store_capacity
     Store.create ?capacity:store_capacity ~name:"serve.output" ()
   in
   let worker = Worker.create ~cache ~output_store () in
-  let handlers = Worker.handlers worker in
   (match trace_ring with
   | Some n -> Telemetry.set_ring_capacity n
   | None -> ());
@@ -185,11 +190,11 @@ let start ?workers ?queue_depth ?default_deadline_s ?store_capacity
   in
   let sched =
     Scheduler.create ?queue_depth ?default_deadline_s
-      ~deadline_of:(fun (job, _) -> Protocol.job_deadline job)
+      ~deadline_of:(fun (req, _) -> Protocol.job_deadline req)
       ~ctx_of:snd
-      ~kind_of:(fun (job, _) -> Protocol.job_kind job)
+      ~kind_of:(fun (req, _) -> Protocol.job_kind req)
       ~class_of:Protocol.output_class ?slo ~workers
-      ~run:(fun (job, _) -> Protocol.run_worker handlers job)
+      ~run:(fun (req, _) -> Worker.run worker req)
       ()
   in
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in

@@ -2,10 +2,13 @@
 
     {!start} binds a Unix-domain socket and returns immediately; an
     accept thread hands each connection to its own handler thread, which
-    reads {!Protocol} frames and answers them through the typed
-    {!Protocol.dispatch} — job requests go through the bounded
-    {!Scheduler} onto the resident worker-domain pool, [Stats] and
-    [Shutdown] are answered inline.
+    reads {!Protocol} frames and answers each request with one
+    exhaustive match on {!Protocol.request}: the job requests
+    ([Compile], [Report], [Sweep_cell]) go whole through the bounded
+    {!Scheduler} onto the resident worker-domain pool, which runs them
+    with {!Worker.run}; [Stats], [Trace_of] and [Shutdown] are answered
+    inline.  A frame that does not decode gets a structured error reply
+    and the connection is closed.
 
     Both artifact stores (lower+profile prefixes, rendered outputs) are
     shared across every connection and worker domain.
@@ -37,14 +40,6 @@ val start :
     [slo_p99_s] / [slo_error_rate] arm the scheduler's SLO sentinel
     (see {!Scheduler.slo}); [trace_ring] resizes the bounded ring of
     finished request traces (default 64). *)
-
-val scheduler :
-  t ->
-  ( Protocol.job * Trips_obs.Telemetry.ctx option,
-    Protocol.output )
-  Scheduler.t
-(** The daemon's scheduler — exposed for in-process tests and stats.
-    Jobs carry the request's telemetry context beside them. *)
 
 val stats : t -> Protocol.stats_payload
 

@@ -1,4 +1,4 @@
-(* The worker role: execute serve jobs against shared artifact stores.
+(* The worker: execute serve jobs against shared artifact stores.
 
    Three stores back every worker domain:
 
@@ -133,7 +133,7 @@ let compile_report ?cache ~ordering ~config ~backend ~verify w =
   | Pipeline.Miscompiled d ->
     Error (Fmt.str "miscompiled: %a" Pipeline.pp_divergence d)
 
-(* ---- the worker role ---------------------------------------------------- *)
+(* ---- the worker --------------------------------------------------------- *)
 
 type t = {
   cache : Stage.cache;
@@ -200,7 +200,7 @@ let with_output_cache t ~src ~kind ~config compute =
       Ok text
     | Error _ as e -> e)
 
-let w_compile t (s : Protocol.compile_spec) : Protocol.output =
+let compile t (s : Protocol.compile_spec) : Protocol.output =
   match
     ( find_workload s.Protocol.cs_workload,
       ordering_of_name s.Protocol.cs_ordering,
@@ -209,18 +209,15 @@ let w_compile t (s : Protocol.compile_spec) : Protocol.output =
   | Error (`Msg m), _, _ | _, Error (`Msg m), _ | _, _, Error (`Msg m) ->
     bad_request m
   | Ok w, Ok ordering, Ok config -> (
-    let compile () =
-      match
-        compile_report ~cache:t.cache ~ordering ~config ~backend:s.Protocol.cs_backend
-          ~verify:s.Protocol.cs_verify w
-      with
-      | Ok (c, text) -> Ok (c, text)
-      | Error m -> Error (Protocol.Compile_failed m)
+    let compiled () =
+      compile_report ~cache:t.cache ~ordering ~config
+        ~backend:s.Protocol.cs_backend ~verify:s.Protocol.cs_verify w
+      |> Result.map_error (fun m -> Protocol.Compile_failed m)
     in
     match s.Protocol.cs_chaos_seed with
     | Some seed -> (
       (* poisoned: compile, inject, raise — never cached *)
-      match compile () with
+      match compiled () with
       | Error _ as e -> e
       | Ok (c, _) -> poison ~seed c.Pipeline.cfg)
     | None ->
@@ -229,13 +226,13 @@ let w_compile t (s : Protocol.compile_spec) : Protocol.output =
           s.Protocol.cs_policy s.Protocol.cs_backend s.Protocol.cs_verify
       in
       with_output_cache t ~src:(Stage.content_key w) ~kind:"compile"
-        ~config:config_key (fun () -> Result.map snd (compile ())))
+        ~config:config_key (fun () -> Result.map snd (compiled ())))
 
 (* one digest covering the whole workload selection, in order *)
 let selection_key ws =
   Digest.to_hex (Digest.string (String.concat ";" (List.map Stage.content_key ws)))
 
-let w_report t (s : Protocol.report_spec) : Protocol.output =
+let report t (s : Protocol.report_spec) : Protocol.output =
   match
     ( select_workloads ~default:Micro.all s.Protocol.rs_workloads,
       ordering_of_name s.Protocol.rs_ordering,
@@ -252,7 +249,7 @@ let w_report t (s : Protocol.report_spec) : Protocol.output =
         let o = Reporter.run ~config ~cache:t.cache ~jobs:1 ~ordering ~workloads () in
         Ok (Trace.span "render" (fun () -> Fmt.str "%a" Reporter.render o)))
 
-let w_sweep_cell t (s : Protocol.sweep_spec) : Protocol.output =
+let sweep_cell t (s : Protocol.sweep_spec) : Protocol.output =
   match
     Result.bind (Experiment.find s.Protocol.ss_table) (fun e ->
         Result.map
@@ -265,9 +262,9 @@ let w_sweep_cell t (s : Protocol.sweep_spec) : Protocol.output =
       ~config:s.Protocol.ss_table (fun () ->
         Ok (fst (e.Experiment.render ~cache:t.cache ~jobs:1 ws)))
 
-let handlers t =
-  {
-    Protocol.w_compile = w_compile t;
-    w_report = w_report t;
-    w_sweep_cell = w_sweep_cell t;
-  }
+(* One arm per job constructor: [output request] admits exactly these
+   three, so a new one fails to compile here. *)
+let run t : Protocol.output Protocol.request -> Protocol.output = function
+  | Protocol.Compile s -> compile t s
+  | Protocol.Report s -> report t s
+  | Protocol.Sweep_cell s -> sweep_cell t s

@@ -1,4 +1,4 @@
-(** The worker role: execute serve jobs against shared artifact stores.
+(** The worker: execute serve jobs against shared artifact stores.
 
     One {!t} is shared by every worker domain of the daemon: it carries
     one {!Trips_harness.Stage.cache} (the lower+profile prefix and the
@@ -50,7 +50,7 @@ val compile_report :
     of the same source reuses it.  [Error msg] carries the rendered
     verification or miscompilation failure. *)
 
-(** {1 The worker role} *)
+(** {1 The worker} *)
 
 type t
 
@@ -62,9 +62,10 @@ val create :
 val cache : t -> Stage.cache
 val output_store : t -> string Trips_store.Store.t
 
-val handlers : t -> Protocol.worker
-(** The closed handler record: compile, report, sweep-cell.  Handlers
-    return structured {!Protocol.served_error}s for bad names and
-    pipeline failures; a chaos-poisoned compile ([cs_chaos_seed]) raises
-    after fault injection — deliberately, to exercise the scheduler's
-    per-job crash isolation end to end. *)
+val run : t -> Protocol.output Protocol.request -> Protocol.output
+(** Answer one job: a [Compile], [Report] or [Sweep_cell] request — the
+    requests whose reply is an {!Protocol.output}.  Bad names and
+    pipeline failures are structured {!Protocol.served_error}s; a
+    chaos-poisoned compile ([cs_chaos_seed]) raises after fault injection
+    — deliberately, to exercise the scheduler's per-job crash isolation
+    end to end. *)

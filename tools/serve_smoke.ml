@@ -8,6 +8,8 @@
      bytes);
    - a served compile equals the one-shot pipeline's report text
      byte for byte;
+   - a frame whose payload is junk gets a structured error reply, and
+     the daemon goes on serving byte-identical compiles;
    - a chaos-poisoned request fails with a structured compile error
      naming the injection, and its crash is confined (the next request
      on the same connection succeeds);
@@ -148,6 +150,25 @@ let () =
   (* served bytes = one-shot pipeline bytes *)
   if Hashtbl.find first "sieve" <> oneshot "sieve" then
     fail "served sieve differs from the one-shot compile";
+  (* a valid header and a junk payload: the daemon answers with an error
+     frame and hangs up, and the next connection is served as before *)
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+  output_string oc "CHFS";
+  output_char oc (Char.chr P.version);
+  output_string oc "junk that is no marshaled value";
+  flush oc;
+  (match P.reply_of_wire P.Stats (P.read_reply ic) with
+  | _ -> fail "junk frame answered with a stats reply"
+  | exception P.Protocol_error _ -> ()
+  | exception End_of_file -> fail "junk frame: connection closed, no reply");
+  close_out oc;
+  (match C.with_conn ~socket (fun c -> C.rpc c (compile "sieve")) with
+  | Ok text ->
+    if text <> oneshot "sieve" then
+      fail "sieve after a junk frame differs from the one-shot compile"
+  | Error e -> fail "sieve after a junk frame: %a" P.pp_served_error e);
   (* chaos-poisoned request: structured failure, confined to its job *)
   C.with_conn ~socket (fun c ->
       (match C.rpc c (compile ~chaos:3 "sieve") with
@@ -203,10 +224,10 @@ let () =
   let ok = W.counter_value w "serve.req.ok"
   and crashed = W.counter_value w "serve.req.crashed"
   and timed_out = W.counter_value w "serve.req.timed_out" in
-  (* 6 listed + 1 after-crash + 1 second-ordering + 1 after-timeout
-     compiles succeeded *)
-  if ok <> List.length names + 3 then
-    fail "window: %d ok requests, expected %d" ok (List.length names + 3);
+  (* 6 listed + 1 after-junk + 1 after-crash + 1 second-ordering + 1
+     after-timeout compiles succeeded *)
+  if ok <> List.length names + 4 then
+    fail "window: %d ok requests, expected %d" ok (List.length names + 4);
   if crashed <> st.P.st_crashed then
     fail "window: %d crashed vs %d lifetime" crashed st.P.st_crashed;
   if timed_out <> st.P.st_timed_out then
@@ -247,7 +268,7 @@ let () =
   | exception Unix.Unix_error _ -> ());
   let shed = overload_and_slo () in
   Fmt.pr
-    "serve-smoke: %d requests, crash isolation, deadline, stats, window \
-     accounting, trace reconstruction, byte identity, clean shutdown, \
+    "serve-smoke: %d requests, junk frame, crash isolation, deadline, stats, \
+     window accounting, trace reconstruction, byte identity, clean shutdown, \
      overload (%d shed) and SLO sentinel: OK@."
     (List.length names) shed

@@ -55,15 +55,19 @@ trace-check: build
 	@echo "trace-check: event streams and tables identical across -j 1 / -j 4 and match the golden"
 
 # Fast-path equivalence: the formation suite includes the property test
-# that formation under Formation.audit (every cached liveness, loop-forest
-# and predecessor answer checked against a from-scratch solve) produces
-# byte-identical CFGs, stats and traces to
-# an unaudited run, on random programs and the kernels; the sim suite
-# byte-compares the cycle model against the reference timing model in
-# test/cycle_oracle.ml (results, attribution rows and timing traces) and
-# the functional simulator and profiler against the reference
-# interpreter in test/sim_oracle.ml.
+# that formation under Formation.audit (every cached liveness and
+# predecessor answer, and every loop-header and back-edge answer of the
+# cached dominator tree, checked against a from-scratch solve) produces
+# byte-identical CFGs, stats and traces to an unaudited run, on random
+# programs, the kernels and three SPEC-like programs; the analysis suite
+# checks the dominator tree against a naive solver (random CFGs and the
+# sparse ids formation leaves) and gen/kill against the quadratic
+# reference; the sim suite byte-compares the cycle model against the
+# reference timing model in test/cycle_oracle.ml (results, attribution
+# rows and timing traces) and the functional simulator and profiler
+# against the reference interpreter in test/sim_oracle.ml.
 equiv-check: build
+	dune exec test/test_main.exe -- test analysis
 	dune exec test/test_main.exe -- test formation
 	dune exec test/test_main.exe -- test sim
 

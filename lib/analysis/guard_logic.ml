@@ -12,7 +12,8 @@
    sound if every register in the chain received its (unique, unguarded)
    definition before [use_pos], and callers must separately ensure the
    root guard register was not redefined between the two reads (liveness
-   poisons stale records; predicate optimization aborts its scan).
+   stamps each record with the guard register's definition count;
+   predicate optimization aborts its scan).
    Sound for arbitrary integer values: a bitwise conjunction is nonzero
    only if both operands are. *)
 

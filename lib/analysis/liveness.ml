@@ -27,22 +27,26 @@ open Trips_ir
 type gen_kill = { hard : IntSet.t; soft : IntSet.t; kill : IntSet.t }
 
 (** Per-block generator/killer sets (see module comment). *)
-type last_def = Must | May of Trips_ir.Instr.guard | May_opaque
-(* May_opaque: conditional definition whose guard register was later
-   redefined, so its guard can no longer be compared by name *)
+type last_def = Must | May of Trips_ir.Instr.guard * int
+(* [May (g, n)]: conditional definition under guard [g], recorded when
+   [g]'s register had been defined [n] times in the block.  Once that
+   count moves on, the guard register was redefined after the record, so
+   the guard can no longer be compared by name and the record is stale. *)
 
 let gen_kill (b : Block.t) : gen_kill =
   let defs = Guard_logic.build_defs b.Block.instrs in
   let last_def : (int, last_def) Hashtbl.t = Hashtbl.create 32 in
+  let def_count : (int, int) Hashtbl.t = Hashtbl.create 32 in
+  let count r = Option.value ~default:0 (Hashtbl.find_opt def_count r) in
   let hard = ref IntSet.empty in
   let soft = ref IntSet.empty in
   let observe_use ~pos guard r =
     match Hashtbl.find_opt last_def r with
     | Some Must -> ()  (* dominated by an unconditional definition *)
-    | Some (May g) ->
+    | Some (May (g, n)) when n = count g.Instr.greg ->
       if not (Guard_logic.option_implies ~use_pos:pos defs guard g) then
         hard := IntSet.add r !hard
-    | Some May_opaque | None -> hard := IntSet.add r !hard
+    | Some (May _) | None -> hard := IntSet.add r !hard
   in
   List.iteri
     (fun pos (i : Instr.t) ->
@@ -61,22 +65,20 @@ let gen_kill (b : Block.t) : gen_kill =
       List.iter (observe_use ~pos i.Instr.guard) operand_regs;
       List.iter
         (fun d ->
-          (match i.Instr.guard with
-          | Some _ when Hashtbl.find_opt last_def d <> Some Must ->
+          (match (i.Instr.guard, Hashtbl.find_opt last_def d) with
+          | Some _, (Some (May _) | None) ->
             (* incoming value may still flow through this conditional
                definition: exposure pending liveness *)
             soft := IntSet.add d !soft
-          | Some _ | None -> ());
+          | Some _, Some Must | None, _ -> ());
           Hashtbl.replace last_def d
-            (match i.Instr.guard with None -> Must | Some g -> May g);
+            (match i.Instr.guard with
+            | None -> Must
+            | Some g -> May (g, count g.Instr.greg));
           (* a definition of a register that some recorded guard reads
-             makes that guard stale: poison the record *)
-          Hashtbl.filter_map_inplace
-            (fun _ entry ->
-              match entry with
-              | May g when g.Instr.greg = d -> Some May_opaque
-              | other -> Some other)
-            last_def)
+             makes that record stale (including this instruction's own,
+             when it redefines its guard register) *)
+          Hashtbl.replace def_count d (count d + 1))
         (Instr.defs i))
     b.Block.instrs;
   (* exits: guard registers are evaluated unconditionally; return

@@ -82,8 +82,9 @@ type state = {
       (* bumped only when a successor list may have changed; body-only
          rewrites (the optimizer shrinking a block in place) keep it, so
          edge-keyed caches survive them *)
-  mutable loops_cache : (int * int * Loops.t) option;
-      (* (edge_version, version) at which the forest was last validated *)
+  mutable dom_cache : (int * int * Dominators.t) option;
+      (* (edge_version, version) at which the dominator tree was last
+         validated *)
   mutable preds_cache : (int * IntSet.t IntMap.t) option;
       (* predecessor map keyed by edge_version *)
   mutable live_cache : (int * Liveness.t) option;
@@ -91,9 +92,10 @@ type state = {
       (* blocks edited (or removed) since [live_cache] was solved; the
          seeds for the next incremental [Liveness.update] *)
   (* how often each cache answered; published as the
-     [formation.liveness.incremental] / [formation.loops.reuse] metrics *)
+     [formation.liveness.incremental] / [formation.loops.reuse] metrics;
+     the latter keeps its name from when the cache held the loop forest *)
   mutable live_incremental : int;
-  mutable loops_reuse : int;
+  mutable dom_reuse : int;
 }
 
 let make config cfg profile =
@@ -108,12 +110,12 @@ let make config cfg profile =
     unrolls_done = Hashtbl.create 8;
     version = 0;
     edge_version = 0;
-    loops_cache = None;
+    dom_cache = None;
     preds_cache = None;
     live_cache = None;
     live_dirty = IntSet.empty;
     live_incremental = 0;
-    loops_reuse = 0;
+    dom_reuse = 0;
   }
 
 let stats st = st.stats
@@ -130,7 +132,7 @@ let publish_metrics st =
   Metrics.incr ~by:s.combine_failures "formation.reject.structural";
   Metrics.incr ~by:s.block_splits "formation.block_splits";
   Metrics.incr ~by:st.live_incremental "formation.liveness.incremental";
-  Metrics.incr ~by:st.loops_reuse "formation.loops.reuse"
+  Metrics.incr ~by:st.dom_reuse "formation.loops.reuse"
 
 (* Test-only fault injection: when set, a combine for which the function
    returns [true] fails as if [Combine.Cannot_combine] had been raised.
@@ -140,9 +142,10 @@ let chaos_combine_failure :
     (hb_id:int -> s_id:int -> kind:merge_kind -> bool) option ref =
   ref None
 
-(* Test-only audit: when set, every cached liveness, loop forest and
-   predecessor answer formation uses is checked against a from-scratch
-   solve, and a mismatch raises [Failure]. *)
+(* Test-only audit: when set, every cached liveness and predecessor
+   answer formation uses is checked against a from-scratch solve, every
+   loop-header and back-edge answer against a fresh [Loops.compute], and
+   a mismatch raises [Failure]. *)
 let audit = ref false
 
 let audit_check ~hb_id ~s_id what ok =
@@ -163,21 +166,21 @@ let touch_edges st ids =
   touch_body st ids;
   st.edge_version <- st.edge_version + 1
 
-(* The loop forest, keyed by [edge_version] so body-only touches
+(* The dominator tree, keyed by [edge_version] so body-only touches
    revalidate it for free. *)
-let loops st =
-  match st.loops_cache with
-  | Some (k, v, l) when k = st.edge_version ->
+let dominators st =
+  match st.dom_cache with
+  | Some (k, v, d) when k = st.edge_version ->
     if v <> st.version then begin
-      (* a forest revalidated across a body-only edit *)
-      st.loops_reuse <- st.loops_reuse + 1;
-      st.loops_cache <- Some (k, st.version, l)
+      (* a tree revalidated across a body-only edit *)
+      st.dom_reuse <- st.dom_reuse + 1;
+      st.dom_cache <- Some (k, st.version, d)
     end;
-    l
+    d
   | _ ->
-    let l = Loops.compute st.cfg in
-    st.loops_cache <- Some (st.edge_version, st.version, l);
-    l
+    let d = Dominators.compute st.cfg in
+    st.dom_cache <- Some (st.edge_version, st.version, d);
+    d
 
 (* Predecessor list of [s_id], same contents as [Cfg.predecessors] but
    served from an edge-versioned cached map instead of rebuilding the
@@ -283,37 +286,52 @@ let classify ?hb st ~hb_id ~s_id : merge_kind option =
         else None
       else begin
         let s_preds = preds st ~hb_id s_id in
-        let lp = loops st in
-        let is_header = Loops.is_loop_header lp s_id in
-        let back_edge = Loops.is_back_edge lp ~src:hb_id ~dst:s_id in
-        if !audit then begin
-          let fresh = Loops.compute cfg in
-          audit_check ~hb_id ~s_id "loop header"
-            (is_header = Loops.is_loop_header fresh s_id);
-          audit_check ~hb_id ~s_id "back edge"
-            (back_edge = Loops.is_back_edge fresh ~src:hb_id ~dst:s_id)
-        end;
-        if s_preds = [ hb_id ] && s_id <> cfg.Cfg.entry then Some Simple
-        else if is_header && not back_edge then
-          if
-            config.Policy.enable_head_dup
-            && counter st.peels_done s_id < config.Policy.max_peel
-            &&
-            (* trip-count-histogram gate: peel iteration k only when enough
-               entries run at least k iterations *)
-            (match Profile.trip_histogram st.profile s_id with
-            | [] -> true
-            | _ ->
-              Profile.trip_count_at_least st.profile s_id
-                (counter st.peels_done s_id + 1)
-              >= config.Policy.peel_coverage)
-          then Some Peel
+        (* A unique predecessor needs no loop question: every path to [s]
+           then passes through [hb], so [s] dominating [hb] as well would
+           make them equal, and [s] heads no loop. *)
+        if s_preds = [ hb_id ] && s_id <> cfg.Cfg.entry then begin
+          if !audit then
+            audit_check ~hb_id ~s_id "loop header"
+              (not (Loops.is_loop_header (Loops.compute cfg) s_id));
+          Some Simple
+        end
+        else
+          (* [s] heads a natural loop iff it dominates one of its
+             predecessors (the source of a back edge); the edge
+             [hb -> s], present as checked above, is a back edge iff [s]
+             dominates [hb]. *)
+          let dom = dominators st in
+          let is_header =
+            List.exists (fun p -> Dominators.dominates dom s_id p) s_preds
+          in
+          let back_edge = Dominators.dominates dom s_id hb_id in
+          if !audit then begin
+            let fresh = Loops.compute cfg in
+            audit_check ~hb_id ~s_id "loop header"
+              (is_header = Loops.is_loop_header fresh s_id);
+            audit_check ~hb_id ~s_id "back edge"
+              (back_edge = Loops.is_back_edge fresh ~src:hb_id ~dst:s_id)
+          end;
+          if is_header && not back_edge then
+            if
+              config.Policy.enable_head_dup
+              && counter st.peels_done s_id < config.Policy.max_peel
+              &&
+              (* trip-count-histogram gate: peel iteration k only when enough
+                 entries run at least k iterations *)
+              (match Profile.trip_histogram st.profile s_id with
+              | [] -> true
+              | _ ->
+                Profile.trip_count_at_least st.profile s_id
+                  (counter st.peels_done s_id + 1)
+                >= config.Policy.peel_coverage)
+            then Some Peel
+            else None
+          else if
+            config.Policy.enable_tail_dup
+            && Block.size s_blk <= config.Policy.max_tail_dup_instrs
+          then Some Tail_dup
           else None
-        else if
-          config.Policy.enable_tail_dup
-          && Block.size s_blk <= config.Policy.max_tail_dup_instrs
-        then Some Tail_dup
-        else None
       end
     end
 
@@ -403,10 +421,10 @@ let merge_blocks ?(depth = 0) ?(prob = 1.0) ?hb st ~hb_id ~s_id ~kind :
   in
   let restore_edge_version () =
     st.edge_version <- edge_version0;
-    (* a forest or map computed *during* the trial must not be
+    (* a tree or map computed *during* the trial must not be
        revalidated at a reused version number *)
-    (match st.loops_cache with
-    | Some (k, _, _) when k > st.edge_version -> st.loops_cache <- None
+    (match st.dom_cache with
+    | Some (k, _, _) when k > st.edge_version -> st.dom_cache <- None
     | _ -> ());
     match st.preds_cache with
     | Some (k, _) when k > st.edge_version -> st.preds_cache <- None

@@ -22,17 +22,17 @@ let successors b =
     (fun e -> match e.target with Goto s -> Some s | Ret _ -> None)
     b.exits
 
-(** Successor ids with duplicates removed, order preserved. *)
+(** Successor ids with duplicates removed, order preserved.  Exit lists
+    are short, so a membership scan of the ids kept so far beats a
+    per-call table. *)
 let distinct_successors b =
-  let seen = Hashtbl.create 4 in
-  List.filter
-    (fun s ->
-      if Hashtbl.mem seen s then false
-      else begin
-        Hashtbl.add seen s ();
-        true
-      end)
-    (successors b)
+  let rec keep acc = function
+    | [] -> List.rev acc
+    | { target = Goto s; _ } :: rest when not (List.mem s acc) ->
+      keep (s :: acc) rest
+    | _ :: rest -> keep acc rest
+  in
+  keep [] b.exits
 
 let has_return b =
   List.exists (fun e -> match e.target with Ret _ -> true | Goto _ -> false)

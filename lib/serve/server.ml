@@ -124,11 +124,17 @@ let handle_conn t fd =
           | v -> Protocol.reply_to_wire req v
           | exception e -> Protocol.error_reply (Printexc.to_string e)
         in
-        Protocol.write_reply oc reply;
+        let delivered =
+          match Protocol.write_reply oc reply with
+          | () -> true
+          | exception (Sys_error _ | Unix.Unix_error _) -> false
+        in
         (match req with
         | Protocol.Shutdown -> initiate t
-        | _ -> loop ()))
-    | exception End_of_file -> ()
+        | _ -> if delivered then loop ()))
+    (* a peer that hung up, before or after its request, ends the
+       connection quietly; an undelivered reply ends it too *)
+    | exception (End_of_file | Sys_error _ | Unix.Unix_error _) -> ()
     | exception Protocol.Protocol_error msg -> (
       (* a skewed, alien or garbled peer: answer structurally, then hang
          up *)

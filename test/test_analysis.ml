@@ -87,6 +87,51 @@ let tree_preorder_complete =
          let pre = Dominators.tree_preorder dom in
          List.sort compare pre = List.sort compare (Order.postorder cfg)))
 
+(* Formation leaves sparse block ids: absorbed blocks are removed and
+   fresh ones take ids past every original one.  On each kernel's formed
+   CFG, plus one unreachable block (a fresh id, so the largest) that
+   branches into the graph, the array-based tree must still match the
+   naive solver, and the unreachable block must dominate nothing and be
+   dominated by nothing. *)
+let test_dominators_sparse_ids () =
+  let sparse = ref 0 in
+  List.iter
+    (fun (w : Trips_workloads.Workload.t) ->
+      let profile, _ = Trips_harness.Pipeline.profile_workload w in
+      let cfg, _ = Trips_harness.Pipeline.lower_workload w in
+      Trips_opt.Optimizer.optimize_cfg cfg;
+      ignore (Chf.Formation.run Chf.Policy.edge_default cfg profile);
+      let ids = Cfg.block_ids cfg in
+      if List.length ids < 1 + List.fold_left max 0 ids then incr sparse;
+      let reachable = Order.postorder cfg in
+      let u = Cfg.fresh_block_id cfg in
+      Cfg.set_block cfg
+        (Block.make u []
+           [ { Block.eguard = None; target = Block.Goto (List.hd reachable) } ]);
+      let dom = Dominators.compute cfg in
+      let naive = naive_dominators cfg in
+      let fail fmt = Alcotest.failf ("%s: " ^^ fmt) w.Trips_workloads.Workload.name in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              if Dominators.dominates dom a b <> IntSet.mem a (Hashtbl.find naive b)
+              then fail "dominates b%d b%d differs from the naive solver" a b)
+            reachable)
+        reachable;
+      List.iter
+        (fun a ->
+          if Dominators.dominates dom a u || Dominators.dominates dom u a then
+            fail "unreachable b%d related to b%d" u a)
+        (u :: ids);
+      if Dominators.idom dom u <> None then fail "unreachable b%d has an idom" u;
+      if
+        List.sort compare (Dominators.tree_preorder dom)
+        <> List.sort compare reachable
+      then fail "tree preorder is not the reachable set")
+    Trips_workloads.Micro.all;
+  check Alcotest.bool "some formed CFG has sparse ids" true (!sparse > 0)
+
 (* ---- orders ------------------------------------------------------------ *)
 
 let rpo_respects_edges =
@@ -269,6 +314,180 @@ let test_hard_exposure_on_weak_guard () =
   let gk = Liveness.gen_kill b in
   check Alcotest.bool "r10 hard-exposed" true (IntSet.mem 10 gk.Liveness.hard)
 
+(* ---- gen/kill against the quadratic reference -------------------------- *)
+
+(* [Liveness.gen_kill] as it was first written: every definition scans
+   the whole [last_def] table and turns each record whose guard reads the
+   defined register opaque.  Quadratic per block, but its poisoning is
+   the specification that the linear, count-stamped records must match. *)
+type reference_def = Ref_must | Ref_may of Instr.guard | Ref_opaque
+
+let reference_gen_kill (b : Block.t) =
+  let defs = Guard_logic.build_defs b.Block.instrs in
+  let last_def : (int, reference_def) Hashtbl.t = Hashtbl.create 32 in
+  let hard = ref IntSet.empty and soft = ref IntSet.empty in
+  let observe_use ~pos guard r =
+    match Hashtbl.find_opt last_def r with
+    | Some Ref_must -> ()
+    | Some (Ref_may g) ->
+      if not (Guard_logic.option_implies ~use_pos:pos defs guard g) then
+        hard := IntSet.add r !hard
+    | Some Ref_opaque | None -> hard := IntSet.add r !hard
+  in
+  List.iteri
+    (fun pos (i : Instr.t) ->
+      (match i.Instr.guard with
+      | Some g -> observe_use ~pos None g.Instr.greg
+      | None -> ());
+      List.iter
+        (observe_use ~pos i.Instr.guard)
+        (List.filter
+           (fun r ->
+             match i.Instr.guard with
+             | Some g -> r <> g.Instr.greg
+             | None -> true)
+           (Instr.uses i));
+      List.iter
+        (fun d ->
+          (match i.Instr.guard with
+          | Some _ when Hashtbl.find_opt last_def d <> Some Ref_must ->
+            soft := IntSet.add d !soft
+          | Some _ | None -> ());
+          Hashtbl.replace last_def d
+            (match i.Instr.guard with None -> Ref_must | Some g -> Ref_may g);
+          Hashtbl.filter_map_inplace
+            (fun _ entry ->
+              match entry with
+              | Ref_may g when g.Instr.greg = d -> Some Ref_opaque
+              | other -> Some other)
+            last_def)
+        (Instr.defs i))
+    b.Block.instrs;
+  IntSet.iter (fun r -> observe_use ~pos:max_int None r) (Block.exit_uses b);
+  let kill = Block.must_defs b in
+  (!hard, IntSet.diff (IntSet.diff !soft !hard) kill, kill)
+
+let gen_kill_matches_reference b =
+  let hard, soft, kill = reference_gen_kill b in
+  let gk = Liveness.gen_kill b in
+  IntSet.equal hard gk.Liveness.hard
+  && IntSet.equal soft gk.Liveness.soft
+  && IntSet.equal kill gk.Liveness.kill
+
+(* Random straight-line blocks over three predicate and five value
+   registers, so guards, guard registers and definitions collide often:
+   predicates come from [cmp] and [and] chains (which give guard
+   implication something to find) and are sometimes redefined between a
+   guarded definition and its use. *)
+let random_block_gen =
+  QCheck2.Gen.(
+    let pred = int_range 1 3 and value = int_range 4 8 in
+    let reg = oneof [ pred; value ] in
+    let operand r =
+      frequency [ (4, map (fun r -> Instr.Reg r) r); (1, map (fun k -> Instr.Imm k) (int_bound 3)) ]
+    in
+    let guard =
+      opt ~ratio:0.6 (map2 (fun greg sense -> { Instr.greg; sense }) pred bool)
+    in
+    let op =
+      frequency
+        [
+          (2, map3 (fun d a b -> Instr.Cmp (Opcode.Lt, d, a, b)) pred (operand value) (operand value));
+          (2, map3 (fun d a b -> Instr.Binop (Opcode.And, d, a, b)) pred (operand pred) (operand reg));
+          (3, map2 (fun d a -> Instr.Mov (d, a)) reg (operand reg));
+          (2, map3 (fun d a b -> Instr.Binop (Opcode.Add, d, a, b)) value (operand value) (operand value));
+          (1, map2 (fun a v -> Instr.Store (a, v, 0)) (operand value) (operand value));
+          (1, map (fun d -> Instr.Nullw d) reg);
+        ]
+    in
+    let* body = list_size (int_range 1 16) (pair guard op) in
+    let* branch = pred and* ret = opt (map (fun r -> Instr.Reg r) value) in
+    let instrs = List.mapi (fun id (guard, op) -> Instr.make ?guard id op) body in
+    let exits =
+      [
+        { Block.eguard = Some { Instr.greg = branch; sense = true }; target = Block.Goto 0 };
+        { Block.eguard = Some { Instr.greg = branch; sense = false }; target = Block.Ret ret };
+      ]
+    in
+    return (Block.make 0 instrs exits))
+
+let gen_kill_random_blocks =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"CHK gen/kill matches the quadratic reference"
+       ~count:500 ~print:(Fmt.to_to_string Block.pp) random_block_gen
+       gen_kill_matches_reference)
+
+(* Every block formation leaves behind on the 24 kernels. *)
+let test_gen_kill_formed_blocks () =
+  List.iter
+    (fun (w : Trips_workloads.Workload.t) ->
+      let profile, _ = Trips_harness.Pipeline.profile_workload w in
+      let cfg, _ = Trips_harness.Pipeline.lower_workload w in
+      Trips_opt.Optimizer.optimize_cfg cfg;
+      ignore (Chf.Formation.run Chf.Policy.edge_default cfg profile);
+      Cfg.iter_blocks
+        (fun b ->
+          if not (gen_kill_matches_reference b) then
+            Alcotest.failf "gen/kill differs from the reference on %s b%d"
+              w.Trips_workloads.Workload.name b.Block.id)
+        cfg)
+    Trips_workloads.Micro.all
+
+(* p and q = p & r5 are defined unconditionally first, so the guarded
+   reads below are implied by name unless a record went stale. *)
+let guard_prefix =
+  let p = 1 and q = 3 in
+  ( p,
+    q,
+    [
+      Instr.make 0 (Instr.Cmp (Opcode.Lt, p, Instr.Reg 2, Instr.Imm 5));
+      Instr.make 1 (Instr.Binop (Opcode.And, q, Instr.Reg p, Instr.Reg 5));
+    ] )
+
+let ret_block instrs =
+  Block.make 0 instrs [ { Block.eguard = None; target = Block.Ret None } ]
+
+let test_gen_kill_self_guard () =
+  (* [<p> mov p, 0] redefines its own guard register: its record is
+     stale at once, so the later read of p under q (which implies the old
+     p) is a hard exposure *)
+  let p, q, prefix = guard_prefix in
+  let sg = { Instr.greg = p; sense = true } in
+  let b =
+    ret_block
+      (prefix
+      @ [
+          Instr.make ~guard:sg 2 (Instr.Mov (p, Instr.Imm 0));
+          Instr.make ~guard:{ Instr.greg = q; sense = true } 3
+            (Instr.Binop (Opcode.Add, 4, Instr.Reg p, Instr.Imm 1));
+        ])
+  in
+  check Alcotest.bool "matches the reference" true (gen_kill_matches_reference b);
+  check Alcotest.bool "p hard-exposed" true
+    (IntSet.mem p (Liveness.gen_kill b).Liveness.hard)
+
+let test_gen_kill_guard_redefined () =
+  (* [<p> mov r10] then p is redefined before [<q> add _, r10]: q implied
+     the old p, not the new one, so r10 is hard-exposed; without the
+     redefinition the implication holds and r10 stays out of [hard] *)
+  let p, q, prefix = guard_prefix in
+  let guarded_def =
+    Instr.make ~guard:{ Instr.greg = p; sense = true } 2 (Instr.Mov (10, Instr.Imm 7))
+  in
+  let redefine = Instr.make 3 (Instr.Cmp (Opcode.Lt, p, Instr.Reg 6, Instr.Imm 9)) in
+  let use =
+    Instr.make ~guard:{ Instr.greg = q; sense = true } 4
+      (Instr.Binop (Opcode.Add, 4, Instr.Reg 10, Instr.Imm 1))
+  in
+  let with_redef = ret_block (prefix @ [ guarded_def; redefine; use ]) in
+  let without = ret_block (prefix @ [ guarded_def; use ]) in
+  check Alcotest.bool "matches the reference" true
+    (gen_kill_matches_reference with_redef && gen_kill_matches_reference without);
+  check Alcotest.bool "r10 hard after the guard is redefined" true
+    (IntSet.mem 10 (Liveness.gen_kill with_redef).Liveness.hard);
+  check Alcotest.bool "r10 implied without the redefinition" false
+    (IntSet.mem 10 (Liveness.gen_kill without).Liveness.hard)
+
 let liveness_upper_bounded_by_classic =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make
@@ -440,6 +659,8 @@ let suite =
       dominators_match_naive;
       idom_is_dominator;
       tree_preorder_complete;
+      Alcotest.test_case "dominators on sparse ids" `Quick
+        test_dominators_sparse_ids;
       rpo_respects_edges;
       Alcotest.test_case "prune unreachable" `Quick test_prune_unreachable;
       Alcotest.test_case "loop nest" `Quick test_loop_nest;
@@ -451,6 +672,13 @@ let suite =
       Alcotest.test_case "refined liveness drops dead temps" `Quick
         test_refined_liveness_soft;
       Alcotest.test_case "weak guard exposes" `Quick test_hard_exposure_on_weak_guard;
+      gen_kill_random_blocks;
+      Alcotest.test_case "gen/kill on formed blocks" `Quick
+        test_gen_kill_formed_blocks;
+      Alcotest.test_case "gen/kill: guard redefines itself" `Quick
+        test_gen_kill_self_guard;
+      Alcotest.test_case "gen/kill: guard redefined before a use" `Quick
+        test_gen_kill_guard_redefined;
       liveness_upper_bounded_by_classic;
       incremental_liveness_matches_full;
     ] )

@@ -246,12 +246,16 @@ let form_traced w =
   ((cfg.Cfg.entry, blocks), stats, trace)
 
 (* The contract formation's caches must honor (DESIGN.md §12): under
-   [Formation.audit] every cached liveness, loop-forest and predecessor
-   answer is checked against a from-scratch solve (a mismatch raises),
+   [Formation.audit] every cached liveness and predecessor answer, and
+   every loop-header and back-edge answer of the cached dominator tree,
+   is checked against a from-scratch solve (a mismatch raises),
    yet the final CFG, the statistics and the byte-rendered trace are
    identical to an unaudited run — the caches are pure strength
    reductions, never behavior changes.  Besides the random programs the
-   check covers the 24 kernels and the store-dense kernels. *)
+   check covers the 24 kernels, the store-dense kernels and three
+   SPEC-like programs (bzip2, parser, twolf), whose many-block loop nests
+   send most candidates past the unique-predecessor case to the
+   dominator-tree header and back-edge queries. *)
 let audit_agrees w =
   let plain = form_traced w in
   Chf.Formation.audit := true;
@@ -275,7 +279,13 @@ let audit_is_output_invariant =
           if not (audit_agrees w) then
             Alcotest.failf "audited formation diverges on %s"
               w.Trips_workloads.Workload.name)
-        (Trips_workloads.Micro.all @ Trips_workloads.Micro.store_dense);
+        (Trips_workloads.Micro.all @ Trips_workloads.Micro.store_dense
+        @ List.map
+            (fun name ->
+              match Trips_workloads.Spec_like.by_name name with
+              | Some w -> w
+              | None -> Alcotest.failf "no SPEC-like program %s" name)
+            [ "bzip2"; "parser"; "twolf" ]);
       random_programs () )
 
 

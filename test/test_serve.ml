@@ -527,6 +527,54 @@ let test_served_byte_identity () =
   Alcotest.(check bool) "the compile was counted" true
     (stats.P.st_completed >= 1)
 
+(* ---- a peer that hangs up before its reply ----------------------------- *)
+
+(* One client sends a compile on a raw socket and closes it before the
+   reply; writing that reply fails with a broken pipe.  The connection
+   must end quietly (no connection thread dies on an uncaught exception)
+   and a second client's compile must still equal the one-shot report. *)
+let test_hangup_before_reply () =
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ()) "chfc-test-hangup.sock"
+  in
+  let uncaught = Atomic.make 0 in
+  Thread.set_uncaught_exception_handler (fun _ -> Atomic.incr uncaught);
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.set_uncaught_exception_handler
+        Thread.default_uncaught_exception_handler)
+    (fun () ->
+      let srv = Trips_serve.Server.start ~workers:1 ~quiet:true ~socket () in
+      let compile = P.Compile { spec with P.cs_workload = "vadd" } in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      let oc = Unix.out_channel_of_descr fd in
+      P.write_request oc (P.wire_of_request compile);
+      close_out oc;
+      let served =
+        Trips_serve.Client.with_conn ~socket (fun c ->
+            Trips_serve.Client.rpc c compile)
+      in
+      Trips_serve.Client.with_conn ~socket (fun c ->
+          Trips_serve.Client.rpc c P.Shutdown);
+      Trips_serve.Server.wait srv;
+      let oneshot =
+        match Trips_workloads.Micro.by_name "vadd" with
+        | None -> Alcotest.fail "workload vadd missing"
+        | Some w -> (
+          match
+            Trips_serve.Worker.compile_report ~ordering:Chf.Phases.Iupo_merged
+              ~config:Chf.Policy.edge_default ~backend:true ~verify:false w
+          with
+          | Ok (_, text) -> text
+          | Error m -> Alcotest.fail ("one-shot compile failed: " ^ m))
+      in
+      (match served with
+      | Ok text ->
+        Alcotest.(check string) "second client = one-shot" oneshot text
+      | Error _ -> Alcotest.fail "second compile failed");
+      Alcotest.(check int) "no connection thread died" 0 (Atomic.get uncaught))
+
 (* ---- the basic-block baseline is computed once per source ------------- *)
 
 (* One worker serves sieve under two orderings and policies, then a
@@ -763,6 +811,8 @@ let suite =
         `Quick test_scheduler_drain_refuses;
       Alcotest.test_case "serve: socket round-trip is byte-identical" `Quick
         test_served_byte_identity;
+      Alcotest.test_case "serve: a peer hanging up before its reply" `Quick
+        test_hangup_before_reply;
       Alcotest.test_case "serve: one basic-block baseline per source" `Quick
         test_baseline_once_per_source;
       Alcotest.test_case "worker: unknown workload names are Bad_request"

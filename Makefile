@@ -59,16 +59,21 @@ trace-check: build
 # predecessor answer, and every loop-header and back-edge answer of the
 # cached dominator tree, checked against a from-scratch solve) produces
 # byte-identical CFGs, stats and traces to an unaudited run, on random
-# programs, the kernels and three SPEC-like programs; the analysis suite
-# checks the dominator tree against a naive solver (random CFGs and the
-# sparse ids formation leaves) and gen/kill against the quadratic
-# reference; the sim suite byte-compares the cycle model against the
+# programs, the kernels and three SPEC-like programs, and a directed test
+# that a rolled-back trial keeps the cached dominator tree; the obs suite
+# runs the failed-trial rollback property (tight limits, chaos-injected
+# combine failures) under the audit and checks that the merge-attempt
+# trace agrees with the statistics, for formation and for IUPO; the
+# analysis suite checks the dominator tree against a naive solver (random
+# CFGs and the sparse ids formation leaves) and gen/kill against the
+# quadratic reference; the sim suite byte-compares the cycle model against the
 # reference timing model in test/cycle_oracle.ml (results, attribution
 # rows and timing traces) and the functional simulator and profiler
 # against the reference interpreter in test/sim_oracle.ml.
 equiv-check: build
 	dune exec test/test_main.exe -- test analysis
 	dune exec test/test_main.exe -- test formation
+	dune exec test/test_main.exe -- test obs
 	dune exec test/test_main.exe -- test sim
 
 # Report determinism and freeze: the per-block utilization report over

@@ -169,9 +169,5 @@ let run_after_formation (config : Policy.config) cfg profile
     (self_loop_blocks cfg);
   Order.prune_unreachable cfg;
   Cfg.validate cfg;
-  let s = Formation.stats st in
-  stats.Formation.merges <- stats.Formation.merges + s.Formation.merges;
-  stats.Formation.tail_dups <- stats.Formation.tail_dups + s.Formation.tail_dups;
-  stats.Formation.unrolls <- stats.Formation.unrolls + s.Formation.unrolls;
-  stats.Formation.peels <- stats.Formation.peels + s.Formation.peels;
+  Formation.accum ~into:stats (Formation.stats st);
   Formation.publish_metrics st

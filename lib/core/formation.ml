@@ -60,6 +60,16 @@ let empty_stats () =
 let pp_stats fmt s =
   Fmt.pf fmt "%d/%d/%d/%d" s.merges s.tail_dups s.unrolls s.peels
 
+let accum ~into s =
+  into.merges <- into.merges + s.merges;
+  into.tail_dups <- into.tail_dups + s.tail_dups;
+  into.unrolls <- into.unrolls + s.unrolls;
+  into.peels <- into.peels + s.peels;
+  into.attempts <- into.attempts + s.attempts;
+  into.size_rejections <- into.size_rejections + s.size_rejections;
+  into.combine_failures <- into.combine_failures + s.combine_failures;
+  into.block_splits <- into.block_splits + s.block_splits
+
 type merge_kind = Simple | Unroll | Peel | Tail_dup
 
 let kind_name = function
@@ -67,6 +77,17 @@ let kind_name = function
   | Unroll -> "unroll"
   | Peel -> "peel"
   | Tail_dup -> "tail_dup"
+
+(* Formation's cached analyses, one immutable record so a trial can
+   snapshot and restore them as a unit.  [dom] and [preds] are valid for
+   the current graph when present; [live] is exact once re-solved from
+   [dirty], the blocks edited (or removed) since it was solved. *)
+type analyses = {
+  dom : Dominators.t option;
+  preds : IntSet.t IntMap.t option;
+  live : Liveness.t option;
+  dirty : IntSet.t;
+}
 
 type state = {
   cfg : Cfg.t;
@@ -77,20 +98,7 @@ type state = {
   saved_bodies : (int, Block.t) Hashtbl.t;  (* loop block -> 1-iteration body *)
   peels_done : (int, int) Hashtbl.t;  (* header -> peeled iterations *)
   unrolls_done : (int, int) Hashtbl.t;  (* loop block -> appended iterations *)
-  mutable version : int;  (* bumped on every CFG change *)
-  mutable edge_version : int;
-      (* bumped only when a successor list may have changed; body-only
-         rewrites (the optimizer shrinking a block in place) keep it, so
-         edge-keyed caches survive them *)
-  mutable dom_cache : (int * int * Dominators.t) option;
-      (* (edge_version, version) at which the dominator tree was last
-         validated *)
-  mutable preds_cache : (int * IntSet.t IntMap.t) option;
-      (* predecessor map keyed by edge_version *)
-  mutable live_cache : (int * Liveness.t) option;
-  mutable live_dirty : IntSet.t;
-      (* blocks edited (or removed) since [live_cache] was solved; the
-         seeds for the next incremental [Liveness.update] *)
+  mutable cache : analyses;
   (* how often each cache answered; published as the
      [formation.liveness.incremental] / [formation.loops.reuse] metrics;
      the latter keeps its name from when the cache held the loop forest *)
@@ -108,12 +116,7 @@ let make config cfg profile =
     saved_bodies = Hashtbl.create 8;
     peels_done = Hashtbl.create 8;
     unrolls_done = Hashtbl.create 8;
-    version = 0;
-    edge_version = 0;
-    dom_cache = None;
-    preds_cache = None;
-    live_cache = None;
-    live_dirty = IntSet.empty;
+    cache = { dom = None; preds = None; live = None; dirty = IntSet.empty };
     live_incremental = 0;
     dom_reuse = 0;
   }
@@ -156,44 +159,34 @@ let audit_check ~hb_id ~s_id what ok =
           s_id %d)"
          what hb_id s_id)
 
-(* Record a CFG edit that cannot have changed any successor list. *)
-let touch_body st ids =
-  st.version <- st.version + 1;
-  st.live_dirty <- List.fold_left (fun s id -> IntSet.add id s) st.live_dirty ids
+(* Record a CFG edit of blocks [ids]: the graph-wide analyses go, and
+   the liveness solution is re-solved from [ids] on its next read. *)
+let touch st ids =
+  let dirty = IntSet.union st.cache.dirty (IntSet.of_list ids) in
+  st.cache <- { st.cache with dom = None; preds = None; dirty }
 
-(* Record a CFG edit that may have rewired edges. *)
-let touch_edges st ids =
-  touch_body st ids;
-  st.edge_version <- st.edge_version + 1
-
-(* The dominator tree, keyed by [edge_version] so body-only touches
-   revalidate it for free. *)
 let dominators st =
-  match st.dom_cache with
-  | Some (k, v, d) when k = st.edge_version ->
-    if v <> st.version then begin
-      (* a tree revalidated across a body-only edit *)
-      st.dom_reuse <- st.dom_reuse + 1;
-      st.dom_cache <- Some (k, st.version, d)
-    end;
+  match st.cache.dom with
+  | Some d ->
+    st.dom_reuse <- st.dom_reuse + 1;
     d
-  | _ ->
+  | None ->
     let d = Dominators.compute st.cfg in
-    st.dom_cache <- Some (st.edge_version, st.version, d);
+    st.cache <- { st.cache with dom = Some d };
     d
 
 (* Predecessor list of [s_id], same contents as [Cfg.predecessors] but
-   served from an edge-versioned cached map instead of rebuilding the
-   whole map per query (classify and the breadth-first selector both ask
-   per candidate).  [hb_id] only names the asking hyperblock in an audit
+   served from the cached map instead of rebuilding the whole map per
+   query (classify and the breadth-first selector both ask per
+   candidate).  [hb_id] only names the asking hyperblock in an audit
    failure. *)
 let preds st ~hb_id s_id =
   let map =
-    match st.preds_cache with
-    | Some (k, m) when k = st.edge_version -> m
-    | _ ->
+    match st.cache.preds with
+    | Some m -> m
+    | None ->
       let m = Cfg.predecessor_map st.cfg in
-      st.preds_cache <- Some (st.edge_version, m);
+      st.cache <- { st.cache with preds = Some m };
       m
   in
   let ps = IntMap.find_or ~default:IntSet.empty s_id map in
@@ -203,21 +196,17 @@ let preds st ~hb_id s_id =
   IntSet.elements ps
 
 let liveness st =
-  match st.live_cache with
-  | Some (v, l) when v = st.version -> l
-  | Some (_, l) ->
-    (* re-solve only from the blocks edited since the last solution *)
-    let touched = IntSet.elements st.live_dirty in
-    let l = Liveness.update l st.cfg ~touched in
-    st.live_incremental <- st.live_incremental + 1;
-    st.live_dirty <- IntSet.empty;
-    st.live_cache <- Some (st.version, l);
-    l
-  | None ->
-    let l = Liveness.compute st.cfg in
-    st.live_dirty <- IntSet.empty;
-    st.live_cache <- Some (st.version, l);
-    l
+  let l =
+    match st.cache.live with
+    | Some l when IntSet.is_empty st.cache.dirty -> l
+    | Some l ->
+      (* re-solve only from the blocks edited since the last solution *)
+      st.live_incremental <- st.live_incremental + 1;
+      Liveness.update l st.cfg ~touched:(IntSet.elements st.cache.dirty)
+    | None -> Liveness.compute st.cfg
+  in
+  st.cache <- { st.cache with live = Some l; dirty = IntSet.empty };
+  l
 
 exception Dirty_reachable
 
@@ -234,10 +223,10 @@ exception Dirty_reachable
    sit strictly downstream; self-loops (unrolling) fail the check
    immediately and pay the full update as before. *)
 let live_out_local st hb_id =
-  match st.live_cache with
-  | Some (_, l) ->
+  match st.cache.live with
+  | Some l ->
     let succs = Block.distinct_successors (Cfg.block st.cfg hb_id) in
-    let target = IntSet.add hb_id st.live_dirty in
+    let target = IntSet.add hb_id st.cache.dirty in
     let budget = ref 64 in
     let visited = Hashtbl.create 16 in
     let rec dfs id =
@@ -264,10 +253,8 @@ let bump_counter tbl key = Hashtbl.replace tbl key (counter tbl key + 1)
 (* ---- LegalMerge -------------------------------------------------------- *)
 
 (* Classify the merge of successor [s_id] into [hb_id], or reject it.
-   Mirrors lines 7-15 of MergeBlocks plus the policy's legality gates.
-   [hb] may pass the already-fetched hyperblock record (the expansion
-   loop holds it across attempts on an unchanged block). *)
-let classify ?hb st ~hb_id ~s_id : merge_kind option =
+   Mirrors lines 7-15 of MergeBlocks plus the policy's legality gates. *)
+let classify st ~hb_id ~s_id : merge_kind option =
   let cfg = st.cfg in
   let config = st.config in
   match Cfg.block_opt cfg s_id with
@@ -275,7 +262,7 @@ let classify ?hb st ~hb_id ~s_id : merge_kind option =
   | Some s_blk ->
     if Hashtbl.mem st.finalized s_id && s_id <> hb_id then None
     else begin
-      let hb = match hb with Some b -> b | None -> Cfg.block cfg hb_id in
+      let hb = Cfg.block cfg hb_id in
       if not (List.mem s_id (Block.distinct_successors hb)) then None
       else if s_id = hb_id then
         (* self back edge: unrolling *)
@@ -388,48 +375,50 @@ let emit_attempt st ~hb_id ~s_id ~depth ~prob ~classify ~outcome ~est ~msg =
       ]
   end
 
-let merge_blocks ?(depth = 0) ?(prob = 1.0) ?hb st ~hb_id ~s_id ~kind :
+(* Everything a failed trial must leave as it found it: the hyperblock,
+   the block a Simple merge removes, the saved unroll body
+   ([body_for_unroll] may re-save it), the fresh-id counters (the trial
+   allocates instruction/register/block ids that die with it, so a failed
+   attempt stays bit-for-bit invisible to later merges) and the cached
+   analyses, which are exact again for the restored graph. *)
+type snapshot = {
+  hb : Block.t;
+  s : Block.t option;
+  saved_body : Block.t option;
+  ids : int * int * int;  (* next_block, next_instr, next_reg *)
+  cache : analyses;
+}
+
+let snapshot st ~hb_id ~s_id ~kind =
+  let cfg = st.cfg in
+  {
+    hb = Cfg.block cfg hb_id;
+    s = (if kind = Simple then Cfg.block_opt cfg s_id else None);
+    saved_body = Hashtbl.find_opt st.saved_bodies hb_id;
+    ids = (cfg.Cfg.next_block, cfg.Cfg.next_instr, cfg.Cfg.next_reg);
+    cache = st.cache;
+  }
+
+let restore st snap =
+  let cfg = st.cfg and hb_id = snap.hb.Block.id in
+  Cfg.set_block cfg snap.hb;
+  Option.iter (Cfg.set_block cfg) snap.s;
+  (match snap.saved_body with
+  | Some b -> Hashtbl.replace st.saved_bodies hb_id b
+  | None -> Hashtbl.remove st.saved_bodies hb_id);
+  let next_block, next_instr, next_reg = snap.ids in
+  cfg.Cfg.next_block <- next_block;
+  cfg.Cfg.next_instr <- next_instr;
+  cfg.Cfg.next_reg <- next_reg;
+  st.cache <- snap.cache
+
+let merge_blocks ?(depth = 0) ?(prob = 1.0) st ~hb_id ~s_id ~kind :
     merge_outcome =
   let cfg = st.cfg in
   let config = st.config in
   st.stats.attempts <- st.stats.attempts + 1;
-  let hb = match hb with Some b -> b | None -> Cfg.block cfg hb_id in
   let emit = emit_attempt st ~hb_id ~s_id ~depth ~prob ~classify:(kind_name kind) in
-  (* Snapshot everything a failed attempt must not leak: the saved unroll
-     body (body_for_unroll may re-save it below), the fresh-id counters
-     (the trial allocates instruction/register/block ids that die with
-     the rollback; restoring the counters keeps a failed attempt
-     bit-for-bit invisible to later merges), and the edge version (a
-     rolled-back trial restores the exact pre-trial graph, so edge-keyed
-     caches stay valid across it). *)
-  let saved_body_before =
-    if kind = Unroll then Hashtbl.find_opt st.saved_bodies hb_id else None
-  in
-  let next_block0 = cfg.Cfg.next_block
-  and next_instr0 = cfg.Cfg.next_instr
-  and next_reg0 = cfg.Cfg.next_reg in
-  let edge_version0 = st.edge_version in
-  let live_cache0 = st.live_cache and live_dirty0 = st.live_dirty in
-  let rollback_hidden_state () =
-    if kind = Unroll then
-      (match saved_body_before with
-      | Some b -> Hashtbl.replace st.saved_bodies hb_id b
-      | None -> Hashtbl.remove st.saved_bodies hb_id);
-    cfg.Cfg.next_block <- next_block0;
-    cfg.Cfg.next_instr <- next_instr0;
-    cfg.Cfg.next_reg <- next_reg0
-  in
-  let restore_edge_version () =
-    st.edge_version <- edge_version0;
-    (* a tree or map computed *during* the trial must not be
-       revalidated at a reused version number *)
-    (match st.dom_cache with
-    | Some (k, _, _) when k > st.edge_version -> st.dom_cache <- None
-    | _ -> ());
-    match st.preds_cache with
-    | Some (k, _) when k > st.edge_version -> st.preds_cache <- None
-    | _ -> ()
-  in
+  let snap = snapshot st ~hb_id ~s_id ~kind in
   let s_for_merge, s_label =
     match kind with
     | Simple -> (Cfg.block cfg s_id, s_id)
@@ -467,28 +456,27 @@ let merge_blocks ?(depth = 0) ?(prob = 1.0) ?hb st ~hb_id ~s_id ~kind :
     in
     if injected then Error "chaos-injected Cannot_combine"
     else
-      match Combine.combine cfg ~hb ~s:s_for_merge ~s_label with
+      match Combine.combine cfg ~hb:snap.hb ~s:s_for_merge ~s_label with
       | combined, _ -> Ok combined
       | exception Combine.Cannot_combine msg -> Error msg
   in
   match combined_result with
   | Error msg ->
     (* structural failure: nothing was installed, but the id counters
-       (and possibly the saved body) already moved — restore them *)
+       (and possibly the saved body) already moved *)
     st.stats.combine_failures <- st.stats.combine_failures + 1;
-    rollback_hidden_state ();
+    restore st snap;
     emit ~outcome:"structural" ~est:zero_estimate ~msg;
     Structural_failure msg
   | Ok combined ->
-    (* install tentatively; saved state allows rollback.  The merge
+    (* install tentatively; the snapshot allows rollback.  The merge
        rewires the hyperblock's exits, and a Simple merge removes [s]. *)
-    let old_s = if kind = Simple then Cfg.block_opt cfg s_id else None in
     Cfg.set_block cfg combined;
     if kind = Simple then begin
       Cfg.remove_block cfg s_id;
-      touch_edges st [ hb_id; s_id ]
+      touch st [ hb_id; s_id ]
     end
-    else touch_edges st [ hb_id ];
+    else touch st [ hb_id ];
     let trial_live_out () =
       let lo =
         match live_out_local st hb_id with
@@ -507,12 +495,7 @@ let merge_blocks ?(depth = 0) ?(prob = 1.0) ?hb st ~hb_id ~s_id ~kind :
         let b = Trips_opt.Optimizer.optimize_block cfg combined ~live_out in
         if b != combined then begin
           Cfg.set_block cfg b;
-          (* the exit simplifier may have pruned exits *)
-          if
-            Block.distinct_successors b
-            = Block.distinct_successors combined
-          then touch_body st [ hb_id ]
-          else touch_edges st [ hb_id ]
+          touch st [ hb_id ]
         end;
         b
       end
@@ -538,20 +521,10 @@ let merge_blocks ?(depth = 0) ?(prob = 1.0) ?hb st ~hb_id ~s_id ~kind :
       Success est
     end
     else begin
-      (* rollback: restore the exact pre-trial graph *)
+      (* rollback: the exact pre-trial graph, and with it the pre-trial
+         analyses, so a failed trial costs no analysis work later *)
       st.stats.size_rejections <- st.stats.size_rejections + 1;
-      Cfg.set_block cfg hb;
-      (match old_s with Some b -> Cfg.set_block cfg b | None -> ());
-      rollback_hidden_state ();
-      (* the rolled-back graph is bit-identical to the pre-trial one, so
-         the pre-trial liveness solution and dirty set are exact again;
-         re-key them at a fresh version (a solution computed against the
-         trial graph must never be served) instead of dirtying, so a
-         failed trial costs no liveness work later *)
-      st.version <- st.version + 1;
-      st.live_cache <- Option.map (fun (_, l) -> (st.version, l)) live_cache0;
-      st.live_dirty <- live_dirty0;
-      restore_edge_version ();
+      restore st snap;
       emit ~outcome:"size" ~est:zero_estimate ~msg:"";
       Size_rejected est
     end
@@ -585,18 +558,6 @@ let expand_block st seed =
        merge the combiner cannot express will not become expressible
        because the block shrank, and retrying it would melt the budget *)
     let retry = ref [] in
-    (* the seed's current block record, held across attempts: a failed
-       merge rolls the block back bit-for-bit, so only a success or a
-       split forces a refetch *)
-    let hb_cache = ref None in
-    let current_hb () =
-      match !hb_cache with
-      | Some b -> b
-      | None ->
-        let b = Cfg.block st.cfg seed in
-        hb_cache := Some b;
-        b
-    in
     let emit_reject (c : Policy.candidate) ~classify ~outcome =
       emit_attempt st ~hb_id:seed ~s_id:c.Policy.block_id
         ~depth:c.Policy.depth ~prob:c.Policy.prob ~classify ~outcome
@@ -638,7 +599,7 @@ let expand_block st seed =
         else begin
           decr merge_budget;
           let s_id = c.Policy.block_id in
-          match classify ~hb:(current_hb ()) st ~hb_id:seed ~s_id with
+          match classify st ~hb_id:seed ~s_id with
           | None ->
             emit_reject c ~classify:"none" ~outcome:"policy";
             drain ~progress
@@ -650,10 +611,9 @@ let expand_block st seed =
             in
             match
               merge_blocks ~depth:c.Policy.depth ~prob:c.Policy.prob
-                ~hb:(current_hb ()) st ~hb_id:seed ~s_id ~kind
+                st ~hb_id:seed ~s_id ~kind
             with
             | Success _ ->
-              hb_cache := None;
               make_candidates st ~src:s_id ~targets:merged_succs
                 ~depth:(c.Policy.depth + 1) ~prob:c.Policy.prob
               |> Policy.Pool.add_list pool;
@@ -673,7 +633,7 @@ let expand_block st seed =
                 match Trips_transform.Split.split_block st.cfg s_id with
                 | Some new_id ->
                   st.stats.block_splits <- st.stats.block_splits + 1;
-                  touch_edges st [ s_id; new_id ];
+                  touch st [ s_id; new_id ];
                   Policy.Pool.add pool c;
                   drain ~progress:true
                 | None ->
@@ -712,7 +672,7 @@ let run config cfg profile : stats =
     Order.prune_unreachable cfg;
     (match List.filter (fun id -> not (Cfg.mem cfg id)) before with
     | [] -> ()
-    | removed -> touch_edges st removed);
+    | removed -> touch st removed);
     let rpo = Order.reverse_postorder cfg in
     let order =
       List.mapi (fun idx id -> (id, idx)) rpo

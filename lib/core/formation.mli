@@ -37,6 +37,11 @@ val empty_stats : unit -> stats
 val pp_stats : Format.formatter -> stats -> unit
 (** Prints the paper's [m/t/u/p] quadruple. *)
 
+val accum : into:stats -> stats -> unit
+(** Add every field of the second record into [into]: how a plan folds
+    the statistics of each formation run (and of IUPO's unroll/peel
+    merges) into one record. *)
+
 type merge_kind = Simple | Unroll | Peel | Tail_dup
 
 val kind_name : merge_kind -> string
@@ -44,8 +49,9 @@ val kind_name : merge_kind -> string
 
 type state
 (** One formation run over a CFG: its statistics, the per-loop
-    unroll/peel bookkeeping and the caches formation reads after every
-    trial merge (liveness, loop forest, predecessors). *)
+    unroll/peel bookkeeping and the analyses formation reads around every
+    trial merge (liveness, dominator tree, predecessors), held as one
+    record that a failed trial restores with the graph. *)
 
 val make : Policy.config -> Cfg.t -> Profile.t -> state
 
@@ -56,9 +62,8 @@ val publish_metrics : state -> unit
     under [formation.*] names.  Called by {!run}; exposed for drivers
     that invoke {!merge_blocks} directly. *)
 
-val classify : ?hb:Block.t -> state -> hb_id:int -> s_id:int -> merge_kind option
-(** [LegalMerge] plus the Figure 5 case split; [None] rejects the merge.
-    [hb] may pass the already-fetched hyperblock record. *)
+val classify : state -> hb_id:int -> s_id:int -> merge_kind option
+(** [LegalMerge] plus the Figure 5 case split; [None] rejects the merge. *)
 
 type merge_outcome =
   | Success of Constraints.estimate
@@ -87,18 +92,17 @@ val audit : bool ref
 val merge_blocks :
   ?depth:int ->
   ?prob:float ->
-  ?hb:Block.t ->
   state ->
   hb_id:int ->
   s_id:int ->
   kind:merge_kind ->
   merge_outcome
 (** [MergeBlocks]: trial-merge, optionally optimize, constraint-check;
-    commits on success and rolls back on failure — including the saved
-    one-iteration body and the CFG's fresh-id counters, so a failed
-    attempt leaves no hidden state behind.  [depth]/[prob] only annotate
-    the trace event; [hb] may pass the already-fetched hyperblock
-    record. *)
+    commits on success and rolls back on failure by restoring one
+    snapshot — the blocks, the saved one-iteration body, the CFG's
+    fresh-id counters and the cached analyses — so a failed attempt
+    leaves no hidden state behind.  [depth]/[prob] only annotate the
+    trace event. *)
 
 val expand_block : state -> int -> unit
 (** [ExpandBlock]: grow the hyperblock seeded at a block until no

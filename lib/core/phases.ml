@@ -38,21 +38,6 @@ let name = function
 
 type step = { step_name : string; step_run : unit -> unit }
 
-(* Fold the m/t/u/p statistics of one formation run into the plan's
-   accumulator (Upio/Iupo add discrete unroll/peel counts around it). *)
-let accum ~(into : Formation.stats) (s : Formation.stats) =
-  into.Formation.merges <- into.Formation.merges + s.Formation.merges;
-  into.Formation.tail_dups <- into.Formation.tail_dups + s.Formation.tail_dups;
-  into.Formation.unrolls <- into.Formation.unrolls + s.Formation.unrolls;
-  into.Formation.peels <- into.Formation.peels + s.Formation.peels;
-  into.Formation.attempts <- into.Formation.attempts + s.Formation.attempts;
-  into.Formation.size_rejections <-
-    into.Formation.size_rejections + s.Formation.size_rejections;
-  into.Formation.combine_failures <-
-    into.Formation.combine_failures + s.Formation.combine_failures;
-  into.Formation.block_splits <-
-    into.Formation.block_splits + s.Formation.block_splits
-
 (** Decompose ordering [o] over [cfg] into named steps.  Running every
     step in order is exactly {!apply}; the per-phase verifier interleaves
     structural and differential checks between steps.  The returned stats
@@ -66,7 +51,9 @@ let plan ?(config = Policy.edge_default) o cfg (profile : Profile.t) :
   in
   let formation config' =
     { step_name = "formation";
-      step_run = (fun () -> accum ~into:stats (Formation.run config' cfg profile)) }
+      step_run =
+        (fun () ->
+          Formation.accum ~into:stats (Formation.run config' cfg profile)) }
   in
   let steps =
     match o with

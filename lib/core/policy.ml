@@ -239,9 +239,9 @@ let take better pool =
 (** Build the selection function for one [ExpandBlock] run rooted at
     [seed].  The VLIW heuristic performs its path analysis here.
     [preds] supplies a block's predecessor list (same contents as
-    {!Cfg.predecessors}); formation passes its edge-versioned cached map
-    so the breadth-first duplication check does not rebuild the full
-    predecessor map per candidate. *)
+    {!Cfg.predecessors}); formation passes its cached predecessor map,
+    dropped on every CFG edit, so the breadth-first duplication check
+    does not rebuild the full predecessor map per candidate. *)
 let make_selector ~preds config cfg profile ~seed : selector =
   match config.heuristic with
   | Breadth_first ->

@@ -100,5 +100,5 @@ val make_selector :
 (** Build the selection function for one ExpandBlock run; the VLIW
     heuristic performs its path analysis here.  [preds] supplies a
     block's predecessor list, with the same contents as
-    {!Cfg.predecessors}; formation passes its edge-versioned cached
-    map. *)
+    {!Cfg.predecessors}; formation passes its cached predecessor map,
+    dropped on every CFG edit. *)

@@ -379,6 +379,45 @@ let test_failed_unroll_leaves_no_hidden_state () =
     "failed unroll is invisible: both runs produce identical CFGs" true
     (with_failure = without_failure)
 
+(* A size-rejected trial restores the pre-trial analyses with the graph,
+   so the dominator tree computed before it still answers the next loop
+   question; a rollback that merely invalidated the caches would
+   recompute the tree, a cost the audit cannot see.  Block 0 of
+   [rollback_cfg] has two predecessors (itself and b1), so classifying
+   b1 -> b0 asks the dominator tree. *)
+let test_rolled_back_trial_keeps_dominators () =
+  let cfg = rollback_cfg () in
+  let tight =
+    { Chf.Constraints.trips_limits with Chf.Constraints.max_instrs = 1 }
+  in
+  let config =
+    { Chf.Policy.edge_default with Chf.Policy.limits = tight; slack = 0 }
+  in
+  let st =
+    Chf.Formation.make config cfg (Trips_profile.Profile.empty ())
+  in
+  let reuse () =
+    Trips_obs.Metrics.counter_value
+      (Trips_obs.Metrics.snapshot ())
+      "formation.loops.reuse"
+  in
+  let reuse0 = reuse () in
+  check Alcotest.int "b0 has two predecessors" 2
+    (List.length (Cfg.predecessors cfg 0));
+  let kind =
+    match Chf.Formation.classify st ~hb_id:1 ~s_id:0 with
+    | Some k -> k
+    | None -> Alcotest.fail "b1 -> b0 should be classifiable"
+  in
+  (match Chf.Formation.merge_blocks st ~hb_id:1 ~s_id:0 ~kind with
+  | Chf.Formation.Size_rejected _ -> ()
+  | _ -> Alcotest.fail "the trial should be size-rejected");
+  check Alcotest.bool "same classification after the rollback" true
+    (Chf.Formation.classify st ~hb_id:1 ~s_id:0 = Some kind);
+  Chf.Formation.publish_metrics st;
+  check Alcotest.int "the second classify is served the cached tree" 1
+    (reuse () - reuse0)
+
 (* IUPO's unroll/peel step drives [merge_blocks] on a formation state of
    its own; its cache counters must reach the metrics like its attempts
    do, so [chfc compile -o iupo --metrics] accounts for every liveness
@@ -412,6 +451,8 @@ let suite =
         test_iupo_publishes_cache_counters;
       Alcotest.test_case "failed unroll leaves no hidden state" `Quick
         test_failed_unroll_leaves_no_hidden_state;
+      Alcotest.test_case "a rolled-back trial keeps the dominator tree" `Quick
+        test_rolled_back_trial_keeps_dominators;
       Alcotest.test_case "block splitting extension" `Quick
         test_block_splitting_extension;
       Alcotest.test_case "estimate counts" `Quick test_estimate_counts;

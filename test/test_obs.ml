@@ -498,15 +498,17 @@ let test_structural_failure_not_retried () =
     (Cfg.mem cfg 1)
 
 (* Per-attempt outcomes and the stats counters must agree: the trace is
-   the decision log, the counters its aggregate. *)
-let test_trace_matches_stats () =
+   the decision log, the counters its aggregate.  Checked for a plain
+   formation run and for the IUPO ordering, whose unroll/peel step drives
+   merges on a formation state of its own and folds its stats into the
+   plan's record. *)
+let check_trace_matches_stats label form =
   let w = Option.get (Trips_workloads.Micro.by_name "sieve") in
   let profile, _ = Trips_harness.Pipeline.profile_workload w in
   let cfg, _ = Trips_harness.Pipeline.lower_workload w in
-  Trips_opt.Optimizer.optimize_cfg cfg;
   let _ = Trace.stop () in
   Trace.start ();
-  let stats = Chf.Formation.run Chf.Policy.edge_default cfg profile in
+  let stats = form cfg profile in
   let evs = Trace.stop () in
   let outcome_count o =
     List.length
@@ -516,16 +518,24 @@ let test_trace_matches_stats () =
            && List.assoc "outcome" e.Trace.fields = Trace.Str o)
          evs)
   in
-  check Alcotest.int "success events = merges" stats.Chf.Formation.merges
+  let check_int what = check Alcotest.int (label ^ ": " ^ what) in
+  check_int "success events = merges" stats.Chf.Formation.merges
     (outcome_count "success");
-  check Alcotest.int "size events = size_rejections"
+  check_int "size events = size_rejections"
     stats.Chf.Formation.size_rejections (outcome_count "size");
-  check Alcotest.int "structural events = combine_failures"
+  check_int "structural events = combine_failures"
     stats.Chf.Formation.combine_failures (outcome_count "structural");
-  check Alcotest.int "success+size+structural = attempts"
+  check_int "success+size+structural = attempts"
     stats.Chf.Formation.attempts
     (outcome_count "success" + outcome_count "size"
     + outcome_count "structural")
+
+let test_trace_matches_stats () =
+  check_trace_matches_stats "formation" (fun cfg profile ->
+      Trips_opt.Optimizer.optimize_cfg cfg;
+      Chf.Formation.run Chf.Policy.edge_default cfg profile);
+  check_trace_matches_stats "IUPO" (fun cfg profile ->
+      Chf.Phases.apply Chf.Phases.Iupo cfg profile)
 
 (* Tentpole acceptance: the full table-1 sweep records the same trace for
    every --jobs setting, and metrics aggregate identically. *)
@@ -553,12 +563,15 @@ let test_trace_jobs_invariant () =
     Alcotest.(list (pair string int))
     "deterministic counters identical across -j" counters1 counters4
 
-(* Satellite 4: after ANY failure outcome the CFG must be bit-identical
-   to its pre-attempt snapshot — blocks, entry, and the fresh-id
-   counters (a leaked counter bump changes every later allocation).
-   Random programs, every classifiable (seed, cand) pair, with
-   chaos-injected structural failures on half the attempts and tight
-   limits to provoke genuine size rejections on the rest. *)
+(* After ANY failure outcome the CFG must be bit-identical to its
+   pre-attempt snapshot — blocks, entry, and the fresh-id counters (a
+   leaked counter bump changes every later allocation).  Random programs,
+   every classifiable (seed, cand) pair, with chaos-injected structural
+   failures on half the attempts and tight limits to provoke genuine size
+   rejections on the rest.  The run is under [Formation.audit], so every
+   classify and live-out read that follows a restored trial snapshot is
+   checked against a from-scratch solve, and a committed Simple merge
+   must have removed its successor. *)
 let snapshot cfg =
   ( cfg.Cfg.entry,
     cfg.Cfg.next_block,
@@ -574,6 +587,9 @@ let prop_failure_rolls_back =
        ~print:(fun (w, _) -> Generators.print_workload w)
        QCheck2.Gen.(pair Generators.random_program_gen (int_bound 1000))
        (fun (w, salt) ->
+         Chf.Formation.audit := true;
+         Fun.protect ~finally:(fun () -> Chf.Formation.audit := false)
+         @@ fun () ->
          let profile, _ = Trips_harness.Pipeline.profile_workload w in
          let cfg, _ = Trips_harness.Pipeline.lower_workload w in
          let tight =
@@ -607,7 +623,13 @@ let prop_failure_rolls_back =
                            Chf.Formation.merge_blocks st ~hb_id ~s_id ~kind)
                      in
                      (match outcome with
-                     | Chf.Formation.Success _ -> ()
+                     | Chf.Formation.Success _ ->
+                       (* a committed Simple merge removes [s]; a commit
+                          that restored the trial snapshot would keep it *)
+                       if kind = Chf.Formation.Simple && Cfg.mem cfg s_id then
+                         QCheck2.Test.fail_reportf
+                           "simple merge %d <- %d kept its successor" hb_id
+                           s_id
                      | Chf.Formation.Structural_failure _
                      | Chf.Formation.Size_rejected _ ->
                        incr failures;

@@ -272,7 +272,10 @@ let compile_cmd =
       $ chrome_trace_arg $ metrics_arg $ metrics_json_arg)
 
 let compile_file_cmd =
-  let doc = "Compile a kernel source file (see `chfc syntax`)." in
+  let doc =
+    "Compile a kernel source file.  The grammar is documented in \
+     lib/lang/parser.mli; examples/kernels/ has sample kernels."
+  in
   let path_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
   in

@@ -95,7 +95,12 @@ type t = {
   succs : int list IntMap.t;  (* successor lists at solve time *)
   preds : IntSet.t IntMap.t;  (* inverse of [succs] *)
   order : int IntMap.t;  (* postorder position, worklist priority only *)
+  solved : int;  (* blocks the producing compute/update solved *)
 }
+
+(* The dataflow equation of the module comment. *)
+let transfer g out =
+  IntSet.union g.hard (IntSet.union (IntSet.inter g.soft out) (IntSet.diff out g.kill))
 
 let compute cfg =
   let ids = Order.postorder cfg in
@@ -129,13 +134,7 @@ let compute cfg =
             IntSet.empty
             (IntMap.find_or ~default:[] id succs)
         in
-        let g = IntMap.find id gk in
-        let inn =
-          IntSet.union g.hard
-            (IntSet.union
-               (IntSet.inter g.soft out)
-               (IntSet.diff out g.kill))
-        in
+        let inn = transfer (IntMap.find id gk) out in
         if
           not
             (IntSet.equal out (Hashtbl.find live_out id)
@@ -167,7 +166,15 @@ let compute cfg =
       (0, IntMap.empty) ids
     |> snd
   in
-  { live_in = to_map live_in; live_out = to_map live_out; gk; succs; preds; order }
+  {
+    live_in = to_map live_in;
+    live_out = to_map live_out;
+    gk;
+    succs;
+    preds;
+    order;
+    solved = List.length ids;
+  }
 
 (* ---- incremental re-solve ---------------------------------------------- *)
 
@@ -267,10 +274,7 @@ let update t cfg ~touched =
           IntSet.empty
           (IntMap.find_or ~default:[] id !succs)
       in
-      let inn =
-        IntSet.union g.hard
-          (IntSet.union (IntSet.inter g.soft out) (IntSet.diff out g.kill))
-      in
+      let inn = transfer g out in
       let in_changed =
         not (IntSet.equal inn (IntMap.find_or ~default:IntSet.empty id !live_in))
       in
@@ -293,14 +297,109 @@ let update t cfg ~touched =
     succs = !succs;
     preds = !preds;
     order = t.order;
+    solved = IntSet.cardinal !affected;
   }
 
 let live_in t id = IntMap.find_or ~default:IntSet.empty id t.live_in
 let live_out t id = IntMap.find_or ~default:IntSet.empty id t.live_out
+let solved t = t.solved
+
+(* ---- on-demand region solve -------------------------------------------- *)
+
+(* [live_out id = ∪ live_in succ], and a block's live sets depend only on
+   its forward cone.  After edits to the blocks in [dirty], a block of the
+   successors' cone that cannot reach a dirty block therefore keeps its
+   exact cached solution, and only the region R of cone blocks that can
+   reach one is solved.  As in [update], R starts from bottom, not from
+   the stale values (a register once sustained around a cycle through an
+   edited block would keep itself live), and ascends against its
+   boundary frozen at the exact cached values, so the answer is the one a
+   full [compute] gives.  The cone is forward-closed, so R is the
+   backward closure of the dirty cone blocks within the cone.  Nothing is
+   stored. *)
+let live_out_at ?gk t cfg ~dirty id =
+  let is_dirty x = IntSet.mem x dirty in
+  (* an edit leaves every clean block's successors as they were solved *)
+  let succs x =
+    match IntMap.find_opt x t.succs with
+    | Some s when not (is_dirty x) -> s
+    | _ -> Cfg.successors cfg x
+  in
+  let roots = succs id in
+  (* 1. the roots' forward cone, in reverse postorder *)
+  let seen = Hashtbl.create 64 in
+  let cone = ref [] and hits = ref [] in
+  let rec visit x =
+    if not (Hashtbl.mem seen x) then begin
+      Hashtbl.replace seen x ();
+      if is_dirty x then hits := x :: !hits;
+      List.iter visit (succs x);
+      cone := x :: !cone
+    end
+  in
+  List.iter visit roots;
+  let answer live_in =
+    List.fold_left (fun acc s -> IntSet.union acc (live_in s)) IntSet.empty roots
+  in
+  if !hits = [] then (answer (live_in t), 0)
+  else begin
+    (* 2. R: the cone blocks that reach a dirty one, each with its in-R
+       predecessors (a cone predecessor of an R block is in R) *)
+    let preds = Hashtbl.create 64 in
+    List.iter
+      (fun x -> List.iter (fun y -> Hashtbl.add preds y x) (succs x))
+      !cone;
+    let cur = Hashtbl.create 16 in
+    let rec close x =
+      if not (Hashtbl.mem cur x) then begin
+        Hashtbl.replace cur x IntSet.empty;
+        List.iter close (Hashtbl.find_all preds x)
+      end
+    in
+    List.iter close !hits;
+    let gen_kill_of x =
+      match gk with
+      | Some g when x = id -> Lazy.force g
+      | _ -> (
+        match IntMap.find_opt x t.gk with
+        | Some g when not (is_dirty x) -> g
+        | _ -> gen_kill (Cfg.block cfg x))
+    in
+    let region = List.filter (Hashtbl.mem cur) (List.rev !cone) in
+    let gks = Hashtbl.create 16 in
+    List.iter (fun x -> Hashtbl.replace gks x (gen_kill_of x)) region;
+    (* 3. ascend from bottom, successors first *)
+    let live_in_of y =
+      match Hashtbl.find_opt cur y with Some s -> s | None -> live_in t y
+    in
+    let queue = Queue.create () and queued = Hashtbl.create 16 in
+    let push x =
+      if not (Hashtbl.mem queued x) then begin
+        Hashtbl.replace queued x ();
+        Queue.push x queue
+      end
+    in
+    List.iter push region;
+    while not (Queue.is_empty queue) do
+      let x = Queue.pop queue in
+      Hashtbl.remove queued x;
+      let out =
+        List.fold_left
+          (fun acc y -> IntSet.union acc (live_in_of y))
+          IntSet.empty (succs x)
+      in
+      let inn = transfer (Hashtbl.find gks x) out in
+      if not (IntSet.equal inn (Hashtbl.find cur x)) then begin
+        Hashtbl.replace cur x inn;
+        List.iter push (Hashtbl.find_all preds x)
+      end
+    done;
+    (answer live_in_of, List.length region)
+  end
 
 (** Registers a block must read as inputs given what is live out of it —
     the refined register-read set used by the structural-constraint
     estimator. *)
-let block_inputs (b : Block.t) ~live_out =
-  let g = gen_kill b in
+let block_inputs ?gk (b : Block.t) ~live_out =
+  let g = match gk with Some g -> g | None -> gen_kill b in
   IntSet.union g.hard (IntSet.inter g.soft live_out)

@@ -38,14 +38,31 @@ val update : t -> Cfg.t -> touched:int list -> t
     computed.  Only the region that can reach an edited block is reset
     and re-solved — the rest keeps its old (still exact) solution — so
     the result is the unique least fixpoint, identical to a full
-    {!compute} on the edited graph.  Formation uses this after every
-    trial merge, where an edit touches one block and removes at most
-    one. *)
+    {!compute} on the edited graph.  Formation folds the edits of a
+    whole seed's merges into its cached solution with one call, at the
+    start of the next seed. *)
+
+val live_out_at :
+  ?gk:gen_kill Lazy.t -> t -> Cfg.t -> dirty:IntSet.t -> int -> IntSet.t * int
+(** [live_out_at t cfg ~dirty id] is block [id]'s live-out set in [cfg],
+    where [t] was solved before edits to exactly the blocks in [dirty]
+    (same contract as [touched] for {!update}), paired with the number of
+    blocks it re-solved.  Only the blocks of the successors' forward cone
+    that can reach a dirty block are re-solved, from bottom; every other
+    block's live-in is read from [t], where it is still exact, so with
+    none to re-solve the answer is read off [t].  [t] is left as it was.
+    [gk], when given, must be [gen_kill] of [id]'s current block; it is
+    forced only if [id] itself needs re-solving. *)
 
 val live_in : t -> int -> IntSet.t
 val live_out : t -> int -> IntSet.t
 
-val block_inputs : Block.t -> live_out:IntSet.t -> IntSet.t
+val solved : t -> int
+(** Blocks the {!compute} (every reachable block) or {!update} (the
+    re-solved region) that produced [t] solved. *)
+
+val block_inputs : ?gk:gen_kill -> Block.t -> live_out:IntSet.t -> IntSet.t
 (** Registers a block must read as inputs given what is live out of it —
     the refined register-read set used by the structural-constraint
-    estimator and the bank-budget checker. *)
+    estimator and the bank-budget checker.  [gk], when given, must be the
+    block's {!gen_kill}; it saves recomputing it. *)

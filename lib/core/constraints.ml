@@ -45,11 +45,12 @@ let fanout_movs consumers =
   else consumers - Machine.max_targets
 
 (** Estimate the resources block [b] will occupy after the back end runs,
-    given the registers live out of it. *)
-let estimate (b : Block.t) ~live_out : estimate =
+    given the registers live out of it ([gk], when given, is [b]'s
+    {!Liveness.gen_kill}). *)
+let estimate ?gk (b : Block.t) ~live_out : estimate =
   let defs = Block.defs b in
   let outputs = IntSet.inter defs live_out in
-  let reads = IntSet.cardinal (Liveness.block_inputs b ~live_out) in
+  let reads = IntSet.cardinal (Liveness.block_inputs ?gk b ~live_out) in
   let writes = IntSet.cardinal outputs in
   let loads_stores = Block.num_load_store b in
   (* consumer counts per defined register: operand occurrences + exit

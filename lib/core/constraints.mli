@@ -29,7 +29,11 @@ val trips_limits : limits
 val fanout_movs : int -> int
 (** Extra movs needed to fan a value out to the given consumer count. *)
 
-val estimate : Block.t -> live_out:IntSet.t -> estimate
+val estimate :
+  ?gk:Trips_analysis.Liveness.gen_kill -> Block.t -> live_out:IntSet.t -> estimate
+(** The resources the block will occupy after the back end runs, given
+    the registers live out of it.  [gk], when given, must be the block's
+    {!Trips_analysis.Liveness.gen_kill}; it saves recomputing it. *)
 
 val legal : ?slack:int -> limits -> estimate -> bool
 (** Does the estimate fit, with [slack] instruction slots held back for

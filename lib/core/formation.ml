@@ -20,9 +20,10 @@
    the CFG never grows and termination is easy to see.
 
    Instead of the paper's scratch-space trial, we install the merged
-   block, recompute liveness, optimize and constraint-check, and roll the
-   installation back on failure — observably identical, but it gives the
-   optimizer and the size estimator exact liveness information.
+   block, solve its live-out on demand, optimize and constraint-check,
+   and roll the installation back on failure — observably identical, but
+   it gives the optimizer and the size estimator exact liveness
+   information.
 
    Convergence: candidates that failed only because the block was too
    full are retried after further merges and optimizations shrink the
@@ -80,8 +81,9 @@ let kind_name = function
 
 (* Formation's cached analyses, one immutable record so a trial can
    snapshot and restore them as a unit.  [dom] and [preds] are valid for
-   the current graph when present; [live] is exact once re-solved from
-   [dirty], the blocks edited (or removed) since it was solved. *)
+   the current graph when present; [live] was solved before edits to
+   exactly the blocks in [dirty] (edited or removed since), which a
+   trial's region solve reads around and the next seed folds in. *)
 type analyses = {
   dom : Dominators.t option;
   preds : IntSet.t IntMap.t option;
@@ -99,10 +101,13 @@ type state = {
   peels_done : (int, int) Hashtbl.t;  (* header -> peeled iterations *)
   unrolls_done : (int, int) Hashtbl.t;  (* loop block -> appended iterations *)
   mutable cache : analyses;
-  (* how often each cache answered; published as the
-     [formation.liveness.incremental] / [formation.loops.reuse] metrics;
-     the latter keeps its name from when the cache held the loop forest *)
+  (* published as [formation.liveness.incremental] (trial live-outs read
+     off the cached solution), [formation.liveness.solved_blocks] (blocks
+     re-solved by trial region solves and seed folds) and
+     [formation.loops.reuse] (dominator-tree lookups served from the
+     cache; the name is from when the cache held the loop forest) *)
   mutable live_incremental : int;
+  mutable live_solved : int;
   mutable dom_reuse : int;
 }
 
@@ -118,6 +123,7 @@ let make config cfg profile =
     unrolls_done = Hashtbl.create 8;
     cache = { dom = None; preds = None; live = None; dirty = IntSet.empty };
     live_incremental = 0;
+    live_solved = 0;
     dom_reuse = 0;
   }
 
@@ -135,6 +141,7 @@ let publish_metrics st =
   Metrics.incr ~by:s.combine_failures "formation.reject.structural";
   Metrics.incr ~by:s.block_splits "formation.block_splits";
   Metrics.incr ~by:st.live_incremental "formation.liveness.incremental";
+  Metrics.incr ~by:st.live_solved "formation.liveness.solved_blocks";
   Metrics.incr ~by:st.dom_reuse "formation.loops.reuse"
 
 (* Test-only fault injection: when set, a combine for which the function
@@ -160,7 +167,7 @@ let audit_check ~hb_id ~s_id what ok =
          what hb_id s_id)
 
 (* Record a CFG edit of blocks [ids]: the graph-wide analyses go, and
-   the liveness solution is re-solved from [ids] on its next read. *)
+   [ids] join the blocks the liveness solution predates. *)
 let touch st ids =
   let dirty = IntSet.union st.cache.dirty (IntSet.of_list ids) in
   st.cache <- { st.cache with dom = None; preds = None; dirty }
@@ -195,57 +202,19 @@ let preds st ~hb_id s_id =
       (IntSet.equal ps (IntSet.of_list (Cfg.predecessors st.cfg s_id)));
   IntSet.elements ps
 
-let liveness st =
-  let l =
-    match st.cache.live with
-    | Some l when IntSet.is_empty st.cache.dirty -> l
-    | Some l ->
-      (* re-solve only from the blocks edited since the last solution *)
-      st.live_incremental <- st.live_incremental + 1;
-      Liveness.update l st.cfg ~touched:(IntSet.elements st.cache.dirty)
-    | None -> Liveness.compute st.cfg
+(* Make the cached liveness solution exact for the current graph: one
+   incremental re-solve over everything edited since it was solved.
+   [expand_block] calls it once per seed, so the merges a seed commits
+   cost one re-solve, not one per trial. *)
+let fold_liveness st =
+  let solve l =
+    st.live_solved <- st.live_solved + Liveness.solved l;
+    st.cache <- { st.cache with live = Some l; dirty = IntSet.empty }
   in
-  st.cache <- { st.cache with live = Some l; dirty = IntSet.empty };
-  l
-
-exception Dirty_reachable
-
-(* Exact live-out of [hb_id] without re-solving any fixpoint.
-   [live_out hb = ∪ live_in succ], and a successor's live_in depends
-   only on its forward cone — so when no successor can reach a block
-   edited since the cached solution was solved (the dirty set, which
-   after a trial install includes the hyperblock itself), the cached
-   values are still exact and the union can be read off directly.  The
-   reachability check is a forward DFS with a small node budget; on a
-   hit or budget exhaustion we return [None] and the caller falls back
-   to the incremental update.  This skips the whole ancestors-reset
-   re-solve on the common straight-line merge trial, where successors
-   sit strictly downstream; self-loops (unrolling) fail the check
-   immediately and pay the full update as before. *)
-let live_out_local st hb_id =
   match st.cache.live with
-  | Some l ->
-    let succs = Block.distinct_successors (Cfg.block st.cfg hb_id) in
-    let target = IntSet.add hb_id st.cache.dirty in
-    let budget = ref 64 in
-    let visited = Hashtbl.create 16 in
-    let rec dfs id =
-      if not (Hashtbl.mem visited id) then begin
-        decr budget;
-        if !budget < 0 || IntSet.mem id target then raise Dirty_reachable;
-        Hashtbl.replace visited id ();
-        List.iter dfs (Cfg.successors st.cfg id)
-      end
-    in
-    (try
-       List.iter dfs succs;
-       st.live_incremental <- st.live_incremental + 1;
-       Some
-         (List.fold_left
-            (fun acc s -> IntSet.union acc (Liveness.live_in l s))
-            IntSet.empty succs)
-     with Dirty_reachable -> None)
-  | None -> None
+  | Some _ when IntSet.is_empty st.cache.dirty -> ()
+  | Some l -> solve (Liveness.update l st.cfg ~touched:(IntSet.elements st.cache.dirty))
+  | None -> solve (Liveness.compute st.cfg)
 
 let counter tbl key = Option.value ~default:0 (Hashtbl.find_opt tbl key)
 let bump_counter tbl key = Hashtbl.replace tbl key (counter tbl key + 1)
@@ -418,6 +387,8 @@ let merge_blocks ?(depth = 0) ?(prob = 1.0) st ~hb_id ~s_id ~kind :
   let config = st.config in
   st.stats.attempts <- st.stats.attempts + 1;
   let emit = emit_attempt st ~hb_id ~s_id ~depth ~prob ~classify:(kind_name kind) in
+  (* a trial reads around the cached solution, so there must be one *)
+  if Option.is_none st.cache.live then fold_liveness st;
   let snap = snapshot st ~hb_id ~s_id ~kind in
   let s_for_merge, s_label =
     match kind with
@@ -477,32 +448,42 @@ let merge_blocks ?(depth = 0) ?(prob = 1.0) st ~hb_id ~s_id ~kind :
       touch st [ hb_id; s_id ]
     end
     else touch st [ hb_id ];
-    let trial_live_out () =
-      let lo =
-        match live_out_local st hb_id with
-        | Some lo -> lo
-        | None -> Liveness.live_out (liveness st) hb_id
+    (* The hyperblock's live-out in the trial graph, re-solving only the
+       part of its successors' cone that reaches an edit; [gk] is the
+       installed block's gen/kill, shared with the estimate below. *)
+    let trial_live_out gk =
+      let lo, solved =
+        Liveness.live_out_at ~gk (Option.get st.cache.live) cfg
+          ~dirty:st.cache.dirty hb_id
       in
+      if solved = 0 then st.live_incremental <- st.live_incremental + 1
+      else st.live_solved <- st.live_solved + solved;
       if !audit then
         audit_check ~hb_id ~s_id "live-out"
           (IntSet.equal lo
              (Liveness.live_out (Liveness.compute cfg) hb_id));
       lo
     in
-    let live_out = trial_live_out () in
-    let final =
-      if config.Policy.iterate_opt then begin
-        let b = Trips_opt.Optimizer.optimize_block cfg combined ~live_out in
-        if b != combined then begin
-          Cfg.set_block cfg b;
-          touch st [ hb_id ]
-        end;
-        b
+    let gk = lazy (Liveness.gen_kill combined) in
+    let live_out = trial_live_out gk in
+    (* an optimizer that returns the block unchanged (as a value: its
+       passes rebuild the record either way) leaves the graph, and so the
+       live-out, as they were *)
+    let final, gk, live_out =
+      let b =
+        if config.Policy.iterate_opt then
+          Trips_opt.Optimizer.optimize_block cfg combined ~live_out
+        else combined
+      in
+      if b == combined || b = combined then (combined, gk, live_out)
+      else begin
+        Cfg.set_block cfg b;
+        touch st [ hb_id ];
+        let gk = lazy (Liveness.gen_kill b) in
+        (b, gk, trial_live_out gk)
       end
-      else combined
     in
-    let live_out = trial_live_out () in
-    let est = Constraints.estimate final ~live_out in
+    let est = Constraints.estimate ~gk:(Lazy.force gk) final ~live_out in
     if Constraints.legal ~slack:config.Policy.slack config.Policy.limits est
     then begin
       st.stats.merges <- st.stats.merges + 1;
@@ -547,6 +528,7 @@ let make_candidates st ~src ~targets ~depth ~prob =
 (** Grow the hyperblock seeded at [seed] until no candidate fits. *)
 let expand_block st seed =
   if Cfg.mem st.cfg seed then begin
+    fold_liveness st;
     let selector =
       Policy.make_selector ~preds:(preds st ~hb_id:seed) st.config st.cfg
         st.profile ~seed

@@ -653,6 +653,92 @@ let incremental_liveness_matches_full =
          done;
          !ok))
 
+(* The trial read: after 1-5 accumulated edits and no [update] between
+   them, [live_out_at] over the pre-edit solution and the accumulated
+   dirty set must give every reachable block the live-out of a fresh
+   [compute] — the region solve is exact, not approximate.  Odd blocks
+   pass their gen/kill lazily, even ones let the solve compute it. *)
+let region_solve_matches_full =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make
+       ~name:"CHK region live-out over accumulated edits equals full recompute"
+       ~count:120 incremental_edit_gen (fun (spec, edits) ->
+         let cfg = Generators.build_random_cfg spec in
+         let pick =
+           let cells = ref edits in
+           fun bound ->
+             match !cells with
+             | [] -> 0
+             | c :: rest ->
+               cells := rest;
+               c mod bound
+         in
+         let live = Liveness.compute cfg in
+         let dirty = ref IntSet.empty in
+         for _ = 1 to 1 + pick 5 do
+           dirty := IntSet.union !dirty (IntSet.of_list (apply_random_edit cfg pick))
+         done;
+         let full = Liveness.compute cfg in
+         List.for_all
+           (fun id ->
+             let gk =
+               if id land 1 = 1 then
+                 Some (lazy (Liveness.gen_kill (Cfg.block cfg id)))
+               else None
+             in
+             let lo, _ = Liveness.live_out_at ?gk live cfg ~dirty:!dirty id in
+             IntSet.equal lo (Liveness.live_out full id))
+           (Order.postorder cfg)))
+
+(* The stale-cycle trap (DESIGN.md §12): r5's only upward-exposed use
+   sits in b2 of the cycle b1 <-> b2, so the cached solution has r5 live
+   around the cycle and out of the entry b0.  Deleting that use leaves
+   nothing to sustain r5 but the cycle itself; a region solve that
+   started from the cached values would keep it live forever. *)
+let test_region_solve_stale_cycle () =
+  let cfg = Cfg.create () in
+  let b0 = Cfg.fresh_block_id cfg in
+  let b1 = Cfg.fresh_block_id cfg in
+  let b2 = Cfg.fresh_block_id cfg in
+  let b3 = Cfg.fresh_block_id cfg in
+  cfg.Cfg.entry <- b0;
+  let goto t = { Block.eguard = None; target = Block.Goto t } in
+  let g = { Instr.greg = 1; sense = true } in
+  Cfg.set_block cfg
+    (Block.make b0 [ Cfg.instr cfg (Instr.Mov (2, Instr.Imm 0)) ] [ goto b1 ]);
+  Cfg.set_block cfg
+    (Block.make b1 [ Cfg.instr cfg (Instr.Mov (3, Instr.Imm 1)) ] [ goto b2 ]);
+  let b2_exits =
+    [
+      { Block.eguard = Some g; target = Block.Goto b1 };
+      { Block.eguard = Some { g with Instr.sense = false }; target = Block.Goto b3 };
+    ]
+  in
+  let cmp = Cfg.instr cfg (Instr.Cmp (Opcode.Lt, 1, Instr.Reg 2, Instr.Imm 5)) in
+  Cfg.set_block cfg
+    (Block.make b2
+       [ cmp; Cfg.instr cfg (Instr.Store (Instr.Reg 5, Instr.Reg 3, 0)) ]
+       b2_exits);
+  Cfg.set_block cfg
+    (Block.make b3 [] [ { Block.eguard = None; target = Block.Ret None } ]);
+  Cfg.validate cfg;
+  let live = Liveness.compute cfg in
+  check Alcotest.bool "r5 live out of b0 before the edit" true
+    (IntSet.mem 5 (Liveness.live_out live b0));
+  check Alcotest.bool "r5 live around the cycle before the edit" true
+    (IntSet.mem 5 (Liveness.live_in live b1) && IntSet.mem 5 (Liveness.live_in live b2));
+  Cfg.set_block cfg (Block.make b2 [ cmp ] b2_exits);
+  let dirty = IntSet.singleton b2 in
+  List.iter
+    (fun (id, what) ->
+      let lo, solved = Liveness.live_out_at live cfg ~dirty id in
+      check Alcotest.bool ("r5 dropped from the live-out of " ^ what) false
+        (IntSet.mem 5 lo);
+      check Alcotest.bool ("the cycle is re-solved for " ^ what) true (solved >= 2))
+    [ (b0, "b0"); (b2, "b2") ];
+  check Alcotest.bool "the cached solution is left as it was" true
+    (IntSet.mem 5 (Liveness.live_out live b0))
+
 let suite =
   ( "analysis",
     [
@@ -681,4 +767,7 @@ let suite =
         test_gen_kill_guard_redefined;
       liveness_upper_bounded_by_classic;
       incremental_liveness_matches_full;
+      region_solve_matches_full;
+      Alcotest.test_case "region solve: a stale cycle drops the register" `Quick
+        test_region_solve_stale_cycle;
     ] )

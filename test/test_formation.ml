@@ -444,9 +444,32 @@ let test_iupo_publishes_cache_counters () =
   check Alcotest.bool "IUPO's incremental liveness reads are published" true
     (counter "formation.liveness.incremental" > live0)
 
+(* Trial region solves and seed folds publish the blocks they re-solve,
+   so [--metrics] shows formation's liveness work.  On vadd an unroll
+   trial's successors reach the hyperblock itself, so the count covers
+   more than the first solve of every block. *)
+let test_publishes_solved_blocks () =
+  let solved () =
+    Trips_obs.Metrics.counter_value
+      (Trips_obs.Metrics.snapshot ())
+      "formation.liveness.solved_blocks"
+  in
+  let w = Option.get (Trips_workloads.Micro.by_name "vadd") in
+  let profile, _ = Trips_harness.Pipeline.profile_workload w in
+  let cfg, _ = Trips_harness.Pipeline.lower_workload w in
+  Trips_opt.Optimizer.optimize_cfg cfg;
+  let blocks = List.length (Trips_analysis.Order.postorder cfg) in
+  let before = solved () in
+  let stats = Chf.Formation.run Chf.Policy.edge_default cfg profile in
+  check Alcotest.bool "vadd unrolled" true (stats.Chf.Formation.unrolls > 0);
+  check Alcotest.bool "solved blocks exceed one solve of every block" true
+    (solved () - before > blocks)
+
 let suite =
   ( "formation",
     [
+      Alcotest.test_case "liveness solved blocks are published" `Quick
+        test_publishes_solved_blocks;
       Alcotest.test_case "IUPO publishes its cache counters" `Quick
         test_iupo_publishes_cache_counters;
       Alcotest.test_case "failed unroll leaves no hidden state" `Quick

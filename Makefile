@@ -76,11 +76,13 @@ trace-check: build
 # trace agrees with the statistics, for formation and for IUPO; the
 # analysis suite checks the dominator tree against a naive solver (random
 # CFGs and the sparse ids formation leaves), gen/kill against the
-# quadratic reference, and Liveness.update and the trial region solve
-# (Liveness.live_out_at) against a full compute; the sim suite byte-compares the cycle model against the
-# reference timing model in test/cycle_oracle.ml (results, attribution
-# rows and timing traces) and the functional simulator and profiler
-# against the reference interpreter in test/sim_oracle.ml.
+# quadratic reference, and Liveness.compute, Liveness.update and the
+# trial region solve (Liveness.live_out_at) against the round-robin
+# reference in test/liveness_oracle.ml; the sim suite byte-compares the
+# cycle model against the reference timing model in test/cycle_oracle.ml
+# (results, attribution rows and timing traces) and the functional
+# simulator and profiler against the reference interpreter in
+# test/sim_oracle.ml.
 equiv-check: build
 	dune exec test/test_main.exe -- test analysis
 	dune exec test/test_main.exe -- test formation

@@ -90,11 +90,8 @@ let gen_kill (b : Block.t) : gen_kill =
 
 type t = {
   live_in : IntSet.t IntMap.t;
-  live_out : IntSet.t IntMap.t;
   gk : gen_kill IntMap.t;
   succs : int list IntMap.t;  (* successor lists at solve time *)
-  preds : IntSet.t IntMap.t;  (* inverse of [succs] *)
-  order : int IntMap.t;  (* postorder position, worklist priority only *)
   solved : int;  (* blocks the producing compute/update solved *)
 }
 
@@ -102,300 +99,147 @@ type t = {
 let transfer g out =
   IntSet.union g.hard (IntSet.union (IntSet.inter g.soft out) (IntSet.diff out g.kill))
 
-let compute cfg =
-  let ids = Order.postorder cfg in
-  let gk =
-    List.fold_left
-      (fun acc id -> IntMap.add id (gen_kill (Cfg.block cfg id)) acc)
-      IntMap.empty ids
-  in
-  (* successor lists are loop-invariant across fixpoint rounds *)
-  let succs =
-    List.fold_left
-      (fun acc id -> IntMap.add id (Cfg.successors cfg id) acc)
-      IntMap.empty ids
-  in
-  let live_in = Hashtbl.create 64 and live_out = Hashtbl.create 64 in
-  List.iter
-    (fun id ->
-      Hashtbl.replace live_in id IntSet.empty;
-      Hashtbl.replace live_out id IntSet.empty)
-    ids;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun id ->
-        let out =
-          List.fold_left
-            (fun acc s ->
-              IntSet.union acc
-                (Option.value ~default:IntSet.empty (Hashtbl.find_opt live_in s)))
-            IntSet.empty
-            (IntMap.find_or ~default:[] id succs)
-        in
-        let inn = transfer (IntMap.find id gk) out in
-        if
-          not
-            (IntSet.equal out (Hashtbl.find live_out id)
-            && IntSet.equal inn (Hashtbl.find live_in id))
-        then begin
-          Hashtbl.replace live_out id out;
-          Hashtbl.replace live_in id inn;
-          changed := true
-        end)
-      ids
-  done;
-  let to_map h =
-    Hashtbl.fold (fun k v acc -> IntMap.add k v acc) h IntMap.empty
-  in
-  let preds =
-    IntMap.fold
-      (fun src ss acc ->
-        List.fold_left
-          (fun acc s ->
-            IntMap.add s
-              (IntSet.add src (IntMap.find_or ~default:IntSet.empty s acc))
-              acc)
-          acc ss)
-      succs IntMap.empty
-  in
-  let order =
-    List.fold_left
-      (fun (k, acc) id -> (k + 1, IntMap.add id k acc))
-      (0, IntMap.empty) ids
-    |> snd
-  in
-  {
-    live_in = to_map live_in;
-    live_out = to_map live_out;
-    gk;
-    succs;
-    preds;
-    order;
-    solved = List.length ids;
-  }
-
-(* ---- incremental re-solve ---------------------------------------------- *)
-
-(* After an edit that replaced or removed a handful of blocks, the least
-   fixpoint can change only where the edit is *backward-reachable*: a
-   block's live sets depend on its forward cone, so a block that cannot
-   reach any edited block keeps its exact old solution.  Re-running the
-   worklist from the stale solution is NOT sound — a register whose
-   liveness was sustained through a cycle of un-edited blocks can keep
-   itself alive forever once its real source disappeared (the classic
-   stale-overapproximation trap).  Instead we reset the affected region
-   (ancestors of the edited blocks) to bottom and ascend again; the
-   boundary (non-ancestors) is frozen at its old — still exact — values,
-   so the ascent converges to the global least fixpoint, identical to a
-   full {!compute}.  See DESIGN.md §12. *)
-let update t cfg ~touched =
-  let present, removed = List.partition (Cfg.mem cfg) touched in
-  (* 1. refresh the edge maps and gen/kill for the edited blocks *)
-  let preds = ref t.preds in
-  let retarget id old_s new_s =
-    List.iter
-      (fun s ->
-        preds :=
-          IntMap.add s
-            (IntSet.remove id (IntMap.find_or ~default:IntSet.empty s !preds))
-            !preds)
-      old_s;
-    List.iter
-      (fun s ->
-        preds :=
-          IntMap.add s
-            (IntSet.add id (IntMap.find_or ~default:IntSet.empty s !preds))
-            !preds)
-      new_s
-  in
-  let succs = ref t.succs and gk = ref t.gk in
-  let seeds = ref IntSet.empty in
-  List.iter
-    (fun id ->
-      let new_s = Cfg.successors cfg id in
-      retarget id (IntMap.find_or ~default:[] id !succs) new_s;
-      succs := IntMap.add id new_s !succs;
-      gk := IntMap.add id (gen_kill (Cfg.block cfg id)) !gk;
-      seeds := IntSet.add id !seeds)
-    present;
-  let live_in = ref t.live_in and live_out = ref t.live_out in
-  List.iter
-    (fun id ->
-      retarget id (IntMap.find_or ~default:[] id !succs) [];
-      (* un-edited blocks that still referenced the removed block's
-         live-in are stale too *)
-      seeds := IntSet.union !seeds (IntMap.find_or ~default:IntSet.empty id !preds);
-      succs := IntMap.remove id !succs;
-      gk := IntMap.remove id !gk;
-      preds := IntMap.remove id !preds;
-      live_in := IntMap.remove id !live_in;
-      live_out := IntMap.remove id !live_out)
-    removed;
-  (* 2. affected region: backward closure of the seeds *)
-  let affected = ref IntSet.empty in
-  let rec close id =
-    if not (IntSet.mem id !affected) then begin
-      affected := IntSet.add id !affected;
-      IntSet.iter close (IntMap.find_or ~default:IntSet.empty id !preds)
-    end
-  in
-  IntSet.iter close !seeds;
-  (* 3. reset the region to bottom, then ascend with a worklist *)
-  IntSet.iter
-    (fun id ->
-      live_in := IntMap.add id IntSet.empty !live_in;
-      live_out := IntMap.add id IntSet.empty !live_out)
-    !affected;
-  let position id = IntMap.find_or ~default:max_int id t.order in
-  let queue = Queue.create () in
-  let queued = Hashtbl.create 64 in
-  let push id =
-    if not (Hashtbl.mem queued id) then begin
-      Hashtbl.replace queued id ();
-      Queue.push id queue
-    end
-  in
-  (* seed successors-first (postorder) so the first sweep is productive *)
-  IntSet.elements !affected
-  |> List.sort (fun a b -> compare (position a) (position b))
-  |> List.iter push;
-  while not (Queue.is_empty queue) do
-    let id = Queue.pop queue in
-    Hashtbl.remove queued id;
-    match IntMap.find_opt id !gk with
-    | None -> ()  (* not part of the solved (reachable) region *)
-    | Some g ->
-      let out =
-        List.fold_left
-          (fun acc s ->
-            IntSet.union acc (IntMap.find_or ~default:IntSet.empty s !live_in))
-          IntSet.empty
-          (IntMap.find_or ~default:[] id !succs)
-      in
-      let inn = transfer g out in
-      let in_changed =
-        not (IntSet.equal inn (IntMap.find_or ~default:IntSet.empty id !live_in))
-      in
-      if
-        in_changed
-        || not
-             (IntSet.equal out
-                (IntMap.find_or ~default:IntSet.empty id !live_out))
-      then begin
-        live_in := IntMap.add id inn !live_in;
-        live_out := IntMap.add id out !live_out;
-        if in_changed then
-          IntSet.iter push (IntMap.find_or ~default:IntSet.empty id !preds)
-      end
-  done;
-  {
-    live_in = !live_in;
-    live_out = !live_out;
-    gk = !gk;
-    succs = !succs;
-    preds = !preds;
-    order = t.order;
-    solved = IntSet.cardinal !affected;
-  }
-
 let live_in t id = IntMap.find_or ~default:IntSet.empty id t.live_in
-let live_out t id = IntMap.find_or ~default:IntSet.empty id t.live_out
+
+let union_live_in live_in ss =
+  List.fold_left (fun acc s -> IntSet.union acc (live_in s)) IntSet.empty ss
+
+let live_out t id = union_live_in (live_in t) (IntMap.find_or ~default:[] id t.succs)
 let solved t = t.solved
 
-(* ---- on-demand region solve -------------------------------------------- *)
+(* ---- the region solve -------------------------------------------------- *)
 
-(* [live_out id = ∪ live_in succ], and a block's live sets depend only on
-   its forward cone.  After edits to the blocks in [dirty], a block of the
-   successors' cone that cannot reach a dirty block therefore keeps its
-   exact cached solution, and only the region R of cone blocks that can
-   reach one is solved.  As in [update], R starts from bottom, not from
-   the stale values (a register once sustained around a cycle through an
-   edited block would keep itself live), and ascends against its
-   boundary frozen at the exact cached values, so the answer is the one a
-   full [compute] gives.  The cone is forward-closed, so R is the
-   backward closure of the dirty cone blocks within the cone.  Nothing is
-   stored. *)
-let live_out_at ?gk t cfg ~dirty id =
-  let is_dirty x = IntSet.mem x dirty in
-  (* an edit leaves every clean block's successors as they were solved *)
-  let succs x =
-    match IntMap.find_opt x t.succs with
-    | Some s when not (is_dirty x) -> s
-    | _ -> Cfg.successors cfg x
+module Tbl = Hashtbl.Make (Int)
+
+type region = {
+  cone : int list Tbl.t;  (* cone block -> its successors *)
+  blocks : int list;  (* R, in postorder *)
+  solution : (IntSet.t * gen_kill) Tbl.t;  (* R block -> live-in, gen/kill *)
+}
+
+let region_live_in t r y =
+  match Tbl.find_opt r.solution y with Some (s, _) -> s | None -> live_in t y
+
+(* [x]'s successors as solved in [t], unless [x] counts as edited. *)
+let solved_succs t edited x = if edited x then None else IntMap.find_opt x t.succs
+
+(* [compute], [update] and [live_out_at] are one solve.  A block's live
+   sets depend only on its forward cone, so after edits to the blocks
+   satisfying [edited] (a block [t] has no solution for counts as edited)
+   a block whose cone holds no edited block keeps its exact solution in
+   [t].  The solve walks the roots' forward cone, reading each clean
+   block's successors from [t] and each edited one's from [cfg], and
+   re-solves only the region R of cone blocks that can reach an edited
+   one.  R starts from bottom, not from the values in [t]: a register
+   once sustained around a cycle through an edited block would otherwise
+   keep itself live after its real use is gone (the stale-cycle trap).
+   It ascends against its boundary frozen at the exact values of [t], so
+   the result is the unique least fixpoint on the edited graph.  The cone
+   is forward-closed, so R is the backward closure of the edited cone
+   blocks within the cone.  See DESIGN.md §12. *)
+let solve ?gen_kill_of t cfg ~edited roots =
+  let gen_kill_of =
+    Option.value gen_kill_of ~default:(fun x -> gen_kill (Cfg.block cfg x))
   in
-  let roots = succs id in
-  (* 1. the roots' forward cone, in reverse postorder *)
-  let seen = Hashtbl.create 64 in
-  let cone = ref [] and hits = ref [] in
+  (* 1. the roots' forward cone, in postorder *)
+  let cone = Tbl.create 64 in
+  let post = ref [] and hits = ref [] in
   let rec visit x =
-    if not (Hashtbl.mem seen x) then begin
-      Hashtbl.replace seen x ();
-      if is_dirty x then hits := x :: !hits;
-      List.iter visit (succs x);
-      cone := x :: !cone
+    if not (Tbl.mem cone x) then begin
+      let ss =
+        match solved_succs t edited x with
+        | Some ss -> ss
+        | None ->
+          hits := x :: !hits;
+          Cfg.successors cfg x
+      in
+      Tbl.replace cone x ss;
+      List.iter visit ss;
+      post := x :: !post
     end
   in
   List.iter visit roots;
-  let answer live_in =
-    List.fold_left (fun acc s -> IntSet.union acc (live_in s)) IntSet.empty roots
-  in
-  if !hits = [] then (answer (live_in t), 0)
+  let solution = Tbl.create 16 in
+  if !hits = [] then { cone; blocks = []; solution }
   else begin
-    (* 2. R: the cone blocks that reach a dirty one, each with its in-R
-       predecessors (a cone predecessor of an R block is in R) *)
-    let preds = Hashtbl.create 64 in
-    List.iter
-      (fun x -> List.iter (fun y -> Hashtbl.add preds y x) (succs x))
-      !cone;
-    let cur = Hashtbl.create 16 in
+    (* 2. R, each block with its cone predecessors (all of them in R) *)
+    let preds = Tbl.create 64 in
+    Tbl.iter (fun x ss -> List.iter (fun y -> Tbl.add preds y x) ss) cone;
     let rec close x =
-      if not (Hashtbl.mem cur x) then begin
-        Hashtbl.replace cur x IntSet.empty;
-        List.iter close (Hashtbl.find_all preds x)
+      if not (Tbl.mem solution x) then begin
+        let g =
+          match solved_succs t edited x with
+          | Some _ -> IntMap.find x t.gk
+          | None -> gen_kill_of x
+        in
+        Tbl.replace solution x (IntSet.empty, g);
+        List.iter close (Tbl.find_all preds x)
       end
     in
     List.iter close !hits;
-    let gen_kill_of x =
-      match gk with
-      | Some g when x = id -> Lazy.force g
-      | _ -> (
-        match IntMap.find_opt x t.gk with
-        | Some g when not (is_dirty x) -> g
-        | _ -> gen_kill (Cfg.block cfg x))
-    in
-    let region = List.filter (Hashtbl.mem cur) (List.rev !cone) in
-    let gks = Hashtbl.create 16 in
-    List.iter (fun x -> Hashtbl.replace gks x (gen_kill_of x)) region;
+    let blocks = List.filter (Tbl.mem solution) (List.rev !post) in
+    let r = { cone; blocks; solution } in
     (* 3. ascend from bottom, successors first *)
-    let live_in_of y =
-      match Hashtbl.find_opt cur y with Some s -> s | None -> live_in t y
-    in
-    let queue = Queue.create () and queued = Hashtbl.create 16 in
+    let queue = Queue.create () and queued = Tbl.create 16 in
     let push x =
-      if not (Hashtbl.mem queued x) then begin
-        Hashtbl.replace queued x ();
+      if not (Tbl.mem queued x) then begin
+        Tbl.replace queued x ();
         Queue.push x queue
       end
     in
-    List.iter push region;
+    List.iter push r.blocks;
     while not (Queue.is_empty queue) do
       let x = Queue.pop queue in
-      Hashtbl.remove queued x;
-      let out =
-        List.fold_left
-          (fun acc y -> IntSet.union acc (live_in_of y))
-          IntSet.empty (succs x)
-      in
-      let inn = transfer (Hashtbl.find gks x) out in
-      if not (IntSet.equal inn (Hashtbl.find cur x)) then begin
-        Hashtbl.replace cur x inn;
-        List.iter push (Hashtbl.find_all preds x)
+      Tbl.remove queued x;
+      let inn, g = Tbl.find solution x in
+      let out = union_live_in (region_live_in t r) (Tbl.find cone x) in
+      let inn' = transfer g out in
+      if not (IntSet.equal inn' inn) then begin
+        Tbl.replace solution x (inn', g);
+        List.iter push (Tbl.find_all preds x)
       end
     done;
-    (answer live_in_of, List.length region)
+    r
   end
+
+(* [update] stores the entry cone's solution: R's new values over [t]'s,
+   and nothing outside the cone. *)
+let update t cfg ~touched =
+  let touched = IntSet.of_list touched in
+  let r = solve t cfg ~edited:(fun x -> IntSet.mem x touched) [ cfg.Cfg.entry ] in
+  let in_cone k _ = Tbl.mem r.cone k in
+  let add f m =
+    List.fold_left
+      (fun m x -> IntMap.add x (f x) m)
+      (IntMap.filter in_cone m) r.blocks
+  in
+  {
+    live_in = add (fun x -> fst (Tbl.find r.solution x)) t.live_in;
+    gk = add (fun x -> snd (Tbl.find r.solution x)) t.gk;
+    succs = add (Tbl.find r.cone) t.succs;
+    solved = List.length r.blocks;
+  }
+
+(* With no solution, every block counts as edited. *)
+let compute cfg =
+  update
+    { live_in = IntMap.empty; gk = IntMap.empty; succs = IntMap.empty; solved = 0 }
+    cfg ~touched:[]
+
+let live_out_at ?gk t cfg ~dirty id =
+  let edited x = IntSet.mem x dirty in
+  let gen_kill_of x =
+    match gk with
+    | Some g when x = id -> Lazy.force g
+    | _ -> gen_kill (Cfg.block cfg x)
+  in
+  let roots =
+    match solved_succs t edited id with
+    | Some ss -> ss
+    | None -> Cfg.successors cfg id
+  in
+  let r = solve ~gen_kill_of t cfg ~edited roots in
+  (union_live_in (region_live_in t r) roots, List.length r.blocks)
 
 (** Registers a block must read as inputs given what is live out of it —
     the refined register-read set used by the structural-constraint

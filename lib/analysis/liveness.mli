@@ -27,20 +27,28 @@ val gen_kill : Block.t -> gen_kill
 (** Per-block generator/killer sets (see module description). *)
 
 type t
+(** A solution: each block's live-in, gen/kill and successor list as
+    solved.  [compute], [update] and [live_out_at] are one region solve
+    (DESIGN.md §12): they walk a forward cone, take the region of it that
+    can reach an edited block, and solve that region from bottom against
+    the rest, frozen at its solved values. *)
 
 val compute : Cfg.t -> t
+(** The least fixpoint over the blocks reachable from the entry; every
+    other block reads as empty. *)
 
 val update : t -> Cfg.t -> touched:int list -> t
 (** [update t cfg ~touched] re-solves the fixpoint after an edit that
-    replaced, added or removed exactly the blocks in [touched] (removed
-    blocks are recognized by their absence from [cfg]); every other
-    block's successor list and body must be unchanged since [t] was
-    computed.  Only the region that can reach an edited block is reset
-    and re-solved — the rest keeps its old (still exact) solution — so
-    the result is the unique least fixpoint, identical to a full
-    {!compute} on the edited graph.  Formation folds the edits of a
-    whole seed's merges into its cached solution with one call, at the
-    start of the next seed. *)
+    replaced, added or removed exactly the blocks in [touched]; every
+    other block's successor list and body must be unchanged since [t]
+    was computed.  Only the region that can reach an edited block is
+    solved — a block [t] has no solution for (say, one unreachable when
+    [t] was computed) counts as edited, and the rest keeps its old (still
+    exact) solution — so the result is the unique least fixpoint,
+    identical to a full {!compute} on the edited graph, and like it
+    covers exactly the blocks reachable from the entry.  Formation folds
+    the edits of a whole seed's merges into its cached solution with one
+    call, at the start of the next seed. *)
 
 val live_out_at :
   ?gk:gen_kill Lazy.t -> t -> Cfg.t -> dirty:IntSet.t -> int -> IntSet.t * int
@@ -48,14 +56,16 @@ val live_out_at :
     where [t] was solved before edits to exactly the blocks in [dirty]
     (same contract as [touched] for {!update}), paired with the number of
     blocks it re-solved.  Only the blocks of the successors' forward cone
-    that can reach a dirty block are re-solved, from bottom; every other
-    block's live-in is read from [t], where it is still exact, so with
-    none to re-solve the answer is read off [t].  [t] is left as it was.
-    [gk], when given, must be [gen_kill] of [id]'s current block; it is
-    forced only if [id] itself needs re-solving. *)
+    that can reach a dirty (or unsolved) block are re-solved, from bottom;
+    every other block's live-in is read from [t], where it is still
+    exact, so with none to re-solve the answer is read off [t].  [t] is
+    left as it was.  [gk], when given, must be [gen_kill] of [id]'s
+    current block; it is forced only if [id] itself needs re-solving. *)
 
 val live_in : t -> int -> IntSet.t
+
 val live_out : t -> int -> IntSet.t
+(** The union of [live_in] over the block's successors as solved. *)
 
 val solved : t -> int
 (** Blocks the {!compute} (every reachable block) or {!update} (the

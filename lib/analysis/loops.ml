@@ -114,7 +114,3 @@ let is_back_edge t ~src ~dst =
   | None -> false
 
 let all_loops t = IntMap.values t.loops
-
-let pp_loop fmt l =
-  Fmt.pf fmt "loop@b%d depth=%d body=%a latches=%a" l.header l.depth IntSet.pp
-    l.body IntSet.pp l.latches

@@ -29,4 +29,3 @@ val is_back_edge : t -> src:int -> dst:int -> bool
     its latches)? *)
 
 val all_loops : t -> loop list
-val pp_loop : Format.formatter -> loop -> unit

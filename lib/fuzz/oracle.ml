@@ -13,11 +13,14 @@ type verdict =
 
 let fail stage bucket reason = Fail { stage; bucket; reason }
 
-let orderings =
-  [ Chf.Phases.Upio; Chf.Phases.Iupo; Chf.Phases.Iup_o; Chf.Phases.Iupo_merged ]
+(* The phase ordering a case of this seed is checked under: cases cycle
+   through the formed orderings the experiments sweep. *)
+let ordering_for ~seed =
+  let orderings = Chf.Phases.table_orderings in
+  List.nth orderings (abs seed mod List.length orderings)
 
-let ordering_for ~seed = List.nth orderings (abs seed mod List.length orderings)
-
+(* The formation policy for this seed: mostly the EDGE default, with a
+   depth-first slice to exercise pathological tail duplication. *)
 let config_for ~seed =
   if abs seed mod 5 = 3 then
     { Chf.Policy.edge_default with

@@ -20,14 +20,6 @@ type verdict =
   | Pass
   | Fail of { stage : string; bucket : string; reason : string }
 
-val ordering_for : seed:int -> Chf.Phases.ordering
-(** The phase ordering a case of this seed is checked under (cases cycle
-    through the four formed orderings deterministically). *)
-
-val config_for : seed:int -> Chf.Policy.config
-(** The formation policy for this seed: mostly the EDGE default, with a
-    depth-first slice to exercise pathological tail duplication. *)
-
 val check : ?fuel:int -> Gen.case -> verdict
 (** Run the full oracle stack on one case.  [fuel] (default 2M) bounds
     every functional simulation.  Never raises for a pipeline defect —

@@ -34,10 +34,6 @@ let distinct_successors b =
   in
   keep [] b.exits
 
-let has_return b =
-  List.exists (fun e -> match e.target with Ret _ -> true | Goto _ -> false)
-    b.exits
-
 (** Number of regular instructions (the 128-instruction budget). *)
 let size b = List.length b.instrs
 

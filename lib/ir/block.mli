@@ -23,8 +23,6 @@ val successors : t -> int list
 val distinct_successors : t -> int list
 (** Successor ids with duplicates removed, order preserved. *)
 
-val has_return : t -> bool
-
 val size : t -> int
 (** Number of regular instructions (the 128-instruction budget). *)
 

@@ -54,7 +54,6 @@ let uses i =
 
 let is_load i = match i.op with Load _ -> true | _ -> false
 let is_store i = match i.op with Store _ -> true | _ -> false
-let is_memory i = is_load i || is_store i
 
 (** [has_side_effect i] holds for instructions that may not be removed
     even when their results are unused. *)

@@ -48,7 +48,6 @@ val uses : t -> reg list
 val reg_of_operand : operand -> reg option
 val is_load : t -> bool
 val is_store : t -> bool
-val is_memory : t -> bool
 
 val has_side_effect : t -> bool
 (** Instructions that may not be removed even when their results are

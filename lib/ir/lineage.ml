@@ -40,13 +40,6 @@ let class_name t =
   | Peel _ -> "peel"
   | Helper _ -> "helper"
 
-(** Instructions placed by a duplicating transform — the "duplicated
-    work" the paper weighs against branch removal. *)
-let is_duplication t =
-  match t.placed with
-  | Tail_dup _ | Unroll _ | Peel _ -> true
-  | Original | If_conv _ | Helper _ -> false
-
 let describe t =
   let from_ =
     if t.origin < 0 then "" else Fmt.str " from b%d" t.origin

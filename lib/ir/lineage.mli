@@ -27,9 +27,6 @@ val class_name : t -> string
     ["unroll"], ["peel"], ["helper"], or ["unknown"] (never stamped).
     Every instruction falls in exactly one class. *)
 
-val is_duplication : t -> bool
-(** Placed by tail duplication, unrolling or peeling. *)
-
 val describe : t -> string
 
 (** {1 Hyperblock-level decisions} *)

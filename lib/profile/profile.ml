@@ -207,19 +207,6 @@ let trip_count_at_least p header n =
     in
     float_of_int ge /. float_of_int total
 
-(** Translate a profile collected on one CFG onto a renaming of its
-    blocks, used when transformations copy a profiled CFG. *)
-let rename_blocks p f =
-  let q = empty () in
-  Hashtbl.iter (fun id n -> Hashtbl.replace q.block_counts (f id) n) p.block_counts;
-  EdgeTbl.iter
-    (fun (s, d) n -> EdgeTbl.replace q.edge_counts (f s, f d) n)
-    p.edge_counts;
-  Hashtbl.iter
-    (fun h hist -> Hashtbl.replace q.trip_histograms (f h) (Hashtbl.copy hist))
-    p.trip_histograms;
-  q
-
 let pp fmt p =
   Fmt.pf fmt "@[<v>profile:";
   Hashtbl.fold (fun id n acc -> (id, n) :: acc) p.block_counts []

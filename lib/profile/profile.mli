@@ -57,7 +57,4 @@ val trip_count_at_least : t -> int -> int -> float
 (** [trip_count_at_least p header n]: fraction of the loop's entries that
     ran at least [n] iterations. *)
 
-val rename_blocks : t -> (int -> int) -> t
-(** Translate a profile onto a renaming of its blocks. *)
-
 val pp : Format.formatter -> t -> unit

@@ -14,12 +14,6 @@ let copy_block cfg (b : Block.t) : Block.t =
   Cfg.set_block cfg copy;
   copy
 
-(** Copy block [b] under a fresh id without installing it, for scratch
-    merges that may be abandoned. *)
-let scratch_copy cfg (b : Block.t) : Block.t =
-  let id = Cfg.fresh_block_id cfg in
-  Cfg.refresh_instr_ids cfg { b with Block.id }
-
 (** Redirect every exit of [b] that targets [from_] to [to_]; returns the
     rewritten block (not installed). *)
 let redirect_exits (b : Block.t) ~from_ ~to_ : Block.t =

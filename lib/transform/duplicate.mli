@@ -11,9 +11,6 @@ val copy_block : Cfg.t -> Block.t -> Block.t
 (** Copy under a fresh block id with fresh instruction ids, installed in
     the CFG. *)
 
-val scratch_copy : Cfg.t -> Block.t -> Block.t
-(** Same, but not installed — for merges that may be abandoned. *)
-
 val redirect_exits : Block.t -> from_:int -> to_:int -> Block.t
 (** Redirect every exit targeting [from_] to [to_] (not installed). *)
 

@@ -512,13 +512,33 @@ let liveness_upper_bounded_by_classic =
    formation performs: body rewrites, exit retargets, spliced-in fresh
    blocks, and simple merges that delete the absorbed successor.  After
    every edit, [Liveness.update] seeded with the pre-edit solution must
-   agree block-for-block with a fresh [compute] on the edited graph —
-   the update is exact, not approximate. *)
+   agree block-for-block with the round-robin reference in
+   test/liveness_oracle.ml on the edited graph — the update is exact,
+   not approximate. *)
 let incremental_edit_gen =
   QCheck2.Gen.(
     let* spec = Generators.random_cfg_gen in
     let* edits = list_repeat 24 (int_bound 100_000) in
     return (spec, edits))
+
+(* [pick bound] draws the next generated cell modulo [bound]. *)
+let picker edits =
+  let cells = ref edits in
+  fun bound ->
+    match !cells with
+    | [] -> 0
+    | c :: rest ->
+      cells := rest;
+      c mod bound
+
+(* [live_in]/[live_out] of every reachable block agree with the oracle. *)
+let agrees_with_oracle cfg ~live_in ~live_out =
+  let o = Liveness_oracle.compute cfg in
+  List.for_all
+    (fun id ->
+      IntSet.equal (live_in id) (Liveness_oracle.live_in o id)
+      && IntSet.equal (live_out id) (Liveness_oracle.live_out o id))
+    (Order.postorder cfg)
 
 (* Applies one edit; returns the touched block ids ([] for a no-op). *)
 let apply_random_edit cfg pick =
@@ -626,59 +646,37 @@ let incremental_liveness_matches_full =
        ~name:"CHK incremental liveness update equals full recompute"
        ~count:120 incremental_edit_gen (fun (spec, edits) ->
          let cfg = Generators.build_random_cfg spec in
-         let pick =
-           let cells = ref edits in
-           fun bound ->
-             match !cells with
-             | [] -> 0
-             | c :: rest ->
-               cells := rest;
-               c mod bound
-         in
+         let pick = picker edits in
          let live = ref (Liveness.compute cfg) in
          let ok = ref true in
          for _ = 1 to 5 do
            let touched = apply_random_edit cfg pick in
            live := Liveness.update !live cfg ~touched;
-           let full = Liveness.compute cfg in
            ok :=
              !ok
-             && List.for_all
-                  (fun id ->
-                    IntSet.equal (Liveness.live_in !live id)
-                      (Liveness.live_in full id)
-                    && IntSet.equal (Liveness.live_out !live id)
-                         (Liveness.live_out full id))
-                  (Order.postorder cfg)
+             && agrees_with_oracle cfg ~live_in:(Liveness.live_in !live)
+                  ~live_out:(Liveness.live_out !live)
          done;
          !ok))
 
 (* The trial read: after 1-5 accumulated edits and no [update] between
    them, [live_out_at] over the pre-edit solution and the accumulated
-   dirty set must give every reachable block the live-out of a fresh
-   [compute] — the region solve is exact, not approximate.  Odd blocks
-   pass their gen/kill lazily, even ones let the solve compute it. *)
+   dirty set must give every reachable block the oracle's live-out — the
+   region solve is exact, not approximate.  Odd blocks pass their
+   gen/kill lazily, even ones let the solve compute it. *)
 let region_solve_matches_full =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make
        ~name:"CHK region live-out over accumulated edits equals full recompute"
        ~count:120 incremental_edit_gen (fun (spec, edits) ->
          let cfg = Generators.build_random_cfg spec in
-         let pick =
-           let cells = ref edits in
-           fun bound ->
-             match !cells with
-             | [] -> 0
-             | c :: rest ->
-               cells := rest;
-               c mod bound
-         in
+         let pick = picker edits in
          let live = Liveness.compute cfg in
          let dirty = ref IntSet.empty in
          for _ = 1 to 1 + pick 5 do
            dirty := IntSet.union !dirty (IntSet.of_list (apply_random_edit cfg pick))
          done;
-         let full = Liveness.compute cfg in
+         let full = Liveness_oracle.compute cfg in
          List.for_all
            (fun id ->
              let gk =
@@ -687,8 +685,39 @@ let region_solve_matches_full =
                else None
              in
              let lo, _ = Liveness.live_out_at ?gk live cfg ~dirty:!dirty id in
-             IntSet.equal lo (Liveness.live_out full id))
+             IntSet.equal lo (Liveness_oracle.live_out full id))
            (Order.postorder cfg)))
+
+(* All three entry points share one region solve, so none of them can
+   referee the others: after every random edit, a fresh [compute], the
+   chained [update] and [live_out_at] over the pre-edit solution must
+   each equal the round-robin oracle on every reachable block. *)
+let liveness_matches_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make
+       ~name:"CHK compute, update and live_out_at equal the round-robin oracle"
+       ~count:120 incremental_edit_gen (fun (spec, edits) ->
+         let cfg = Generators.build_random_cfg spec in
+         let pick = picker edits in
+         let agrees live ~live_out =
+           agrees_with_oracle cfg ~live_in:(Liveness.live_in live) ~live_out
+         in
+         let live = ref (Liveness.compute cfg) in
+         let ok = ref (agrees !live ~live_out:(Liveness.live_out !live)) in
+         for _ = 1 to 5 do
+           let before = !live in
+           let touched = apply_random_edit cfg pick in
+           let dirty = IntSet.of_list touched in
+           let full = Liveness.compute cfg in
+           live := Liveness.update before cfg ~touched;
+           let at id = fst (Liveness.live_out_at before cfg ~dirty id) in
+           ok :=
+             !ok
+             && agrees full ~live_out:(Liveness.live_out full)
+             && agrees !live ~live_out:(Liveness.live_out !live)
+             && agrees !live ~live_out:at
+         done;
+         !ok))
 
 (* The stale-cycle trap (DESIGN.md §12): r5's only upward-exposed use
    sits in b2 of the cycle b1 <-> b2, so the cached solution has r5 live
@@ -739,6 +768,34 @@ let test_region_solve_stale_cycle () =
   check Alcotest.bool "the cached solution is left as it was" true
     (IntSet.mem 5 (Liveness.live_out live b0))
 
+(* A block the solution never solved (here unreachable when it was
+   computed) can join the graph through an edited block; it has no
+   cached live-in to freeze, so it must be solved like an edited one. *)
+let test_rejoined_block_is_solved () =
+  let cfg = Cfg.create () in
+  let b0 = Cfg.fresh_block_id cfg in
+  let b1 = Cfg.fresh_block_id cfg in
+  let u = Cfg.fresh_block_id cfg in
+  cfg.Cfg.entry <- b0;
+  let goto t = [ { Block.eguard = None; target = Block.Goto t } ] in
+  let ret = [ { Block.eguard = None; target = Block.Ret None } ] in
+  Cfg.set_block cfg (Block.make b0 [] (goto b1));
+  Cfg.set_block cfg (Block.make b1 [] ret);
+  Cfg.set_block cfg
+    (Block.make u [ Cfg.instr cfg (Instr.Store (Instr.Reg 7, Instr.Imm 0, 0)) ] ret);
+  let live = Liveness.compute cfg in
+  check Alcotest.bool "nothing live into b0 before the edit" true
+    (IntSet.is_empty (Liveness.live_in live b0));
+  Cfg.set_block cfg (Block.make b1 [] (goto u));
+  let updated = Liveness.update live cfg ~touched:[ b1 ] in
+  check Alcotest.(list int) "update: r7 live into b0" [ 7 ]
+    (IntSet.elements (Liveness.live_in updated b0));
+  check Alcotest.(list int) "the oracle agrees" [ 7 ]
+    (IntSet.elements (Liveness_oracle.live_in (Liveness_oracle.compute cfg) b0));
+  check Alcotest.(list int) "live_out_at: r7 live out of b0" [ 7 ]
+    (IntSet.elements
+       (fst (Liveness.live_out_at live cfg ~dirty:(IntSet.singleton b1) b0)))
+
 let suite =
   ( "analysis",
     [
@@ -768,6 +825,9 @@ let suite =
       liveness_upper_bounded_by_classic;
       incremental_liveness_matches_full;
       region_solve_matches_full;
+      liveness_matches_oracle;
       Alcotest.test_case "region solve: a stale cycle drops the register" `Quick
         test_region_solve_stale_cycle;
+      Alcotest.test_case "a block that rejoins the graph is solved" `Quick
+        test_rejoined_block_is_solved;
     ] )

@@ -66,19 +66,24 @@ trace-check: build
 
 # Fast-path equivalence: the formation suite includes the property test
 # that formation under Formation.audit (every cached liveness and
-# predecessor answer, and every loop-header and back-edge answer of the
+# predecessor answer, the whole patched successor and predecessor maps
+# after every edit, and every loop-header and back-edge answer of the
 # cached dominator tree, checked against a from-scratch solve) produces
 # byte-identical CFGs, stats and traces to an unaudited run, on random
-# programs, the kernels and three SPEC-like programs, and a directed test
-# that a rolled-back trial keeps the cached dominator tree; the obs suite
+# programs, the kernels and three SPEC-like programs, a directed test
+# that a rolled-back trial keeps the cached dominator tree, and one that
+# the seed pick breaks count ties in reverse postorder and prunes a
+# stranded block before the next seed; the obs suite
 # runs the failed-trial rollback property (tight limits, chaos-injected
 # combine failures) under the audit and checks that the merge-attempt
 # trace agrees with the statistics, for formation and for IUPO; the
 # analysis suite checks the dominator tree against a naive solver (random
 # CFGs and the sparse ids formation leaves), gen/kill against the
-# quadratic reference, and Liveness.compute, Liveness.update and the
-# trial region solve (Liveness.live_out_at) against the round-robin
-# reference in test/liveness_oracle.ml; the sim suite byte-compares the
+# quadratic reference, that gen/kill's soft set is disjoint from hard
+# and kill (the two-term transfer relies on it), and Liveness.compute,
+# Liveness.update and the trial region solve (Liveness.live_out_at)
+# against the round-robin reference in test/liveness_oracle.ml, on
+# random CFGs and on negative and above-2^30 registers; the sim suite byte-compares the
 # cycle model against the reference timing model in test/cycle_oracle.ml
 # (results, attribution rows and timing traces) and the functional
 # simulator and profiler against the reference interpreter in

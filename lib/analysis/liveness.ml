@@ -88,23 +88,129 @@ let gen_kill (b : Block.t) : gen_kill =
   let soft = IntSet.diff (IntSet.diff !soft !hard) kill in
   { hard = !hard; soft; kill }
 
+(* ---- register sets as sorted arrays ------------------------------------ *)
+
+(* Inside a solution and the region solve a register set is a strictly
+   increasing [int array]: union, difference and equality are linear
+   merges, any integer may name a register, and a result equal to an
+   operand is that operand, so an unchanged set allocates nothing.  The
+   exported functions take and return [IntSet.t]. *)
+module Regs = struct
+  type t = int array
+
+  let empty : t = [||]
+
+  let of_set s =
+    let a = Array.make (IntSet.cardinal s) 0 in
+    ignore (IntSet.fold (fun r k -> a.(k) <- r; k + 1) s 0);
+    a
+
+  let to_set (a : t) = Array.fold_left (fun s r -> IntSet.add r s) IntSet.empty a
+
+  (* Both merges count their result first, so it is allocated at its
+     exact length, or not at all when it equals an operand. *)
+  let union (a : t) (b : t) : t =
+    let la = Array.length a and lb = Array.length b in
+    if la = 0 then b
+    else if lb = 0 || a == b then a
+    else begin
+      let rec count i j n =
+        if i = la then n + lb - j
+        else if j = lb then n + la - i
+        else
+          let x = a.(i) and y = b.(j) in
+          if x < y then count (i + 1) j (n + 1)
+          else if y < x then count i (j + 1) (n + 1)
+          else count (i + 1) (j + 1) (n + 1)
+      in
+      let n = count 0 0 0 in
+      if n = la then a
+      else if n = lb then b
+      else begin
+        let out = Array.make n 0 in
+        let rec fill i j k =
+          if i = la then Array.blit b j out k (lb - j)
+          else if j = lb then Array.blit a i out k (la - i)
+          else
+            let x = a.(i) and y = b.(j) in
+            if x < y then (out.(k) <- x; fill (i + 1) j (k + 1))
+            else if y < x then (out.(k) <- y; fill i (j + 1) (k + 1))
+            else (out.(k) <- x; fill (i + 1) (j + 1) (k + 1))
+        in
+        fill 0 0 0;
+        out
+      end
+    end
+
+  let diff (a : t) (b : t) : t =
+    let la = Array.length a and lb = Array.length b in
+    if la = 0 || lb = 0 then a
+    else begin
+      let rec count i j n =
+        if i = la then n
+        else if j = lb then n + la - i
+        else
+          let x = a.(i) and y = b.(j) in
+          if x < y then count (i + 1) j (n + 1)
+          else if y < x then count i (j + 1) n
+          else count (i + 1) (j + 1) n
+      in
+      let n = count 0 0 0 in
+      if n = la then a
+      else if n = 0 then empty
+      else begin
+        let out = Array.make n 0 in
+        (* stops once [n] are kept, so [i] is in range while [k < n] *)
+        let rec fill i j k =
+          if k < n then
+            if j = lb then Array.blit a i out k (la - i)
+            else
+              let x = a.(i) and y = b.(j) in
+              if x < y then (out.(k) <- x; fill (i + 1) j (k + 1))
+              else if y < x then fill i (j + 1) k
+              else fill (i + 1) (j + 1) k
+        in
+        fill 0 0 0;
+        out
+      end
+    end
+
+  let equal (a : t) (b : t) =
+    a == b
+    || Array.length a = Array.length b
+       &&
+       let rec from k = k = Array.length a || (a.(k) = b.(k) && from (k + 1)) in
+       from 0
+end
+
+(* What the solve needs of a block's gen/kill: [soft] drops out of the
+   transfer (see [transfer]). *)
+type hard_kill = { hard : Regs.t; kill : Regs.t }
+
+let hard_kill (g : gen_kill) = { hard = Regs.of_set g.hard; kill = Regs.of_set g.kill }
+
 type t = {
-  live_in : IntSet.t IntMap.t;
-  gk : gen_kill IntMap.t;
+  live_in : Regs.t IntMap.t;
+  gk : hard_kill IntMap.t;
   succs : int list IntMap.t;  (* successor lists at solve time *)
   solved : int;  (* blocks the producing compute/update solved *)
 }
 
-(* The dataflow equation of the module comment. *)
-let transfer g out =
-  IntSet.union g.hard (IntSet.union (IntSet.inter g.soft out) (IntSet.diff out g.kill))
+(* The dataflow equation of the module comment, as
+   [hard ∪ (live_out − kill)]: [gen_kill] builds [soft] disjoint from
+   [kill], so [soft ∩ live_out ⊆ live_out − kill] and the middle term
+   adds nothing. *)
+let transfer g out = Regs.union g.hard (Regs.diff out g.kill)
 
-let live_in t id = IntMap.find_or ~default:IntSet.empty id t.live_in
+let live_in_regs t id = IntMap.find_or ~default:Regs.empty id t.live_in
+let live_in t id = Regs.to_set (live_in_regs t id)
 
 let union_live_in live_in ss =
-  List.fold_left (fun acc s -> IntSet.union acc (live_in s)) IntSet.empty ss
+  List.fold_left (fun acc s -> Regs.union acc (live_in s)) Regs.empty ss
 
-let live_out t id = union_live_in (live_in t) (IntMap.find_or ~default:[] id t.succs)
+let live_out t id =
+  Regs.to_set (union_live_in (live_in_regs t) (IntMap.find_or ~default:[] id t.succs))
+
 let solved t = t.solved
 
 (* ---- the region solve -------------------------------------------------- *)
@@ -114,11 +220,11 @@ module Tbl = Hashtbl.Make (Int)
 type region = {
   cone : int list Tbl.t;  (* cone block -> its successors *)
   blocks : int list;  (* R, in postorder *)
-  solution : (IntSet.t * gen_kill) Tbl.t;  (* R block -> live-in, gen/kill *)
+  solution : (Regs.t * hard_kill) Tbl.t;  (* R block -> live-in, gen/kill *)
 }
 
 let region_live_in t r y =
-  match Tbl.find_opt r.solution y with Some (s, _) -> s | None -> live_in t y
+  match Tbl.find_opt r.solution y with Some (s, _) -> s | None -> live_in_regs t y
 
 (* [x]'s successors as solved in [t], unless [x] counts as edited. *)
 let solved_succs t edited x = if edited x then None else IntMap.find_opt x t.succs
@@ -170,9 +276,9 @@ let solve ?gen_kill_of t cfg ~edited roots =
         let g =
           match solved_succs t edited x with
           | Some _ -> IntMap.find x t.gk
-          | None -> gen_kill_of x
+          | None -> hard_kill (gen_kill_of x)
         in
-        Tbl.replace solution x (IntSet.empty, g);
+        Tbl.replace solution x (Regs.empty, g);
         List.iter close (Tbl.find_all preds x)
       end
     in
@@ -194,7 +300,7 @@ let solve ?gen_kill_of t cfg ~edited roots =
       let inn, g = Tbl.find solution x in
       let out = union_live_in (region_live_in t r) (Tbl.find cone x) in
       let inn' = transfer g out in
-      if not (IntSet.equal inn' inn) then begin
+      if not (Regs.equal inn' inn) then begin
         Tbl.replace solution x (inn', g);
         List.iter push (Tbl.find_all preds x)
       end
@@ -239,7 +345,7 @@ let live_out_at ?gk t cfg ~dirty id =
     | None -> Cfg.successors cfg id
   in
   let r = solve ~gen_kill_of t cfg ~edited roots in
-  (union_live_in (region_live_in t r) roots, List.length r.blocks)
+  (Regs.to_set (union_live_in (region_live_in t r) roots), List.length r.blocks)
 
 (** Registers a block must read as inputs given what is live out of it —
     the refined register-read set used by the structural-constraint

@@ -31,7 +31,13 @@ type t
     solved.  [compute], [update] and [live_out_at] are one region solve
     (DESIGN.md §12): they walk a forward cone, take the region of it that
     can reach an edited block, and solve that region from bottom against
-    the rest, frozen at its solved values. *)
+    the rest, frozen at its solved values.  Inside the solution and the
+    solve, live-ins and each block's [hard] and [kill] are strictly
+    increasing [int array]s, merged in linear time (any integer may name
+    a register), and the transfer is [hard ∪ (live_out − kill)], exact
+    because {!gen_kill} builds [soft] disjoint from [kill].  The
+    functions below take and return [IntSet.t], converting once per
+    call. *)
 
 val compute : Cfg.t -> t
 (** The least fixpoint over the blocks reachable from the entry; every

@@ -48,33 +48,44 @@ let fanout_movs consumers =
     given the registers live out of it ([gk], when given, is [b]'s
     {!Liveness.gen_kill}). *)
 let estimate ?gk (b : Block.t) ~live_out : estimate =
-  let defs = Block.defs b in
-  let outputs = IntSet.inter defs live_out in
-  let reads = IntSet.cardinal (Liveness.block_inputs ?gk b ~live_out) in
-  let writes = IntSet.cardinal outputs in
-  let loads_stores = Block.num_load_store b in
-  (* consumer counts per defined register: operand occurrences + exit
-     reads + one output-write slot if live out *)
-  let consumers = Hashtbl.create 32 in
-  let bump r n =
-    if IntSet.mem r defs then
-      Hashtbl.replace consumers r (n + Option.value ~default:0 (Hashtbl.find_opt consumers r))
+  let gk = match gk with Some g -> g | None -> Liveness.gen_kill b in
+  (* one walk: the defined registers, the load/store count and each
+     register's operand occurrences *)
+  let uses = Hashtbl.create 32 in
+  let defs, loads_stores =
+    List.fold_left
+      (fun (defs, ls) (i : Instr.t) ->
+        List.iter
+          (fun r ->
+            Hashtbl.replace uses r
+              (1 + Option.value ~default:0 (Hashtbl.find_opt uses r)))
+          (Instr.uses i);
+        ( List.fold_left (fun acc r -> IntSet.add r acc) defs (Instr.defs i),
+          if Instr.is_load i || Instr.is_store i then ls + 1 else ls ))
+      (IntSet.empty, 0) b.Block.instrs
   in
-  List.iter
-    (fun i -> List.iter (fun r -> bump r 1) (Instr.uses i))
-    b.Block.instrs;
-  IntSet.iter (fun r -> bump r 1) (Block.exit_uses b);
-  IntSet.iter (fun r -> bump r 1) outputs;
+  let outputs = IntSet.inter defs live_out in
+  let reads = IntSet.cardinal (Liveness.block_inputs ~gk b ~live_out) in
+  let writes = IntSet.cardinal outputs in
+  (* consumer count per defined register: operand occurrences + exit
+     reads + one output-write slot if live out *)
+  let exit_reads = Block.exit_uses b in
   let fanout =
-    Hashtbl.fold (fun _ n acc -> acc + fanout_movs n) consumers 0
+    IntSet.fold
+      (fun r acc ->
+        let n =
+          Option.value ~default:0 (Hashtbl.find_opt uses r)
+          + Bool.to_int (IntSet.mem r exit_reads)
+          + Bool.to_int (IntSet.mem r outputs)
+        in
+        acc + fanout_movs n)
+      defs 0
   in
   (* null writes: an output register all of whose definitions are guarded
      needs a predicated-complement null write so the block always emits
-     the same number of outputs *)
-  let unconditional = Block.must_defs b in
-  let nullws =
-    IntSet.cardinal (IntSet.diff outputs unconditional)
-  in
+     the same number of outputs; [gk.kill] is the unconditionally
+     defined registers *)
+  let nullws = IntSet.cardinal (IntSet.diff outputs gk.Liveness.kill) in
   let branches = List.length b.Block.exits in
   {
     instrs = Block.size b + branches + fanout + nullws;

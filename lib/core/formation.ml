@@ -80,13 +80,16 @@ let kind_name = function
   | Tail_dup -> "tail_dup"
 
 (* Formation's cached analyses, one immutable record so a trial can
-   snapshot and restore them as a unit.  [dom] and [preds] are valid for
-   the current graph when present; [live] was solved before edits to
-   exactly the blocks in [dirty] (edited or removed since), which a
-   trial's region solve reads around and the next seed folds in. *)
+   snapshot and restore them as a unit.  [succs] (each block's distinct
+   successors) and [preds] are always exact for the current graph:
+   [touch] patches them per edit.  [dom] is valid for the current graph
+   when present; [live] was solved before edits to exactly the blocks in
+   [dirty] (edited or removed since), which a trial's region solve reads
+   around and the next seed folds in. *)
 type analyses = {
   dom : Dominators.t option;
-  preds : IntSet.t IntMap.t option;
+  succs : int list IntMap.t;
+  preds : IntSet.t IntMap.t;
   live : Liveness.t option;
   dirty : IntSet.t;
 }
@@ -111,6 +114,11 @@ type state = {
   mutable dom_reuse : int;
 }
 
+let successor_map cfg =
+  List.fold_left
+    (fun m id -> IntMap.add id (Cfg.successors cfg id) m)
+    IntMap.empty (Cfg.block_ids cfg)
+
 let make config cfg profile =
   {
     cfg;
@@ -121,7 +129,14 @@ let make config cfg profile =
     saved_bodies = Hashtbl.create 8;
     peels_done = Hashtbl.create 8;
     unrolls_done = Hashtbl.create 8;
-    cache = { dom = None; preds = None; live = None; dirty = IntSet.empty };
+    cache =
+      {
+        dom = None;
+        succs = successor_map cfg;
+        preds = Cfg.predecessor_map cfg;
+        live = None;
+        dirty = IntSet.empty;
+      };
     live_incremental = 0;
     live_solved = 0;
     dom_reuse = 0;
@@ -154,8 +169,9 @@ let chaos_combine_failure :
 
 (* Test-only audit: when set, every cached liveness and predecessor
    answer formation uses is checked against a from-scratch solve, every
-   loop-header and back-edge answer against a fresh [Loops.compute], and
-   a mismatch raises [Failure]. *)
+   patched successor and predecessor map against a fresh build of the
+   whole map, every loop-header and back-edge answer against a fresh
+   [Loops.compute], and a mismatch raises [Failure]. *)
 let audit = ref false
 
 let audit_check ~hb_id ~s_id what ok =
@@ -166,11 +182,44 @@ let audit_check ~hb_id ~s_id what ok =
           s_id %d)"
          what hb_id s_id)
 
-(* Record a CFG edit of blocks [ids]: the graph-wide analyses go, and
-   [ids] join the blocks the liveness solution predates. *)
+(* Record a CFG edit of blocks [ids] (replaced, added or removed): each
+   id leaves its old successors' predecessor sets and joins its current
+   ones', the dominator tree goes, and [ids] join the blocks the
+   liveness solution predates. *)
 let touch st ids =
+  let patch (succs, preds) id =
+    let unlink preds s =
+      let ps = IntSet.remove id (IntMap.find_or ~default:IntSet.empty s preds) in
+      if IntSet.is_empty ps then IntMap.remove s preds else IntMap.add s ps preds
+    and link preds s =
+      IntMap.add s (IntSet.add id (IntMap.find_or ~default:IntSet.empty s preds)) preds
+    in
+    let preds =
+      List.fold_left unlink preds (IntMap.find_or ~default:[] id succs)
+    in
+    match Cfg.block_opt st.cfg id with
+    | None -> (IntMap.remove id succs, preds)
+    | Some b ->
+      let ss = Block.distinct_successors b in
+      (IntMap.add id ss succs, List.fold_left link preds ss)
+  in
+  let succs, preds = List.fold_left patch (st.cache.succs, st.cache.preds) ids in
+  if !audit then begin
+    let check what ok =
+      if not ok then
+        failwith
+          (Printf.sprintf
+             "formation audit: patched %s differs from a fresh build \
+              (touched %s)"
+             what
+             (String.concat " " (List.map string_of_int ids)))
+    in
+    check "successor map" (IntMap.equal ( = ) succs (successor_map st.cfg));
+    check "predecessor map"
+      (IntMap.equal IntSet.equal preds (Cfg.predecessor_map st.cfg))
+  end;
   let dirty = IntSet.union st.cache.dirty (IntSet.of_list ids) in
-  st.cache <- { st.cache with dom = None; preds = None; dirty }
+  st.cache <- { st.cache with dom = None; succs; preds; dirty }
 
 let dominators st =
   match st.cache.dom with
@@ -183,20 +232,12 @@ let dominators st =
     d
 
 (* Predecessor list of [s_id], same contents as [Cfg.predecessors] but
-   served from the cached map instead of rebuilding the whole map per
+   read off the patched map instead of rebuilding the whole map per
    query (classify and the breadth-first selector both ask per
    candidate).  [hb_id] only names the asking hyperblock in an audit
    failure. *)
 let preds st ~hb_id s_id =
-  let map =
-    match st.cache.preds with
-    | Some m -> m
-    | None ->
-      let m = Cfg.predecessor_map st.cfg in
-      st.cache <- { st.cache with preds = Some m };
-      m
-  in
-  let ps = IntMap.find_or ~default:IntSet.empty s_id map in
+  let ps = IntMap.find_or ~default:IntSet.empty s_id st.cache.preds in
   if !audit then
     audit_check ~hb_id ~s_id "predecessors"
       (IntSet.equal ps (IntSet.of_list (Cfg.predecessors st.cfg s_id)));
@@ -646,29 +687,32 @@ let expand_block st seed =
 let run config cfg profile : stats =
   let st = make config cfg profile in
   let rec loop () =
-    (* seed boundary: pruning can delete arbitrarily many blocks.  The
-       caches carry across seeds by touching exactly the pruned blocks —
-       in the common case nothing is pruned and every cache stays
-       valid. *)
-    let before = Cfg.block_ids cfg in
-    Order.prune_unreachable cfg;
-    (match List.filter (fun id -> not (Cfg.mem cfg id)) before with
-    | [] -> ()
-    | removed -> touch st removed);
-    let rpo = Order.reverse_postorder cfg in
-    let order =
-      List.mapi (fun idx id -> (id, idx)) rpo
-      |> List.sort (fun (a, ia) (b, ib) ->
-             match
-               compare (Profile.block_count profile b)
-                 (Profile.block_count profile a)
-             with
-             | 0 -> compare ia ib
-             | c -> c)
-      |> List.map fst
+    (* seed boundary: one walk from the entry prunes what a merge
+       stranded and picks the seed.  The caches carry across seeds by
+       touching exactly the pruned blocks — in the common case nothing is
+       pruned and every cache stays valid. *)
+    let post = Order.postorder cfg in
+    if List.length post < Cfg.num_blocks cfg then begin
+      let reached = Hashtbl.create 64 in
+      List.iter (fun id -> Hashtbl.replace reached id ()) post;
+      let removed =
+        List.filter (fun id -> not (Hashtbl.mem reached id)) (Cfg.block_ids cfg)
+      in
+      List.iter (Cfg.remove_block cfg) removed;
+      touch st removed
+    end;
+    (* the hottest unfinalized block; scanning in postorder, a tie goes
+       to the later block, the earlier in reverse postorder *)
+    let pick best id =
+      if Hashtbl.mem st.finalized id then best
+      else
+        let n = Profile.block_count profile id in
+        match best with
+        | Some (_, m) when m > n -> best
+        | _ -> Some (id, n)
     in
-    match List.find_opt (fun id -> not (Hashtbl.mem st.finalized id)) order with
-    | Some seed ->
+    match List.fold_left pick None post with
+    | Some (seed, _) ->
       Trips_obs.Watchdog.check ();
       expand_block st seed;
       Hashtbl.replace st.finalized seed ();

@@ -50,8 +50,9 @@ val kind_name : merge_kind -> string
 type state
 (** One formation run over a CFG: its statistics, the per-loop
     unroll/peel bookkeeping and the analyses formation reads around every
-    trial merge (liveness, dominator tree, predecessors), held as one
-    record that a failed trial restores with the graph. *)
+    trial merge (liveness, dominator tree, successor and predecessor
+    maps), held as one record that a failed trial restores with the
+    graph. *)
 
 val make : Policy.config -> Cfg.t -> Profile.t -> state
 
@@ -86,8 +87,11 @@ val audit : bool ref
     hyperblock's live-out set, loop-header and back-edge queries, and
     predecessor lists — is checked against a from-scratch
     {!Trips_analysis.Liveness.compute}, {!Trips_analysis.Loops.compute}
-    or {!Cfg.predecessors}; a mismatch raises [Failure] naming the
-    [hb_id]/[s_id] pair.  Reset to [false] after use. *)
+    or {!Cfg.predecessors}, and after every CFG edit the patched
+    successor and predecessor maps are compared whole with
+    {!Cfg.successors} and {!Cfg.predecessor_map}; a mismatch raises
+    [Failure] naming the [hb_id]/[s_id] pair or the edited blocks.
+    Reset to [false] after use. *)
 
 val merge_blocks :
   ?depth:int ->

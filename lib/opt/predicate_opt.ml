@@ -49,22 +49,21 @@ let run (b : Block.t) ~live_out : Block.t =
   let exit_reads = Block.exit_uses b in
   let observable = IntSet.union live_out exit_reads in
   let defs = Guard_logic.build_defs b.Block.instrs in
-  (* [rest] carries each instruction's index so guard implication can be
-     checked positionally *)
+  (* a scan over the rest of the block carries the position of its head,
+     so guard implication can be checked positionally *)
   let rec rewrite pos = function
     | [] -> []
     | (i : Instr.t) :: rest ->
-      let indexed_rest = List.mapi (fun k j -> (pos + 1 + k, j)) rest in
       let i =
         match (i.Instr.guard, Instr.defs i) with
         | Some g, [ d ]
-          when (not (Instr.has_side_effect i)) && droppable g d indexed_rest ->
+          when (not (Instr.has_side_effect i)) && droppable g d (pos + 1) rest ->
           { i with Instr.guard = None }
         | _ -> i
       in
       i :: rewrite (pos + 1) rest
-  and droppable g d rest = shielded g d rest 0
-  and shielded g d rest depth =
+  and droppable g d pos rest = shielded g d pos rest 0
+  and shielded g d pos rest depth =
     (* scan forward: every use of [d] must be *shielded* with respect to
        [g] — directly under a guard at least as strong as [g], or an
        unguarded side-effect-free instruction whose own (unobservable)
@@ -90,12 +89,12 @@ let run (b : Block.t) ~live_out : Block.t =
           && j.Instr.guard = None
           &&
           (match Instr.defs j with
-          | [ d2 ] when d2 <> d -> shielded g d2 tail (depth + 1)
+          | [ d2 ] when d2 <> d -> shielded g d2 (pos + 1) tail (depth + 1)
           | _ -> false))
     in
-    let rec scan = function
+    let rec scan pos = function
       | [] -> not (IntSet.mem d observable)
-      | (pos, (j : Instr.t)) :: tail ->
+      | (j : Instr.t) :: tail ->
         let uses_d = List.mem d (Instr.uses j) in
         let defs_d = List.mem d (Instr.defs j) in
         if uses_d && not (use_shielded pos j tail) then false
@@ -110,17 +109,17 @@ let run (b : Block.t) ~live_out : Block.t =
              guarded one only narrows who can still see it, and the
              shielding requirement on the remaining uses already covers
              every such path *)
-          j.Instr.guard = None || scan tail
-        else scan tail
+          j.Instr.guard = None || scan (pos + 1) tail
+        else scan (pos + 1) tail
     in
-    scan rest
+    scan pos rest
   and scan_no_uses d tail =
     (* after the guard register was clobbered: safe only if d is never
        read again, until an unconditional redefinition kills it or the
        block ends with d unobservable *)
     match tail with
     | [] -> not (IntSet.mem d observable)
-    | (_, (j : Instr.t)) :: more ->
+    | (j : Instr.t) :: more ->
       if List.mem d (Instr.uses j) then false
       else if List.mem d (Instr.defs j) && j.Instr.guard = None then true
       else scan_no_uses d more

@@ -417,6 +417,18 @@ let gen_kill_random_blocks =
        ~count:500 ~print:(Fmt.to_to_string Block.pp) random_block_gen
        gen_kill_matches_reference)
 
+(* The region solve's transfer is [hard ∪ (live_out − kill)]; it equals
+   the three-term equation liveness_oracle.ml keeps as the specification
+   only because [soft] never meets [kill] (nor [hard]). *)
+let soft_is_disjoint =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"gen/kill: soft is disjoint from hard and kill"
+       ~count:500 ~print:(Fmt.to_to_string Block.pp) random_block_gen
+       (fun b ->
+         let gk = Liveness.gen_kill b in
+         IntSet.disjoint gk.Liveness.soft gk.Liveness.hard
+         && IntSet.disjoint gk.Liveness.soft gk.Liveness.kill))
+
 (* Every block formation leaves behind on the 24 kernels. *)
 let test_gen_kill_formed_blocks () =
   List.iter
@@ -796,6 +808,59 @@ let test_rejoined_block_is_solved () =
     (IntSet.elements
        (fst (Liveness.live_out_at live cfg ~dirty:(IntSet.singleton b1) b0)))
 
+(* Registers are any integers: negative ones and ones above 2^30 must
+   order, merge and survive the solve like small ones.  b0 -> b1 <-> b2
+   -> b3, with a guarded definition in the loop so a register is soft
+   there; every block of [compute], of [update] after an edit and of
+   [live_out_at] over the pre-edit solution must match the oracle. *)
+let test_liveness_extreme_registers () =
+  let neg = -7 and big = (1 lsl 30) + 3 and huge = 1 lsl 40 and low = -(1 lsl 40) in
+  let cfg = Cfg.create () in
+  let b0 = Cfg.fresh_block_id cfg in
+  let b1 = Cfg.fresh_block_id cfg in
+  let b2 = Cfg.fresh_block_id cfg in
+  let b3 = Cfg.fresh_block_id cfg in
+  cfg.Cfg.entry <- b0;
+  let goto ?guard t = { Block.eguard = guard; target = Block.Goto t } in
+  let g = { Instr.greg = big; sense = true } in
+  Cfg.set_block cfg (Block.make b0 [] [ goto b1 ]);
+  Cfg.set_block cfg
+    (Block.make b1
+       [
+         Cfg.instr cfg (Instr.Cmp (Opcode.Lt, big, Instr.Reg neg, Instr.Imm 4));
+         Cfg.instr cfg ~guard:g (Instr.Mov (huge, Instr.Reg low));
+       ]
+       [ goto b2 ]);
+  Cfg.set_block cfg
+    (Block.make b2
+       [ Cfg.instr cfg (Instr.Store (Instr.Reg huge, Instr.Reg neg, 0)) ]
+       [ goto ~guard:g b1; goto ~guard:{ g with Instr.sense = false } b3 ]);
+  Cfg.set_block cfg
+    (Block.make b3 [] [ { Block.eguard = None; target = Block.Ret (Some (Instr.Reg low)) } ]);
+  Cfg.validate cfg;
+  let live = Liveness.compute cfg in
+  check Alcotest.bool "compute agrees with the oracle" true
+    (agrees_with_oracle cfg ~live_in:(Liveness.live_in live)
+       ~live_out:(Liveness.live_out live));
+  check Alcotest.(list int) "live into b0" [ low; neg; huge ]
+    (IntSet.elements (Liveness.live_in live b0));
+  (* b3 now defines [low] and reads [big]: [low] leaves the loop's live
+     sets and [big] joins them *)
+  Cfg.set_block cfg
+    (Block.make b3
+       [ Cfg.instr cfg (Instr.Mov (low, Instr.Reg big)) ]
+       [ { Block.eguard = None; target = Block.Ret (Some (Instr.Reg low)) } ]);
+  let updated = Liveness.update live cfg ~touched:[ b3 ] in
+  check Alcotest.bool "update agrees with the oracle" true
+    (agrees_with_oracle cfg ~live_in:(Liveness.live_in updated)
+       ~live_out:(Liveness.live_out updated));
+  let dirty = IntSet.singleton b3 in
+  check Alcotest.bool "live_out_at agrees with the oracle" true
+    (agrees_with_oracle cfg ~live_in:(Liveness.live_in updated) ~live_out:(fun id ->
+         fst (Liveness.live_out_at live cfg ~dirty id)));
+  check Alcotest.(list int) "live out of b2 after the edit" [ low; neg; big; huge ]
+    (IntSet.elements (Liveness.live_out updated b2))
+
 let suite =
   ( "analysis",
     [
@@ -816,6 +881,7 @@ let suite =
         test_refined_liveness_soft;
       Alcotest.test_case "weak guard exposes" `Quick test_hard_exposure_on_weak_guard;
       gen_kill_random_blocks;
+      soft_is_disjoint;
       Alcotest.test_case "gen/kill on formed blocks" `Quick
         test_gen_kill_formed_blocks;
       Alcotest.test_case "gen/kill: guard redefines itself" `Quick
@@ -830,4 +896,6 @@ let suite =
         test_region_solve_stale_cycle;
       Alcotest.test_case "a block that rejoins the graph is solved" `Quick
         test_rejoined_block_is_solved;
+      Alcotest.test_case "liveness over negative and large registers" `Quick
+        test_liveness_extreme_registers;
     ] )

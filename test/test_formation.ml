@@ -465,9 +465,83 @@ let test_publishes_solved_blocks () =
   check Alcotest.bool "solved blocks exceed one solve of every block" true
     (solved () - before > blocks)
 
+(* The seed pick: with every block count equal (an empty profile), the
+   next seed is the earliest unfinalized block in reverse postorder, not
+   the lowest id; and a block a merge strands is pruned before the next
+   seed, so it neither seeds nor counts as a predecessor.  Ids are
+   chosen so reverse postorder and id order disagree: b0 -> b1 (unique
+   predecessor) -> {b4, b2}, b2 -> b3, b4 -> {b4, b3}.  Seed b0 absorbs
+   b1; the in-trial optimizer folds b1's [<!r1> goto b2] away (r1 is 1),
+   stranding b2.  b0 cannot take the loop b4 (head and tail duplication
+   are off), so the next seed is b4, ahead of b3 in reverse postorder
+   though its id is higher, and b3's only predecessor left is b4: a
+   plain merge. *)
+let test_seed_order_and_stranded_block () =
+  let cfg = Cfg.create ~name:"seeds" () in
+  for _ = 0 to 4 do
+    ignore (Cfg.fresh_block_id cfg)
+  done;
+  let goto ?guard t = { Block.eguard = guard; target = Block.Goto t } in
+  let on r sense = { Instr.greg = r; sense } in
+  Cfg.set_block cfg
+    (Block.make 0 [ Cfg.instr cfg (Instr.Mov (1, Instr.Imm 1)) ] [ goto 1 ]);
+  Cfg.set_block cfg
+    (Block.make 1 []
+       [ goto ~guard:(on 1 true) 4; goto ~guard:(on 1 false) 2 ]);
+  Cfg.set_block cfg
+    (Block.make 2 [ Cfg.instr cfg (Instr.Mov (5, Instr.Imm 2)) ] [ goto 3 ]);
+  Cfg.set_block cfg
+    (Block.make 3
+       [ Cfg.instr cfg (Instr.Store (Instr.Reg 2, Instr.Reg 5, 0)) ]
+       [ { Block.eguard = None; target = Block.Ret None } ]);
+  Cfg.set_block cfg
+    (Block.make 4
+       [
+         Cfg.instr cfg (Instr.Binop (Opcode.Add, 2, Instr.Reg 2, Instr.Imm 1));
+         Cfg.instr cfg (Instr.Cmp (Opcode.Lt, 3, Instr.Reg 2, Instr.Imm 10));
+       ]
+       [ goto ~guard:(on 3 true) 4; goto ~guard:(on 3 false) 3 ]);
+  cfg.Cfg.entry <- 0;
+  Cfg.validate cfg;
+  let config =
+    {
+      Chf.Policy.edge_default with
+      Chf.Policy.enable_head_dup = false;
+      enable_tail_dup = false;
+    }
+  in
+  let _ = Trips_obs.Trace.stop () in
+  Trips_obs.Trace.start ();
+  ignore (Chf.Formation.run config cfg (Trips_profile.Profile.empty ()));
+  let attempts =
+    List.filter_map
+      (fun (e : Trips_obs.Trace.event) ->
+        let field k = List.assoc_opt k e.Trips_obs.Trace.fields in
+        match (field "seed", field "cand", field "classify", field "outcome") with
+        | Some (Int seed), Some (Int cand), Some (Str classify), Some (Str outcome)
+          when e.Trips_obs.Trace.kind = "merge-attempt" ->
+          Some (seed, cand, classify, outcome)
+        | _ -> None)
+      (Trips_obs.Trace.stop ())
+  in
+  let seeds =
+    List.fold_left
+      (fun acc (seed, _, _, _) ->
+        if List.mem seed acc then acc else acc @ [ seed ])
+      [] attempts
+  in
+  check Alcotest.(list int) "seeds in reverse postorder on a tie" [ 0; 4 ] seeds;
+  check Alcotest.bool "b0 absorbs b1" true
+    (List.mem (0, 1, "simple", "success") attempts);
+  check Alcotest.bool "b2, stranded, is gone" false (Cfg.mem cfg 2);
+  check Alcotest.bool "b4 merges b3 as its only predecessor" true
+    (List.mem (4, 3, "simple", "success") attempts)
+
 let suite =
   ( "formation",
     [
+      Alcotest.test_case "seed pick: ties and stranded blocks" `Quick
+        test_seed_order_and_stranded_block;
       Alcotest.test_case "liveness solved blocks are published" `Quick
         test_publishes_solved_blocks;
       Alcotest.test_case "IUPO publishes its cache counters" `Quick

@@ -102,6 +102,16 @@ let legal ?(slack = 0) limits e =
   && e.reads <= limits.max_reads
   && e.writes <= limits.max_writes
 
+(** Every block of [cfg] whose estimate breaks [limits], with that
+    estimate, in [Cfg.blocks] order: one liveness solve for the graph. *)
+let over_budget limits cfg =
+  let live = Liveness.compute cfg in
+  List.filter_map
+    (fun (b : Block.t) ->
+      let e = estimate b ~live_out:(Liveness.live_out live b.Block.id) in
+      if legal limits e then None else Some (b.Block.id, e))
+    (Cfg.blocks cfg)
+
 (** Fullness of a block as a fraction of the instruction budget, used in
     reporting. *)
 let utilization limits e =

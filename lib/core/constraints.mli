@@ -39,6 +39,12 @@ val legal : ?slack:int -> limits -> estimate -> bool
 (** Does the estimate fit, with [slack] instruction slots held back for
     register-allocator spill code? *)
 
+val over_budget : limits -> Cfg.t -> (int * estimate) list
+(** The id and estimate of every block of the graph that breaks the
+    limits, in {!Trips_ir.Cfg.blocks} order; empty when every block fits.
+    The back end's repair loop and {!Trips_verify.Cfg_verify.check}'s
+    budget check both read this one scan. *)
+
 val utilization : limits -> estimate -> float
 (** Fullness as a fraction of the instruction budget. *)
 

@@ -114,8 +114,8 @@ let check_cfg_case ~fuel ~seed ~cfg ~registers ~mem_words =
                 registers
             in
             let params' = IntSet.of_list (List.map fst registers') in
-            (* the pipeline's own contract (Diff_check, split-and-retry)
-               tolerates unreachable leftovers; only flag regressions *)
+            (* the pipeline's own contract (Diff_check) tolerates
+               unreachable leftovers; only flag regressions *)
             match
               Cfg_verify.check ~allow_unreachable:true ~params:params'
                 ?limits:limits_opt work

@@ -11,11 +11,10 @@
    and the functional behavior are additionally re-checked after every
    formation phase, naming the first transform that broke.
 
-   The pipeline degrades gracefully rather than aborting a sweep: a
-   back-end rejection triggers a recompile that splits every over-budget
-   hyperblock ([Trips_transform.Split]) before retrying, and
-   [failure_of_exn] turns any unrecoverable error into a structured
-   per-workload failure report. *)
+   A compile has one failure path: the back end either returns a CFG
+   that fits the TRIPS budgets (its own reverse if-conversion is the
+   repair) or raises, and [failure_of_exn] turns that, like any other
+   escaping exception, into a structured per-workload failure report. *)
 
 open Trips_ir
 open Trips_sim
@@ -84,8 +83,6 @@ type compiled = {
   backend : Trips_regalloc.Backend.report option;
   static_blocks : int;
   static_instrs : int;
-  repair_splits : int;  (* blocks split by degradation after a back-end rejection *)
-  degraded : bool;  (* the fallback path ran (splits, or back end disabled) *)
 }
 
 (* Lower the workload (with its front-end unroll factor) and bind the
@@ -99,39 +96,6 @@ let lower_workload (w : Workload.t) =
 let profile_workload (w : Workload.t) =
   let p = Stage.profile w (Stage.lower w) in
   (p.Stage.prof_profile, p.Stage.prof_result)
-
-(* Split every block the TRIPS budget check rejects (middle split,
-   repeatedly) until the CFG fits or no split makes progress.  Used by
-   the degradation path when the back end rejects a formed CFG. *)
-let split_over_budget ~limits cfg =
-  let splits = ref 0 in
-  let continue_ = ref true in
-  let rounds = ref 0 in
-  while !continue_ && !rounds < 16 do
-    incr rounds;
-    let offenders =
-      List.filter_map
-        (function
-          | Trips_verify.Cfg_verify.Over_budget { block; _ } -> Some block
-          | _ -> None)
-        (Trips_verify.Cfg_verify.check ~allow_unreachable:true ~limits cfg)
-    in
-    match offenders with
-    | [] -> continue_ := false
-    | blocks ->
-      let progressed =
-        List.fold_left
-          (fun acc id ->
-            match Trips_transform.Split.split_block cfg id with
-            | Some _ ->
-              incr splits;
-              true
-            | None -> acc)
-          false blocks
-      in
-      if not progressed then continue_ := false
-  done;
-  !splits
 
 (* Run the phase ordering; with [verify], interleave structural and
    differential checks after every phase and raise [Verify_failed] naming
@@ -161,43 +125,16 @@ let run_backend cfg = Stage.time Stage.Backend (fun () -> Trips_regalloc.Backend
 let compile ?cache ?(config = Chf.Policy.edge_default) ?(backend = true)
     ?(verify = false) ordering (w : Workload.t) : compiled =
   let prefix = Stage.prefix ?cache w in
-  let profile = prefix.Stage.pre_profiled.Stage.prof_profile in
-  (* every build mutates its own deep copy of the cached master lowering;
+  (* the compile mutates its own deep copy of the cached master lowering;
      lowering is deterministic, so the copy matches a fresh lowering *)
-  let build ~presplit =
-    let { Stage.low_cfg = cfg; low_registers = registers } =
-      Stage.instantiate prefix
-    in
-    let stats = form ~verify ~config ordering w cfg registers profile in
-    let splits =
-      if presplit then split_over_budget ~limits:config.Chf.Policy.limits cfg
-      else 0
-    in
-    (cfg, registers, stats, splits)
+  let { Stage.low_cfg = cfg; low_registers = registers } =
+    Stage.instantiate prefix
   in
-  let cfg, registers, stats, backend_report, repair_splits, degraded =
-    let cfg, registers, stats, _ = build ~presplit:false in
-    if not backend then (cfg, registers, stats, None, 0, false)
-    else
-      match run_backend cfg with
-      | report -> (cfg, registers, stats, Some report, 0, false)
-      | exception (Trips_obs.Watchdog.Timed_out _ as e) ->
-        (* a timeout is a budget verdict, not a structural rejection:
-           retrying would spend the remaining sweep budget re-running
-           the same slow cell, so surface it as a failure immediately *)
-        raise e
-      | exception _ -> (
-        (* the back end may have partially rewritten the CFG: rebuild
-           from scratch, split every over-budget hyperblock, retry *)
-        let cfg, registers, stats, splits = build ~presplit:true in
-        match run_backend cfg with
-        | report -> (cfg, registers, stats, Some report, splits, true)
-        | exception (Trips_obs.Watchdog.Timed_out _ as e) -> raise e
-        | exception _ ->
-          (* still rejected: last resort is to skip the back end *)
-          let cfg, registers, stats, _ = build ~presplit:false in
-          (cfg, registers, stats, None, 0, true))
+  let stats =
+    form ~verify ~config ordering w cfg registers
+      prefix.Stage.pre_profiled.Stage.prof_profile
   in
+  let backend_report = if backend then Some (run_backend cfg) else None in
   let registers =
     match backend_report with
     | Some r ->
@@ -217,8 +154,6 @@ let compile ?cache ?(config = Chf.Policy.edge_default) ?(backend = true)
     backend = backend_report;
     static_blocks = Cfg.num_blocks cfg;
     static_instrs = Cfg.total_instrs cfg;
-    repair_splits;
-    degraded;
   }
 
 (** Run the compiled workload functionally. *)

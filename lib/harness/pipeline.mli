@@ -11,11 +11,12 @@
     {e every} formation phase via {!Trips_verify.Diff_check}, naming the
     first transform that broke.
 
-    The pipeline degrades gracefully rather than aborting a sweep: a
-    back-end rejection triggers a recompile that splits every over-budget
-    hyperblock ({!Trips_transform.Split}) before retrying, and
-    {!failure_of_exn} turns any unrecoverable error into a structured
-    per-workload {!failure} report. *)
+    A compile has one failure path: the back end
+    ({!Trips_regalloc.Backend.run}) either returns a CFG that fits the
+    TRIPS budgets, its own reverse if-conversion being the repair, or
+    raises; {!failure_of_exn} turns that, like any other escaping
+    exception, into a structured per-workload {!failure} report.  No
+    cell is retried or measured without the back end it asked for. *)
 
 open Trips_ir
 open Trips_sim
@@ -80,9 +81,6 @@ type compiled = {
   backend : Trips_regalloc.Backend.report option;
   static_blocks : int;
   static_instrs : int;
-  repair_splits : int;
-      (** blocks split by the degradation path after a back-end rejection *)
-  degraded : bool;  (** the fallback path ran (splits, or back end disabled) *)
 }
 
 val lower_workload : Workload.t -> Cfg.t * (int * int) list
@@ -105,7 +103,9 @@ val compile :
     per-phase differential verifier during formation.  [cache] memoizes
     the workload-invariant lower+profile prefix ({!Stage.prefix}), which
     every ordering and policy of the same workload content shares.
-    @raise Verify_failed when [verify] and a phase breaks. *)
+    @raise Verify_failed when [verify] and a phase breaks.
+    @raise Failure when [backend] and the back end cannot fit the TRIPS
+    budgets; a watchdog timeout and any other exception propagate too. *)
 
 val failure_of_exn :
   workload:Workload.t -> ordering:Chf.Phases.ordering option -> exn -> failure

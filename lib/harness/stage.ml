@@ -48,11 +48,11 @@ let stage_name = function
    durations come off the same clock, exceptions still account. *)
 let time stage f =
   let name = stage_name stage in
-  (* watchdog: when a global stage policy is installed (sweep harness,
-     [chfc --stage-deadline], the fuzzer), the stage body runs under a
+  (* watchdog: when a global stage policy is installed ([chfc
+     --stage-deadline], or a test), the stage body runs under a
      deadline/fuel scope; a cooperative check inside the stage then
-     raises [Watchdog.Timed_out], which the pipeline's failure machinery
-     reports per cell.  With no policy (the default) the wrapper is the
+     raises [Watchdog.Timed_out], which propagates and which
+     [Pipeline.failure_of_exn] reports per cell.  With no policy (the default) the wrapper is the
      identity and timed output is byte-identical to pre-watchdog runs. *)
   let f =
     match Trips_obs.Watchdog.stage_policy name with

@@ -422,14 +422,6 @@ let parse_unit (src : string) : Ast.compilation_unit =
   let ks = kernels [] in
   { Ast.kernels = ks; entry = (List.nth ks (List.length ks - 1)).Ast.prog_name }
 
-(** Parse a kernel from a file. *)
-let parse_file path : Ast.program =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  parse_program src
-
 (* ---- surface printer --------------------------------------------------- *)
 
 (* Fully parenthesized concrete syntax; [parse_program (print_program p)]

@@ -29,8 +29,6 @@ val parse_unit : string -> Ast.compilation_unit
 (** Parse one or more kernels; the last is the entry point.  Calls are
     resolved by {!Inline.program_of_unit}. *)
 
-val parse_file : string -> Ast.program
-
 val print_program : Ast.program -> string
 (** Print a program in parseable concrete syntax:
     [parse_program (print_program p) = p]. *)

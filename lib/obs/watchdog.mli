@@ -10,8 +10,9 @@
     deadline and/or a fuel budget, the hot loops poll {!check} (a
     domain-local read — a few nanoseconds when no scope is active), and
     an exhausted budget raises the structured {!Timed_out} exception,
-    which the pipeline's degradation machinery turns into a per-cell
-    failure report instead of a hung sweep.
+    which propagates out of the pipeline and which
+    [Pipeline.failure_of_exn] turns into a per-cell failure report
+    instead of a hung sweep.
 
     Scopes are domain-local (each sweep row runs its own), nest by
     taking the tighter deadline, and cost nothing when absent: with no

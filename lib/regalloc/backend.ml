@@ -3,7 +3,6 @@
    compiler flow in Figure 6 of the paper. *)
 
 open Trips_ir
-open Trips_analysis
 
 type report = {
   mapping : int IntMap.t;  (* original virtual register -> architectural *)
@@ -12,12 +11,6 @@ type report = {
   fanout_movs : int;
   rounds : int;  (* allocation rounds run *)
 }
-
-(* Test-only fault injection: while positive, every [run] decrements the
-   counter and raises as a budget rejection would.  Lets the degradation
-   tests drive the pipeline's split-and-retry and backend-off paths on
-   demand (same idiom as [Engine.spawn_limit_for_tests]). *)
-let reject_for_tests : int ref = ref 0
 
 (* Blocks whose size estimate exceeds the hard TRIPS frame limits.
    Formation checks each merge against this estimate, but a later merge
@@ -30,29 +23,23 @@ let reject_for_tests : int ref = ref 0
    constraint the allocator's view exposes (Section 6), so these are
    split and re-processed like bank violations. *)
 let over_budget_blocks cfg =
-  let live = Liveness.compute cfg in
-  List.filter_map
-    (fun (b : Block.t) ->
-      let live_out = Liveness.live_out live b.Block.id in
-      if
-        Chf.Constraints.legal Chf.Constraints.trips_limits
-          (Chf.Constraints.estimate b ~live_out)
-      then None
-      else Some b.Block.id)
-    (Cfg.blocks cfg)
+  List.map fst (Chf.Constraints.over_budget Chf.Constraints.trips_limits cfg)
 
-(* Allocation rounds before the back end gives up and reports the
-   remaining violations. *)
+(* Allocation rounds before the back end gives up, and re-split rounds
+   after fanout insertion. *)
 let max_rounds = 8
+let max_refan_rounds = 4
+
+let give_up cfg ~bank ~budget ~after =
+  Fmt.failwith "backend: %s: %d bank / %d budget violations remain after %s"
+    cfg.Cfg.name bank budget after
 
 (** Run the back end on a formed CFG, in place.  Returns the allocation
     report; the [mapping] lets callers translate front-end register names
-    (e.g. kernel parameters) to their architectural homes. *)
+    (e.g. kernel parameters) to their architectural homes.  Raises
+    [Failure] when reverse if-conversion cannot bring every block within
+    the TRIPS budgets. *)
 let run cfg : report =
-  if !reject_for_tests > 0 then begin
-    decr reject_for_tests;
-    failwith "backend: injected rejection (reject_for_tests)"
-  end;
   let splits = ref 0 in
   let split_all blocks =
     List.fold_left
@@ -85,27 +72,24 @@ let run cfg : report =
       ignore (split_all blocks);
       allocate mapping (round + 1)
     | viols, over ->
-      (* give up: report rather than loop; the cycle model still runs *)
-      Logs.warn (fun m ->
-          m "%s: %d bank / %d budget violations remain after %d allocation \
-             rounds"
-            cfg.Cfg.name (List.length viols) (List.length over) round);
-      (mapping, result.Reg_alloc.cross_block_values, round)
+      give_up cfg ~bank:(List.length viols) ~budget:(List.length over)
+        ~after:(Fmt.str "%d allocation rounds" round)
   in
   let mapping, cross_block_values, rounds = allocate IntMap.empty 1 in
   let fanout_movs = ref (Fanout.run cfg) in
   (* the materialized fanout trees can overshoot the pre-fanout
      estimate; split the overflowing block and re-fan the halves (a
      second [Fanout.run] is a no-op on untouched blocks) *)
-  let outer = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !outer < 4 do
-    incr outer;
+  let rec refan round =
     match over_budget_blocks cfg with
-    | [] -> continue_ := false
+    | [] -> ()
+    | over when round <= max_refan_rounds && split_all over ->
+      fanout_movs := !fanout_movs + Fanout.run cfg;
+      refan (round + 1)
     | over ->
-      if split_all over then fanout_movs := !fanout_movs + Fanout.run cfg
-      else continue_ := false
-  done;
+      give_up cfg ~bank:0 ~budget:(List.length over)
+        ~after:(Fmt.str "fanout and %d re-split rounds" (round - 1))
+  in
+  refan 1;
   Cfg.validate cfg;
   { mapping; cross_block_values; splits = !splits; fanout_movs = !fanout_movs; rounds }

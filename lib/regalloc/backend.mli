@@ -15,10 +15,8 @@ type report = {
 }
 
 val run : Cfg.t -> report
-(** Run the back end on a formed CFG, in place. *)
-
-val reject_for_tests : int ref
-(** Test-only fault injection: while positive, each {!run} decrements
-    the counter and raises instead of allocating, exercising the
-    pipeline's split-and-retry and backend-off degradation paths
-    ([0] in production). *)
+(** Run the back end on a formed CFG, in place.  The result fits the
+    TRIPS budgets: every block passes {!Chf.Constraints.over_budget}
+    under {!Chf.Constraints.trips_limits}.
+    @raise Failure when reverse if-conversion cannot get there within
+    its allocation and post-fanout re-split rounds. *)

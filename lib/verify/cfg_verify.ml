@@ -187,14 +187,9 @@ let def_use_violations ~params cfg =
 (* ---- TRIPS budgets ----------------------------------------------------- *)
 
 let budget_violations ~limits cfg =
-  let live = Liveness.compute cfg in
-  List.filter_map
-    (fun (b : Block.t) ->
-      let live_out = Liveness.live_out live b.Block.id in
-      let estimate = Chf.Constraints.estimate b ~live_out in
-      if Chf.Constraints.legal limits estimate then None
-      else Some (Over_budget { block = b.Block.id; estimate; limits }))
-    (Cfg.blocks cfg)
+  List.map
+    (fun (block, estimate) -> Over_budget { block; estimate; limits })
+    (Chf.Constraints.over_budget limits cfg)
 
 (* ---- driver ------------------------------------------------------------ *)
 

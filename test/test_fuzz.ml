@@ -1,10 +1,8 @@
 (* Fuzz subsystem: generator validity, the differential oracle's
    accept/reject behavior, corpus round-trip and the committed
    reproducer replay gate, the shrinker, campaign determinism — and the
-   pipeline degradation corners the fuzzer leans on: split-and-retry
-   after a back-end rejection, backend-off after repeated rejections,
-   and structured [Timed_out] flowing through a sweep without aborting
-   siblings. *)
+   watchdog corners the fuzzer leans on: a structured [Timed_out]
+   flowing through a sweep without aborting siblings. *)
 
 open Trips_ir
 open Trips_fuzz
@@ -245,59 +243,15 @@ let test_fuzzer_report_rendering () =
      && contains "\"executed\":4" json
      && contains "\"findings\":[" json)
 
-(* ---- pipeline degradation corners -------------------------------------- *)
+(* ---- watchdog corners -------------------------------------------------- *)
 
 let sieve () = Option.get (Micro.by_name "sieve")
-
-(* One injected back-end rejection: the pipeline must recompile with
-   over-budget hyperblocks pre-split, keep the back end, flag the
-   configuration as degraded — and still compute the right answer. *)
-let test_degradation_split_and_retry () =
-  Trips_regalloc.Backend.reject_for_tests := 1;
-  Fun.protect
-    ~finally:(fun () -> Trips_regalloc.Backend.reject_for_tests := 0)
-    (fun () ->
-      let w = sieve () in
-      let bb = Pipeline.compile ~backend:false Chf.Phases.Basic_blocks w in
-      let baseline = Pipeline.run_functional bb in
-      let c = Pipeline.compile Chf.Phases.Iupo_merged w in
-      check Alcotest.bool "degraded flagged" true c.Pipeline.degraded;
-      check Alcotest.bool "back end retried and kept" true
-        (c.Pipeline.backend <> None);
-      check Alcotest.int "injection consumed" 0
-        !Trips_regalloc.Backend.reject_for_tests;
-      let final = Pipeline.run_functional c in
-      check Alcotest.int "degraded compile still correct"
-        baseline.Trips_sim.Func_sim.checksum
-        final.Trips_sim.Func_sim.checksum)
-
-(* Two rejections in a row exhaust split-and-retry: the back end is
-   switched off for the cell rather than failing the compile, and the
-   formed (unallocated) CFG still verifies functionally. *)
-let test_degradation_backend_off () =
-  Trips_regalloc.Backend.reject_for_tests := 2;
-  Fun.protect
-    ~finally:(fun () -> Trips_regalloc.Backend.reject_for_tests := 0)
-    (fun () ->
-      let w = sieve () in
-      let bb = Pipeline.compile ~backend:false Chf.Phases.Basic_blocks w in
-      let baseline = Pipeline.run_functional bb in
-      let c = Pipeline.compile Chf.Phases.Iupo_merged w in
-      check Alcotest.bool "degraded flagged" true c.Pipeline.degraded;
-      check Alcotest.bool "back end disabled after retry exhaustion" true
-        (c.Pipeline.backend = None);
-      let final = Pipeline.run_functional c in
-      check Alcotest.int "backend-off compile still correct"
-        baseline.Trips_sim.Func_sim.checksum
-        final.Trips_sim.Func_sim.checksum)
-
-(* ---- watchdog corners -------------------------------------------------- *)
 
 let clear_stage_policy () = Trips_obs.Watchdog.set_stage_policy ()
 
 (* A formation stage that exhausts its budget must surface as a
-   structured [Timed_out] failure naming the stage — never retried as a
-   crash would be, never an opaque exception. *)
+   structured [Timed_out] failure naming the stage, never an opaque
+   exception. *)
 let test_timeout_is_structured () =
   Trips_obs.Watchdog.set_stage_policy ~fuel:1 ~stages:[ "formation" ] ();
   Fun.protect ~finally:clear_stage_policy (fun () ->
@@ -379,10 +333,6 @@ let suite =
       Alcotest.test_case "campaign deterministic" `Slow test_fuzzer_deterministic;
       Alcotest.test_case "campaign report rendering" `Slow
         test_fuzzer_report_rendering;
-      Alcotest.test_case "degradation: split and retry" `Quick
-        test_degradation_split_and_retry;
-      Alcotest.test_case "degradation: backend off" `Quick
-        test_degradation_backend_off;
       Alcotest.test_case "watchdog: structured timeout" `Quick
         test_timeout_is_structured;
       Alcotest.test_case "watchdog: sweep survives timeout and crash" `Slow

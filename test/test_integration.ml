@@ -26,6 +26,12 @@ let policies =
       } );
   ]
 
+(* The back end's contract: a compile that asked for it either raised or
+   ran it, and every block of the result fits the TRIPS budgets. *)
+let over_budget_ids (c : Pipeline.compiled) =
+  List.map fst
+    (Chf.Constraints.over_budget Chf.Constraints.trips_limits c.Pipeline.cfg)
+
 (* every workload x ordering: semantics + constraints (breadth-first) *)
 let test_all_micro_all_orderings () =
   List.iter
@@ -35,9 +41,15 @@ let test_all_micro_all_orderings () =
         (fun ordering ->
           let c = Pipeline.compile ~backend:true ordering w in
           let r = Pipeline.run_functional c in
-          check Alcotest.int
-            (Fmt.str "%s/%s checksum" w.Workload.name (Chf.Phases.name ordering))
-            baseline.Trips_sim.Func_sim.checksum r.Trips_sim.Func_sim.checksum)
+          let cell =
+            Fmt.str "%s/%s" w.Workload.name (Chf.Phases.name ordering)
+          in
+          check Alcotest.int (cell ^ " checksum")
+            baseline.Trips_sim.Func_sim.checksum r.Trips_sim.Func_sim.checksum;
+          check Alcotest.bool (cell ^ " back end ran") true
+            (c.Pipeline.backend <> None);
+          check Alcotest.(list int) (cell ^ " over-budget blocks") []
+            (over_budget_ids c))
         orderings)
     Micro.all
 
@@ -92,7 +104,9 @@ let random_full_pipeline =
          let baseline = Generators.baseline_of w in
          let c = Pipeline.compile ~backend:true ordering w in
          let r = Pipeline.run_functional c in
-         r.Trips_sim.Func_sim.checksum = baseline.Trips_sim.Func_sim.checksum))
+         r.Trips_sim.Func_sim.checksum = baseline.Trips_sim.Func_sim.checksum
+         && c.Pipeline.backend <> None
+         && over_budget_ids c = []))
 
 (* experiment harness plumbing *)
 let test_table1_row_consistency () =

@@ -17,8 +17,6 @@ open Cmdliner
 open Trips_workloads
 open Trips_harness
 
-(* keep the alias: Workload.make is used by compile-file *)
-
 (* name resolution lives with the serve worker role, so the daemon and
    the one-shot CLI accept exactly the same names *)
 let find_workload = Trips_serve.Worker.find_workload
@@ -96,9 +94,7 @@ let metrics_json_arg =
         ~doc:"Write the metrics registry to $(docv) as sorted JSON.")
 
 let write_text_file path content =
-  let oc = open_out path in
-  output_string oc content;
-  close_out oc
+  Out_channel.with_open_bin path (fun oc -> output_string oc content)
 
 (* Wrap a command body in trace/metrics capture.  Tracing is off unless
    [--trace] or [--chrome-trace] was given, so untraced runs pay one
@@ -144,6 +140,14 @@ let with_obs trace chrome metrics metrics_json f =
     if tracing then ignore (Trips_obs.Trace.stop ());
     raise e
 
+(* The four observability flags as one term yielding the [with_obs]
+   wrapper.  A function, so that every command instantiates the wrapper
+   at its own result type. *)
+let obs_term () =
+  Term.(
+    const with_obs $ trace_arg $ chrome_trace_arg $ metrics_arg
+    $ metrics_json_arg)
+
 (* ---- list ------------------------------------------------------------- *)
 
 let list_cmd =
@@ -163,79 +167,6 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
 (* ---- compile ---------------------------------------------------------- *)
-
-(* The report text itself is rendered by the serve worker
-   (Trips_serve.Worker.compile_report) and printed verbatim, so the
-   daemon's served replies and the one-shot CLI output are the same
-   bytes by construction.  Only the side outputs (dump, emit-asm,
-   emit-dot) live here. *)
-let compile_workload_report w ordering config dump backend verify emit_asm
-    emit_dot =
-  match
-    Trips_serve.Worker.compile_report ~ordering ~config ~backend ~verify w
-  with
-  | exception (Trips_sim.Func_sim.Out_of_fuel _ as e) ->
-    Fmt.epr "chfc: %a@." Pipeline.pp_failure
-      (Pipeline.failure_of_exn ~workload:w ~ordering:(Some ordering) e);
-    exit 2
-  | Error msg ->
-    Fmt.epr "chfc: %s@." msg;
-    exit 1
-  | Ok (c, text) ->
-    if dump then Fmt.pr "%a@.@." Trips_ir.Cfg.pp c.Pipeline.cfg;
-    (match emit_asm with
-    | Some path ->
-      write_text_file path (Trips_regalloc.Tasm.to_string c.Pipeline.cfg);
-      Fmt.pr "assembly        : written to %s@." path
-    | None -> ());
-    (match emit_dot with
-    | Some path ->
-      write_text_file path (Trips_ir.Dot.to_string c.Pipeline.cfg);
-      Fmt.pr "dot graph       : written to %s@." path
-    | None -> ());
-    print_string text
-
-let compile_run name ordering policy dump backend verify emit_asm emit_dot
-    trace chrome metrics metrics_json =
-  let w = or_exit (find_workload name) in
-  let ordering = or_exit (ordering_of_string ordering) in
-  let config = or_exit (policy_of_string policy) in
-  with_obs trace chrome metrics metrics_json (fun () ->
-      compile_workload_report w ordering config dump backend verify emit_asm
-        emit_dot)
-
-(* one --arg NAME=VALUE binding *)
-let parse_arg spec =
-  let bad = Error (`Msg (Fmt.str "bad --arg %S (expected name=integer)" spec)) in
-  match String.split_on_char '=' spec with
-  | [ name; v ] ->
-    Option.fold ~none:bad ~some:(fun n -> Ok (name, n)) (int_of_string_opt v)
-  | _ -> bad
-
-(* compile a kernel from a source file; parameters default to 0 unless
-   given as name=value *)
-let compile_file_run path ordering policy dump backend verify emit_asm emit_dot
-    args memory_words unroll trace chrome metrics metrics_json =
-  let ordering = or_exit (ordering_of_string ordering) in
-  let config = or_exit (policy_of_string policy) in
-  let program =
-    or_exit
-      (try
-         let src = In_channel.with_open_bin path In_channel.input_all in
-         Ok (Trips_lang.Inline.program_of_unit (Trips_lang.Parser.parse_unit src))
-       with
-       | Trips_lang.Parser.Parse_error m | Trips_lang.Inline.Not_inlinable m ->
-         Error (`Msg (path ^ ": " ^ m)))
-  in
-  let args = List.map (fun spec -> or_exit (parse_arg spec)) args in
-  let w =
-    Workload.make ~name:program.Trips_lang.Ast.prog_name
-      ~description:("kernel from " ^ path)
-      ~args ~memory_words ~frontend_unroll:unroll program
-  in
-  with_obs trace chrome metrics metrics_json (fun () ->
-      compile_workload_report w ordering config dump backend verify emit_asm
-        emit_dot)
 
 let verify_arg =
   Arg.(
@@ -258,6 +189,52 @@ let emit_dot_arg =
     & opt (some string) None
     & info [ "emit-dot" ] ~docv:"FILE" ~doc:"Write a Graphviz CFG to $(docv).")
 
+(* The flags compile and compile-file share, as one term yielding the
+   body both run on a resolved workload.  The report text itself is
+   rendered by the serve worker (Trips_serve.Worker.compile_report) and
+   printed verbatim, so the daemon's served replies and the one-shot CLI
+   output are the same bytes by construction.  Only the side outputs
+   (dump, emit-asm, emit-dot) live here. *)
+let compile_term =
+  let report ordering policy dump backend verify emit_asm emit_dot obs w =
+    let ordering = or_exit (ordering_of_string ordering) in
+    let config = or_exit (policy_of_string policy) in
+    obs (fun () ->
+        match
+          Trips_serve.Worker.compile_report ~ordering ~config ~backend ~verify w
+        with
+        | Error f ->
+          Fmt.epr "chfc: %a@." Pipeline.pp_failure f;
+          (* a kernel that cannot be lowered or run within its fuel is a
+             bad input, like a bad name; any other failure is the
+             compiler's *)
+          exit (match f.Pipeline.fail_phase with "lower" | "simulate" -> 2 | _ -> 1)
+        | Ok (c, text) ->
+          if dump then Fmt.pr "%a@.@." Trips_ir.Cfg.pp c.Pipeline.cfg;
+          (match emit_asm with
+          | Some path ->
+            write_text_file path (Trips_regalloc.Tasm.to_string c.Pipeline.cfg);
+            Fmt.pr "assembly        : written to %s@." path
+          | None -> ());
+          (match emit_dot with
+          | Some path ->
+            write_text_file path (Trips_ir.Dot.to_string c.Pipeline.cfg);
+            Fmt.pr "dot graph       : written to %s@." path
+          | None -> ());
+          print_string text)
+  in
+  Term.(
+    const report $ ordering_arg $ policy_arg $ dump_arg $ backend_arg
+    $ verify_arg $ emit_asm_arg $ emit_dot_arg $ obs_term ())
+
+(* one --arg NAME=VALUE binding *)
+let parse_arg spec =
+  let bad = Error (`Msg (Fmt.str "bad --arg %S (expected name=integer)" spec)) in
+  match String.split_on_char '=' spec with
+  | [ name; v ] ->
+    Option.fold ~none:bad ~some:(fun n -> Ok (name, n)) (int_of_string_opt v)
+  | _ -> bad
+
 let compile_cmd =
   let doc = "Compile a workload and report simulation results." in
   let workload_arg =
@@ -266,11 +243,11 @@ let compile_cmd =
   Cmd.v
     (Cmd.info "compile" ~doc)
     Term.(
-      const compile_run $ workload_arg $ ordering_arg $ policy_arg $ dump_arg
-      $ backend_arg
-      $ verify_arg $ emit_asm_arg $ emit_dot_arg $ trace_arg
-      $ chrome_trace_arg $ metrics_arg $ metrics_json_arg)
+      const (fun name report -> report (or_exit (find_workload name)))
+      $ workload_arg $ compile_term)
 
+(* compile a kernel from a source file; parameters default to 0 unless
+   given as name=value *)
 let compile_file_cmd =
   let doc =
     "Compile a kernel source file.  The grammar is documented in \
@@ -292,13 +269,27 @@ let compile_file_cmd =
       value & opt int 4
       & info [ "unroll" ] ~docv:"N" ~doc:"Front-end for-loop unroll factor.")
   in
+  let run path args memory_words unroll report =
+    if memory_words < 0 then
+      or_exit (Error (`Msg (Fmt.str "bad --memory %d (expected WORDS >= 0)" memory_words)));
+    let program =
+      or_exit
+        (try
+           let src = In_channel.with_open_bin path In_channel.input_all in
+           Ok (Trips_lang.Inline.program_of_unit (Trips_lang.Parser.parse_unit src))
+         with
+         | Trips_lang.Parser.Parse_error m | Trips_lang.Inline.Not_inlinable m ->
+           Error (`Msg (path ^ ": " ^ m)))
+    in
+    report
+      (Workload.make ~name:program.Trips_lang.Ast.prog_name
+         ~description:("kernel from " ^ path)
+         ~args:(List.map (fun spec -> or_exit (parse_arg spec)) args)
+         ~memory_words ~frontend_unroll:unroll program)
+  in
   Cmd.v
     (Cmd.info "compile-file" ~doc)
-    Term.(
-      const compile_file_run $ path_arg $ ordering_arg $ policy_arg $ dump_arg
-      $ backend_arg $ verify_arg $ emit_asm_arg $ emit_dot_arg $ args
-      $ memory_words $ unroll
-      $ trace_arg $ chrome_trace_arg $ metrics_arg $ metrics_json_arg)
+    Term.(const run $ path_arg $ args $ memory_words $ unroll $ compile_term)
 
 (* ---- chaos ------------------------------------------------------------- *)
 
@@ -470,51 +461,52 @@ let stage_deadline_arg =
            Without this flag no watchdog runs and output is byte-identical \
            to earlier releases.")
 
-let apply_stage_deadline = function
-  | None -> ()
-  | Some d -> Trips_obs.Watchdog.set_stage_policy ~deadline_s:d ()
-
-(* every experiment shares the jobs/cache plumbing: resolve the flag to
-   an engine width, make a fresh cache, and optionally report its verdict *)
-let sweep_env jobs =
-  ((if jobs <= 0 then Engine.default_jobs () else jobs), Stage.create ())
-
-let report_cache cache cache_stats =
-  if cache_stats then begin
-    Fmt.pr "@.";
-    List.iter
-      (fun (name, (k : Trips_store.Store.counters)) ->
-        Fmt.pr "%-14s : %d hit(s), %d miss(es), %d eviction(s), %d/%d \
-                entries@."
-          name k.hits k.misses k.evictions k.entries k.capacity)
-      (Stage.store_counters cache)
-  end
+(* The sweep flags as one term yielding the sweep wrapper: install the
+   stage deadline, run the body at the resolved engine width on a fresh
+   cache, then print the cache counters when asked.  The body answers
+   its failures, which the command turns into exit 1. *)
+let sweep_term =
+  let sweep jobs cache_stats deadline body =
+    Option.iter
+      (fun d -> Trips_obs.Watchdog.set_stage_policy ~deadline_s:d ())
+      deadline;
+    let cache = Stage.create () in
+    let failures =
+      body ~jobs:(if jobs <= 0 then Engine.default_jobs () else jobs) ~cache
+    in
+    if cache_stats then begin
+      Fmt.pr "@.";
+      List.iter
+        (fun (name, (k : Trips_store.Store.counters)) ->
+          Fmt.pr "%-14s : %d hit(s), %d miss(es), %d eviction(s), %d/%d \
+                  entries@."
+            name k.hits k.misses k.evictions k.entries k.capacity)
+        (Stage.store_counters cache)
+    end;
+    failures
+  in
+  Term.(const sweep $ jobs_arg $ cache_stats_arg $ stage_deadline_arg)
 
 (* One command per registered experiment, all with the same flags.  The
    selection rule is the daemon's: an unknown [-w] name is an error. *)
 let experiment_cmd (e : Experiment.t) =
-  let run names jobs cache_stats deadline trace chrome metrics metrics_json =
+  let run names sweep obs =
     let workloads =
       or_exit
         (Trips_serve.Worker.select_workloads ~default:e.Experiment.defaults names)
     in
-    apply_stage_deadline deadline;
     let failures =
-      with_obs trace chrome metrics metrics_json (fun () ->
-          let jobs, cache = sweep_env jobs in
-          let text, failures = e.Experiment.render ~cache ~jobs workloads in
-          print_string text;
-          report_cache cache cache_stats;
-          failures)
+      obs (fun () ->
+          sweep (fun ~jobs ~cache ->
+              let text, failures = e.Experiment.render ~cache ~jobs workloads in
+              print_string text;
+              failures))
     in
     if failures <> [] then exit 1
   in
   Cmd.v
     (Cmd.info e.Experiment.name ~doc:e.Experiment.doc)
-    Term.(
-      const run $ workloads_arg $ jobs_arg $ cache_stats_arg
-      $ stage_deadline_arg $ trace_arg $ chrome_trace_arg $ metrics_arg
-      $ metrics_json_arg)
+    Term.(const run $ workloads_arg $ sweep_term $ obs_term ())
 
 (* ---- report ------------------------------------------------------------ *)
 
@@ -538,37 +530,32 @@ let report_cmd =
       & info [ "out" ] ~docv:"FILE"
           ~doc:"Write the text report to $(docv) instead of stdout.")
   in
-  let run names ordering policy jobs cache_stats deadline json out trace
-      chrome metrics metrics_json =
+  let run names ordering policy sweep json out obs =
     let ordering = or_exit (ordering_of_string ordering) in
     let config = or_exit (policy_of_string policy) in
     let workloads =
       or_exit (Trips_serve.Worker.select_workloads ~default:Micro.all names)
     in
-    apply_stage_deadline deadline;
-    let o =
-      with_obs trace chrome metrics metrics_json (fun () ->
-          let jobs, cache = sweep_env jobs in
-          let o = Reporter.run ~config ~cache ~jobs ~ordering ~workloads () in
-          (match out with
-          | Some path -> write_text_file path (Fmt.str "%a" Reporter.render o)
-          | None -> Reporter.render Fmt.stdout o);
-          (match json with
-          | Some path ->
-            write_text_file path
-              (Trips_obs.Report.to_json o.Reporter.reports ^ "\n")
-          | None -> ());
-          report_cache cache cache_stats;
-          o)
+    let failures =
+      obs (fun () ->
+          sweep (fun ~jobs ~cache ->
+              let o = Reporter.run ~config ~cache ~jobs ~ordering ~workloads () in
+              (match out with
+              | Some path -> write_text_file path (Fmt.str "%a" Reporter.render o)
+              | None -> Reporter.render Fmt.stdout o);
+              (match json with
+              | Some path ->
+                write_text_file path
+                  (Trips_obs.Report.to_json o.Reporter.reports ^ "\n")
+              | None -> ());
+              o.Reporter.failures))
     in
-    if o.Reporter.failures <> [] then exit 1
+    if failures <> [] then exit 1
   in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(
-      const run $ workloads_arg $ ordering_arg $ policy_arg $ jobs_arg
-      $ cache_stats_arg $ stage_deadline_arg
-      $ json_arg $ out_arg $ trace_arg $ chrome_trace_arg $ metrics_arg
-      $ metrics_json_arg)
+      const run $ workloads_arg $ ordering_arg $ policy_arg $ sweep_term
+      $ json_arg $ out_arg $ obs_term ())
 
 (* ---- serve / submit / stats / shutdown --------------------------------- *)
 
@@ -882,9 +869,7 @@ let trace_cmd =
       match chrome with
       | None -> ()
       | Some file ->
-        let oc = open_out file in
-        output_string oc (Trips_serve.Expo.trace_to_chrome tr);
-        close_out oc;
+        write_text_file file (Trips_serve.Expo.trace_to_chrome tr);
         Fmt.epr "chfc: wrote %s@." file)
   in
   Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ socket_arg $ req_id $ chrome)
@@ -901,15 +886,34 @@ let shutdown_cmd =
   in
   Cmd.v (Cmd.info "shutdown" ~doc) Term.(const run $ socket_arg)
 
+(* The one handler for what escapes a command: a file or socket the
+   system refuses (an output path that cannot be written, a socket path
+   that cannot be bound) is one line and exit 2, like a bad name; any
+   other exception is an internal error, as cmdliner reports it. *)
 let () =
   let doc = "convergent hyperblock formation for TRIPS (MICRO 2006 reproduction)" in
   let info = Cmd.info "chfc" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info
+      ([
+         list_cmd; compile_cmd; compile_file_cmd; chaos_cmd; fuzz_cmd;
+         report_cmd;
+       ]
+      @ List.map experiment_cmd Experiment.all
+      @ [ serve_cmd; submit_cmd; stats_cmd; trace_cmd; shutdown_cmd ])
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          ([
-             list_cmd; compile_cmd; compile_file_cmd; chaos_cmd; fuzz_cmd;
-             report_cmd;
-           ]
-          @ List.map experiment_cmd Experiment.all
-          @ [ serve_cmd; submit_cmd; stats_cmd; trace_cmd; shutdown_cmd ])))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception Sys_error m ->
+      Fmt.epr "chfc: %s@." m;
+      2
+    | exception Unix.Unix_error (e, fn, arg) ->
+      Fmt.epr "chfc: %s%s: %s@." fn
+        (if arg = "" then "" else " " ^ arg)
+        (Unix.error_message e);
+      2
+    | exception e ->
+      Fmt.epr "chfc: internal error, uncaught exception:@.%s@."
+        (Printexc.to_string e);
+      Cmd.Exit.internal_error)

@@ -11,11 +11,6 @@
 open Trips_ir
 open Trips_profile
 
-val peel_count :
-  Profile.t -> header:int -> max_peel:int -> coverage:float -> int
-(** Largest [k <= max_peel] such that at least [coverage] of the loop's
-    entries run [>= k] iterations. *)
-
 val run_before_formation : Policy.config -> Cfg.t -> Profile.t -> int * int
 (** UPIO's U and P.  Returns (unrolled, peeled) iteration counts. *)
 

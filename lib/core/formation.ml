@@ -73,6 +73,7 @@ let accum ~into s =
 
 type merge_kind = Simple | Unroll | Peel | Tail_dup
 
+(* lower-case stable name used in trace events *)
 let kind_name = function
   | Simple -> "simple"
   | Unroll -> "unroll"

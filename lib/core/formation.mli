@@ -44,9 +44,6 @@ val accum : into:stats -> stats -> unit
 
 type merge_kind = Simple | Unroll | Peel | Tail_dup
 
-val kind_name : merge_kind -> string
-(** Lower-case stable name used in trace events. *)
-
 type state
 (** One formation run over a CFG: its statistics, the per-loop
     unroll/peel bookkeeping and the analyses formation reads around every

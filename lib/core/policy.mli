@@ -74,9 +74,6 @@ module Pool : sig
   val add_list : t -> candidate list -> unit
   val remove : t -> int -> unit
 
-  val retain : t -> (candidate -> bool) -> unit
-  (** Drop every candidate failing the predicate. *)
-
   val fold : t -> ('a -> candidate -> 'a) -> 'a -> 'a
 
   val to_sorted_list : t -> candidate list

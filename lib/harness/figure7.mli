@@ -15,9 +15,6 @@ val points_of_table1 : Table1.row list -> point list
 
 val regression : point list -> Stats.regression
 
-val block_ratio : Table1.row list -> Chf.Phases.ordering -> float
-(** Aggregate executed-block ratio (BB / configuration). *)
-
 val render : Format.formatter -> Table1.outcome -> unit
 (** The scatter, fit and ratios, then Table 1's failure footer
     ({!Pipeline.pp_failures}). *)

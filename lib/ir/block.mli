@@ -53,6 +53,4 @@ val exit_uses : t -> IntSet.t
 val map_targets : (int -> int) -> t -> t
 (** Rewrite every [Goto] destination. *)
 
-val pp_target : Format.formatter -> target -> unit
-val pp_exit : Format.formatter -> exit_ -> unit
 val pp : Format.formatter -> t -> unit

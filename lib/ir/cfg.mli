@@ -21,7 +21,6 @@ type t = {
 val create : ?name:string -> unit -> t
 
 val fresh_block_id : t -> int
-val fresh_instr_id : t -> int
 
 val fresh_reg : t -> int
 (** A fresh virtual register (numbered from

@@ -45,15 +45,12 @@ val uses : t -> reg list
 (** Registers read, including the guard register and, for [Nullw], the
     forwarded register. *)
 
-val reg_of_operand : operand -> reg option
 val is_load : t -> bool
 val is_store : t -> bool
 
 val has_side_effect : t -> bool
 (** Instructions that may not be removed even when their results are
     unused (stores). *)
-
-val map_operand : (reg -> reg) -> operand -> operand
 
 val map_regs : (reg -> reg) -> t -> t
 (** Rename every register the instruction mentions, guard included. *)

@@ -15,11 +15,8 @@ val max_load_store : int
 val num_banks : int
 (** Number of architectural register banks (4). *)
 
-val regs_per_bank : int
-(** Registers per bank (32). *)
-
 val num_arch_regs : int
-(** Total architectural registers, [num_banks * regs_per_bank] (128). *)
+(** Total architectural registers (128: 32 per bank). *)
 
 val max_reads_per_bank : int
 (** Maximum register reads per bank per block (8). *)

@@ -9,8 +9,6 @@
     duplication performs.  Only innermost loops without [break] or
     [return] in their body are unrolled. *)
 
-val eligible : Ast.for_loop -> bool
-
 val apply : factor:int -> Ast.program -> Ast.program
 (** Unroll every eligible innermost for loop by [factor] (identity when
     [factor <= 1]). *)

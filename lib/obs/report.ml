@@ -38,6 +38,7 @@ type func_report = {
 
 (* ---- derived quantities ------------------------------------------------- *)
 
+(* [pct part whole] as a percentage; 0 when [whole] is 0 *)
 let pct part whole =
   if whole = 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int whole
 
@@ -52,6 +53,7 @@ let dup_counts row =
       else (f, e))
     (0, 0) row.classes
 
+(* predicated-off slots: fetched but never fired *)
 let wasted row = row.fetched - row.fired
 
 (* ---- worst-blocks ranking ----------------------------------------------- *)

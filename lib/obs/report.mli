@@ -33,16 +33,6 @@ type func_report = {
   blocks : block_row list;  (** sorted by block id *)
 }
 
-val pct : int -> int -> float
-(** [pct part whole] as a percentage; 0 when [whole] is 0. *)
-
-val dup_counts : block_row -> int * int
-(** (fetched, fired) slots placed by tail duplication, unrolling or
-    peeling. *)
-
-val wasted : block_row -> int
-(** Predicated-off slots: fetched but never fired. *)
-
 val worst : ?n:int -> func_report list -> (string * block_row) list
 (** The [n] (default 10) blocks with the most wasted slots across all
     functions, with a total tie-break order. *)

@@ -9,8 +9,5 @@
 
 open Trips_ir
 
-val emit_block :
-  Format.formatter -> Cfg.t -> Trips_analysis.Liveness.t -> Block.t -> unit
-
 val emit : Format.formatter -> Cfg.t -> unit
 val to_string : Cfg.t -> string

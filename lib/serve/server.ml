@@ -68,8 +68,10 @@ let stats t =
     st_window = Metrics.Window.snapshot Metrics.window;
   }
 
-(* Every scheduler outcome is a structured reply; a crashed job is
-   confined to its own Compile_failed answer. *)
+(* Every scheduler outcome is a structured reply.  The worker classifies
+   every pipeline failure itself, so a crash is a raise it does not
+   classify (the chaos poison), confined to its own Compile_failed
+   answer. *)
 let output_of_outcome : Protocol.output Scheduler.outcome -> Protocol.output =
   function
   | Scheduler.Done o -> o
@@ -208,9 +210,12 @@ let start ?workers ?queue_depth ?default_deadline_s ?store_capacity
      if Sys.file_exists socket then Unix.unlink socket;
      Unix.bind listen_fd (Unix.ADDR_UNIX socket);
      Unix.listen listen_fd 64
-   with e ->
+   with e -> (
      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     raise e);
+     (* name the socket: bind reports no path of its own *)
+     match e with
+     | Unix.Unix_error (err, fn, "") -> raise (Unix.Unix_error (err, fn, socket))
+     | e -> raise e));
   let t =
     {
       socket_path = socket;

@@ -39,7 +39,8 @@ val start :
 
     [slo_p99_s] / [slo_error_rate] arm the scheduler's SLO sentinel
     (see {!Scheduler.slo}); [trace_ring] resizes the bounded ring of
-    finished request traces (default 64). *)
+    finished request traces (default 64).
+    @raise Unix.Unix_error naming [socket] when it cannot be bound. *)
 
 val stats : t -> Protocol.stats_payload
 

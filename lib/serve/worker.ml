@@ -77,7 +77,10 @@ let policy_of_name = function
 (* The exact report the CLI has always printed, rendered to a string.
    Line for line the format strings match the historical [Fmt.pr] calls;
    none contains a break hint, so rendering through a buffer formatter
-   cannot re-flow them and the bytes are identical. *)
+   cannot re-flow them and the bytes are identical.  A failure is
+   classified by [Pipeline.failure_of_exn], the one classifier every
+   door shares; only a watchdog expiry escapes, so that the scheduler
+   answers a job past its deadline as timed out. *)
 let compile_report ?cache ~ordering ~config ~backend ~verify w =
   try
     let baseline = Pipeline.baseline ?cache ~backend ~cycles:true w in
@@ -125,13 +128,8 @@ let compile_report ?cache ~ordering ~config ~backend ~verify w =
     Format.pp_print_flush fmt ();
     Ok (c, Buffer.contents buf))
   with
-  | Pipeline.Verify_failed { vf_workload; vf_ordering; vf_failure } ->
-    Error
-      (Fmt.str "%s/%s: phase verification failed: %a" vf_workload
-         (Chf.Phases.name vf_ordering) Trips_verify.Diff_check.pp_failure
-         vf_failure)
-  | Pipeline.Miscompiled d ->
-    Error (Fmt.str "miscompiled: %a" Pipeline.pp_divergence d)
+  | Trips_obs.Watchdog.Timed_out _ as e -> raise e
+  | e -> Error (Pipeline.failure_of_exn ~workload:w ~ordering:(Some ordering) e)
 
 (* ---- the worker --------------------------------------------------------- *)
 
@@ -180,7 +178,12 @@ let poison ~seed cfg =
 let bad_request msg = Error (Protocol.Bad_request msg)
 
 (* Rendered outputs are cached under (content digest, kind, config).
-   Chaos-poisoned requests bypass the store entirely: they raise. *)
+   [compute] answers the text and the failures it lists.  A report or
+   table renders the cells an expired request deadline stopped as
+   failures, so one watchdog poll after [compute], on the job's domain,
+   ends such a job timed out instead.  Only a render that lists no
+   failure is stored.  Chaos-poisoned requests bypass the store
+   entirely: they raise. *)
 let with_output_cache t ~src ~kind ~config compute =
   let key = { Store.src; stage = "output." ^ kind; config } in
   match Store.find t.outputs key with
@@ -195,10 +198,11 @@ let with_output_cache t ~src ~kind ~config compute =
     Ok text
   | None -> (
     match compute () with
-    | Ok text ->
-      Store.add t.outputs key text;
+    | Ok (text, failures) ->
+      Trips_obs.Watchdog.check ();
+      if failures = [] then Store.add t.outputs key text;
       Ok text
-    | Error _ as e -> e)
+    | Error e -> Error e)
 
 let compile t (s : Protocol.compile_spec) : Protocol.output =
   match
@@ -212,7 +216,8 @@ let compile t (s : Protocol.compile_spec) : Protocol.output =
     let compiled () =
       compile_report ~cache:t.cache ~ordering ~config
         ~backend:s.Protocol.cs_backend ~verify:s.Protocol.cs_verify w
-      |> Result.map_error (fun m -> Protocol.Compile_failed m)
+      |> Result.map_error (fun f ->
+             Protocol.Compile_failed (Fmt.str "%a" Pipeline.pp_failure f))
     in
     match s.Protocol.cs_chaos_seed with
     | Some seed -> (
@@ -226,7 +231,8 @@ let compile t (s : Protocol.compile_spec) : Protocol.output =
           s.Protocol.cs_policy s.Protocol.cs_backend s.Protocol.cs_verify
       in
       with_output_cache t ~src:(Stage.content_key w) ~kind:"compile"
-        ~config:config_key (fun () -> Result.map snd (compiled ())))
+        ~config:config_key (fun () ->
+          Result.map (fun (_, text) -> (text, [])) (compiled ())))
 
 (* one digest covering the whole workload selection, in order *)
 let selection_key ws =
@@ -247,7 +253,9 @@ let report t (s : Protocol.report_spec) : Protocol.output =
     with_output_cache t ~src:(selection_key workloads) ~kind:"report"
       ~config:config_key (fun () ->
         let o = Reporter.run ~config ~cache:t.cache ~jobs:1 ~ordering ~workloads () in
-        Ok (Trace.span "render" (fun () -> Fmt.str "%a" Reporter.render o)))
+        Ok
+          ( Trace.span "render" (fun () -> Fmt.str "%a" Reporter.render o),
+            o.Reporter.failures ))
 
 let sweep_cell t (s : Protocol.sweep_spec) : Protocol.output =
   match
@@ -260,7 +268,7 @@ let sweep_cell t (s : Protocol.sweep_spec) : Protocol.output =
   | Ok (e, ws) ->
     with_output_cache t ~src:(selection_key ws) ~kind:"sweep"
       ~config:s.Protocol.ss_table (fun () ->
-        Ok (fst (e.Experiment.render ~cache:t.cache ~jobs:1 ws)))
+        Ok (e.Experiment.render ~cache:t.cache ~jobs:1 ws))
 
 (* One arm per job constructor: [output request] admits exactly these
    three, so a new one fails to compile here. *)

@@ -41,14 +41,15 @@ val compile_report :
   backend:bool ->
   verify:bool ->
   Workload.t ->
-  (Pipeline.compiled * string, string) result
+  (Pipeline.compiled * string, Pipeline.failure) result
 (** Compile a workload and render the [chfc compile] report text
     (workload/ordering/merges/static/back end/functional/cycles/
     mispredictions/verified lines, one per line, exactly as the CLI
     prints them).  The basic-block baseline comes from
     {!Pipeline.baseline}, so with a [cache] a second ordering or policy
-    of the same source reuses it.  [Error msg] carries the rendered
-    verification or miscompilation failure. *)
+    of the same source reuses it.  [Error] is {!Pipeline.failure_of_exn}
+    of any exception but {!Trips_obs.Watchdog.Timed_out}, which is
+    re-raised for the scheduler. *)
 
 (** {1 The worker} *)
 
@@ -65,7 +66,9 @@ val output_store : t -> string Trips_store.Store.t
 val run : t -> Protocol.output Protocol.request -> Protocol.output
 (** Answer one job: a [Compile], [Report] or [Sweep_cell] request — the
     requests whose reply is an {!Protocol.output}.  Bad names and
-    pipeline failures are structured {!Protocol.served_error}s; a
-    chaos-poisoned compile ([cs_chaos_seed]) raises after fault injection
-    — deliberately, to exercise the scheduler's per-job crash isolation
-    end to end. *)
+    failed compiles (the {!Pipeline.pp_failure} line) are structured
+    {!Protocol.served_error}s; a render listing failed cells is answered
+    but not stored; an expired request deadline raises
+    {!Trips_obs.Watchdog.Timed_out}; a chaos-poisoned compile
+    ([cs_chaos_seed]) raises after fault injection — deliberately, to
+    exercise the scheduler's per-job crash isolation end to end. *)

@@ -21,5 +21,6 @@ let () =
       Test_provenance.suite;
       Test_fuzz.suite;
       Test_serve.suite;
+      Test_cli.suite;
       Test_integration.suite;
     ]

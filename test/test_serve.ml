@@ -516,7 +516,9 @@ let test_served_byte_identity () =
           ~config:Chf.Policy.edge_default ~backend:true ~verify:false w
       with
       | Ok (_, text) -> text
-      | Error m -> Alcotest.fail ("one-shot compile failed: " ^ m))
+      | Error f ->
+        Alcotest.failf "one-shot compile failed: %a"
+          Trips_harness.Pipeline.pp_failure f)
   in
   (match served with
   | Ok text ->
@@ -567,7 +569,9 @@ let test_hangup_before_reply () =
               ~config:Chf.Policy.edge_default ~backend:true ~verify:false w
           with
           | Ok (_, text) -> text
-          | Error m -> Alcotest.fail ("one-shot compile failed: " ^ m))
+          | Error f ->
+            Alcotest.failf "one-shot compile failed: %a"
+              Trips_harness.Pipeline.pp_failure f)
       in
       (match served with
       | Ok text ->
@@ -616,7 +620,9 @@ let test_baseline_once_per_source () =
             sieve
         with
         | Ok (_, text) -> text
-        | Error m -> Alcotest.fail ("one-shot compile failed: " ^ m))
+        | Error f ->
+          Alcotest.failf "one-shot compile failed: %a"
+            Trips_harness.Pipeline.pp_failure f)
   in
   let merged, merged_runs = oneshot Chf.Phases.Iupo_merged "bf" in
   let upio, upio_runs = oneshot Chf.Phases.Upio "df" in
@@ -692,6 +698,95 @@ let test_unknown_workload_bad_request () =
     (List.map
        (fun e -> e.Trips_harness.Experiment.name)
        Trips_harness.Experiment.all)
+
+(* ---- served tables and reports end like a compile ---------------------- *)
+
+let sieve_sweep deadline =
+  P.Sweep_cell
+    { P.ss_table = "table1"; ss_workloads = [ "sieve" ]; ss_deadline_s = deadline }
+
+let sieve_report deadline =
+  P.Report
+    {
+      P.rs_workloads = [ "sieve" ];
+      rs_ordering = "iupo-merged";
+      rs_policy = "bf";
+      rs_deadline_s = deadline;
+    }
+
+(* A table or report whose request deadline expires answers Timed_out
+   and is counted as timed out, like a compile; the next request, with
+   no deadline, is the one-shot render byte for byte (the expired render
+   was not stored). *)
+let test_served_render_deadline () =
+  let module Worker = Trips_serve.Worker in
+  let module H = Trips_harness in
+  let sieve = Option.get (Trips_workloads.Micro.by_name "sieve") in
+  let table1 = Result.get_ok (H.Experiment.find "table1") in
+  let oneshot_table =
+    fst (table1.H.Experiment.render ~cache:(H.Stage.create ()) ~jobs:1 [ sieve ])
+  in
+  let oneshot_report =
+    Fmt.str "%a" H.Reporter.render
+      (H.Reporter.run ~cache:(H.Stage.create ()) ~jobs:1 ~workloads:[ sieve ] ())
+  in
+  let worker = Worker.create () in
+  let sched =
+    Scheduler.create ~workers:1 ~deadline_of:P.job_deadline
+      ~run:(Worker.run worker) ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Scheduler.drain sched)
+    (fun () ->
+      List.iter
+        (fun (what, request, oneshot) ->
+          (match Scheduler.run_sync sched (request (Some 1e-6)) with
+          | Scheduler.Timed_out _ -> ()
+          | Scheduler.Done (Ok _) ->
+            Alcotest.failf "%s past its deadline was answered" what
+          | Scheduler.Done (Error e) -> Alcotest.failf "%s: %a" what P.pp_served_error e
+          | _ -> Alcotest.failf "%s past its deadline: not Timed_out" what);
+          match Scheduler.run_sync sched (request None) with
+          | Scheduler.Done (Ok text) ->
+            Alcotest.(check string) (what ^ " = one-shot render") oneshot text
+          | Scheduler.Done (Error e) -> Alcotest.failf "%s: %a" what P.pp_served_error e
+          | _ -> Alcotest.failf "%s without a deadline did not complete" what)
+        [ ("table1", sieve_sweep, oneshot_table); ("report", sieve_report, oneshot_report) ];
+      let c = Scheduler.counters sched in
+      Alcotest.(check int) "timed out" 2 c.Scheduler.k_timed_out;
+      Alcotest.(check int) "completed" 2 c.Scheduler.k_completed)
+
+(* A render that lists a failure is answered, footer included, and leaves
+   the output store as it was; the same render complete is stored. *)
+let test_failed_render_not_stored () =
+  let module Worker = Trips_serve.Worker in
+  let worker = Worker.create () in
+  let entries () = (Store.counters (Worker.output_store worker)).Store.entries in
+  List.iter
+    (fun (what, request) ->
+      let before = entries () in
+      (* one unit of formation fuel: every formed cell fails, by count *)
+      Watchdog.set_stage_policy ~fuel:1 ~stages:[ "formation" ] ();
+      let failed =
+        Fun.protect
+          ~finally:(fun () -> Watchdog.set_stage_policy ())
+          (fun () -> Worker.run worker (request None))
+      in
+      (match failed with
+      | Ok text ->
+        let footer = "failure(s):" in
+        let n = String.length footer in
+        let rec lists i =
+          i + n <= String.length text && (String.sub text i n = footer || lists (i + 1))
+        in
+        Alcotest.(check bool) (what ^ " lists its failures") true (lists 0)
+      | Error e -> Alcotest.failf "%s: %a" what P.pp_served_error e);
+      Alcotest.(check int) (what ^ ": failed render not stored") before (entries ());
+      (match Worker.run worker (request None) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %a" what P.pp_served_error e);
+      Alcotest.(check int) (what ^ ": complete render stored") (before + 1) (entries ()))
+    [ ("table1", sieve_sweep); ("report", sieve_report) ]
 
 (* ---- client descriptor hygiene ------------------------------------------ *)
 
@@ -817,6 +912,10 @@ let suite =
         test_baseline_once_per_source;
       Alcotest.test_case "worker: unknown workload names are Bad_request"
         `Quick test_unknown_workload_bad_request;
+      Alcotest.test_case "worker: a table or report past its deadline times out"
+        `Quick test_served_render_deadline;
+      Alcotest.test_case "worker: a render listing a failure is not stored"
+        `Quick test_failed_render_not_stored;
       Alcotest.test_case "client: close closes its descriptor once" `Quick
         test_client_close_once;
       pool_equivalence_prop;

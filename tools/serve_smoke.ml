@@ -18,8 +18,11 @@
      source's baseline is computed once, not once per request;
    - a past-deadline request on a source the stores have not seen
      answers timed-out without wedging the pool;
+   - a past-deadline table request answers timed-out too, not a table of
+     timed-out cells, and the same table with no deadline then equals
+     the one-shot render (the expired one was not stored);
    - the stats reply accounts for all of the above (completions, one
-     crash, one timeout, output-store hits);
+     crash, two timeouts, output-store hits);
    - shutdown acks, drains, removes the socket, and refuses new
      connections.
 
@@ -63,8 +66,19 @@ let oneshot ?(ordering = Chf.Phases.Iupo_merged) name =
       Trips_serve.Worker.compile_report ~ordering
         ~config:Chf.Policy.edge_default ~backend:true ~verify:false w
     with
-    | Error m -> fail "one-shot compile of %s failed: %s" name m
+    | Error f ->
+      fail "one-shot compile of %s failed: %a" name
+        Trips_harness.Pipeline.pp_failure f
     | Ok (_, text) -> text)
+
+(* The one-shot render of Table 1 over [names], the bytes a served sweep
+   cell must reproduce. *)
+let oneshot_table names =
+  let ws = List.filter_map Trips_workloads.Micro.by_name names in
+  match Trips_harness.Experiment.find "table1" with
+  | Error (`Msg m) -> fail "%s" m
+  | Ok e ->
+    fst (e.Trips_harness.Experiment.render ~cache:(Trips_harness.Stage.create ()) ~jobs:1 ws)
 
 (* Overload and the SLO sentinel.  One worker and a depth bound of one
    admit a single job at a time.  Every burst connection is open before
@@ -201,11 +215,27 @@ let () =
   (match C.with_conn ~socket (fun c -> C.rpc c (compile "gzip_1")) with
   | Ok _ -> ()
   | Error e -> fail "compile after a timeout: %a" P.pp_served_error e);
+  (* a past-deadline table: timed out as a whole, and not stored *)
+  let table deadline =
+    P.Sweep_cell
+      { P.ss_table = "table1"; ss_workloads = [ "sieve"; "vadd" ]; ss_deadline_s = deadline }
+  in
+  (match C.with_conn ~socket (fun c -> C.rpc c (table (Some 1e-6))) with
+  | Error (P.Timed_out _) -> ()
+  | Ok _ -> fail "past-deadline table request succeeded"
+  | Error e -> fail "past-deadline table request: %a" P.pp_served_error e);
+  (match C.with_conn ~socket (fun c -> C.rpc c (table None)) with
+  | Ok text ->
+    if text <> oneshot_table [ "sieve"; "vadd" ] then
+      fail "served table1 after a timed-out one differs from the one-shot render"
+  | Error e -> fail "table after a timeout: %a" P.pp_served_error e);
   (* the stats reply accounts for the above *)
   let st = C.with_conn ~socket (fun c -> C.rpc c P.Stats) in
   if st.P.st_version <> P.version then fail "stats version mismatch";
   if st.P.st_crashed < 1 then fail "stats: no crash recorded";
-  if st.P.st_timed_out < 1 then fail "stats: no timeout recorded";
+  if st.P.st_timed_out <> 2 then
+    fail "stats: %d timeouts, expected 2 (a compile and a table)"
+      st.P.st_timed_out;
   if st.P.st_pending <> 0 then fail "stats: %d jobs still pending" st.P.st_pending;
   let output =
     List.find (fun s -> s.P.sc_name = "serve.output") st.P.st_stores
@@ -225,9 +255,9 @@ let () =
   and crashed = W.counter_value w "serve.req.crashed"
   and timed_out = W.counter_value w "serve.req.timed_out" in
   (* 6 listed + 1 after-junk + 1 after-crash + 1 second-ordering + 1
-     after-timeout compiles succeeded *)
-  if ok <> List.length names + 4 then
-    fail "window: %d ok requests, expected %d" ok (List.length names + 4);
+     after-timeout compiles and 1 table succeeded *)
+  if ok <> List.length names + 5 then
+    fail "window: %d ok requests, expected %d" ok (List.length names + 5);
   if crashed <> st.P.st_crashed then
     fail "window: %d crashed vs %d lifetime" crashed st.P.st_crashed;
   if timed_out <> st.P.st_timed_out then
@@ -268,7 +298,7 @@ let () =
   | exception Unix.Unix_error _ -> ());
   let shed = overload_and_slo () in
   Fmt.pr
-    "serve-smoke: %d requests, junk frame, crash isolation, deadline, stats, \
+    "serve-smoke: %d requests, junk frame, crash isolation, deadlines, stats, \
      window accounting, trace reconstruction, byte identity, clean shutdown, \
      overload (%d shed) and SLO sentinel: OK@."
     (List.length names) shed

@@ -54,7 +54,8 @@ let oneshot name =
       Trips_serve.Worker.compile_report ~ordering:Chf.Phases.Iupo_merged
         ~config:Chf.Policy.edge_default ~backend:true ~verify:false w
     with
-    | Error m -> fail "one-shot %s failed: %s" name m
+    | Error f ->
+      fail "one-shot %s failed: %a" name Trips_harness.Pipeline.pp_failure f
     | Ok (_, text) -> text)
 
 (* Floats are wall-clock, integers are structural: mask exactly the

@@ -115,7 +115,11 @@ report-check: build
 # drain-and-unlink shutdown.  A second daemon with the SLO sentinel armed
 # and one admission slot takes a simultaneous burst: it must shed with
 # Overloaded (stats agreeing), flip to degraded with exactly one breach,
-# and still serve one-shot bytes afterwards.
+# and still serve one-shot bytes afterwards.  A third daemon soaks:
+# 1000 requests that all miss its output store (capacity one, two
+# alternating sources) must leave every lifetime-registry histogram's
+# retained sample count flat after warm-up and the trace ring within its
+# capacity (about 20 s).
 serve-smoke: build
 	dune exec tools/serve_smoke.exe
 

@@ -98,13 +98,13 @@ let write_text_file path content =
 
 (* Wrap a command body in trace/metrics capture.  Tracing is off unless
    [--trace] or [--chrome-trace] was given, so untraced runs pay one
-   atomic load per would-be event.  Spans (wall-clock stage timings) are
-   collected only for [--chrome-trace]: mixing them into the [--trace]
-   JSONL stream would break its cross-run determinism. *)
+   domain-local read per would-be event; a traced run records the span
+   trees and writes their event stream, their Chrome rendering or both.
+   Histogram samples live in the command's scope. *)
 let with_obs trace chrome metrics metrics_json f =
   Trips_obs.Metrics.reset ();
   let tracing = trace <> None || chrome <> None in
-  if tracing then Trips_obs.Trace.start ~spans:(chrome <> None) ();
+  if tracing then Trips_obs.Trace.start ();
   let finish_trace () =
     if tracing then begin
       let evs = Trips_obs.Trace.stop () in
@@ -122,15 +122,19 @@ let with_obs trace chrome metrics metrics_json f =
       match chrome with
       | None -> ()
       | Some path ->
-        write_text_file path (Trips_obs.Trace.to_chrome_json evs ^ "\n");
-        Fmt.pr "chrome trace: %d event(s) written to %s@." (List.length evs)
-          path
+        let cells = Trips_obs.Trace.span_trees () in
+        write_text_file path (Trips_obs.Trace.to_chrome_json cells);
+        Fmt.pr "chrome trace: %d span tree(s) written to %s@."
+          (List.length cells) path
     end
   in
-  match f () with
-  | v ->
+  match
+    Trips_obs.Metrics.with_samples (fun () ->
+        let v = f () in
+        (v, Trips_obs.Metrics.snapshot ()))
+  with
+  | v, snap ->
     finish_trace ();
-    let snap = Trips_obs.Metrics.snapshot () in
     if metrics then Fmt.pr "%a@." Trips_obs.Metrics.render snap;
     (match metrics_json with
     | Some path -> write_text_file path (Trips_obs.Metrics.to_json snap ^ "\n")
@@ -869,7 +873,7 @@ let trace_cmd =
       match chrome with
       | None -> ()
       | Some file ->
-        write_text_file file (Trips_serve.Expo.trace_to_chrome tr);
+        write_text_file file (Trips_obs.Trace.to_chrome_json [ (-1, tr) ]);
         Fmt.epr "chfc: wrote %s@." file)
   in
   Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ socket_arg $ req_id $ chrome)

@@ -55,8 +55,8 @@ let repro_name ~index ~bucket (case : Gen.case) =
 
 let run ?(count = 200) ?time_budget_s ?(minimize = false) ?corpus_out
     ?(case_deadline_s = 10.0) ?(progress = fun _ -> ()) ~seed () =
-  let t0 = Unix.gettimeofday () in
-  let elapsed () = Unix.gettimeofday () -. t0 in
+  let t0 = Trips_obs.Clock.now () in
+  let elapsed () = Trips_obs.Clock.now () -. t0 in
   let over_budget () =
     match time_budget_s with Some b -> elapsed () > b | None -> false
   in
@@ -130,7 +130,7 @@ let run ?(count = 200) ?time_budget_s ?(minimize = false) ?corpus_out
   }
 
 let replay ~dir =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Trips_obs.Clock.now () in
   match Corpus.load_dir dir with
   | Error msg -> Error msg
   | Ok entries ->
@@ -163,7 +163,7 @@ let replay ~dir =
         r_executed = !executed;
         r_passed = !passed;
         r_findings = List.rev !findings;
-        r_elapsed_s = Unix.gettimeofday () -. t0;
+        r_elapsed_s = Trips_obs.Clock.now () -. t0;
         r_early_stop = false;
       }
 

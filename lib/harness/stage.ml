@@ -43,9 +43,10 @@ let stage_name = function
   | Backend -> "backend"
   | Sim -> "sim"
 
-(* [Trace.span] does the timing (and emits a span event in span mode);
-   the [on_close] callback feeds the per-call [stage.time.*] histogram —
-   durations come off the same clock, exceptions still account. *)
+(* [Trace.span] does the timing (and records the span when a recorder
+   is installed); the [on_close] callback feeds the per-call
+   [stage.time.*] histogram — durations come off the same clock,
+   exceptions still account. *)
 let time stage f =
   let name = stage_name stage in
   (* watchdog: when a global stage policy is installed ([chfc

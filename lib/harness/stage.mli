@@ -30,10 +30,10 @@ open Trips_workloads
 type stage = Lower | Profile | Formation | Backend | Sim
 
 val time : stage -> (unit -> 'a) -> 'a
-(** Run a thunk as one [stage.<name>] span, observing its wall-clock in
+(** Run a thunk as one [stage.<name>] span, observing its duration in
     the [stage.time.<name>] histogram (one sample per call, exceptions
-    included), under the global watchdog stage policy if one is
-    installed. *)
+    included, kept inside {!Trips_obs.Metrics.with_samples}), under the
+    global watchdog stage policy if one is installed. *)
 
 (** {1 Typed per-stage artifacts} *)
 

@@ -7,7 +7,9 @@
 
    Histograms keep their full sample multiset (per-run aggregates and
    per-request latencies: dozens to thousands of samples, not
-   millions).  [summarize] sorts them and reads exact nearest-rank
+   millions), and only while something reads them: a window's bucket
+   expires, and the registry keeps none outside [with_samples].
+   [summarize] sorts them and reads exact nearest-rank
    quantiles and the sum off the sorted array, so every field is a
    property of the multiset, independent of how the observing domains
    interleaved.
@@ -106,7 +108,20 @@ let incr ?(by = 1) name =
 let set_gauge name v =
   Mutex.protect mutex (fun () -> Hashtbl.replace gauge_tbl name v)
 
-let observe name x = Mutex.protect mutex (fun () -> add_sample registry name x)
+(* a one-shot command opens the scope; a daemon never does *)
+let sampling = Atomic.make false
+
+let observe name x =
+  if Atomic.get sampling then
+    Mutex.protect mutex (fun () -> add_sample registry name x)
+
+let with_samples f =
+  Atomic.set sampling true;
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set sampling false;
+      Mutex.protect mutex (fun () -> Hashtbl.reset registry.samples))
+    f
 
 let reset () =
   Mutex.protect mutex (fun () ->
@@ -154,7 +169,7 @@ module Window = struct
 
   let span_s t = float_of_int (Array.length t.w_buckets) *. t.w_bucket_s
   let epoch_of t now = int_of_float (now /. t.w_bucket_s)
-  let now_or = function Some n -> n | None -> Unix.gettimeofday ()
+  let now_or = function Some n -> n | None -> Clock.now ()
 
   let live t ~epoch_now e =
     e >= 0 && e > epoch_now - Array.length t.w_buckets && e <= epoch_now

@@ -5,7 +5,8 @@
 
     - the {e lifetime registry} ({!incr}, {!observe}, {!snapshot}),
       reset per command — what [--metrics], [chfc report] and the
-      benchmark read;
+      benchmark read.  It keeps histogram samples only inside a
+      command's {!with_samples} scope, so a daemon keeps none;
     - {e rolling windows} ({!Window}) of fixed-width time buckets — the
       daemon's "what is p99 latency right now" ({!window}, carried in
       its [Stats] reply).
@@ -52,7 +53,12 @@ val set_gauge : string -> float -> unit
     be meaningless). *)
 
 val observe : string -> float -> unit
-(** Record one sample into the named histogram. *)
+(** Record one sample into the named histogram, inside {!with_samples};
+    dropped outside it. *)
+
+val with_samples : (unit -> 'a) -> 'a
+(** Run a thunk with {!observe} keeping its samples; drop them all on
+    exit, even on exception (so {!snapshot} them inside). *)
 
 val reset : unit -> unit
 (** Drop every counter, gauge and histogram of the registry. *)
@@ -80,7 +86,7 @@ module Window : sig
   type t
   (** A mutex-guarded ring of fixed-width time buckets holding counters
       and raw histogram samples.  Ops take an optional [?now] (seconds,
-      as from [Unix.gettimeofday]) so tests can drive the clock
+      as from {!Clock.now}) so tests can drive the clock
       deterministically. *)
 
   type snapshot = {

@@ -1,21 +1,22 @@
-(* Request-scoped telemetry: trace contexts, per-request span trees and
-   the ring of finished ones.
+(* Span trees: trace contexts, the one span recorder, and the ring of
+   finished requests.
 
-   Metrics sits below this module and Trace above it: Trace.span /
-   Trace.record notify the collector installed on the calling domain,
-   Metrics.incr counts into the collector's counter table (installed
-   through Metrics.with_request_counters by [run]), and the serve
-   scheduler owns the collector's lifecycle (start at dequeue, finish at
-   completion).
+   Metrics sits below this module and Trace above it.  A recorder holds
+   one span tree and its notes; Trace.span / Trace.record feed the
+   recorder installed on the calling domain.  The serve scheduler opens
+   one per request (start at dequeue, finish at completion, with the
+   request's counter table installed through
+   Metrics.with_request_counters by [run]); a traced CLI run opens one
+   per engine cell through Trace.  Both produce the same [trace].
 
    Determinism contract: nothing in this module touches the Trace event
-   stream or the Metrics registry — it writes only the daemon's rolling
-   window, Metrics.window — so with no collector installed (the one-shot
-   CLI and tests) every existing output is byte-identical, and a served
-   request's outputs match the one-shot pipeline's.  Within one request
-   the collector is purely domain-local (a request executes
-   start-to-finish on one worker domain), so the per-request event order
-   is the sequential order regardless of [--jobs]. *)
+   stream or the Metrics registry.  A request's recorder writes only the
+   daemon's rolling window, Metrics.window, so every one-shot output is
+   byte-identical whether or not a recorder is installed, and a served
+   request's outputs match the one-shot pipeline's.  A recorder is
+   purely domain-local (a request, like an engine cell, executes
+   start-to-finish on one domain), so its event order is the sequential
+   order regardless of [--jobs]. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 
@@ -41,14 +42,14 @@ let mint ?deadline_s ?chaos_seed () =
   Some
     { tc_id = id; tc_parent = 0; tc_deadline_s = deadline_s; tc_chaos_seed = chaos_seed }
 
-(* ---- per-request span-tree collector ----------------------------------- *)
+(* ---- the span recorder ------------------------------------------------ *)
 
 type span = {
   sp_id : int;
-  sp_parent : int;  (* -1 for the root "request" span *)
+  sp_parent : int;  (* -1 for the root span *)
   sp_name : string;
   sp_fields : (string * value) list;
-  sp_start_us : float;  (* relative to request admission *)
+  sp_start_us : float;  (* on the recorder's timeline *)
   mutable sp_dur_us : float;  (* negative while open *)
 }
 
@@ -70,10 +71,15 @@ type trace = {
   mutable tr_counters : (string * int) list;  (* sorted by name *)
 }
 
+(* A timeline position is [a_base_us] plus the µs elapsed on Clock.now
+   since [a_t0]: a request's timeline starts at its admission, with
+   execution beginning after the queue wait; a CLI cell's starts when
+   the trace did, so every cell of a run shares one timeline. *)
 type active = {
   a_tr : trace;
-  a_t0 : float;  (* wall clock at execute start *)
-  a_base_us : float;  (* queue wait, in µs: offset of execute on the timeline *)
+  a_t0 : float;
+  a_base_us : float;
+  a_frame : int;  (* spans below this id are synthesized, closed at the end *)
   mutable a_next_id : int;
   mutable a_stack : span list;  (* open spans, innermost first *)
   mutable a_spans_rev : span list;
@@ -84,27 +90,48 @@ type active = {
 let slot_key : active option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let active () = Option.is_some !(Domain.DLS.get slot_key)
+let current () = !(Domain.DLS.get slot_key)
 
-let now_us a = ((Unix.gettimeofday () -. a.a_t0) *. 1e6) +. a.a_base_us
+let swap act =
+  let slot = Domain.DLS.get slot_key in
+  let saved = !slot in
+  slot := act;
+  saved
+
+let install a f =
+  let saved = swap (Some a) in
+  Fun.protect ~finally:(fun () -> ignore (swap saved)) f
+
+let at_us a t = ((t -. a.a_t0) *. 1e6) +. a.a_base_us
+
+(* A recorder whose [frame] spans (root first, then its open children,
+   innermost last) are already laid out. *)
+let recorder ~id ~kind ~queue_wait_s ~t0 ~base_us frame =
+  let open_ = List.filter (fun sp -> sp.sp_dur_us < 0.0) frame in
+  {
+    a_tr =
+      { tr_id = id; tr_kind = kind; tr_queue_wait_s = queue_wait_s;
+        tr_outcome = ""; tr_total_s = 0.0; tr_spans = []; tr_notes = [];
+        tr_counters = [] };
+    a_t0 = t0;
+    a_base_us = base_us;
+    a_frame = List.length frame;
+    a_next_id = List.length frame;
+    a_stack = List.rev open_;
+    a_spans_rev = List.rev frame;
+    a_notes_rev = [];
+    a_counts = Hashtbl.create 16;
+  }
+
+let frame_span id parent name fields start dur =
+  { sp_id = id; sp_parent = parent; sp_name = name; sp_fields = fields;
+    sp_start_us = start; sp_dur_us = dur }
 
 let start ctx ~kind ~queue_wait_s =
   match ctx with
   | None -> None
   | Some c ->
     let qus = queue_wait_s *. 1e6 in
-    let tr =
-      {
-        tr_id = c.tc_id;
-        tr_kind = kind;
-        tr_queue_wait_s = queue_wait_s;
-        tr_outcome = "";
-        tr_total_s = 0.0;
-        tr_spans = [];
-        tr_notes = [];
-        tr_counters = [];
-      }
-    in
     (* Three synthesized spans frame the request's timeline: the root
        covers admission to completion, queue-wait the time spent queued
        (already over, so closed immediately), execute everything the
@@ -118,75 +145,67 @@ let start ctx ~kind ~queue_wait_s =
       | Some s -> [ ("chaos_seed", Int s) ]
       | None -> []
     in
-    let root =
-      { sp_id = 0; sp_parent = -1; sp_name = "request"; sp_fields = root_fields;
-        sp_start_us = 0.0; sp_dur_us = -1.0 }
-    in
-    let qw =
-      { sp_id = 1; sp_parent = 0; sp_name = "queue-wait"; sp_fields = [];
-        sp_start_us = 0.0; sp_dur_us = qus }
-    in
-    let ex =
-      { sp_id = 2; sp_parent = 0; sp_name = "execute"; sp_fields = [];
-        sp_start_us = qus; sp_dur_us = -1.0 }
-    in
     Some
-      {
-        a_tr = tr;
-        a_t0 = Unix.gettimeofday ();
-        a_base_us = qus;
-        a_next_id = 3;
-        a_stack = [ ex; root ];
-        a_spans_rev = [ ex; qw; root ];
-        a_notes_rev = [];
-        a_counts = Hashtbl.create 16;
-      }
+      (recorder ~id:c.tc_id ~kind ~queue_wait_s ~t0:(Clock.now ()) ~base_us:qus
+         [
+           frame_span 0 (-1) "request" root_fields 0.0 (-1.0);
+           frame_span 1 0 "queue-wait" [] 0.0 qus;
+           frame_span 2 0 "execute" [] qus (-1.0);
+         ])
+
+let open_cell cell ~t0 =
+  let start = (Clock.now () -. t0) *. 1e6 in
+  recorder ~id:(Printf.sprintf "cell %d" cell) ~kind:"cell" ~queue_wait_s:0.0
+    ~t0 ~base_us:0.0 [ frame_span 0 (-1) "cell" [] start (-1.0) ]
 
 let run act f =
   match act with
   | None -> f ()
-  | Some a ->
-    let slot = Domain.DLS.get slot_key in
-    let saved = !slot in
-    slot := act;
-    Fun.protect
-      ~finally:(fun () -> slot := saved)
-      (fun () -> Metrics.with_request_counters a.a_counts f)
+  | Some a -> install a (fun () -> Metrics.with_request_counters a.a_counts f)
 
-let span_enter name fields =
-  match !(Domain.DLS.get slot_key) with
-  | None -> ()
-  | Some a ->
-    let parent = match a.a_stack with sp :: _ -> sp.sp_id | [] -> 0 in
-    let sp =
-      { sp_id = a.a_next_id; sp_parent = parent; sp_name = name;
-        sp_fields = fields; sp_start_us = now_us a; sp_dur_us = -1.0 }
-    in
-    a.a_next_id <- a.a_next_id + 1;
-    a.a_stack <- sp :: a.a_stack;
-    a.a_spans_rev <- sp :: a.a_spans_rev
+let span_enter a name fields ~t0 =
+  let parent = match a.a_stack with sp :: _ -> sp.sp_id | [] -> 0 in
+  let sp =
+    { sp_id = a.a_next_id; sp_parent = parent; sp_name = name;
+      sp_fields = fields; sp_start_us = at_us a t0; sp_dur_us = -1.0 }
+  in
+  a.a_next_id <- a.a_next_id + 1;
+  a.a_stack <- sp :: a.a_stack;
+  a.a_spans_rev <- sp :: a.a_spans_rev
 
-let span_exit ~dur_s =
-  match !(Domain.DLS.get slot_key) with
-  | None -> ()
-  | Some a -> (
-    match a.a_stack with
-    | sp :: rest when sp.sp_id > 2 ->
-      (* the synthesized frame spans (ids 0–2) are closed by [finish],
-         never by an instrumentation exit *)
-      sp.sp_dur_us <- dur_s *. 1e6;
-      a.a_stack <- rest;
-      Metrics.Window.observe Metrics.window ("span." ^ sp.sp_name ^ "_s") dur_s
-    | _ -> ())
+let span_exit a ~dur_s =
+  match a.a_stack with
+  | sp :: rest when sp.sp_id >= a.a_frame ->
+    (* the synthesized frame spans are closed by [close], never by an
+       instrumentation exit *)
+    sp.sp_dur_us <- dur_s *. 1e6;
+    a.a_stack <- rest
+  | _ -> ()
 
-let note kind fields =
-  match !(Domain.DLS.get slot_key) with
-  | None -> ()
-  | Some a ->
-    let parent = match a.a_stack with sp :: _ -> sp.sp_id | [] -> 0 in
-    a.a_notes_rev <-
-      { nt_span = parent; nt_ts_us = now_us a; nt_kind = kind; nt_fields = fields }
-      :: a.a_notes_rev
+let note a kind fields =
+  let parent = match a.a_stack with sp :: _ -> sp.sp_id | [] -> 0 in
+  a.a_notes_rev <-
+    { nt_span = parent; nt_ts_us = at_us a (Clock.now ()); nt_kind = kind;
+      nt_fields = fields }
+    :: a.a_notes_rev
+
+let close a ~outcome =
+  let end_us = at_us a (Clock.now ()) in
+  (* a non-local exit (watchdog timeout, crash) unwinds through
+     Trace.span's finishers, so instrumentation spans are already
+     closed; anything still open here is a frame span (or a bug in an
+     instrumentation site), which we close at the recording's end *)
+  List.iter
+    (fun sp -> if sp.sp_dur_us < 0.0 then sp.sp_dur_us <- end_us -. sp.sp_start_us)
+    a.a_stack;
+  a.a_stack <- [];
+  let tr = a.a_tr in
+  tr.tr_outcome <- outcome;
+  tr.tr_total_s <- end_us /. 1e6;
+  tr.tr_spans <- List.rev a.a_spans_rev;
+  tr.tr_notes <- List.rev a.a_notes_rev;
+  tr.tr_counters <- Metrics.sorted_bindings a.a_counts;
+  tr
 
 (* ---- finished-trace ring ----------------------------------------------- *)
 
@@ -199,23 +218,7 @@ let finish act ~outcome =
   match act with
   | None -> ()
   | Some a ->
-    let end_us = now_us a in
-    let exec_s = (end_us -. a.a_base_us) /. 1e6 in
-    (* a non-local exit (watchdog timeout, crash) unwinds through
-       Trace.span's finishers, so instrumentation spans are already
-       closed; anything still open here is a frame span (or a bug in an
-       instrumentation site), which we close at the request's end *)
-    List.iter
-      (fun sp ->
-        if sp.sp_dur_us < 0.0 then sp.sp_dur_us <- end_us -. sp.sp_start_us)
-      a.a_stack;
-    a.a_stack <- [];
-    let tr = a.a_tr in
-    tr.tr_outcome <- outcome;
-    tr.tr_total_s <- tr.tr_queue_wait_s +. exec_s;
-    tr.tr_spans <- List.rev a.a_spans_rev;
-    tr.tr_notes <- List.rev a.a_notes_rev;
-    tr.tr_counters <- Metrics.sorted_bindings a.a_counts;
+    let tr = close a ~outcome in
     Mutex.protect ring_m (fun () ->
         Queue.push tr ring;
         while Queue.length ring > !ring_cap do
@@ -225,16 +228,19 @@ let finish act ~outcome =
     Metrics.Window.incr w ("serve.req." ^ outcome);
     Metrics.Window.observe w "serve.latency_s" tr.tr_total_s;
     Metrics.Window.observe w "serve.queue_wait_s" tr.tr_queue_wait_s;
-    Metrics.Window.observe w "serve.execute_s" exec_s
+    Metrics.Window.observe w "serve.execute_s"
+      (tr.tr_total_s -. tr.tr_queue_wait_s);
+    List.iter
+      (fun sp ->
+        if sp.sp_id >= a.a_frame then
+          Metrics.Window.observe w ("span." ^ sp.sp_name ^ "_s") (sp.sp_dur_us /. 1e6))
+      tr.tr_spans
 
 let find id =
   Mutex.protect ring_m (fun () ->
       Queue.fold
         (fun acc tr -> if tr.tr_id = id then Some tr else acc)
         None ring)
-
-let recent () =
-  Mutex.protect ring_m (fun () -> List.rev (List.of_seq (Queue.to_seq ring)))
 
 let reset () =
   Mutex.protect ring_m (fun () -> Queue.clear ring);
@@ -309,8 +315,9 @@ exception Malformed of string
 
 let check tr =
   let fail fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt in
-  (* clock-jitter slack: spans time themselves with separate wall-clock
-     reads, so nested bounds can disagree by a few µs of rounding *)
+  (* clock-jitter slack: frame spans and their children time themselves
+     with separate clock reads, so nested bounds can disagree by a few µs
+     of rounding *)
   let eps = 50.0 in
   let total_us = tr.tr_total_s *. 1e6 in
   let by_id = Hashtbl.create 16 in

@@ -1,24 +1,24 @@
-(* Domain-safe structured event tracing.
+(* Domain-safe structured event tracing and the one span recorder.
 
    Design constraints, in order:
 
-   - recording must be deterministic across [--jobs] settings after
-     sorting, so events carry a (cell, seq) coordinate assigned on the
-     recording domain: the cell is the engine slot being executed (every
-     slot runs start-to-finish on one domain) and seq counts emissions
-     within that slot.  Sorting by (cell, seq) therefore reconstructs
-     exactly the stream a sequential run produces;
-   - recording must be cheap when off: one atomic load;
-   - recording must be safe from any domain: the shared buffer append is
-     the only cross-domain interaction and sits under a mutex.
+   - recording must be deterministic across [--jobs] settings, so every
+     point event belongs to the engine slot ("cell") it was recorded
+     under: each cell runs start-to-finish on one domain, into a span
+     recorder of its own (Telemetry's, the record a served request
+     keeps), so its notes are in the sequential order.  [stop] numbers
+     them within their cell (seq) and sorts by (cell, seq), which
+     reconstructs exactly the stream a sequential run produces;
+   - recording must be cheap when off: one domain-local read;
+   - recording must be safe from any domain: keeping a closed cell's
+     tree is the only cross-domain interaction and sits under a mutex.
 
-   The (cell, seq) state is domain-local (DLS), not global: two domains
-   running different cells never contend on it, and a domain outside any
-   [with_cell] span (single compiles, tests) records under cell -1 with
-   a monotonically increasing seq. *)
+   Out of any cell (single compiles, tests) the domain that started the
+   trace records into cell -1.  Spans and timestamps stay in the trees,
+   so they never enter the rendered stream. *)
 
-(* [value] is shared with Telemetry so instrumentation sites feed both
-   the global stream and a per-request collector with one field list. *)
+(* [value] is shared with Telemetry so instrumentation sites feed the
+   event stream and a span recorder with one field list. *)
 type value = Telemetry.value =
   | Int of int
   | Float of float
@@ -34,110 +34,86 @@ type event = {
 
 let enabled = Atomic.make false
 let mutex = Mutex.create ()
-let events : event list ref = ref []  (* reversed emission order *)
-
-(* Span mode adds wall-clock timestamps ([ts]/[dur] fields) to the
-   stream for the Chrome-trace exporter.  It is a separate switch from
-   [enabled] because timestamps — and the cell a cached computation's
-   span lands on — are inherently nondeterministic, so they must never
-   enter the default stream, whose -j1/-j4 byte identity is contractual
-   (make trace-check). *)
-let spans_flag = Atomic.make false
-let base_time = Atomic.make 0.0
-
-type tagging = { mutable cur_cell : int; mutable cur_seq : int }
-
-let tag_key = Domain.DLS.new_key (fun () -> { cur_cell = -1; cur_seq = 0 })
+let trees : (int * Telemetry.trace) list ref = ref []  (* closed cells, reversed *)
+let origin = Atomic.make 0.0  (* the run's timeline starts here *)
 
 (* Gated emitters (formation attempts, optimizer passes) build their
-   field lists when either consumer is listening: the global stream, or
-   a request-scoped collector on this domain. *)
-let is_enabled () = Atomic.get enabled || Telemetry.active ()
+   field lists when a recorder on this domain will keep them: a traced
+   run's cell, or a served request. *)
+let is_enabled () = Option.is_some (Telemetry.current ())
 
-let start ?(spans = false) () =
-  Mutex.protect mutex (fun () -> events := []);
-  let t = Domain.DLS.get tag_key in
-  t.cur_seq <- 0;
-  Atomic.set base_time (Unix.gettimeofday ());
-  Atomic.set spans_flag spans;
+let keep cell r outcome =
+  let tr = Telemetry.close r ~outcome in
+  Mutex.protect mutex (fun () -> trees := (cell, tr) :: !trees)
+
+let start () =
+  Mutex.protect mutex (fun () -> trees := []);
+  let t0 = Clock.now () in
+  Atomic.set origin t0;
+  ignore (Telemetry.swap (Some (Telemetry.open_cell (-1) ~t0)));
   Atomic.set enabled true
+
+let span_trees () =
+  List.stable_sort
+    (fun (a, _) (b, _) -> Int.compare a b)
+    (Mutex.protect mutex (fun () -> List.rev !trees))
 
 let compare_event a b =
   match compare a.cell b.cell with 0 -> compare a.seq b.seq | c -> c
 
+(* A cell run twice (two sweeps in one command) interleaves by seq,
+   its runs in the order they closed. *)
 let stop () =
-  Atomic.set enabled false;
-  Atomic.set spans_flag false;
-  let evs = Mutex.protect mutex (fun () ->
-      let evs = !events in
-      events := [];
-      evs)
-  in
-  List.sort compare_event (List.rev evs)
-
-let with_cell cell f =
-  let t = Domain.DLS.get tag_key in
-  let old_cell = t.cur_cell and old_seq = t.cur_seq in
-  t.cur_cell <- cell;
-  t.cur_seq <- 0;
-  Fun.protect
-    ~finally:(fun () ->
-      t.cur_cell <- old_cell;
-      t.cur_seq <- old_seq)
-    f
-
-let now_us () = (Unix.gettimeofday () -. Atomic.get base_time) *. 1e6
-
-let push ev =
-  Mutex.protect mutex (fun () -> events := ev :: !events)
-
-let record kind fields =
-  if Telemetry.active () then Telemetry.note kind fields;
-  if Atomic.get enabled then begin
-    let fields =
-      (* span mode: place point events on the exporter's timeline *)
-      if Atomic.get spans_flag then fields @ [ ("ts", Float (now_us ())) ]
-      else fields
+  if not (Atomic.exchange enabled false) then []
+  else begin
+    Option.iter (fun r -> keep (-1) r "ok") (Telemetry.swap None);
+    let events (cell, (tr : Telemetry.trace)) =
+      List.mapi
+        (fun seq (nt : Telemetry.note) ->
+          { cell; seq; kind = nt.nt_kind; fields = nt.nt_fields })
+        tr.tr_notes
     in
-    let t = Domain.DLS.get tag_key in
-    let ev = { cell = t.cur_cell; seq = t.cur_seq; kind; fields } in
-    t.cur_seq <- t.cur_seq + 1;
-    push ev
+    List.stable_sort compare_event (List.concat_map events (span_trees ()))
   end
 
+let with_cell cell f =
+  if not (Atomic.get enabled) then f ()
+  else
+    let r = Telemetry.open_cell cell ~t0:(Atomic.get origin) in
+    match Telemetry.install r f with
+    | v ->
+      keep cell r "ok";
+      v
+    | exception e ->
+      keep cell r "raised";
+      raise e
+
+let record kind fields =
+  match Telemetry.current () with
+  | Some a -> Telemetry.note a kind fields
+  | None -> ()
+
 (* [span] always times the thunk and reports the duration to [on_close]
-   (even on exception) — callers like [Stage.time] keep their wall-clock
-   accounting whether or not tracing is on.  The "span" event itself is
-   emitted only in span mode. *)
+   (even on exception); the span itself lands in the recorder installed
+   on this domain, if any.  Closing is a top-level function, not a
+   closure, so a span allocates no closure of its own. *)
+let close_span recorder on_close t0 =
+  let dt = Clock.now () -. t0 in
+  (match recorder with Some a -> Telemetry.span_exit a ~dur_s:dt | None -> ());
+  match on_close with Some g -> g dt | None -> ()
+
 let span ?(fields = []) ?on_close name f =
-  let tele = Telemetry.active () in
-  if tele then Telemetry.span_enter name fields;
-  let t0 = Unix.gettimeofday () in
-  let finish () =
-    let dt = Unix.gettimeofday () -. t0 in
-    if tele then Telemetry.span_exit ~dur_s:dt;
-    (match on_close with Some g -> g dt | None -> ());
-    if Atomic.get enabled && Atomic.get spans_flag then begin
-      let ts = (t0 -. Atomic.get base_time) *. 1e6 in
-      let ev_fields =
-        ("name", Str name) :: ("ts", Float ts)
-        :: ("dur", Float (dt *. 1e6))
-        :: fields
-      in
-      let t = Domain.DLS.get tag_key in
-      let ev =
-        { cell = t.cur_cell; seq = t.cur_seq; kind = "span"; fields = ev_fields }
-      in
-      t.cur_seq <- t.cur_seq + 1;
-      push ev
-    end
-  in
+  let recorder = Telemetry.current () in
+  let t0 = Clock.now () in
+  (match recorder with
+  | Some a -> Telemetry.span_enter a name fields ~t0
+  | None -> ());
   match f () with
   | v ->
-    finish ();
+    close_span recorder on_close t0;
     v
   | exception e ->
-    finish ();
+    close_span recorder on_close t0;
     raise e
 
 (* ---- JSON -------------------------------------------------------------- *)
@@ -168,68 +144,54 @@ let add_value buf = function
     escape buf s;
     Buffer.add_char buf '"'
 
+let add_field buf (k, v) =
+  Buffer.add_char buf '"';
+  escape buf k;
+  Buffer.add_string buf "\":";
+  add_value buf v
+
 (* Chrome trace-event format (the JSON-array flavor): spans become
-   complete events (ph "X") with microsecond ts/dur, everything else an
-   instant (ph "i") carrying its fields as args.  Cells map to thread
-   ids (tid = cell + 1, so the out-of-sweep cell -1 is tid 0), which
-   lays a sweep out one engine slot per track in chrome://tracing or
+   complete events (ph "X") with microsecond ts/dur, notes instants
+   (ph "i"), each carrying its fields as args.  Cells map to thread ids
+   (tid = cell + 1, so the out-of-sweep cell -1 is tid 0), which lays a
+   sweep out one engine slot per track in chrome://tracing or
    Perfetto. *)
-let to_chrome_json events =
+let to_chrome_json cells =
   let buf = Buffer.create 4096 in
-  let add_args fields =
-    Buffer.add_string buf "\"args\":{";
-    List.iteri
-      (fun k (name, v) ->
-        if k > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '"';
-        escape buf name;
-        Buffer.add_string buf "\":";
-        add_value buf v)
-      fields;
-    Buffer.add_char buf '}'
-  in
-  let fnum = function
-    | Some (Float f) -> f
-    | Some (Int n) -> float_of_int n
-    | _ -> 0.0
+  let first = ref true in
+  let add_event name fields fmt =
+    if not !first then Buffer.add_string buf ",\n";
+    first := false;
+    Buffer.add_string buf "{\"name\":\"";
+    escape buf name;
+    Printf.kbprintf
+      (fun buf ->
+        Buffer.add_string buf "\"args\":{";
+        List.iteri
+          (fun k f ->
+            if k > 0 then Buffer.add_char buf ',';
+            add_field buf f)
+          fields;
+        Buffer.add_string buf "}}")
+      buf fmt
   in
   Buffer.add_string buf "[\n";
-  List.iteri
-    (fun k ev ->
-      if k > 0 then Buffer.add_string buf ",\n";
-      let tid = ev.cell + 1 in
-      match ev.kind with
-      | "span" ->
-        let name =
-          match List.assoc_opt "name" ev.fields with
-          | Some (Str s) -> s
-          | _ -> "span"
-        in
-        let ts = fnum (List.assoc_opt "ts" ev.fields) in
-        let dur = fnum (List.assoc_opt "dur" ev.fields) in
-        let args =
-          List.filter
-            (fun (k, _) -> k <> "name" && k <> "ts" && k <> "dur")
-            ev.fields
-        in
-        Buffer.add_string buf "{\"name\":\"";
-        escape buf name;
-        Buffer.add_string buf
-          (Printf.sprintf "\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d,"
-             ts dur tid);
-        add_args args;
-        Buffer.add_char buf '}'
-      | kind ->
-        let ts = fnum (List.assoc_opt "ts" ev.fields) in
-        let args = List.filter (fun (k, _) -> k <> "ts") ev.fields in
-        Buffer.add_string buf "{\"name\":\"";
-        escape buf kind;
-        Buffer.add_string buf
-          (Printf.sprintf "\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":0,\"tid\":%d,\"s\":\"t\","
-             ts tid);
-        add_args args;
-        Buffer.add_char buf '}')
-    events;
+  List.iter
+    (fun (cell, (tr : Telemetry.trace)) ->
+      let tid = cell + 1 in
+      List.iter
+        (fun (sp : Telemetry.span) ->
+          add_event sp.sp_name sp.sp_fields
+            "\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d,"
+            sp.sp_start_us sp.sp_dur_us tid)
+        tr.tr_spans;
+      List.iter
+        (fun (nt : Telemetry.note) ->
+          add_event nt.nt_kind nt.nt_fields
+            "\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":0,\"tid\":%d,\"s\":\"t\","
+            nt.nt_ts_us tid)
+        tr.tr_notes)
+    cells;
   Buffer.add_string buf "\n]\n";
   Buffer.contents buf
 
@@ -243,11 +205,9 @@ let to_json ev =
   escape buf ev.kind;
   Buffer.add_char buf '"';
   List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf ",\"";
-      escape buf k;
-      Buffer.add_string buf "\":";
-      add_value buf v)
+    (fun f ->
+      Buffer.add_char buf ',';
+      add_field buf f)
     ev.fields;
   Buffer.add_char buf '}';
   Buffer.contents buf

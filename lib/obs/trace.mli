@@ -1,13 +1,14 @@
-(** Domain-safe structured event tracing.
+(** Domain-safe structured event tracing, and the one span recorder.
 
     A trace is a flat stream of {!event}s recorded from anywhere in the
-    stack (formation, the optimizer, the harness).  Recording is a no-op
-    until {!start}; {!stop} returns the events sorted by [(cell, seq)],
-    which makes the stream {e deterministic} across [--jobs] settings:
-    every event is tagged with the engine slot ("cell") it was recorded
-    under, and numbered sequentially within that cell, so however the
-    domains interleave, sorting recovers the same stream a sequential run
-    produces.
+    stack (formation, the optimizer, the harness).  {!span} and {!record}
+    feed the {!Telemetry} span recorder installed on the calling domain:
+    a served request's, or, between {!start} and {!stop}, one per engine
+    slot ("cell").  {!stop} returns the cells' point events, numbered
+    within their cell and sorted by [(cell, seq)], which makes the stream
+    {e deterministic} across [--jobs] settings: however the domains
+    interleave, sorting recovers the same stream a sequential run
+    produces.  Spans and timestamps stay in the span trees.
 
     Events carry their fields as an ordered association list; JSON
     rendering preserves that order, so two identical events always render
@@ -28,23 +29,21 @@ type event = {
   fields : (string * value) list;  (** rendered in this order *)
 }
 
-val start : ?spans:bool -> unit -> unit
-(** Clear any previous trace and start recording.  [spans] additionally
-    records {!span} events and stamps every point event with a wall-clock
-    ["ts"] field (microseconds since [start]) for the Chrome-trace
-    exporter.  Span mode is off by default because wall-clock timestamps
-    are inherently nondeterministic and would break the [-j1]/[-j4] byte
-    identity of the default stream. *)
+val start : unit -> unit
+(** Clear any previous trace and start recording a span tree per cell,
+    cell [-1] on the calling domain, which must also call {!stop}. *)
 
 val stop : unit -> event list
-(** Stop recording; return the events sorted by [(cell, seq)] and clear
-    the buffer. *)
+(** Stop recording; return the point events sorted by [(cell, seq)]
+    ([[]] when not recording). *)
+
+val span_trees : unit -> (int * Telemetry.trace) list
+(** The last recording's span trees, one per cell run, sorted by cell;
+    complete after {!stop}.  Each has a root span ["cell"]. *)
 
 val is_enabled : unit -> bool
-(** Cheap guard for callers that want to skip building field lists.
-    True when the global stream is recording {e or} a request-scoped
-    {!Telemetry} collector is installed on the calling domain — either
-    consumer wants the events. *)
+(** Cheap guard for callers that want to skip building field lists:
+    whether a span recorder is installed on the calling domain. *)
 
 val span :
   ?fields:(string * value) list ->
@@ -52,23 +51,22 @@ val span :
   string ->
   (unit -> 'a) ->
   'a
-(** [span name f] times [f] and, in span mode, records a ["span"] event
-    with [name], ["ts"] and ["dur"] fields (microseconds).  [on_close]
-    receives the duration in seconds — always, even when tracing is off
-    or [f] raises — so callers can keep their own accounting on the same
-    clock ({!Stage.time} builds on this).  When a {!Telemetry} collector
-    is active on this domain the span also lands in the owning request's
-    span tree. *)
+(** [span name f] times [f] on {!Clock.now} and records it, with
+    [fields], as a child of the innermost open span of the recorder
+    installed on this domain, if any.  [on_close] receives the duration
+    in seconds — always, even when nothing records or [f] raises — so
+    callers can keep their own accounting on the same clock
+    ({!Stage.time} builds on this). *)
 
 val record : string -> (string * value) list -> unit
-(** [record kind fields] appends one event tagged with the calling
-    domain's current cell, and notifies the request-scoped collector if
-    one is active.  No-op when both are off. *)
+(** [record kind fields] attaches a point event (a note) to the
+    innermost open span of the recorder installed on this domain, if
+    any. *)
 
 val with_cell : int -> (unit -> 'a) -> 'a
-(** [with_cell i f] runs [f] with the calling domain's cell index set to
-    [i] and its sequence counter reset to [0]; restores the previous
-    tagging on exit.  The engine wraps every sweep slot in this. *)
+(** [with_cell i f] runs [f], while recording, with a span recorder of
+    its own for cell [i] installed on the calling domain; restored on
+    exit.  The engine wraps every sweep slot in this. *)
 
 val escape : Buffer.t -> string -> unit
 (** Append [s] escaped as the body of a JSON string (no quotes): quote,
@@ -80,9 +78,9 @@ val to_json : event -> string
 (** One JSON object, no trailing newline.  Field order: [cell], [seq],
     [kind], then [fields] in emission order. *)
 
-val to_chrome_json : event list -> string
-(** The whole stream in Chrome trace-event format (JSON-array flavor):
-    spans become complete events ([ph "X"]) with microsecond [ts]/[dur],
-    everything else an instant ([ph "i"]) with its fields as [args];
-    cells map to thread ids.  Open the result in [chrome://tracing] or
-    Perfetto. *)
+val to_chrome_json : (int * Telemetry.trace) list -> string
+(** Span trees in Chrome trace-event format (JSON-array flavor), each
+    paired with its cell: spans become complete events ([ph "X"]) and
+    notes instants ([ph "i"]), with microsecond [ts]/[dur] and their
+    fields as [args]; cell [c] is thread id [c + 1].  Open the result in
+    [chrome://tracing] or Perfetto. *)

@@ -24,7 +24,7 @@ let pp_timed_out fmt (stage, reason, spent) =
    nesting behaves like a stack without allocating one. *)
 type scope = {
   sc_stage : string;
-  sc_deadline : float option;  (* absolute Unix time *)
+  sc_deadline : float option;  (* absolute, on Clock.now *)
   sc_budget_s : float option;  (* the relative budget, for the payload *)
   sc_fuel_budget : int option;
   sc_started : float;
@@ -45,7 +45,7 @@ let trip s reason =
        {
          wd_stage = s.sc_stage;
          wd_reason = reason;
-         wd_spent_s = Unix.gettimeofday () -. s.sc_started;
+         wd_spent_s = Clock.now () -. s.sc_started;
        })
 
 let check () =
@@ -58,7 +58,7 @@ let check () =
       if s.sc_fuel < 0 then trip s (Fuel budget)
     | None -> ());
     (match (s.sc_deadline, s.sc_budget_s) with
-    | Some d, Some b -> if Unix.gettimeofday () > d then trip s (Deadline b)
+    | Some d, Some b -> if Clock.now () > d then trip s (Deadline b)
     | _ -> ())
 
 let run ?deadline_s ?fuel ~stage f =
@@ -67,7 +67,7 @@ let run ?deadline_s ?fuel ~stage f =
   | _ ->
     let cell = Domain.DLS.get key in
     let outer = !cell in
-    let now = Unix.gettimeofday () in
+    let now = Clock.now () in
     (* inherit the tighter deadline: an inner scope must not outlive the
        stage that encloses it *)
     let deadline, budget_s =

@@ -1,4 +1,4 @@
-(** Cooperative per-stage watchdog: wall-clock deadlines and fuel
+(** Cooperative per-stage watchdog: monotonic deadlines and fuel
     budgets for the long loops of the pipeline.
 
     The convergent formation loop and the simulators are exactly the
@@ -27,7 +27,7 @@ exception
   Timed_out of {
     wd_stage : string;  (** label of the scope that expired *)
     wd_reason : reason;
-    wd_spent_s : float;  (** wall-clock spent in the scope at the trip *)
+    wd_spent_s : float;  (** seconds spent in the scope at the trip *)
   }
 
 val pp_reason : Format.formatter -> reason -> unit
@@ -39,8 +39,8 @@ val active : unit -> bool
 (** Is a scope with a deadline or fuel budget installed on this domain? *)
 
 val run : ?deadline_s:float -> ?fuel:int -> stage:string -> (unit -> 'a) -> 'a
-(** Run the thunk under a scope.  [deadline_s] is relative wall-clock
-    seconds from now; [fuel] a budget of {!check} calls.  With neither,
+(** Run the thunk under a scope.  [deadline_s] is seconds from now on
+    {!Clock.now}; [fuel] a budget of {!check} calls.  With neither,
     the thunk runs scope-free (the call is a no-op wrapper).  Nested
     scopes keep the {e tighter} of the inherited and the new deadline
     (fuel is per-scope).  The scope is removed on exit, normal or

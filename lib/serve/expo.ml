@@ -9,7 +9,6 @@
    volatile values with one rule: integers are structural, floats are
    wall-clock. *)
 
-module Telemetry = Trips_obs.Telemetry
 module Metrics = Trips_obs.Metrics
 
 let label_escape s =
@@ -72,39 +71,3 @@ let render_prom (st : Protocol.stats_payload) =
       line "chfc_window_quantile_sum{name=\"%s\"} %.6f\n" n h.h_sum)
     w.Metrics.Window.w_histograms;
   Buffer.contents buf
-
-(* A finished request's span tree as Trace events, through the existing
-   Chrome exporter: spans become ph "X" complete events, notes instants.
-   Telemetry.value and Trace.value are the same type, so fields pass
-   through untouched. *)
-let trace_to_chrome (tr : Telemetry.trace) =
-  let module Trace = Trips_obs.Trace in
-  let span_events =
-    List.mapi
-      (fun i (sp : Telemetry.span) ->
-        {
-          Trace.cell = -1;
-          seq = i;
-          kind = "span";
-          fields =
-            ("name", Trace.Str sp.Telemetry.sp_name)
-            :: ("ts", Trace.Float sp.Telemetry.sp_start_us)
-            :: ("dur", Trace.Float sp.Telemetry.sp_dur_us)
-            :: sp.Telemetry.sp_fields;
-        })
-      tr.Telemetry.tr_spans
-  in
-  let base = List.length span_events in
-  let note_events =
-    List.mapi
-      (fun i (nt : Telemetry.note) ->
-        {
-          Trace.cell = -1;
-          seq = base + i;
-          kind = nt.Telemetry.nt_kind;
-          fields =
-            nt.Telemetry.nt_fields @ [ ("ts", Trace.Float nt.Telemetry.nt_ts_us) ];
-        })
-      tr.Telemetry.tr_notes
-  in
-  Trace.to_chrome_json (span_events @ note_events)

@@ -10,8 +10,3 @@ val render_prom : Protocol.stats_payload -> string
     series), each section sorted by name.  Deterministic modulo float
     values: integers are structural, every float renders as ["%.6f"] —
     the masking rule the golden test relies on. *)
-
-val trace_to_chrome : Trips_obs.Telemetry.trace -> string
-(** One finished request's span tree in Chrome trace-event format, via
-    the existing {!Trips_obs.Trace.to_chrome_json} exporter — open in
-    [chrome://tracing] or Perfetto. *)

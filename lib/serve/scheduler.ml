@@ -165,7 +165,7 @@ let degraded t = Mutex.protect t.m (fun () -> t.degraded)
    collector wraps the same extent, so the watchdog trip, the stage
    spans and the pass events all land in the owning request's trace. *)
 let execute t ~queued_at job =
-  let queue_wait_s = Float.max 0.0 (Unix.gettimeofday () -. queued_at) in
+  let queue_wait_s = Float.max 0.0 (Trips_obs.Clock.now () -. queued_at) in
   let act =
     Telemetry.start (t.ctx_of job) ~kind:(t.kind_of job) ~queue_wait_s
   in
@@ -208,7 +208,7 @@ let execute t ~queued_at job =
 let submit t job =
   (* admission and the in-flight count move together under the mutex, so
      the depth bound is exact under concurrent submitters *)
-  let queued_at = Unix.gettimeofday () in
+  let queued_at = Trips_obs.Clock.now () in
   let admitted =
     Mutex.protect t.m (fun () ->
         if t.draining then Error Draining

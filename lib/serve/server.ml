@@ -50,7 +50,7 @@ let stats t =
   in
   {
     Protocol.st_version = Protocol.version;
-    st_uptime_s = Unix.gettimeofday () -. t.started_at;
+    st_uptime_s = Trips_obs.Clock.now () -. t.started_at;
     st_workers = k.Scheduler.k_workers;
     st_queue_depth = k.Scheduler.k_queue_depth;
     st_pending = k.Scheduler.k_pending;
@@ -222,7 +222,7 @@ let start ?workers ?queue_depth ?default_deadline_s ?store_capacity
       listen_fd;
       sched;
       worker;
-      started_at = Unix.gettimeofday ();
+      started_at = Trips_obs.Clock.now ();
       quiet;
       stopping = Atomic.make false;
       fm = Mutex.create ();

@@ -809,7 +809,8 @@ let run ?(timing = default_timing) ?(trace = 0) ?trace_ppf ?attribution ?fuel
   Trips_obs.Metrics.incr ~by:m.memo_misses "sim.cycle.memo.misses";
   Trips_obs.Metrics.incr ~by:m.ring_grows "sim.cycle.ring.grows";
   (* a per-run sample, not a counter: its max is the largest ring any
-     run needed, comparable with one run's cycle count *)
+     run needed, comparable with one run's cycle count (kept only inside
+     a Metrics.with_samples scope) *)
   Trips_obs.Metrics.observe "sim.cycle.ring.capacity"
     (float_of_int (m.ring_mask + 1));
   let lookups, hits = Predictor.counters m.predictor in

@@ -54,6 +54,7 @@ let test_trace_cell_tagging () =
 
 let test_metrics_registry () =
   Metrics.reset ();
+  Metrics.with_samples @@ fun () ->
   Metrics.incr "b.counter";
   Metrics.incr ~by:4 "a.counter";
   Metrics.incr ~by:(-1) "a.counter";
@@ -111,53 +112,65 @@ let test_metrics_gauges () =
 
 (* ---- spans and the Chrome exporter ------------------------------------- *)
 
-let span_events evs =
-  List.filter (fun e -> e.Trace.kind = "span") evs
+let span_names (cells : (int * Telemetry.trace) list) =
+  List.concat_map
+    (fun (_, (tr : Telemetry.trace)) ->
+      List.map (fun (sp : Telemetry.span) -> sp.Telemetry.sp_name) tr.Telemetry.tr_spans)
+    cells
 
 let test_span_api () =
   let _ = Trace.stop () in
-  (* span mode off: the body runs, on_close fires, nothing is recorded *)
-  Trace.start ();
+  (* nothing recording: the body runs and on_close fires *)
   let closed = ref (-1.0) in
   let r = Trace.span ~on_close:(fun dt -> closed := dt) "work" (fun () -> 42) in
   check Alcotest.int "span returns the body's value" 42 r;
   check Alcotest.bool "on_close fired with a duration" true (!closed >= 0.0);
-  check Alcotest.int "no span events outside span mode" 0
-    (List.length (span_events (Trace.stop ())));
-  (* on_close fires even when the body raises, and when tracing is off *)
+  (* on_close fires even when the body raises *)
   closed := -1.0;
   (try Trace.span ~on_close:(fun dt -> closed := dt) "boom" (fun () ->
        failwith "x")
    with Failure _ -> ());
   check Alcotest.bool "on_close fired on exception, tracing off" true
     (!closed >= 0.0);
-  (* span mode on: a span event with name/ts/dur, extra fields appended,
-     and point events stamped with ts *)
-  Trace.start ~spans:true ();
+  (* recording: the span lands in cell -1's tree with its fields, the
+     point event under it as a note, and the event stream holds the
+     point event alone, with no timestamp *)
+  Trace.start ();
   ignore
     (Trace.span
        ~fields:[ ("workload", Trace.Str "sieve") ]
        "stage.formation"
        (fun () -> Trace.record "point" [ ("x", Trace.Int 1) ]));
   let evs = Trace.stop () in
-  (match span_events evs with
-  | [ e ] ->
-    check Alcotest.bool "span carries its name" true
-      (List.assoc "name" e.Trace.fields = Trace.Str "stage.formation");
-    let dur =
-      match List.assoc "dur" e.Trace.fields with
-      | Trace.Float d -> d
-      | _ -> -1.0
-    in
-    check Alcotest.bool "span has a non-negative µs duration" true (dur >= 0.0);
-    check Alcotest.bool "span keeps caller fields" true
-      (List.assoc "workload" e.Trace.fields = Trace.Str "sieve")
-  | l -> Alcotest.failf "expected exactly one span event, got %d" (List.length l));
-  (match List.find_opt (fun e -> e.Trace.kind = "point") evs with
-  | Some e ->
-    check Alcotest.bool "point events gain a ts stamp in span mode" true
-      (List.mem_assoc "ts" e.Trace.fields)
-  | None -> Alcotest.fail "point event lost")
+  check
+    Alcotest.(list string)
+    "the stream holds the point event, untimed"
+    [ "{\"cell\":-1,\"seq\":0,\"kind\":\"point\",\"x\":1}" ]
+    (List.map Trace.to_json evs);
+  match Trace.span_trees () with
+  | [ (-1, tr) ] -> (
+    (match Telemetry.check tr with
+    | Ok () -> ()
+    | Error m -> Alcotest.fail ("malformed cell tree: " ^ m));
+    match (tr.Telemetry.tr_spans, tr.Telemetry.tr_notes) with
+    | [ root; sp ], [ nt ] ->
+      check Alcotest.string "a root per cell" "cell" root.Telemetry.sp_name;
+      check Alcotest.string "span carries its name" "stage.formation"
+        sp.Telemetry.sp_name;
+      check Alcotest.int "span nests under the root" root.Telemetry.sp_id
+        sp.Telemetry.sp_parent;
+      check Alcotest.bool "span has a non-negative µs duration" true
+        (sp.Telemetry.sp_dur_us >= 0.0);
+      check Alcotest.bool "span keeps caller fields" true
+        (sp.Telemetry.sp_fields = [ ("workload", Trace.Str "sieve") ]);
+      check Alcotest.string "point event kept as a note" "point"
+        nt.Telemetry.nt_kind;
+      check Alcotest.int "note attached to the open span" sp.Telemetry.sp_id
+        nt.Telemetry.nt_span
+    | spans, notes ->
+      Alcotest.failf "expected two spans and one note, got %d and %d"
+        (List.length spans) (List.length notes))
+  | l -> Alcotest.failf "expected cell -1's tree alone, got %d" (List.length l)
 
 (* Minimal recursive-descent JSON syntax checker (the tree has no JSON
    library): accepts exactly the RFC 8259 value grammar we emit.  Raises
@@ -290,12 +303,20 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
+let count hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i acc =
+    if i + nn > nh then acc
+    else go (i + 1) (if String.sub hay i nn = needle then acc + 1 else acc)
+  in
+  go 0 0
+
 (* Tentpole acceptance: the Chrome exporter emits syntactically valid
    trace-event JSON — spans as complete events, points as instants, cells
    as thread ids. *)
 let test_chrome_trace_valid () =
   let _ = Trace.stop () in
-  Trace.start ~spans:true ();
+  Trace.start ();
   Trace.record "merge-attempt"
     [ ("cand", Trace.Int 3); ("outcome", Trace.Str "success") ];
   ignore
@@ -305,8 +326,8 @@ let test_chrome_trace_valid () =
        (fun () -> ()));
   Trace.with_cell 2 (fun () ->
       Trace.record "opt-pass" [ ("pass", Trace.Str "dce") ]);
-  let evs = Trace.stop () in
-  let js = Trace.to_chrome_json evs in
+  ignore (Trace.stop ());
+  let js = Trace.to_chrome_json (Trace.span_trees ()) in
   json_validate js;
   check Alcotest.bool "spans are complete events" true
     (contains js "\"ph\":\"X\"");
@@ -322,22 +343,44 @@ let test_chrome_trace_valid () =
        false
      with _ -> true)
 
-(* Stage timers ride Trace.span (satellite: the refactor must keep
-   feeding the stage.time.* histograms). *)
+(* Stage timers ride Trace.span and keep feeding the stage.time.*
+   histograms inside the samples scope. *)
 let test_stage_time_uses_span () =
   let _ = Trace.stop () in
   Metrics.reset ();
-  Trace.start ~spans:true ();
+  Metrics.with_samples @@ fun () ->
+  Trace.start ();
   let v = Trips_harness.Stage.time Trips_harness.Stage.Lower (fun () -> 7) in
-  let evs = Trace.stop () in
+  ignore (Trace.stop ());
   check Alcotest.int "timed body result" 7 v;
   check Alcotest.int "one stage span recorded" 1
-    (List.length (span_events evs));
+    (List.length
+       (List.filter (( = ) "stage.lower") (span_names (Trace.span_trees ()))));
   (match Metrics.snapshot () with
   | s -> (
     match List.assoc_opt "stage.time.lower" s.Metrics.histograms with
     | Some h -> check Alcotest.int "histogram observed once" 1 h.Metrics.h_count
     | None -> Alcotest.fail "stage.time.lower histogram missing"))
+
+(* A histogram sample outlives nothing: outside a samples scope it is
+   dropped, and closing the scope drops what it kept, counters
+   excepted. *)
+let test_samples_scoped () =
+  Metrics.reset ();
+  Metrics.observe "outside" 1.0;
+  let inside =
+    Metrics.with_samples (fun () ->
+        Metrics.observe "inside" 2.0;
+        Metrics.incr "kept";
+        (Metrics.snapshot ()).Metrics.histograms)
+  in
+  check Alcotest.(list string) "only the in-scope sample" [ "inside" ]
+    (List.map fst inside);
+  let after = Metrics.snapshot () in
+  check Alcotest.int "no sample survives its scope" 0
+    (List.length after.Metrics.histograms);
+  check Alcotest.int "counters survive" 1 (Metrics.counter_value after "kept");
+  Metrics.reset ()
 
 (* Satellite: quantile math and the JSON golden under interleaved
    multi-domain registration — field order inside a histogram is fixed,
@@ -345,6 +388,7 @@ let test_stage_time_uses_span () =
    the observations interleave. *)
 let test_metrics_multidomain_golden () =
   Metrics.reset ();
+  Metrics.with_samples @@ fun () ->
   let worker entries () =
     List.iter
       (fun (c, h, v) ->
@@ -374,6 +418,7 @@ let test_metrics_multidomain_golden () =
 (* Quantiles are nearest-rank over the full sample multiset. *)
 let test_metrics_quantiles () =
   Metrics.reset ();
+  Metrics.with_samples @@ fun () ->
   for i = 1 to 100 do
     Metrics.observe "q" (float_of_int i)
   done;
@@ -396,8 +441,11 @@ let test_one_summary_both_views () =
   let orders = [ [ 1.0; 1e16; -1e16 ]; [ 1e16; -1e16; 1.0 ] ] in
   let lifetime xs =
     Metrics.reset ();
-    List.iter (Metrics.observe "x") xs;
-    let h = List.assoc "x" (Metrics.snapshot ()).Metrics.histograms in
+    let h =
+      Metrics.with_samples (fun () ->
+          List.iter (Metrics.observe "x") xs;
+          List.assoc "x" (Metrics.snapshot ()).Metrics.histograms)
+    in
     Metrics.reset ();
     h
   in
@@ -563,6 +611,58 @@ let test_trace_jobs_invariant () =
     Alcotest.(list (pair string int))
     "deterministic counters identical across -j" counters1 counters4
 
+(* A traced parallel sweep keeps one well-formed span tree per engine
+   cell: table1 over sieve and vadd at -j 2 yields cell -1's tree and a
+   tree per sweep cell, in every tree each span's parent precedes it and
+   each child lies within its parent's bounds, the sweep cells hold the
+   stage spans, and the export has one complete event per span. *)
+let test_cli_span_trees () =
+  let ws = List.filter_map Trips_workloads.Micro.by_name [ "sieve"; "vadd" ] in
+  let _ = Trace.stop () in
+  Trace.start ();
+  ignore
+    (Trips_harness.Table1.run ~cache:(Trips_harness.Stage.create ()) ~jobs:2
+       ~workloads:ws ());
+  ignore (Trace.stop ());
+  let cells = Trace.span_trees () in
+  let eps = 1.0 in
+  List.iter
+    (fun (cell, (tr : Telemetry.trace)) ->
+      let seen = Hashtbl.create 64 in
+      List.iter
+        (fun (sp : Telemetry.span) ->
+          (if sp.Telemetry.sp_parent >= 0 then
+             match Hashtbl.find_opt seen sp.Telemetry.sp_parent with
+             | None ->
+               Alcotest.failf "cell %d: %s precedes its parent" cell
+                 sp.Telemetry.sp_name
+             | Some (p : Telemetry.span) ->
+               if
+                 sp.Telemetry.sp_start_us +. eps < p.Telemetry.sp_start_us
+                 || sp.Telemetry.sp_start_us +. sp.Telemetry.sp_dur_us
+                    > p.Telemetry.sp_start_us +. p.Telemetry.sp_dur_us +. eps
+               then
+                 Alcotest.failf "cell %d: %s escapes its parent %s" cell
+                   sp.Telemetry.sp_name p.Telemetry.sp_name);
+          Hashtbl.replace seen sp.Telemetry.sp_id sp)
+        tr.Telemetry.tr_spans;
+      match Telemetry.check tr with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "cell %d: %s" cell m)
+    cells;
+  let sweep = List.filter (fun (cell, _) -> cell >= 0) cells in
+  check Alcotest.bool "cell -1 and at least two sweep cells" true
+    (List.mem_assoc (-1) cells && List.length sweep >= 2);
+  check Alcotest.bool "the sweep cells hold stage spans" true
+    (List.exists
+       (fun name -> String.starts_with ~prefix:"stage." name)
+       (span_names sweep));
+  let js = Trace.to_chrome_json cells in
+  json_validate js;
+  check Alcotest.int "one complete event per span"
+    (List.length (span_names cells))
+    (count js "\"ph\":\"X\"")
+
 (* After ANY failure outcome the CFG must be bit-identical to its
    pre-attempt snapshot — blocks, entry, and the fresh-id counters (a
    leaked counter bump changes every later allocation).  Random programs,
@@ -661,6 +761,10 @@ let suite =
         test_chrome_trace_valid;
       Alcotest.test_case "stage timers ride spans" `Quick
         test_stage_time_uses_span;
+      Alcotest.test_case "histogram samples live in their scope" `Quick
+        test_samples_scoped;
+      Alcotest.test_case "cli span trees well-formed at -j 2" `Quick
+        test_cli_span_trees;
       Alcotest.test_case "metrics multi-domain golden" `Quick
         test_metrics_multidomain_golden;
       Alcotest.test_case "metrics quantiles" `Quick test_metrics_quantiles;

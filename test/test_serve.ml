@@ -590,6 +590,7 @@ let test_baseline_once_per_source () =
   let module Worker = Trips_serve.Worker in
   let module Stage = Trips_harness.Stage in
   let module Metrics = Trips_obs.Metrics in
+  Metrics.with_samples @@ fun () ->
   let sieve =
     match Trips_workloads.Micro.by_name "sieve" with
     | Some w -> w
@@ -788,6 +789,44 @@ let test_failed_render_not_stored () =
       Alcotest.(check int) (what ^ ": complete render stored") (before + 1) (entries ()))
     [ ("table1", sieve_sweep); ("report", sieve_report) ]
 
+(* The export behind [chfc trace --chrome]: a compile served through the
+   scheduler and a worker, its span tree found in the ring by request id,
+   exports as valid Chrome JSON with one complete event per span and one
+   instant per note. *)
+let test_served_trace_chrome () =
+  let module Worker = Trips_serve.Worker in
+  let module Telemetry = Trips_obs.Telemetry in
+  let worker = Worker.create () in
+  let sched =
+    Scheduler.create ~workers:1 ~ctx_of:snd
+      ~kind_of:(fun (req, _) -> P.job_kind req)
+      ~run:(fun (req, _) -> Worker.run worker req)
+      ()
+  in
+  let ctx = Telemetry.mint () in
+  Fun.protect
+    ~finally:(fun () -> Scheduler.drain sched)
+    (fun () ->
+      match Scheduler.run_sync sched (P.Compile spec, ctx) with
+      | Scheduler.Done (Ok _) -> ()
+      | Scheduler.Done (Error e) -> Alcotest.failf "compile: %a" P.pp_served_error e
+      | _ -> Alcotest.fail "compile did not complete");
+  let tr =
+    match Telemetry.find (Option.get ctx).Telemetry.tc_id with
+    | Some tr -> tr
+    | None -> Alcotest.fail "served trace not in the ring"
+  in
+  let spans = List.length tr.Telemetry.tr_spans
+  and notes = List.length tr.Telemetry.tr_notes in
+  Alcotest.(check bool) "pipeline spans and notes recorded" true
+    (spans > 3 && notes > 0);
+  let js = Trips_obs.Trace.to_chrome_json [ (-1, tr) ] in
+  Test_obs.json_validate js;
+  Alcotest.(check int) "one complete event per span" spans
+    (Test_obs.count js "\"ph\":\"X\"");
+  Alcotest.(check int) "one instant per note" notes
+    (Test_obs.count js "\"ph\":\"i\"")
+
 (* ---- client descriptor hygiene ------------------------------------------ *)
 
 let test_client_close_once () =
@@ -916,6 +955,8 @@ let suite =
         `Quick test_served_render_deadline;
       Alcotest.test_case "worker: a render listing a failure is not stored"
         `Quick test_failed_render_not_stored;
+      Alcotest.test_case "trace: a served request exports as Chrome JSON" `Quick
+        test_served_trace_chrome;
       Alcotest.test_case "client: close closes its descriptor once" `Quick
         test_client_close_once;
       pool_equivalence_prop;

@@ -545,6 +545,7 @@ let test_ring_bounded () =
      below one run's cycle count (a per-cycle table would hold one entry
      per cycle) *)
   Trips_obs.Metrics.reset ();
+  Trips_obs.Metrics.with_samples @@ fun () ->
   let r = cycle_of "sieve" Chf.Phases.Iupo_merged in
   let r' = cycle_of "gzip_1" Chf.Phases.Iupo_merged in
   let snap = Trips_obs.Metrics.snapshot () in

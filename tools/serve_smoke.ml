@@ -36,6 +36,11 @@
    - leave the daemon serving: a later request is still byte-identical
      to the one-shot pipeline.
 
+   A third daemon soaks: 1000 requests that all miss its output store
+   (capacity one, two alternating sources, no chaos seeds) must leave
+   every lifetime-registry histogram's retained sample count flat after
+   warm-up, and the finished-trace ring at most its capacity.
+
    Exit 0 on success, 1 with a message on the first violated check. *)
 
 module C = Trips_serve.Client
@@ -136,6 +141,58 @@ let overload_and_slo () =
   C.with_conn ~socket (fun c -> C.rpc c P.Shutdown);
   S.wait srv;
   shed
+
+(* The soak.  A store capacity of one and two alternating sources make
+   every request miss the output store, so each one runs the whole
+   pipeline and closes all of its stage spans.  A daemon keeps no
+   sample past the scope that reads it: the lifetime registry's
+   histograms must hold as many samples after the last request as after
+   warm-up (none), and of all the request ids only the ring's capacity
+   can still be found.  Returns the number of requests. *)
+let soak () =
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ()) "chfc-serve-smoke-soak.sock"
+  in
+  let requests = 1000 and warmup = 100 and ring = 64 in
+  Trips_obs.Telemetry.reset ();
+  Trips_obs.Telemetry.set_ring_capacity ring;
+  let srv = S.start ~workers:1 ~store_capacity:1 ~quiet:true ~socket () in
+  let retained () =
+    List.map
+      (fun (name, h) -> (name, h.Trips_obs.Metrics.h_count))
+      (Trips_obs.Metrics.snapshot ()).Trips_obs.Metrics.histograms
+  in
+  let after_warmup = ref [] in
+  let ids =
+    C.with_conn ~socket (fun c ->
+        List.init requests (fun i ->
+            if i = warmup then after_warmup := retained ();
+            let name = if i mod 2 = 0 then "sieve" else "vadd" in
+            match C.rpc_traced c (compile name) with
+            | Some id, Ok _ -> id
+            | None, _ -> fail "soak: request %d minted no id" i
+            | _, Error e -> fail "soak: request %d (%s): %a" i name P.pp_served_error e))
+  in
+  let show l =
+    String.concat ", " (List.map (fun (n, k) -> Fmt.str "%s=%d" n k) l)
+  in
+  let final = retained () in
+  if final <> !after_warmup then
+    fail "soak: lifetime histograms grew from [%s] after %d requests to [%s] after %d"
+      (show !after_warmup) warmup (show final) requests;
+  let found =
+    List.length (List.filter (fun id -> Trips_obs.Telemetry.find id <> None) ids)
+  in
+  if found > ring then
+    fail "soak: %d traces found in a ring of capacity %d" found ring;
+  let st = C.with_conn ~socket (fun c -> C.rpc c P.Stats) in
+  let output = List.find (fun s -> s.P.sc_name = "serve.output") st.P.st_stores in
+  if output.P.sc_hits <> 0 || output.P.sc_misses < requests then
+    fail "soak: output store %d hits, %d misses; every request must miss"
+      output.P.sc_hits output.P.sc_misses;
+  C.with_conn ~socket (fun c -> C.rpc c P.Shutdown);
+  S.wait srv;
+  requests
 
 let () =
   let socket =
@@ -297,8 +354,9 @@ let () =
     fail "daemon still accepting after shutdown"
   | exception Unix.Unix_error _ -> ());
   let shed = overload_and_slo () in
+  let soaked = soak () in
   Fmt.pr
     "serve-smoke: %d requests, junk frame, crash isolation, deadlines, stats, \
      window accounting, trace reconstruction, byte identity, clean shutdown, \
-     overload (%d shed) and SLO sentinel: OK@."
-    (List.length names) shed
+     overload (%d shed), SLO sentinel and a %d-miss soak: OK@."
+    (List.length names) shed soaked

@@ -24,6 +24,10 @@ type t = {
 val all : t list
 (** [table1], [table2], [table3], [figure7], [ablation], [placement]. *)
 
+val round_robin : Trips_sim.Cycle_sim.timing
+(** The [placement] study's unoptimized-placement timing: the default
+    timing on a 4x4 ALU grid, instructions placed round-robin. *)
+
 val find : string -> (t, [ `Msg of string ]) result
 (** Look an experiment up by name; an unknown name is an error naming
     the registered ones. *)

@@ -6,8 +6,7 @@
    formation decision (if-conversion, tail duplication, unrolling,
    peeling, predication helpers)?  [Cycle_sim] feeds it per retired
    block instance (fetch slots, fired instructions, the block's share of
-   total cycles, flushes); [Func_sim] can feed it through {!hooks} when
-   only functional counts are wanted.
+   total cycles, flushes).
 
    Counting rule: every dynamic fetch slot is attributed to exactly one
    lineage class — the class of its instruction's lineage record — so
@@ -77,23 +76,6 @@ let add_cycles t ~block n =
 let add_flush t ~block =
   let b = block_stats t block in
   b.flushes <- b.flushes + 1
-
-(* ---- functional-simulator plumbing ------------------------------------- *)
-
-(** Hooks that feed the collector from a plain {!Func_sim} run (no cycle
-    or flush attribution — those need the timing model). *)
-let hooks t : Func_sim.hooks =
-  let cur = ref (-1) in
-  {
-    Func_sim.on_block =
-      (fun id ->
-        cur := id;
-        count_execution t ~block:id);
-    on_instr =
-      (fun i ~fired ~addr:_ ->
-        if !cur >= 0 then count_instr t ~block:!cur i ~fired);
-    on_exit = (fun _ -> ());
-  }
 
 (* ---- export ------------------------------------------------------------- *)
 

@@ -20,10 +20,6 @@ val count_instr : t -> block:int -> Instr.t -> fired:bool -> unit
 val add_cycles : t -> block:int -> int -> unit
 val add_flush : t -> block:int -> unit
 
-val hooks : t -> Func_sim.hooks
-(** Feed the collector from a plain {!Func_sim} run (functional counts
-    only; cycles and flushes need {!Cycle_sim}'s timing model). *)
-
 type row = {
   r_block : int;
   r_execs : int;  (** dynamic block instances *)

@@ -30,32 +30,23 @@
 
    One exact path (DESIGN.md §16), byte-compared by the sim suite against
    the per-instruction reference in test/cycle_oracle.ml, keeps this the
-   cheap stage of a sweep:
-
-   - an *event-driven issue core*: block events land in flat machine
-     buffers straight from the functional hooks (no per-instruction
-     allocation), cache probes and the fired bitmask fold into that same
-     pass, and issue-slot occupancy lives in a bounded ring whose slots
-     are tagged with the absolute cycle they represent.  Cycles below
-     the current block's dispatch point are dead by construction (every
-     future probe starts at or after it), so stale slots are reclaimed
-     lazily by tag comparison and the ring only ever spans the
-     in-flight window, not the whole simulated time axis.  Operand
-     wakeup is batched: the per-block availability table is seeded once
-     with every external input's effective readiness (max of the
-     register-read latency and the producer's completion plus a network
-     hop — a lossless clamp, since every early-enough producer
-     collapses to the same effective time) instead of consulting two
-     hash tables per operand use;
-   - *memoized block timing*: a block instance is keyed by its
-     signature (block id, firing exit's guard register, fired bitmask)
-     plus the clamped external-input readiness deltas and the load
-     miss pattern.  On a key repeat, the recorded timing replays —
-     commit/branch offsets, register exports and issue-slot
-     insertions — after verifying that the pre-existing issue
-     occupancy over the block's span matches the recording, which
-     makes the replay bit-exact (every absolute quantity enters the
-     computation only as a difference from the dispatch point). *)
+   cheap stage of a sweep: an *event-driven issue core*.  Block events
+   land in flat machine buffers straight from the functional hooks (no
+   per-instruction allocation), cache probes and the fired bitmask fold
+   into that same pass, and issue-slot occupancy lives in a bounded ring
+   whose slots are tagged with the absolute cycle they represent.
+   Cycles below the current block's dispatch point are dead by
+   construction (every future probe starts at or after it), so stale
+   slots are reclaimed lazily by tag comparison and the ring only ever
+   spans the in-flight window, not the whole simulated time axis.
+   Operand wakeup is batched: per signature (block id, firing exit's
+   guard register, fired bitmask) the block's registers are renumbered
+   into dense slots once, and each instance seeds that flat
+   availability table with every external input's effective readiness
+   (max of the register-read latency and the producer's completion plus
+   a network hop) instead of consulting two hash tables per operand
+   use.  Every block instance is timed by that one computation; nothing
+   is recorded or replayed. *)
 
 open Trips_ir
 
@@ -108,12 +99,7 @@ type result = {
   checksum : int;
 }
 
-(* memo guards: blocks whose issue span outruns the window bound are not
-   worth replaying, and a runaway key population stops growing *)
-let memo_max_span = 4096
-let memo_max_entries = 16384
-
-(* ---- memo tables -------------------------------------------------------- *)
+(* ---- signature cache ---------------------------------------------------- *)
 
 (* Instance signature: everything structural — block id, the firing
    exit's guard register (-1 for none) and the fired bitmask; the mask
@@ -123,31 +109,10 @@ let memo_max_entries = 16384
    live event buffers, so a lookup allocates nothing. *)
 type sig_cell = { sc_guard : int; sc_mask : int array; sc_info : sig_info }
 
-(* Instance key under a signature: the numeric inputs.  Deltas are the
-   external inputs' effective readiness relative to dispatch-end — the
-   clamp at [reg_read_latency] is lossless quantization (any producer
-   finishing earlier yields the same effective time).  Miss bits carry
-   the load hit/miss pattern the event pass resolved.  Entries live in
-   an int-hashed bucket table probed with reusable scratch buffers;
-   keys are snapshotted only when a new entry is stored. *)
-and inst_key = { ik_deltas : int array; ik_miss : int array }
-
-(* Recorded timing, all relative to dispatch-end: replaying under equal
-   keys and equal pre-existing issue occupancy is exact because the
-   computation is translation-invariant in absolute time. *)
-and memo_entry = {
-  e_span : int;  (* issue-occupancy span length *)
-  e_pre : int array;  (* pre-existing occupancy over the span *)
-  e_iss : int array;  (* this instance's issue insertions *)
-  e_done_off : int;  (* block_done - dispatch_end *)
-  e_branch_off : int;  (* branch_time - dispatch_end *)
-  e_exports : (int * int) array;  (* reg, completion - dispatch_end *)
-}
-
 (* Per-signature static analysis.  Registers are renumbered into dense
    slots [0, si_nregs), so the per-instance operand-availability table
    is a pair of flat arrays instead of a hashtable; [si_names] maps a
-   slot back to its architectural register for the export side. *)
+   slot back to its architectural register for the write-back. *)
 and sig_info = {
   si_ext : int array;  (* external input registers, first-use order *)
   si_ext_slots : int array;  (* their dense slots, aligned with si_ext *)
@@ -156,8 +121,6 @@ and sig_info = {
   si_guard_slot : int;  (* firing exit's guard slot, -1 for none *)
   si_uses : int array array;  (* use slots per fired instruction *)
   si_defs : int array array;  (* def slots per fired instruction *)
-  si_entries : (int, (inst_key * memo_entry) list) Hashtbl.t;
-      (* int-hashed buckets; collisions resolved by full key compare *)
 }
 
 let dummy_instr = Instr.make 0 (Instr.Mov (0, Instr.Imm 0))
@@ -191,15 +154,9 @@ type machine = {
   (* reused per-block scratch, cleared instead of reallocated (hot
      path): the slot-indexed operand-availability table (completion and
      producer index; producer -2 = unset, -1 = external input with the
-     hop folded in), the issue-cycle buffer, and the memo-key deltas *)
+     hop folded in) *)
   mutable avail_c : int array;
   mutable avail_p : int array;
-  mutable issue_buf : int array;
-  mutable issue_n : int;
-  mutable delta_buf : int array;
-  mutable memo_entries : int;
-  mutable memo_hits : int;
-  mutable memo_misses : int;
   mutable prev_dispatch_end : int;
   mutable last_commit : int;
   commit_ring : int array;  (* commit times of the last [window] blocks *)
@@ -238,12 +195,6 @@ let make_machine ?(trace = 0) ?(trace_ppf = Fmt.stderr) t =
     ev_fired_n = 0;
     avail_c = Array.make 128 0;
     avail_p = Array.make 128 (-2);
-    issue_buf = Array.make 128 0;
-    issue_n = 0;
-    delta_buf = Array.make 64 0;
-    memo_entries = 0;
-    memo_hits = 0;
-    memo_misses = 0;
     prev_dispatch_end = 0;
     last_commit = 0;
     commit_ring = Array.make t.window_blocks 0;
@@ -288,10 +239,6 @@ let ring_grow m ~horizon ~need =
       end)
     old_tags
 
-let ring_load m c =
-  let i = c land m.ring_mask in
-  if m.ring_tags.(i) = c then m.ring_used.(i) else 0
-
 let rec ring_issue m ~horizon c =
   let i = c land m.ring_mask in
   let tag = m.ring_tags.(i) in
@@ -309,19 +256,6 @@ let rec ring_issue m ~horizon c =
   else begin
     ring_grow m ~horizon ~need:c;
     ring_issue m ~horizon c
-  end
-
-let rec ring_add m ~horizon c n =
-  let i = c land m.ring_mask in
-  let tag = m.ring_tags.(i) in
-  if tag = c then m.ring_used.(i) <- m.ring_used.(i) + n
-  else if tag < horizon then begin
-    m.ring_tags.(i) <- c;
-    m.ring_used.(i) <- n
-  end
-  else begin
-    ring_grow m ~horizon ~need:c;
-    ring_add m ~horizon c n
   end
 
 (* ---- placement model ---------------------------------------------------- *)
@@ -415,133 +349,24 @@ let make_sig_info m ~guard_reg =
     si_guard_slot = guard_slot;
     si_uses = uses;
     si_defs = defs;
-    si_entries = Hashtbl.create 8;
   }
 
-let apply_exports m ~dispatch_end (exports : (int * int) array) =
-  Array.iter
-    (fun (r, off) -> Hashtbl.replace m.reg_ready r (dispatch_end + off))
-    exports
+(* An external input is ready at the register-read latency or at its
+   producer's completion plus a hop, whichever is later; the timing body
+   seeds each once per instance. *)
+let external_ready m ~dispatch_end r =
+  max (dispatch_end + m.t.reg_read_latency) (ht_find0 m.reg_ready r + m.t.operand_hop)
 
-let push_issue m c =
-  if m.issue_n = Array.length m.issue_buf then begin
-    let bigger = Array.make (2 * m.issue_n) 0 in
-    Array.blit m.issue_buf 0 bigger 0 m.issue_n;
-    m.issue_buf <- bigger
-  end;
-  m.issue_buf.(m.issue_n) <- c;
-  m.issue_n <- m.issue_n + 1
-
-(* Full timing computation with batched wakeup; returns the
-   recorded entry.  [deltas] are the external readiness offsets already
-   gathered for the memo key, so the availability table is seeded from
-   them — one lookup per external register per block, not per use. *)
-let compute_entry m ~dispatch_end ~(si : sig_info) ~deltas =
-  let t = m.t in
-  let horizon = dispatch_end in
-  let n_instrs = m.ev_n in
-  let nregs = si.si_nregs in
-  if Array.length m.avail_c < nregs then begin
-    m.avail_c <- Array.make (2 * nregs) 0;
-    m.avail_p <- Array.make (2 * nregs) (-2)
-  end;
-  let ac = m.avail_c and ap = m.avail_p in
-  Array.fill ap 0 nregs (-2);
-  Array.iteri
-    (fun j s ->
-      ac.(s) <- dispatch_end + deltas.(j);
-      ap.(s) <- -1)
-    si.si_ext_slots;
-  let input_ready ~consumer_idx s =
-    let p = ap.(s) in
-    if p = -1 then ac.(s)
-    else if p >= 0 then ac.(s) + hop_between t p consumer_idx
-    else
-      (* unreachable by construction of [si_ext]; kept total *)
-      max (dispatch_end + t.reg_read_latency)
-        (ht_find0 m.reg_ready si.si_names.(s) + t.operand_hop)
-  in
-  let block_done = ref dispatch_end in
-  m.issue_n <- 0;
-  let max_issue = ref (dispatch_end - 1) in
-  for idx = 0 to n_instrs - 1 do
-    if m.ev_fired.(idx) then begin
-      let ready = ref dispatch_end in
-      let us = si.si_uses.(idx) in
-      for k = 0 to Array.length us - 1 do
-        let r = input_ready ~consumer_idx:idx us.(k) in
-        if r > !ready then ready := r
-      done;
-      let issue = ring_issue m ~horizon !ready in
-      push_issue m issue;
-      if issue > !max_issue then max_issue := issue;
-      let latency =
-        Latency.of_op m.ev_ins.(idx).Instr.op
-        + (if bit_set m.ev_miss idx then t.miss_penalty else 0)
-      in
-      let done_ = issue + latency in
-      let ds = si.si_defs.(idx) in
-      for k = 0 to Array.length ds - 1 do
-        let d = ds.(k) in
-        ac.(d) <- done_;
-        ap.(d) <- idx
-      done;
-      if done_ > !block_done then block_done := done_
-    end
-  done;
-  let branch_time =
-    if si.si_guard_slot >= 0 then
-      input_ready ~consumer_idx:n_instrs si.si_guard_slot
-    else dispatch_end
-  in
-  (* exports: every slot a fired def finally wrote (producer >= 0), in
-     slot order — order is irrelevant, each register appears once *)
-  let nexp = ref 0 in
-  for s = 0 to nregs - 1 do
-    if ap.(s) >= 0 then incr nexp
-  done;
-  let exports = Array.make !nexp (0, 0) in
-  let k = ref 0 in
-  for s = 0 to nregs - 1 do
-    if ap.(s) >= 0 then begin
-      exports.(!k) <- (si.si_names.(s), ac.(s) - dispatch_end);
-      incr k
-    end
-  done;
-  apply_exports m ~dispatch_end exports;
-  let span = if m.issue_n = 0 then 0 else !max_issue - dispatch_end + 1 in
-  let full = span <= memo_max_span in
-  let iss = Array.make (if full then span else 0) 0 in
-  if full then
-    for k = 0 to m.issue_n - 1 do
-      let c = m.issue_buf.(k) - dispatch_end in
-      iss.(c) <- iss.(c) + 1
-    done;
-  let pre =
-    if full then
-      Array.init span (fun k -> ring_load m (dispatch_end + k) - iss.(k))
-    else [||]
-  in
-  let entry =
-    {
-      e_span = (if full then span else 0);
-      e_pre = pre;
-      e_iss = iss;
-      e_done_off = !block_done - dispatch_end;
-      e_branch_off = branch_time - dispatch_end;
-      e_exports = exports;
-    }
-  in
-  (entry, full)
-
-(* The timing body: signature lookup over the event buffers the hooks
-   filled, then memo replay or full computation.  Returns block-done and
-   branch times; exports are applied inside (they never need the commit
-   — a fired def's completion is always recorded). *)
+(* The timing body: look up the instance's signature over the event
+   buffers the hooks filled, seed the external inputs, run the issue
+   loop, and write every register a fired def produced into [reg_ready]
+   (the write never needs the commit — a fired def's completion is
+   always known).  Returns block-done and branch times. *)
 let time_block m ~dispatch_end =
   let t = m.t in
   let horizon = dispatch_end in
-  let words = max 1 ((m.ev_n + 61) / 62) in
+  let n_instrs = m.ev_n in
+  let words = max 1 ((n_instrs + 61) / 62) in
   m.instrs_fired <- m.instrs_fired + m.ev_fired_n;
   let guard_reg =
     match m.cur_exit with
@@ -577,93 +402,60 @@ let time_block m ~dispatch_end =
     in
     scan cells
   in
-  (* memo-key deltas into the reusable scratch buffer, folding the
-     bucket hash along the way; key arrays are only materialized when a
-     new entry is stored *)
-  let ext_n = Array.length si.si_ext in
-  if Array.length m.delta_buf < ext_n then
-    m.delta_buf <- Array.make (2 * ext_n) 0;
-  let db = m.delta_buf in
-  let h = ref 0 in
-  for j = 0 to ext_n - 1 do
-    let d =
-      max t.reg_read_latency
-        (ht_find0 m.reg_ready si.si_ext.(j) + t.operand_hop - dispatch_end)
-    in
-    db.(j) <- d;
-    h := (!h * 31) + d
+  let nregs = si.si_nregs in
+  if Array.length m.avail_c < nregs then begin
+    m.avail_c <- Array.make (2 * nregs) 0;
+    m.avail_p <- Array.make (2 * nregs) (-2)
+  end;
+  let ac = m.avail_c and ap = m.avail_p in
+  Array.fill ap 0 nregs (-2);
+  for j = 0 to Array.length si.si_ext - 1 do
+    let s = si.si_ext_slots.(j) in
+    ac.(s) <- external_ready m ~dispatch_end si.si_ext.(j);
+    ap.(s) <- -1
   done;
-  for w = 0 to words - 1 do
-    h := (!h * 31) + m.ev_miss.(w)
-  done;
-  let h = !h land max_int in
-  let key_eq (k : inst_key) =
-    Array.length k.ik_deltas = ext_n
-    && (let rec go j = j >= ext_n || (k.ik_deltas.(j) = db.(j) && go (j + 1)) in
-        go 0)
-    && (let rec go w =
-          w >= words || (k.ik_miss.(w) = m.ev_miss.(w) && go (w + 1))
-        in
-        go 0)
+  let input_ready ~consumer_idx s =
+    let p = ap.(s) in
+    if p = -1 then ac.(s)
+    else if p >= 0 then ac.(s) + hop_between t p consumer_idx
+    else
+      (* unreachable by construction of [si_ext]; kept total *)
+      external_ready m ~dispatch_end si.si_names.(s)
   in
-  let bucket =
-    match Hashtbl.find si.si_entries h with
-    | l -> l
-    | exception Not_found -> []
-  in
-  let cached =
-    let rec scan = function
-      | ((k, _) as p) :: rest -> if key_eq k then Some p else scan rest
-      | [] -> None
-    in
-    scan bucket
-  in
-  let replayed =
-    match cached with
-    | Some (_, e) ->
-      (* bit-exact only if the pre-existing occupancy over the recorded
-         span matches the recording *)
-      let ok = ref true in
-      (try
-         for k = 0 to e.e_span - 1 do
-           if ring_load m (dispatch_end + k) <> e.e_pre.(k) then begin
-             ok := false;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      if !ok then Some e else None
-    | None -> None
-  in
-  let entry =
-    match replayed with
-    | Some e ->
-      m.memo_hits <- m.memo_hits + 1;
-      for k = 0 to e.e_span - 1 do
-        if e.e_iss.(k) > 0 then ring_add m ~horizon (dispatch_end + k) e.e_iss.(k)
+  let block_done = ref dispatch_end in
+  for idx = 0 to n_instrs - 1 do
+    if m.ev_fired.(idx) then begin
+      let ready = ref dispatch_end in
+      let us = si.si_uses.(idx) in
+      for k = 0 to Array.length us - 1 do
+        let r = input_ready ~consumer_idx:idx us.(k) in
+        if r > !ready then ready := r
       done;
-      apply_exports m ~dispatch_end e.e_exports;
-      e
-    | None ->
-      m.memo_misses <- m.memo_misses + 1;
-      let entry, full = compute_entry m ~dispatch_end ~si ~deltas:db in
-      if full && m.memo_entries < memo_max_entries then begin
-        let ik =
-          { ik_deltas = Array.sub db 0 ext_n; ik_miss = Array.sub m.ev_miss 0 words }
-        in
-        match cached with
-        | Some (k0, _) ->
-          (* stale recording under this key (occupancy drifted): swap it
-             out in place, the key population is unchanged *)
-          Hashtbl.replace si.si_entries h
-            ((ik, entry) :: List.filter (fun (k, _) -> k != k0) bucket)
-        | None ->
-          Hashtbl.replace si.si_entries h ((ik, entry) :: bucket);
-          m.memo_entries <- m.memo_entries + 1
-      end;
-      entry
+      let issue = ring_issue m ~horizon !ready in
+      let latency =
+        Latency.of_op m.ev_ins.(idx).Instr.op
+        + (if bit_set m.ev_miss idx then t.miss_penalty else 0)
+      in
+      let done_ = issue + latency in
+      let ds = si.si_defs.(idx) in
+      for k = 0 to Array.length ds - 1 do
+        let d = ds.(k) in
+        ac.(d) <- done_;
+        ap.(d) <- idx
+      done;
+      if done_ > !block_done then block_done := done_
+    end
+  done;
+  let branch_time =
+    if si.si_guard_slot >= 0 then
+      input_ready ~consumer_idx:n_instrs si.si_guard_slot
+    else dispatch_end
   in
-  (dispatch_end + entry.e_done_off, dispatch_end + entry.e_branch_off)
+  (* every slot a fired def finally wrote (producer >= 0) is an output *)
+  for s = 0 to nregs - 1 do
+    if ap.(s) >= 0 then Hashtbl.replace m.reg_ready si.si_names.(s) ac.(s)
+  done;
+  (!block_done, branch_time)
 
 (* ---- event intake ------------------------------------------------------- *)
 
@@ -805,8 +597,6 @@ let run ?(timing = default_timing) ?(trace = 0) ?trace_ppf ?attribution ?fuel
   Trips_obs.Metrics.incr ~by:m.instrs_fetched "sim.cycle.fetched";
   Trips_obs.Metrics.incr ~by:m.instrs_fired "sim.cycle.fired";
   Trips_obs.Metrics.incr ~by:m.mispredictions "sim.cycle.flushes";
-  Trips_obs.Metrics.incr ~by:m.memo_hits "sim.cycle.memo.hits";
-  Trips_obs.Metrics.incr ~by:m.memo_misses "sim.cycle.memo.misses";
   Trips_obs.Metrics.incr ~by:m.ring_grows "sim.cycle.ring.grows";
   (* a per-run sample, not a counter: its max is the largest ring any
      run needed, comparable with one run's cycle count (kept only inside

@@ -493,21 +493,28 @@ let cycle_agree ~label ?timing ?fuel ?strict_exits ?(registers = []) ~memory cfg
     (render false)
 
 let test_cycle_model_reference () =
-  (* every micro kernel as basic blocks and IUPO-merged hyperblocks; the
-     SPEC-like programs as lowered, cut off by fuel; every fuzz shape and
-     the committed corpus *)
+  (* every micro kernel as basic blocks and IUPO-merged hyperblocks, under
+     the default timing and under the placement study's round-robin grid;
+     the SPEC-like programs as lowered, cut off by fuel; every fuzz shape
+     and the committed corpus *)
+  let timings =
+    [ ("flat", None); ("grid", Some Trips_harness.Experiment.round_robin) ]
+  in
   List.iter
     (fun (w : Trips_workloads.Workload.t) ->
       List.iter
         (fun ordering ->
           let c = Trips_harness.Pipeline.compile ~backend:true ordering w in
-          cycle_agree
-            ~label:
-              (Fmt.str "%s %s" w.Trips_workloads.Workload.name
-                 (Chf.Phases.name ordering))
-            ~registers:c.Trips_harness.Pipeline.registers
-            ~memory:(fun () -> Trips_workloads.Workload.memory w)
-            c.Trips_harness.Pipeline.cfg)
+          List.iter
+            (fun (tname, timing) ->
+              cycle_agree
+                ~label:
+                  (Fmt.str "%s %s %s" w.Trips_workloads.Workload.name
+                     (Chf.Phases.name ordering) tname)
+                ?timing ~registers:c.Trips_harness.Pipeline.registers
+                ~memory:(fun () -> Trips_workloads.Workload.memory w)
+                c.Trips_harness.Pipeline.cfg)
+            timings)
         [ Chf.Phases.Basic_blocks; Chf.Phases.Iupo_merged ])
     (Trips_workloads.Micro.all @ Trips_workloads.Micro.store_dense);
   List.iter

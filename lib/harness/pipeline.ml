@@ -170,17 +170,30 @@ let run_cycles ?timing ?attribution (c : compiled) : Cycle_sim.result =
       let memory = Workload.memory c.workload in
       Cycle_sim.run ?timing ?attribution ~registers:c.registers ~memory c.cfg)
 
+(* The functional record of a cycle run: [Cycle_sim.run] is
+   functionally identical to [Func_sim.run] and counts the same blocks,
+   fired and fetched instructions. *)
+let functional_of (r : Cycle_sim.result) : Func_sim.result =
+  {
+    Func_sim.ret = r.Cycle_sim.ret;
+    blocks_executed = r.Cycle_sim.blocks;
+    instrs_executed = r.Cycle_sim.instrs_fired;
+    instrs_fetched = r.Cycle_sim.instrs_fetched;
+    checksum = r.Cycle_sim.checksum;
+  }
+
 (** The basic-block baseline of [w]: the BB compile under the default
-    policy (the baseline reads nothing else of a policy), its functional
-    run and, when [cycles], its cycle run.  Memoized in [cache] under
-    the workload's content; an exception propagates and nothing is
-    stored. *)
+    policy (the baseline reads nothing else of a policy) and one run of
+    it — at cycle level when [cycles], which also yields the functional
+    result, else functional.  Memoized in [cache] under the workload's
+    content; an exception propagates and nothing is stored. *)
 let baseline ?cache ~backend ~cycles (w : Workload.t) : Stage.baseline =
   Stage.baseline ?cache ~backend ~cycles w (fun () ->
       let bb = compile ?cache ~backend Chf.Phases.Basic_blocks w in
-      let base_functional = run_functional bb in
-      { Stage.base_functional;
-        base_cycles = (if cycles then Some (run_cycles bb) else None) })
+      if cycles then
+        let r = run_cycles bb in
+        { Stage.base_functional = functional_of r; base_cycles = Some r }
+      else { Stage.base_functional = run_functional bb; base_cycles = None })
 
 (* On a checksum mismatch, re-run the formation phases with differential
    checking on a fresh copy of the cached lowering to name the first phase
@@ -197,11 +210,10 @@ let localize_divergence ?cache (c : compiled) =
   | Ok _ -> if c.backend <> None then Some "backend" else None
   | exception _ -> None
 
-(** Raise [Miscompiled] unless [c] produces the same functional checksum
-    as the basic-block baseline result [baseline]; the payload names the
-    workload, ordering and (when localizable) the diverging phase. *)
-let verify_against ?cache ~(baseline : Func_sim.result) (c : compiled) =
-  let r = run_functional c in
+(* Raise [Miscompiled] unless [r], a run of [c], reproduces the
+   basic-block baseline's checksum. *)
+let check_against ?cache ~(baseline : Func_sim.result) (c : compiled)
+    (r : Func_sim.result) =
   if r.Func_sim.checksum <> baseline.Func_sim.checksum then
     raise
       (Miscompiled
@@ -214,6 +226,12 @@ let verify_against ?cache ~(baseline : Func_sim.result) (c : compiled) =
          });
   r
 
+(** Raise [Miscompiled] unless [c] produces the same functional checksum
+    as the basic-block baseline result [baseline]; the payload names the
+    workload, ordering and (when localizable) the diverging phase. *)
+let verify_against ?cache ~baseline (c : compiled) =
+  check_against ?cache ~baseline c (run_functional c)
+
 type measured = {
   compiled : compiled;
   functional : Func_sim.result;
@@ -221,22 +239,20 @@ type measured = {
   attribution : Attribution.t option;
 }
 
-(** The one measured cell: compile, check the checksum against the BB
-    baseline, then simulate — functionally always (that run is the
-    check), at cycle level when [cycles]. *)
+(** The one measured cell: compile, then simulate once — at cycle level
+    when [cycles], else functionally — and check that run's checksum
+    against the BB baseline. *)
 let measure ?cache ?config ?backend ?verify ?attribution ~cycles
     ~(baseline : Stage.baseline) ordering (w : Workload.t) : measured =
   let compiled = compile ?cache ?config ?backend ?verify ordering w in
-  let functional =
-    verify_against ?cache ~baseline:baseline.Stage.base_functional compiled
-  in
-  {
-    compiled;
-    functional;
-    cycles =
-      (if cycles then Some (run_cycles ?attribution compiled) else None);
-    attribution;
-  }
+  let baseline = baseline.Stage.base_functional in
+  if cycles then
+    let r = run_cycles ?attribution compiled in
+    let functional = check_against ?cache ~baseline compiled (functional_of r) in
+    { compiled; functional; cycles = Some r; attribution }
+  else
+    let functional = verify_against ?cache ~baseline compiled in
+    { compiled; functional; cycles = None; attribution }
 
 (** Structured failure report for an exception escaping the pipeline. *)
 let failure_of_exn ~(workload : Workload.t) ~ordering exn =

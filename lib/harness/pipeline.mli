@@ -5,8 +5,7 @@
     and cycle-level simulation.
 
     Every measured configuration ({!measure}) is checked against the
-    basic-block baseline's functional checksum before it is simulated,
-    so a miscompilation can never silently pollute experiment results; with
+    basic-block baseline's functional checksum, so a miscompilation can never silently pollute experiment results; with
     [verify], structure and behavior are additionally re-checked after
     {e every} formation phase via {!Trips_verify.Diff_check}, naming the
     first transform that broke.
@@ -128,8 +127,9 @@ val baseline :
   ?cache:Stage.cache -> backend:bool -> cycles:bool -> Workload.t -> Stage.baseline
 (** The basic-block baseline every formed configuration is checked and
     measured against: [Basic_blocks] compiled under
-    {!Chf.Policy.edge_default} (through the back end when [backend]),
-    run functionally and, when [cycles], at cycle level.  It depends on
+    {!Chf.Policy.edge_default} (through the back end when [backend]) and
+    run once — at cycle level when [cycles], whose run also gives
+    [base_functional], else functionally.  It depends on
     the workload's content alone — BB formation reads no policy field
     but the block limits, which every policy shares — so [cache]
     memoizes it per source ({!Stage.baseline}) and a second ordering or
@@ -144,7 +144,9 @@ val verify_against :
 
 type measured = {
   compiled : compiled;
-  functional : Func_sim.result;  (** the checksum-verified run *)
+  functional : Func_sim.result;
+      (** the checksum-verified run: the cycle run's functional counts
+          when cycles were asked for *)
   cycles : Cycle_sim.result option;  (** present when cycles were asked for *)
   attribution : Attribution.t option;
       (** the collector the cycle run filled, when one was given *)
@@ -162,9 +164,11 @@ val measure :
   Workload.t ->
   measured
 (** The one measured cell, and the only code that orders compile ->
-    verify -> simulate: {!compile}, then {!verify_against} the
-    baseline's functional checksum (that run is the functional
-    measurement), then, when [cycles], {!run_cycles} with [attribution].
+    simulate -> verify: {!compile}, then one simulation whose checksum
+    is checked against the baseline's.  When [cycles] that is
+    {!run_cycles} with [attribution], and [functional] is read from the
+    same run (it equals {!run_functional} field for field); otherwise it
+    is {!verify_against}, whose functional run is the measurement.
     Every table, report and served compile measures through here.
     Exceptions propagate; {!Sweep.run} classifies them with
     {!failure_of_exn}. *)

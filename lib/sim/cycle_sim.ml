@@ -30,23 +30,28 @@
 
    One exact path (DESIGN.md §16), byte-compared by the sim suite against
    the per-instruction reference in test/cycle_oracle.ml, keeps this the
-   cheap stage of a sweep: an *event-driven issue core*.  Block events
-   land in flat machine buffers straight from the functional hooks (no
-   per-instruction allocation), cache probes and the fired bitmask fold
-   into that same pass, and issue-slot occupancy lives in a bounded ring
-   whose slots are tagged with the absolute cycle they represent.
+   cheap stage of a sweep.  Each run first *decodes* the CFG: every
+   block becomes a record of flat per-instruction arrays (latency,
+   memory kind, use and def slots), its registers renumbered into dense
+   block-local slots that map to dense run registers, so [reg_ready] is
+   an array and the timing path never matches an opcode or hashes a
+   register.  An instance finds its decoded block with one table probe,
+   on entry.  The functional hooks record only each instruction's fired
+   flag and address; the issue loop then reads the decoded arrays,
+   probes the cache in program order and takes issue slots from a
+   bounded ring whose slots are tagged with the absolute cycle they
+   represent.
    Cycles below the current block's dispatch point are dead by
    construction (every future probe starts at or after it), so stale
    slots are reclaimed lazily by tag comparison and the ring only ever
    spans the in-flight window, not the whole simulated time axis.
-   Operand wakeup is batched: per signature (block id, firing exit's
-   guard register, fired bitmask) the block's registers are renumbered
-   into dense slots once, and each instance seeds that flat
-   availability table with every external input's effective readiness
-   (max of the register-read latency and the producer's completion plus
-   a network hop) instead of consulting two hash tables per operand
-   use.  Every block instance is timed by that one computation; nothing
-   is recorded or replayed. *)
+   Operand wakeup is batched: per signature (block, firing exit's guard
+   slot, fired bitmask) the external inputs and outputs are listed once,
+   and each instance seeds its slot-indexed availability table with
+   every external input's effective readiness (max of the register-read
+   latency and the producer's completion plus a network hop).  Every
+   block instance is timed by that one computation; nothing is recorded
+   or replayed. *)
 
 open Trips_ir
 
@@ -99,31 +104,127 @@ type result = {
   checksum : int;
 }
 
-(* ---- signature cache ---------------------------------------------------- *)
+(* ---- decoded blocks ----------------------------------------------------- *)
 
-(* Instance signature: everything structural — block id, the firing
-   exit's guard register (-1 for none) and the fired bitmask; the mask
-   determines the instruction/def/use sequence and the guard the branch
-   resolution input, both per-dynamic-instance (predication).  Stored as
-   a per-block list probed with inline integer comparisons against the
-   live event buffers, so a lookup allocates nothing. *)
+(* Instance signature: the firing exit's guard slot (-1 for none) and
+   the fired bitmask; with the block they determine the
+   instruction/def/use sequence and the branch resolution input, both
+   per-dynamic-instance (predication).  Stored as a per-block list
+   probed with inline integer comparisons against the live event
+   buffers, so a lookup allocates nothing. *)
 type sig_cell = { sc_guard : int; sc_mask : int array; sc_info : sig_info }
 
-(* Per-signature static analysis.  Registers are renumbered into dense
-   slots [0, si_nregs), so the per-instance operand-availability table
-   is a pair of flat arrays instead of a hashtable; [si_names] maps a
-   slot back to its architectural register for the write-back. *)
+(* Per-signature analysis over the block's slots: which slots the
+   instance reads from outside — a use with no earlier *fired* def, in
+   first-use order, including the firing exit's guard — and which a
+   fired def writes, each with its run register. *)
 and sig_info = {
-  si_ext : int array;  (* external input registers, first-use order *)
-  si_ext_slots : int array;  (* their dense slots, aligned with si_ext *)
-  si_names : int array;  (* slot -> architectural register *)
-  si_nregs : int;
+  si_ext_slots : int array;
+  si_ext_regs : int array;  (* run registers, aligned with si_ext_slots *)
+  si_out_slots : int array;
+  si_out_regs : int array;  (* run registers, aligned with si_out_slots *)
   si_guard_slot : int;  (* firing exit's guard slot, -1 for none *)
-  si_uses : int array array;  (* use slots per fired instruction *)
-  si_defs : int array array;  (* def slots per fired instruction *)
 }
 
-let dummy_instr = Instr.make 0 (Instr.Mov (0, Instr.Imm 0))
+(* Memory kind of an instruction, decoded once. *)
+let mem_none = 0
+let mem_load = 1
+let mem_store = 2
+
+(* A block decoded once per run.  Registers are numbered twice, both
+   densely: block-local slots [0, Array.length d_regs) index the
+   per-instance availability table, and [d_regs] maps a slot to its run
+   register, the index into [reg_ready].  Corpus files may name any
+   integer as a register or block id, so nothing is indexed by a raw
+   number.  The [Instr.t] array is kept for attribution. *)
+type dblock = {
+  d_id : int;
+  d_instrs : Instr.t array;
+  d_lat : int array;  (* nominal latency *)
+  d_mem : int array;  (* mem_none, mem_load or mem_store *)
+  d_uses : int array array;  (* use slots per instruction *)
+  d_defs : int array array;  (* def slots per instruction *)
+  d_regs : int array;  (* slot -> run register *)
+  d_guard_regs : int array;  (* distinct exit guard registers ... *)
+  d_guard_slots : int array;  (* ... and their slots *)
+  mutable d_sigs : sig_cell list;
+}
+
+module Id_tbl = Hashtbl.Make (Int)
+
+(* The number [tbl] gives [key], taking the next value of the counter
+   [n] on first sight. *)
+let intern tbl n key =
+  match Hashtbl.find_opt tbl key with
+  | Some s -> s
+  | None ->
+    let s = !n in
+    incr n;
+    Hashtbl.add tbl key s;
+    s
+
+(* Decode every block of [cfg]; returns the block table (raw id ->
+   decoded block) and the number of run registers. *)
+let decode (cfg : Cfg.t) =
+  let run_regs = Hashtbl.create 256 and n_run = ref 0 in
+  let blocks = Id_tbl.create 64 in
+  Cfg.iter_blocks
+    (fun (b : Block.t) ->
+      let local = Hashtbl.create 32 and n_local = ref 0 and regs = ref [] in
+      let slot r =
+        let n = !n_local in
+        let s = intern local n_local r in
+        if s = n then regs := intern run_regs n_run r :: !regs;
+        s
+      in
+      let instrs = Array.of_list b.Block.instrs in
+      let slots f = Array.map (fun i -> Array.of_list (List.map slot (f i))) instrs in
+      let uses = slots Instr.uses in
+      let defs = slots Instr.defs in
+      let guards =
+        List.sort_uniq Int.compare
+          (List.filter_map
+             (fun (e : Block.exit_) -> Option.map (fun g -> g.Instr.greg) e.Block.eguard)
+             b.Block.exits)
+      in
+      let guard_regs = Array.of_list guards in
+      let guard_slots = Array.map slot guard_regs in
+      Id_tbl.replace blocks b.Block.id
+        {
+          d_id = b.Block.id;
+          d_instrs = instrs;
+          d_lat = Array.map (fun (i : Instr.t) -> Latency.of_op i.Instr.op) instrs;
+          d_mem =
+            Array.map
+              (fun (i : Instr.t) ->
+                match i.Instr.op with
+                | Instr.Load _ -> mem_load
+                | Instr.Store _ -> mem_store
+                | Instr.Binop _ | Instr.Cmp _ | Instr.Mov _ | Instr.Nullw _ -> mem_none)
+              instrs;
+          d_uses = uses;
+          d_defs = defs;
+          d_regs = Array.of_list (List.rev !regs);
+          d_guard_regs = guard_regs;
+          d_guard_slots = guard_slots;
+          d_sigs = [];
+        })
+    cfg;
+  (blocks, !n_run)
+
+let no_block =
+  {
+    d_id = -1;
+    d_instrs = [||];
+    d_lat = [||];
+    d_mem = [||];
+    d_uses = [||];
+    d_defs = [||];
+    d_regs = [||];
+    d_guard_regs = [||];
+    d_guard_slots = [||];
+    d_sigs = [];
+  }
 
 (* Mutable per-run machine state. *)
 type machine = {
@@ -132,7 +233,8 @@ type machine = {
   trace_ppf : Format.formatter;
   predictor : Predictor.t;
   cache : Cache.t;
-  reg_ready : (int, int) Hashtbl.t;  (* register -> producer completion *)
+  blocks : dblock Id_tbl.t;  (* block id -> decoded block *)
+  reg_ready : int array;  (* run register -> producer completion *)
   (* ring allocator: slot [c land ring_mask] holds cycle [ring_tags],
      occupancy [ring_used]; tags below the current dispatch point are
      dead and reclaimed lazily *)
@@ -140,21 +242,17 @@ type machine = {
   mutable ring_used : int array;
   mutable ring_mask : int;
   mutable ring_grows : int;
-  sigs : (int, sig_cell list) Hashtbl.t;  (* block id -> signatures *)
   (* event buffers, filled by the functional hooks in program order
-     with no per-instruction allocation: instruction and fired flag,
-     plus the fired bitmask, load-miss bits and fired count folded into
-     the same pass *)
-  mutable ev_ins : Instr.t array;
+     with no per-instruction allocation: fired flag and address, plus
+     the fired bitmask and fired count folded into the same pass *)
   mutable ev_fired : bool array;
+  mutable ev_addr : int array;
   mutable ev_mask : int array;
-  mutable ev_miss : int array;
   mutable ev_n : int;
   mutable ev_fired_n : int;
-  (* reused per-block scratch, cleared instead of reallocated (hot
-     path): the slot-indexed operand-availability table (completion and
-     producer index; producer -2 = unset, -1 = external input with the
-     hop folded in) *)
+  (* reused per-block scratch (hot path): the slot-indexed
+     operand-availability table, completion and producer index
+     (-1 = external input with the hop folded in) *)
   mutable avail_c : int array;
   mutable avail_p : int array;
   mutable prev_dispatch_end : int;
@@ -166,35 +264,35 @@ type machine = {
   mutable instrs_fired : int;
   mutable instrs_fetched : int;
   (* current block instance being accumulated *)
-  mutable cur_block : int;
-  mutable cur_exit : Block.exit_ option;
+  mutable cur : dblock;
+  mutable cur_guard : int;  (* firing exit's guard slot, -1 for none *)
   mutable started : bool;
 }
 
 let ring_initial_capacity = 256
 let ev_initial_capacity = 256
 
-let make_machine ?(trace = 0) ?(trace_ppf = Fmt.stderr) t =
+let make_machine ?(trace = 0) ?(trace_ppf = Fmt.stderr) t cfg =
+  let blocks, n_regs = decode cfg in
   {
     t;
     trace = ref trace;
     trace_ppf;
     predictor = Predictor.create ();
     cache = Cache.create ~size_words:t.cache_size_words ~line_words:t.cache_line_words ();
-    reg_ready = Hashtbl.create 256;
+    blocks;
+    reg_ready = Array.make n_regs 0;
     ring_tags = Array.make ring_initial_capacity min_int;
     ring_used = Array.make ring_initial_capacity 0;
     ring_mask = ring_initial_capacity - 1;
     ring_grows = 0;
-    sigs = Hashtbl.create 64;
-    ev_ins = Array.make ev_initial_capacity dummy_instr;
     ev_fired = Array.make ev_initial_capacity false;
+    ev_addr = Array.make ev_initial_capacity (-1);
     ev_mask = Array.make ((ev_initial_capacity / 62) + 1) 0;
-    ev_miss = Array.make ((ev_initial_capacity / 62) + 1) 0;
     ev_n = 0;
     ev_fired_n = 0;
     avail_c = Array.make 128 0;
-    avail_p = Array.make 128 (-2);
+    avail_p = Array.make 128 (-1);
     prev_dispatch_end = 0;
     last_commit = 0;
     commit_ring = Array.make t.window_blocks 0;
@@ -203,8 +301,8 @@ let make_machine ?(trace = 0) ?(trace_ppf = Fmt.stderr) t =
     mispredictions = 0;
     instrs_fired = 0;
     instrs_fetched = 0;
-    cur_block = -1;
-    cur_exit = None;
+    cur = no_block;
+    cur_guard = -1;
     started = false;
   }
 
@@ -277,167 +375,113 @@ let hop_between t a b =
 
 (* ---- timing body --------------------------------------------------------- *)
 
-(* Hot-path hashtable read without the [find_opt] option allocation. *)
-let ht_find0 tbl k =
-  match Hashtbl.find tbl k with v -> v | exception Not_found -> 0
-
-let bit_set words idx = words.(idx / 62) land (1 lsl (idx mod 62)) <> 0
-
-(* Per-signature static analysis, computed once: dense register
-   renumbering, each fired instruction's use/def slots as arrays (no
-   per-instance list allocation), and which registers the instance
-   reads from outside — a use with no earlier *fired* def, in
-   first-use order, including the firing exit's guard.  Determined by
-   the signature (block, fired mask, guard). *)
-let make_sig_info m ~guard_reg =
-  let n = m.ev_n in
-  let uses = Array.make n [||] in
-  let defs = Array.make n [||] in
-  let slot_of = Hashtbl.create 32 in
-  let names = ref [] in
-  let nregs = ref 0 in
-  let slot r =
-    match Hashtbl.find slot_of r with
-    | s -> s
-    | exception Not_found ->
-      let s = !nregs in
-      Hashtbl.add slot_of r s;
-      names := r :: !names;
-      incr nregs;
-      s
-  in
-  let defined = Hashtbl.create 32 in
-  let ext_set = Hashtbl.create 16 in
+(* Per-signature analysis, computed once from the decoded arrays and the
+   live fired flags. *)
+let make_sig_info m (db : dblock) ~guard_slot =
+  let n_slots = Array.length db.d_regs in
+  let defined = Array.make n_slots false and external_ = Array.make n_slots false in
   let ext = ref [] in
-  let ext_slots = ref [] in
-  let note_ext r s =
-    if (not (Hashtbl.mem defined r)) && not (Hashtbl.mem ext_set r) then begin
-      Hashtbl.add ext_set r ();
-      ext := r :: !ext;
-      ext_slots := s :: !ext_slots
+  let note_ext s =
+    if (not defined.(s)) && not external_.(s) then begin
+      external_.(s) <- true;
+      ext := s :: !ext
     end
   in
-  for idx = 0 to n - 1 do
+  for idx = 0 to m.ev_n - 1 do
     if m.ev_fired.(idx) then begin
-      let i = m.ev_ins.(idx) in
-      let us = Instr.uses i and ds = Instr.defs i in
-      uses.(idx) <-
-        Array.of_list
-          (List.map
-             (fun r ->
-               let s = slot r in
-               note_ext r s;
-               s)
-             us);
-      defs.(idx) <- Array.of_list (List.map slot ds);
-      List.iter (fun d -> Hashtbl.replace defined d ()) ds
+      Array.iter note_ext db.d_uses.(idx);
+      Array.iter (fun d -> defined.(d) <- true) db.d_defs.(idx)
     end
   done;
-  let guard_slot =
-    if guard_reg >= 0 then begin
-      let s = slot guard_reg in
-      note_ext guard_reg s;
-      s
-    end
-    else -1
-  in
+  if guard_slot >= 0 then note_ext guard_slot;
+  let ext = Array.of_list (List.rev !ext) in
+  let out = List.filter (fun s -> defined.(s)) (List.init n_slots Fun.id) in
+  let out = Array.of_list out in
   {
-    si_ext = Array.of_list (List.rev !ext);
-    si_ext_slots = Array.of_list (List.rev !ext_slots);
-    si_names = Array.of_list (List.rev !names);
-    si_nregs = !nregs;
+    si_ext_slots = ext;
+    si_ext_regs = Array.map (fun s -> db.d_regs.(s)) ext;
+    si_out_slots = out;
+    si_out_regs = Array.map (fun s -> db.d_regs.(s)) out;
     si_guard_slot = guard_slot;
-    si_uses = uses;
-    si_defs = defs;
   }
 
-(* An external input is ready at the register-read latency or at its
-   producer's completion plus a hop, whichever is later; the timing body
-   seeds each once per instance. *)
-let external_ready m ~dispatch_end r =
-  max (dispatch_end + m.t.reg_read_latency) (ht_find0 m.reg_ready r + m.t.operand_hop)
+(* Signature lookup: scan the block's signatures comparing guard and
+   mask words against the live buffers — a hit allocates nothing, and
+   the per-block lists stay short (one cell per distinct predication
+   outcome). *)
+let rec mask_eq (stored : int array) (live : int array) words w =
+  w >= words || (stored.(w) = live.(w) && mask_eq stored live words (w + 1))
+
+let rec find_sig live words guard_slot = function
+  | c :: rest ->
+    if c.sc_guard = guard_slot && mask_eq c.sc_mask live words 0 then c.sc_info
+    else find_sig live words guard_slot rest
+  | [] -> raise Not_found
 
 (* The timing body: look up the instance's signature over the event
    buffers the hooks filled, seed the external inputs, run the issue
-   loop, and write every register a fired def produced into [reg_ready]
-   (the write never needs the commit — a fired def's completion is
-   always known).  Returns block-done and branch times. *)
+   loop (probing the cache in program order), and write every register
+   a fired def produced into [reg_ready] (the write never needs the
+   commit — a fired def's completion is always known).  Returns
+   block-done and branch times. *)
 let time_block m ~dispatch_end =
   let t = m.t in
+  let db = m.cur in
   let horizon = dispatch_end in
   let n_instrs = m.ev_n in
-  let words = max 1 ((n_instrs + 61) / 62) in
+  let words = Int.max 1 ((n_instrs + 61) / 62) in
   m.instrs_fired <- m.instrs_fired + m.ev_fired_n;
-  let guard_reg =
-    match m.cur_exit with
-    | Some { Block.eguard = Some g; _ } -> g.Instr.greg
-    | Some { Block.eguard = None; _ } | None -> -1
-  in
-  (* signature lookup: scan this block's signatures comparing guard and
-     mask words against the live buffers — a hit allocates nothing, and
-     the per-block lists stay short (one cell per distinct predication
-     outcome) *)
-  let mask_eq stored =
-    let rec go w = w >= words || (stored.(w) = m.ev_mask.(w) && go (w + 1)) in
-    go 0
-  in
-  let cells =
-    match Hashtbl.find m.sigs m.cur_block with
-    | l -> l
-    | exception Not_found -> []
-  in
+  let guard_slot = m.cur_guard in
   let si =
-    let rec scan = function
-      | c :: rest ->
-        if c.sc_guard = guard_reg && mask_eq c.sc_mask then c.sc_info
-        else scan rest
-      | [] ->
-        let si = make_sig_info m ~guard_reg in
-        Hashtbl.replace m.sigs m.cur_block
-          ({ sc_guard = guard_reg;
-             sc_mask = Array.sub m.ev_mask 0 words;
-             sc_info = si }
-          :: cells);
-        si
-    in
-    scan cells
+    match find_sig m.ev_mask words guard_slot db.d_sigs with
+    | si -> si
+    | exception Not_found ->
+      let si = make_sig_info m db ~guard_slot in
+      db.d_sigs <-
+        { sc_guard = guard_slot; sc_mask = Array.sub m.ev_mask 0 words; sc_info = si }
+        :: db.d_sigs;
+      si
   in
-  let nregs = si.si_nregs in
-  if Array.length m.avail_c < nregs then begin
-    m.avail_c <- Array.make (2 * nregs) 0;
-    m.avail_p <- Array.make (2 * nregs) (-2)
+  let n_slots = Array.length db.d_regs in
+  if Array.length m.avail_c < n_slots then begin
+    m.avail_c <- Array.make (2 * n_slots) 0;
+    m.avail_p <- Array.make (2 * n_slots) (-1)
   end;
+  (* every slot an instance reads is seeded here or written by an
+     earlier fired def, so the table needs no clearing *)
   let ac = m.avail_c and ap = m.avail_p in
-  Array.fill ap 0 nregs (-2);
-  for j = 0 to Array.length si.si_ext - 1 do
-    let s = si.si_ext_slots.(j) in
-    ac.(s) <- external_ready m ~dispatch_end si.si_ext.(j);
+  let ext_slots = si.si_ext_slots and ext_regs = si.si_ext_regs in
+  for j = 0 to Array.length ext_slots - 1 do
+    let s = ext_slots.(j) in
+    ac.(s) <-
+      Int.max (dispatch_end + t.reg_read_latency) (m.reg_ready.(ext_regs.(j)) + t.operand_hop);
     ap.(s) <- -1
   done;
+  (* a flat grid charges one hop per edge, whatever the producer *)
+  let flat = t.spatial_grid <= 0 in
   let input_ready ~consumer_idx s =
     let p = ap.(s) in
-    if p = -1 then ac.(s)
-    else if p >= 0 then ac.(s) + hop_between t p consumer_idx
-    else
-      (* unreachable by construction of [si_ext]; kept total *)
-      external_ready m ~dispatch_end si.si_names.(s)
+    if p < 0 then ac.(s)
+    else if flat then ac.(s) + t.operand_hop
+    else ac.(s) + hop_between t p consumer_idx
   in
   let block_done = ref dispatch_end in
   for idx = 0 to n_instrs - 1 do
     if m.ev_fired.(idx) then begin
       let ready = ref dispatch_end in
-      let us = si.si_uses.(idx) in
+      let us = db.d_uses.(idx) in
       for k = 0 to Array.length us - 1 do
         let r = input_ready ~consumer_idx:idx us.(k) in
         if r > !ready then ready := r
       done;
       let issue = ring_issue m ~horizon !ready in
+      let mem = db.d_mem.(idx) and addr = m.ev_addr.(idx) in
+      let hit = mem = mem_none || addr < 0 || Cache.access m.cache ~addr in
       let latency =
-        Latency.of_op m.ev_ins.(idx).Instr.op
-        + (if bit_set m.ev_miss idx then t.miss_penalty else 0)
+        if hit || mem = mem_store then db.d_lat.(idx) else db.d_lat.(idx) + t.miss_penalty
       in
       let done_ = issue + latency in
-      let ds = si.si_defs.(idx) in
+      let ds = db.d_defs.(idx) in
       for k = 0 to Array.length ds - 1 do
         let d = ds.(k) in
         ac.(d) <- done_;
@@ -451,56 +495,58 @@ let time_block m ~dispatch_end =
       input_ready ~consumer_idx:n_instrs si.si_guard_slot
     else dispatch_end
   in
-  (* every slot a fired def finally wrote (producer >= 0) is an output *)
-  for s = 0 to nregs - 1 do
-    if ap.(s) >= 0 then Hashtbl.replace m.reg_ready si.si_names.(s) ac.(s)
+  let out_slots = si.si_out_slots and out_regs = si.si_out_regs in
+  for j = 0 to Array.length out_slots - 1 do
+    m.reg_ready.(out_regs.(j)) <- ac.(out_slots.(j))
   done;
   (!block_done, branch_time)
 
 (* ---- event intake ------------------------------------------------------- *)
 
-(* Instruction hook: append to the flat buffers, fold the fired bitmask
-   in, and resolve cache accesses right here — the hooks fire in program
-   order, exactly the order a per-instruction timing loop probes the
-   cache in, and cache state never feeds back into functional execution,
-   so probing early is byte-identical. *)
-let ev_push m i ~fired ~addr =
-  let idx = m.ev_n in
-  if idx = Array.length m.ev_ins then begin
-    let cap = 2 * idx in
-    let ins = Array.make cap dummy_instr in
-    let frd = Array.make cap false in
-    let msk = Array.make ((cap / 62) + 1) 0 in
-    let mis = Array.make ((cap / 62) + 1) 0 in
-    Array.blit m.ev_ins 0 ins 0 idx;
-    Array.blit m.ev_fired 0 frd 0 idx;
-    Array.blit m.ev_mask 0 msk 0 (Array.length m.ev_mask);
-    Array.blit m.ev_miss 0 mis 0 (Array.length m.ev_miss);
-    m.ev_ins <- ins;
-    m.ev_fired <- frd;
-    m.ev_mask <- msk;
-    m.ev_miss <- mis
+(* Block hook: the one table probe of an instance, and room in the
+   event buffers for all its instructions. *)
+let ev_enter m id =
+  let db = Id_tbl.find m.blocks id in
+  let n = Array.length db.d_lat in
+  if n > Array.length m.ev_fired then begin
+    m.ev_fired <- Array.make n false;
+    m.ev_addr <- Array.make n (-1);
+    m.ev_mask <- Array.make ((n / 62) + 1) 0
+  end
+  else begin
+    let words = Int.max 1 ((m.ev_n + 61) / 62) in
+    Array.fill m.ev_mask 0 words 0
   end;
-  m.ev_ins.(idx) <- i;
+  m.cur <- db;
+  m.cur_guard <- -1;
+  m.ev_n <- 0;
+  m.ev_fired_n <- 0
+
+(* Instruction hook: record the fired flag and address, folding the
+   fired bitmask in.  The cache is probed later, by the issue loop, in
+   the same program order. *)
+let ev_push m ~fired ~addr =
+  let idx = m.ev_n in
   m.ev_fired.(idx) <- fired;
+  m.ev_addr.(idx) <- addr;
   m.ev_n <- idx + 1;
   if fired then begin
     m.ev_fired_n <- m.ev_fired_n + 1;
-    m.ev_mask.(idx / 62) <- m.ev_mask.(idx / 62) lor (1 lsl (idx mod 62));
-    match i.Instr.op with
-    | Instr.Load _ when addr >= 0 ->
-      if not (Cache.access m.cache ~addr) then
-        m.ev_miss.(idx / 62) <- m.ev_miss.(idx / 62) lor (1 lsl (idx mod 62))
-    | Instr.Store _ when addr >= 0 -> ignore (Cache.access m.cache ~addr)
-    | _ -> ()
+    m.ev_mask.(idx / 62) <- m.ev_mask.(idx / 62) lor (1 lsl (idx mod 62))
   end
 
-let ev_reset m =
-  let words = max 1 ((m.ev_n + 61) / 62) in
-  Array.fill m.ev_mask 0 words 0;
-  Array.fill m.ev_miss 0 words 0;
-  m.ev_n <- 0;
-  m.ev_fired_n <- 0
+(* Exit hook: the firing exit's guard slot, found among the block's few
+   distinct guard registers. *)
+let ev_exit m (e : Block.exit_) =
+  match e.Block.eguard with
+  | None -> m.cur_guard <- -1
+  | Some g ->
+    let db = m.cur in
+    let k = ref 0 in
+    while db.d_guard_regs.(!k) <> g.Instr.greg do
+      incr k
+    done;
+    m.cur_guard <- db.d_guard_slots.(!k)
 
 (* ---- retire -------------------------------------------------------------- *)
 
@@ -518,12 +564,13 @@ let retire ?attribution m ~next =
     Trips_obs.Watchdog.check ();
     let t = m.t in
     let n_instrs = m.ev_n in
+    let block = m.cur.d_id in
     m.instrs_fetched <- m.instrs_fetched + n_instrs;
     (* window: the (window-1)-blocks-ago commit gates dispatch *)
     let slot = m.block_index mod t.window_blocks in
     let window_gate = m.commit_ring.(slot) in
     let dispatch_start =
-      max (max m.prev_dispatch_end m.redirect_at) window_gate
+      Int.max (Int.max m.prev_dispatch_end m.redirect_at) window_gate
     in
     let dispatch_end =
       dispatch_start + t.block_overhead
@@ -531,23 +578,23 @@ let retire ?attribution m ~next =
     in
     let block_done, branch_time = time_block m ~dispatch_end in
     let commit =
-      max (max block_done branch_time) m.last_commit + t.commit_overhead
+      Int.max (Int.max block_done branch_time) m.last_commit + t.commit_overhead
     in
     if !(m.trace) > 0 then begin
       decr m.trace;
       Fmt.pf m.trace_ppf
         "[trace] b%d n=%d dispatch=%d..%d done=%d branch=%d commit=%d@."
-        m.cur_block n_instrs dispatch_start dispatch_end block_done
+        block n_instrs dispatch_start dispatch_end block_done
         branch_time commit
     end;
     (match attribution with
     | Some a ->
-      Attribution.count_execution a ~block:m.cur_block;
-      for idx = 0 to m.ev_n - 1 do
-        Attribution.count_instr a ~block:m.cur_block m.ev_ins.(idx)
+      Attribution.count_execution a ~block;
+      for idx = 0 to n_instrs - 1 do
+        Attribution.count_instr a ~block m.cur.d_instrs.(idx)
           ~fired:m.ev_fired.(idx)
       done;
-      Attribution.add_cycles a ~block:m.cur_block (commit - m.last_commit)
+      Attribution.add_cycles a ~block (commit - m.last_commit)
     | None -> ());
     m.commit_ring.(slot) <- commit;
     m.last_commit <- commit;
@@ -560,12 +607,12 @@ let retire ?attribution m ~next =
        predictor's own lookup/hit counters. *)
     (match next with
     | Some actual ->
-      let correct = Predictor.update m.predictor ~block:m.cur_block ~actual in
+      let correct = Predictor.update m.predictor ~block ~actual in
       if not correct then begin
         m.mispredictions <- m.mispredictions + 1;
         m.redirect_at <- branch_time + t.flush_penalty;
         match attribution with
-        | Some a -> Attribution.add_flush a ~block:m.cur_block
+        | Some a -> Attribution.add_flush a ~block
         | None -> ()
       end
     | None -> ())
@@ -576,18 +623,16 @@ let retire ?attribution m ~next =
     statistics. *)
 let run ?(timing = default_timing) ?(trace = 0) ?trace_ppf ?attribution ?fuel
     ?strict_exits ?registers ~memory cfg : result =
-  let m = make_machine ~trace ?trace_ppf timing in
+  let m = make_machine ~trace ?trace_ppf timing cfg in
   let hooks =
     {
       Func_sim.on_block =
         (fun id ->
           retire ?attribution m ~next:(Some id);
           m.started <- true;
-          m.cur_block <- id;
-          ev_reset m;
-          m.cur_exit <- None);
-      on_instr = (fun i ~fired ~addr -> ev_push m i ~fired ~addr);
-      on_exit = (fun e -> m.cur_exit <- Some e);
+          ev_enter m id);
+      on_instr = (fun _ ~fired ~addr -> ev_push m ~fired ~addr);
+      on_exit = (fun e -> ev_exit m e);
     }
   in
   let fr = Func_sim.run ?fuel ?strict_exits ~hooks ?registers ~memory cfg in

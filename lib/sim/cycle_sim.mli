@@ -16,9 +16,12 @@
     times, keeping loop-carried chains serial no matter how many blocks
     are in flight.
 
-    There is one exact path: an event-driven core with a bounded ring
-    issue allocator, batched operand wakeup and memoized repeated-block
-    timing (DESIGN.md §16).  The sim suite byte-compares it against the
+    There is one exact path (DESIGN.md §16): each run decodes the CFG
+    once into per-block arrays (latency, memory kind, dense use and def
+    slots), and an event-driven core times every block instance from
+    them with a bounded ring issue allocator and batched operand wakeup
+    — one decoded-block probe per instance, no table probe per
+    instruction.  The sim suite byte-compares it against the
     per-instruction reference in test/cycle_oracle.ml. *)
 
 open Trips_ir

@@ -10,8 +10,13 @@
 
 type entry = { mutable target : int; mutable confidence : int }
 
+(* probed once per retired block: an int-keyed table, so a probe hashes
+   and compares without the polymorphic primitives and a hit allocates
+   nothing *)
+module Tbl = Hashtbl.Make (Int)
+
 type t = {
-  table : (int, entry) Hashtbl.t;
+  table : entry Tbl.t;
   mutable history : int;
   history_bits : int;
   mutable lookups : int;
@@ -19,7 +24,7 @@ type t = {
 }
 
 let create ?(history_bits = 6) () =
-  { table = Hashtbl.create 256; history = 0; history_bits; lookups = 0; hits = 0 }
+  { table = Tbl.create 256; history = 0; history_bits; lookups = 0; hits = 0 }
 
 let index t block =
   let mask = (1 lsl t.history_bits) - 1 in
@@ -28,7 +33,7 @@ let index t block =
 (** Predict the successor of [block]; [None] when no information exists
     yet (treated as a misprediction by the caller). *)
 let predict t ~block =
-  match Hashtbl.find_opt t.table (index t block) with
+  match Tbl.find_opt t.table (index t block) with
   | Some e -> Some e.target
   | None -> None
 
@@ -38,19 +43,19 @@ let update t ~block ~actual =
   t.lookups <- t.lookups + 1;
   let idx = index t block in
   let correct =
-    match Hashtbl.find_opt t.table idx with
-    | Some e when e.target = actual ->
-      e.confidence <- min 3 (e.confidence + 1);
+    match Tbl.find t.table idx with
+    | e when e.target = actual ->
+      e.confidence <- Int.min 3 (e.confidence + 1);
       true
-    | Some e ->
+    | e ->
       if e.confidence > 0 then e.confidence <- e.confidence - 1
       else begin
         e.target <- actual;
         e.confidence <- 1
       end;
       false
-    | None ->
-      Hashtbl.replace t.table idx { target = actual; confidence = 1 };
+    | exception Not_found ->
+      Tbl.replace t.table idx { target = actual; confidence = 1 };
       false
   in
   if correct then t.hits <- t.hits + 1;

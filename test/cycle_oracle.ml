@@ -5,9 +5,10 @@
    operands are looked up in two hashtables per use, the cache is probed
    inline while timing, and issue slots come from a (cycle -> issued)
    hashtable that is never pruned.  [Cycle_sim] computes the same timing
-   from flat event buffers, per-signature dense register slots seeded
-   once per instance, and a ring of issue slots reclaimed behind the
-   dispatch point.  The window, commit, flush, attribution and trace
+   from blocks decoded once per run into flat arrays (latencies, memory
+   kinds, dense register slots), fired flags and addresses recorded per
+   instance, external inputs seeded once per instance, and a ring of
+   issue slots reclaimed behind the dispatch point.  The window, commit, flush, attribution and trace
    bookkeeping is the same as [Cycle_sim]'s.  It is the executable specification the sim suite
    compares [Cycle_sim.run] against byte for byte; nothing outside the
    tests uses it. *)

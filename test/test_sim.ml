@@ -543,7 +543,72 @@ let test_cycle_model_reference () =
     let exit_ sense = { Block.eguard = Some { Instr.greg = 200; sense }; target = Block.Ret None } in
     single_block (movs @ chain @ [ cmp ]) [ exit_ true; exit_ false ]
   in
-  cycle_agree ~label:"ring wrap" ~memory:(fun () -> Array.make 4 0) ring_wrap
+  cycle_agree ~label:"ring wrap" ~memory:(fun () -> Array.make 4 0) ring_wrap;
+  (* block ids and registers far from zero, on both sides: a loop whose
+     registers cross blocks through the cross-block readiness and whose
+     exits test a negative guard register, so a table indexed by a raw
+     id or register, or a guard mistaken for "no guard", cannot agree *)
+  let big = 1 lsl 40 and neg = -7 in
+  let sparse =
+    let cfg = Cfg.create () in
+    let exits ~loop ~out =
+      [
+        { Block.eguard = Some { Instr.greg = neg; sense = true }; target = Block.Goto loop };
+        { Block.eguard = Some { Instr.greg = neg; sense = false }; target = Block.Goto out };
+      ]
+    in
+    Cfg.set_block cfg
+      (Block.make (-3)
+         [
+           mkins (Instr.Mov (neg, Instr.Imm 1));
+           mkins (Instr.Mov (big, Instr.Imm 5));
+           mkins (Instr.Binop (Opcode.Mul, max_int, Instr.Reg big, Instr.Reg big));
+         ]
+         (exits ~loop:big ~out:0));
+    Cfg.set_block cfg
+      (Block.make big
+         [
+           mkins (Instr.Binop (Opcode.Add, big, Instr.Reg max_int, Instr.Reg big));
+           mkins (Instr.Binop (Opcode.Div, max_int, Instr.Reg big, Instr.Imm 3));
+           mkins (Instr.Cmp (Opcode.Lt, neg, Instr.Reg big, Instr.Imm 100));
+         ]
+         (exits ~loop:big ~out:0));
+    Cfg.set_block cfg
+      (Block.make 0
+         [ mkins (Instr.Store (Instr.Reg max_int, Instr.Imm 1, 0)) ]
+         [ { Block.eguard = None; target = Block.Ret (Some (Instr.Reg max_int)) } ]);
+    cfg.Cfg.entry <- -3;
+    cfg
+  in
+  List.iter
+    (fun (tname, timing) ->
+      cycle_agree ~label:("sparse ids and registers " ^ tname) ?timing
+        ~memory:(fun () -> Array.make 4 0) sparse)
+    timings
+
+let test_measure_one_run () =
+  (* a measured cell with cycles runs one simulation: its functional
+     record, read from the cycle run, equals a separate functional run *)
+  let pp ppf (r : Func_sim.result) =
+    Fmt.pf ppf "ret=%a blocks=%d executed=%d fetched=%d checksum=%d"
+      Fmt.(Dump.option int)
+      r.Func_sim.ret r.Func_sim.blocks_executed r.Func_sim.instrs_executed
+      r.Func_sim.instrs_fetched r.Func_sim.checksum
+  in
+  List.iter
+    (fun (w : Trips_workloads.Workload.t) ->
+      let baseline = Trips_harness.Pipeline.baseline ~backend:true ~cycles:true w in
+      List.iter
+        (fun ordering ->
+          let m =
+            Trips_harness.Pipeline.measure ~cycles:true ~baseline ordering w
+          in
+          check (Alcotest.testable pp ( = ))
+            (Fmt.str "%s %s" w.Trips_workloads.Workload.name (Chf.Phases.name ordering))
+            (Trips_harness.Pipeline.run_functional m.Trips_harness.Pipeline.compiled)
+            m.Trips_harness.Pipeline.functional)
+        [ Chf.Phases.Basic_blocks; Chf.Phases.Iupo_merged ])
+    (Trips_workloads.Micro.all @ Trips_workloads.Micro.store_dense)
 
 let test_ring_bounded () =
   (* the ring allocator's memory is bounded by the in-flight window, not
@@ -774,29 +839,57 @@ let oracle_random_cfgs =
            (shaped_random_cfg spec r1024);
          true))
 
+(* [shaped_random_cfg] with two register chains carried across blocks:
+   every block starts by dividing register 3000 and ends by dividing
+   3001, each a 20-cycle producer the next block's divide waits for, so
+   a seed without the producer term or a dropped cross-block write of
+   either register changes the timing. *)
+let carried_random_cfg spec r1024 =
+  let cfg = shaped_random_cfg spec r1024 in
+  List.iter
+    (fun (b : Block.t) ->
+      Cfg.set_block cfg
+        {
+          b with
+          Block.instrs =
+            (mkins (Instr.Binop (Opcode.Div, 3000, Instr.Reg 3000, Instr.Imm 3))
+            :: b.Block.instrs)
+            @ [ mkins (Instr.Binop (Opcode.Div, 3001, Instr.Reg 3001, Instr.Imm 3)) ];
+        })
+    (Cfg.blocks cfg);
+  cfg
+
 let cycle_random_cfgs =
-  (* random CFGs under random machine shapes: a narrow issue width and a
-     small window make issue contention and the window gate bite, and the
-     spatial grid exercises the placement hops *)
+  (* random CFGs with carried registers under random machine shapes: a
+     narrow issue width and a small window make issue contention and the
+     window gate bite, the spatial grid exercises the placement hops, and
+     random register-read latencies, hops and dispatch overheads move
+     which of an external input's two readiness terms wins *)
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"cycle model = reference on random CFGs" ~count:200
        QCheck2.Gen.(
          pair
            (quad Generators.random_cfg_gen (int_range 0 9) (int_range 0 300) bool)
-           (triple (int_range 1 4) (int_range 1 8) (oneofl [ 0; 2; 4 ])))
-       (fun ((spec, r1024, fuel, strict_exits), (issue_width, window, grid)) ->
+           (pair
+              (triple (int_range 1 4) (int_range 1 8) (oneofl [ 0; 2; 4 ]))
+              (triple (int_range 0 3) (int_range 1 3) (int_range 0 6))))
+       (fun ( (spec, r1024, fuel, strict_exits),
+              ((issue_width, window, grid), (reg_read_latency, operand_hop, block_overhead)) ) ->
          let timing =
            {
              Cycle_sim.default_timing with
              Cycle_sim.issue_width;
              window_blocks = window;
              spatial_grid = grid;
+             reg_read_latency;
+             operand_hop;
+             block_overhead;
            }
          in
          cycle_agree ~label:"random" ~timing ~fuel ~strict_exits
            ~registers:[ (1024, r1024); (max_int, 1) ]
            ~memory:(fun () -> Array.make 8 3)
-           (shaped_random_cfg spec r1024);
+           (carried_random_cfg spec r1024);
          true))
 
 let test_oracle_fuzz_cases () =
@@ -871,6 +964,7 @@ let suite =
       Alcotest.test_case "block overhead visible" `Quick test_block_overhead_visible;
       Alcotest.test_case "cycle model = reference" `Quick
         test_cycle_model_reference;
+      Alcotest.test_case "measured cell simulates once" `Quick test_measure_one_run;
       cycle_random_cfgs;
       Alcotest.test_case "ring allocator bounded" `Quick test_ring_bounded;
       Alcotest.test_case "predictor accounting reconciles" `Quick

@@ -308,11 +308,13 @@ let solve ?gen_kill_of t cfg ~edited roots =
     r
   end
 
-(* [update] stores the entry cone's solution: R's new values over [t]'s,
-   and nothing outside the cone. *)
-let update t cfg ~touched =
+(* [update] and [compute] store the entry cone's solution: R's new
+   values over [t]'s, and nothing outside the cone. *)
+let refresh ?gen_kill_of t cfg ~touched =
   let touched = IntSet.of_list touched in
-  let r = solve t cfg ~edited:(fun x -> IntSet.mem x touched) [ cfg.Cfg.entry ] in
+  let r =
+    solve ?gen_kill_of t cfg ~edited:(fun x -> IntSet.mem x touched) [ cfg.Cfg.entry ]
+  in
   let in_cone k _ = Tbl.mem r.cone k in
   let add f m =
     List.fold_left
@@ -326,9 +328,11 @@ let update t cfg ~touched =
     solved = List.length r.blocks;
   }
 
+let update t cfg ~touched = refresh t cfg ~touched
+
 (* With no solution, every block counts as edited. *)
-let compute cfg =
-  update
+let compute ?gen_kill_of cfg =
+  refresh ?gen_kill_of
     { live_in = IntMap.empty; gk = IntMap.empty; succs = IntMap.empty; solved = 0 }
     cfg ~touched:[]
 

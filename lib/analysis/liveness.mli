@@ -39,9 +39,11 @@ type t
     functions below take and return [IntSet.t], converting once per
     call. *)
 
-val compute : Cfg.t -> t
+val compute : ?gen_kill_of:(int -> gen_kill) -> Cfg.t -> t
 (** The least fixpoint over the blocks reachable from the entry; every
-    other block reads as empty. *)
+    other block reads as empty.  [gen_kill_of], when given, must return
+    {!gen_kill} of the block with the given id; it saves recomputing
+    gen/kill sets the caller already holds. *)
 
 val update : t -> Cfg.t -> touched:int list -> t
 (** [update t cfg ~touched] re-solves the fixpoint after an edit that

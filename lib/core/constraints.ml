@@ -20,6 +20,8 @@ type estimate = {
   loads_stores : int;
   reads : int;  (* architectural register reads (block inputs) *)
   writes : int;  (* architectural register writes (block outputs) *)
+  inputs : IntSet.t;  (* the registers read; [reads] is its cardinal *)
+  outputs : IntSet.t;  (* the registers written; [writes] is its cardinal *)
 }
 
 type limits = {
@@ -65,8 +67,7 @@ let estimate ?gk (b : Block.t) ~live_out : estimate =
       (IntSet.empty, 0) b.Block.instrs
   in
   let outputs = IntSet.inter defs live_out in
-  let reads = IntSet.cardinal (Liveness.block_inputs ~gk b ~live_out) in
-  let writes = IntSet.cardinal outputs in
+  let inputs = Liveness.block_inputs ~gk b ~live_out in
   (* consumer count per defined register: operand occurrences + exit
      reads + one output-write slot if live out *)
   let exit_reads = Block.exit_uses b in
@@ -90,8 +91,10 @@ let estimate ?gk (b : Block.t) ~live_out : estimate =
   {
     instrs = Block.size b + branches + fanout + nullws;
     loads_stores;
-    reads;
-    writes;
+    reads = IntSet.cardinal inputs;
+    writes = IntSet.cardinal outputs;
+    inputs;
+    outputs;
   }
 
 (** Does the estimate fit the limits, with [slack] instruction slots held
@@ -102,15 +105,25 @@ let legal ?(slack = 0) limits e =
   && e.reads <= limits.max_reads
   && e.writes <= limits.max_writes
 
-(** Every block of [cfg] whose estimate breaks [limits], with that
-    estimate, in [Cfg.blocks] order: one liveness solve for the graph. *)
-let over_budget limits cfg =
-  let live = Liveness.compute cfg in
-  List.filter_map
+(** Every block of [cfg] with its estimate, in [Cfg.blocks] order: one
+    liveness solve and one gen/kill per block for the graph. *)
+let scan cfg =
+  let blocks = Cfg.blocks cfg in
+  let gks = Hashtbl.create 64 in
+  List.iter
+    (fun (b : Block.t) -> Hashtbl.replace gks b.Block.id (Liveness.gen_kill b))
+    blocks;
+  let live = Liveness.compute ~gen_kill_of:(Hashtbl.find gks) cfg in
+  List.map
     (fun (b : Block.t) ->
-      let e = estimate b ~live_out:(Liveness.live_out live b.Block.id) in
-      if legal limits e then None else Some (b.Block.id, e))
-    (Cfg.blocks cfg)
+      let id = b.Block.id in
+      (id, estimate ~gk:(Hashtbl.find gks id) b ~live_out:(Liveness.live_out live id)))
+    blocks
+
+(** Every block of [cfg] whose estimate breaks [limits], with that
+    estimate, in [Cfg.blocks] order: the blocks of one {!scan}. *)
+let over_budget limits cfg =
+  List.filter (fun (_, e) -> not (legal limits e)) (scan cfg)
 
 (** Fullness of a block as a fraction of the instruction budget, used in
     reporting. *)

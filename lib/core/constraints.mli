@@ -14,6 +14,12 @@ type estimate = {
   loads_stores : int;
   reads : int;  (** architectural register reads (block inputs) *)
   writes : int;  (** architectural register writes (block outputs) *)
+  inputs : IntSet.t;
+      (** the registers the block reads ({!Trips_analysis.Liveness.block_inputs});
+          [reads] is its cardinal *)
+  outputs : IntSet.t;
+      (** the registers the block writes (its definitions live out);
+          [writes] is its cardinal *)
 }
 
 type limits = {
@@ -39,11 +45,16 @@ val legal : ?slack:int -> limits -> estimate -> bool
 (** Does the estimate fit, with [slack] instruction slots held back for
     register-allocator spill code? *)
 
+val scan : Cfg.t -> (int * estimate) list
+(** Every block's id and estimate, in {!Trips_ir.Cfg.blocks} order, from
+    one liveness solve and one {!Trips_analysis.Liveness.gen_kill} per
+    block.  The back end reads its budget and bank checks off this one
+    scan each allocation round. *)
+
 val over_budget : limits -> Cfg.t -> (int * estimate) list
-(** The id and estimate of every block of the graph that breaks the
-    limits, in {!Trips_ir.Cfg.blocks} order; empty when every block fits.
-    The back end's repair loop and {!Trips_verify.Cfg_verify.check}'s
-    budget check both read this one scan. *)
+(** The blocks of one {!scan} whose estimate breaks the limits; empty
+    when every block fits.  The back end's post-fanout repair loop and
+    {!Trips_verify.Cfg_verify.check}'s budget check read it. *)
 
 val utilization : limits -> estimate -> float
 (** Fullness as a fraction of the instruction budget. *)

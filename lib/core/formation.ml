@@ -356,7 +356,14 @@ type merge_outcome =
   | Size_rejected of Constraints.estimate
 
 let zero_estimate =
-  { Constraints.instrs = 0; loads_stores = 0; reads = 0; writes = 0 }
+  {
+    Constraints.instrs = 0;
+    loads_stores = 0;
+    reads = 0;
+    writes = 0;
+    inputs = IntSet.empty;
+    outputs = IntSet.empty;
+  }
 
 (* One trace event per merge attempt — the replayable decision log the
    convergence argument needs.  [outcome] is "success" or the reject

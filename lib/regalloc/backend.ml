@@ -25,6 +25,17 @@ type report = {
 let over_budget_blocks cfg =
   List.map fst (Chf.Constraints.over_budget Chf.Constraints.trips_limits cfg)
 
+(* What an allocation round must repair, read off one scan: the bank
+   violations and the blocks over budget. *)
+let offenders cfg =
+  let scan = Chf.Constraints.scan cfg in
+  ( Reg_alloc.violations scan,
+    List.filter_map
+      (fun (id, e) ->
+        if Chf.Constraints.legal Chf.Constraints.trips_limits e then None
+        else Some id)
+      scan )
+
 (* Allocation rounds before the back end gives up, and re-split rounds
    after fanout insertion. *)
 let max_rounds = 8
@@ -37,8 +48,8 @@ let give_up cfg ~bank ~budget ~after =
 (** Run the back end on a formed CFG, in place.  Returns the allocation
     report; the [mapping] lets callers translate front-end register names
     (e.g. kernel parameters) to their architectural homes.  Raises
-    [Failure] when reverse if-conversion cannot bring every block within
-    the TRIPS budgets. *)
+    [Failure] when allocation runs out of registers or reverse
+    if-conversion cannot bring every block within the TRIPS budgets. *)
 let run cfg : report =
   let splits = ref 0 in
   let split_all blocks =
@@ -60,8 +71,7 @@ let run cfg : report =
         mapping
       |> IntMap.union (fun _ a _ -> Some a) result.Reg_alloc.mapping
     in
-    let over = over_budget_blocks cfg in
-    match (Reg_alloc.violations cfg, over) with
+    match offenders cfg with
     | [], [] -> (mapping, result.Reg_alloc.cross_block_values, round)
     | viols, over when round < max_rounds ->
       let blocks =

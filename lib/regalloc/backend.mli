@@ -18,5 +18,12 @@ val run : Cfg.t -> report
 (** Run the back end on a formed CFG, in place.  The result fits the
     TRIPS budgets: every block passes {!Chf.Constraints.over_budget}
     under {!Chf.Constraints.trips_limits}.
-    @raise Failure when reverse if-conversion cannot get there within
-    its allocation and post-fanout re-split rounds. *)
+    @raise Failure ["backend: <cfg>: …"] when allocation runs out of
+    registers, or when reverse if-conversion cannot get there within its
+    allocation and post-fanout re-split rounds. *)
+
+val offenders : Cfg.t -> Reg_alloc.violation list * int list
+(** What one allocation round must repair in an allocated CFG: its
+    {!Reg_alloc.violations} and the ids of its blocks over
+    {!Chf.Constraints.trips_limits}, both read off one
+    {!Chf.Constraints.scan}. *)

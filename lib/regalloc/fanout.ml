@@ -5,7 +5,9 @@
    instructions.  This pass runs after register allocation (Figure 6) and
    rewrites surplus intra-block consumers to read fresh copies.  Exit
    reads and the value's block-output slot stay on the original register,
-   counting toward its target budget.
+   counting toward its target budget.  One backward pass per block counts
+   every definition's consumers ([consumers]); only the definitions over
+   capacity walk their use range.
 
    The inserted movs are unguarded: an unguarded copy aliases the
    register's current value exactly, so every consumer — including ones
@@ -14,97 +16,108 @@
 
 open Trips_ir
 
-(* Rewrite one block.  For each definition, scan its use range (up to the
-   next redefinition) and, when consumers exceed capacity, chain movs:
-   each mov consumes one target slot and provides [max_targets]. *)
+(* Each instruction's definition's consumers: the instructions after it
+   that read the register, up to and including its next definition (0
+   for an instruction that defines nothing).  One backward pass:
+   [pending r] counts the readers of [r] between the current position
+   and [r]'s next definition. *)
+let consumers (b : Block.t) =
+  let instrs = Array.of_list b.Block.instrs in
+  let counts = Array.make (Array.length instrs) 0 in
+  let pending = Hashtbl.create 32 in
+  for p = Array.length instrs - 1 downto 0 do
+    let i = instrs.(p) in
+    List.iter
+      (fun d ->
+        counts.(p) <- Option.value ~default:0 (Hashtbl.find_opt pending d);
+        Hashtbl.remove pending d)
+      (Instr.defs i);
+    (* an instruction reading a register twice is one consumer *)
+    List.iter
+      (fun r ->
+        Hashtbl.replace pending r
+          (1 + Option.value ~default:0 (Hashtbl.find_opt pending r)))
+      (List.sort_uniq compare (Instr.uses i))
+  done;
+  counts
+
+(* Rewrite one block.  The counting pass finds the definitions whose
+   consumers (plus an exit read of the register) exceed capacity; only
+   those walk their use range (up to the next redefinition) and chain
+   movs: each mov consumes one target slot and provides [max_targets].
+   The movs are inserted right after the producer and never fanned
+   again: by construction each has at most [max_targets] consumers. *)
 let expand_block cfg (b : Block.t) : Block.t * int =
   let added = ref 0 in
   let exit_reads = Block.exit_uses b in
-  (* registers introduced by this pass; by construction each has at most
-     [max_targets] consumers, so they are never fanned again *)
-  let fanout_copies = Hashtbl.create 16 in
+  let fixed d = if IntSet.mem d exit_reads then 1 else 0 in
   let rec rewrite = function
     | [] -> []
-    | (i : Instr.t) :: rest ->
+    | ((i : Instr.t), n) :: rest ->
       let rest =
-        List.fold_left (fun rest d -> fan_def d rest) rest (Instr.defs i)
+        match Instr.defs i with
+        | [ d ] when n + fixed d > Machine.max_targets -> fan_def d (fixed d) rest
+        | _ -> rest
       in
       i :: rewrite rest
-  and fan_def d rest =
-    if Hashtbl.mem fanout_copies d then rest
-    else begin
-    (* instructions in [rest] reading [d], up to its next definition *)
-    let rec collect idx = function
-      | [] -> []
-      | (j : Instr.t) :: tail ->
-        let here = if List.mem d (Instr.uses j) then [ idx ] else [] in
-        if List.mem d (Instr.defs j) then here
-        else here @ collect (idx + 1) tail
+  and fan_def d fixed rest =
+    (* positions in [rest] of the instructions reading [d], up to its
+       next definition, in order *)
+    let rec collect idx acc = function
+      | [] -> List.rev acc
+      | ((j : Instr.t), _) :: tail ->
+        let acc = if List.mem d (Instr.uses j) then idx :: acc else acc in
+        if List.mem d (Instr.defs j) then List.rev acc
+        else collect (idx + 1) acc tail
     in
-    let use_positions = collect 0 rest in
-    let fixed = if IntSet.mem d exit_reads then 1 else 0 in
+    let use_positions = collect 0 [] rest in
     let n_uses = List.length use_positions in
-    if n_uses + fixed <= Machine.max_targets then rest
-    else begin
-      (* Balanced tree of movs immediately after the producer: copy k
-         reads copy (k-1)/2, so fanout latency grows logarithmically in
-         the consumer count, as a real fanout-insertion pass arranges.
-         [d] keeps one target slot for the tree root, its remaining
-         budget for direct uses; every copy's two slots are split between
-         tree children and rewritten uses. *)
-      let keep = max 0 (Machine.max_targets - fixed - 1) in
-      let surplus = n_uses - keep in
-      let to_rewrite =
-        let sorted = List.sort compare use_positions in
-        List.filteri (fun k _ -> k >= keep) sorted
+    (* Balanced tree of movs immediately after the producer: copy k
+       reads copy (k-1)/2, so fanout latency grows logarithmically in
+       the consumer count, as a real fanout-insertion pass arranges.
+       [d] keeps one target slot for the tree root, its remaining
+       budget for direct uses; every copy's two slots are split between
+       tree children and rewritten uses. *)
+    let keep = max 0 (Machine.max_targets - fixed - 1) in
+    let movs_needed = n_uses - keep in
+    let to_rewrite = List.filteri (fun k _ -> k >= keep) use_positions in
+    let copies = Array.init movs_needed (fun _ -> Cfg.fresh_reg cfg) in
+    let movs =
+      let lineage =
+        { Lineage.origin = b.Block.id; placed = Lineage.Helper "fanout" }
       in
-      let movs_needed = surplus in
-      let copies =
-        Array.init movs_needed (fun _ ->
-            let r = Cfg.fresh_reg cfg in
-            Hashtbl.replace fanout_copies r ();
-            r)
-      in
-      let movs =
-        let lineage =
-          { Lineage.origin = b.Block.id; placed = Lineage.Helper "fanout" }
-        in
-        List.init movs_needed (fun k ->
-            let src = if k = 0 then d else copies.((k - 1) / 2) in
-            added := !added + 1;
-            Cfg.instr ~lineage cfg (Instr.Mov (copies.(k), Instr.Reg src)))
-      in
-      (* free slots per copy: Machine.max_targets minus its tree children *)
-      let children = Array.make movs_needed 0 in
-      for k = 1 to movs_needed - 1 do
-        children.((k - 1) / 2) <- children.((k - 1) / 2) + 1
-      done;
-      let slots = ref [] in
-      for k = 0 to movs_needed - 1 do
-        for _ = 1 to Machine.max_targets - children.(k) do
-          slots := copies.(k) :: !slots
-        done
-      done;
-      (* deepest copies first, so hot consumers sit at the leaves *)
-      let slot_list = !slots in
-      let assignment = Hashtbl.create 8 in
-      List.iteri
-        (fun k pos ->
-          match List.nth_opt slot_list k with
-          | Some copy -> Hashtbl.replace assignment pos copy
-          | None -> ())
-        to_rewrite;
-      let rewritten =
-        List.mapi
-          (fun idx (j : Instr.t) ->
-            match Hashtbl.find_opt assignment idx with
-            | Some copy -> substitute_one j ~from_:d ~to_:copy
-            | None -> j)
-          rest
-      in
-      movs @ rewritten
-    end
-    end
+      List.init movs_needed (fun k ->
+          let src = if k = 0 then d else copies.((k - 1) / 2) in
+          added := !added + 1;
+          (Cfg.instr ~lineage cfg (Instr.Mov (copies.(k), Instr.Reg src)), 0))
+    in
+    (* free slots per copy: Machine.max_targets minus its tree children *)
+    let children = Array.make movs_needed 0 in
+    for k = 1 to movs_needed - 1 do
+      children.((k - 1) / 2) <- children.((k - 1) / 2) + 1
+    done;
+    let slots = ref [] in
+    for k = 0 to movs_needed - 1 do
+      for _ = 1 to Machine.max_targets - children.(k) do
+        slots := copies.(k) :: !slots
+      done
+    done;
+    (* deepest copies first, so hot consumers sit at the leaves *)
+    let slots = Array.of_list !slots in
+    let assignment = Hashtbl.create 8 in
+    List.iteri
+      (fun k pos ->
+        if k < Array.length slots then Hashtbl.replace assignment pos slots.(k))
+      to_rewrite;
+    let rewritten =
+      List.mapi
+        (fun idx ((j : Instr.t), n) ->
+          match Hashtbl.find_opt assignment idx with
+          | Some copy -> (substitute_one j ~from_:d ~to_:copy, n)
+          | None -> (j, n))
+        rest
+    in
+    movs @ rewritten
   and substitute_one (j : Instr.t) ~from_ ~to_ =
     let subst = function
       | Instr.Reg r when r = from_ -> Instr.Reg to_
@@ -129,7 +142,8 @@ let expand_block cfg (b : Block.t) : Block.t * int =
     in
     { j with Instr.op; guard }
   in
-  let instrs = rewrite b.Block.instrs in
+  let counts = consumers b in
+  let instrs = rewrite (List.mapi (fun p i -> (i, counts.(p))) b.Block.instrs) in
   ({ b with Block.instrs }, !added)
 
 (** Insert fanout movs in every block; returns how many were added. *)

@@ -39,7 +39,16 @@ let test_estimate_counts () =
 
 let test_legal_limits () =
   let limits = Chf.Constraints.trips_limits in
-  let ok = { Chf.Constraints.instrs = 128; loads_stores = 32; reads = 32; writes = 32 } in
+  let ok =
+    {
+      Chf.Constraints.instrs = 128;
+      loads_stores = 32;
+      reads = 32;
+      writes = 32;
+      inputs = IntSet.empty;
+      outputs = IntSet.empty;
+    }
+  in
   check Alcotest.bool "at the limits" true (Chf.Constraints.legal limits ok);
   check Alcotest.bool "slack shrinks budget" false
     (Chf.Constraints.legal ~slack:1 limits ok);

@@ -48,49 +48,44 @@ let test_bank_budgets_respected () =
   List.iter
     (fun name ->
       let _, c, _, _ = compile_through_backend name Chf.Phases.Iupo_merged in
-      let viols = Reg_alloc.violations c.Trips_harness.Pipeline.cfg in
+      let viols =
+        Reg_alloc.violations (Chf.Constraints.scan c.Trips_harness.Pipeline.cfg)
+      in
       check Alcotest.int (name ^ " bank violations") 0 (List.length viols))
     [ "sieve"; "matrix_1"; "dhry"; "parser_1" ]
 
 let count_consumers (b : Block.t) =
-  (* per-definition consumer counts within the block, as fanout sees them *)
-  let counts = Hashtbl.create 32 in
-  let bump r =
-    Hashtbl.replace counts r (1 + Option.value ~default:0 (Hashtbl.find_opt counts r))
-  in
+  (* per-definition consumer counts within the block, as fanout sees
+     them: for each instruction, the instructions after it reading its
+     definition up to the next redefinition (0 when it defines nothing) *)
   let rec walk = function
-    | [] -> ()
+    | [] -> []
     | (i : Instr.t) :: rest ->
-      List.iter
-        (fun d ->
-          (* uses of d until its next redefinition *)
-          let rec scan = function
-            | [] -> ()
-            | (j : Instr.t) :: tail ->
-              if List.mem d (Instr.uses j) then bump d;
-              if not (List.mem d (Instr.defs j)) then scan tail
-          in
-          Hashtbl.remove counts d;
-          scan rest)
-        (Instr.defs i);
-      walk rest
+      let count d =
+        let rec scan n = function
+          | [] -> n
+          | (j : Instr.t) :: tail ->
+            let n = if List.mem d (Instr.uses j) then n + 1 else n in
+            if List.mem d (Instr.defs j) then n else scan n tail
+        in
+        scan 0 rest
+      in
+      (match Instr.defs i with d :: _ -> count d | [] -> 0) :: walk rest
   in
-  walk b.Block.instrs;
-  counts
+  walk b.Block.instrs
 
 let test_fanout_target_budget () =
   let _, c, _, _ = compile_through_backend "matrix_1" Chf.Phases.Iupo_merged in
   let cfg = c.Trips_harness.Pipeline.cfg in
   Cfg.iter_blocks
     (fun b ->
-      let counts = count_consumers b in
-      Hashtbl.iter
-        (fun r n ->
+      List.iter2
+        (fun (i : Instr.t) n ->
           check Alcotest.bool
-            (Fmt.str "b%d: r%d has %d intra-block consumers" b.Block.id r n)
+            (Fmt.str "b%d: %a has %d intra-block consumers" b.Block.id Instr.pp i n)
             true
             (n <= Machine.max_targets))
-        counts)
+        b.Block.instrs (count_consumers b))
     cfg
 
 let test_fanout_semantics_on_wide_value () =
@@ -189,6 +184,169 @@ let test_precolored_second_round () =
   check Alcotest.int "two-round allocation preserves semantics"
     baseline.Trips_sim.Func_sim.checksum r.Trips_sim.Func_sim.checksum
 
+(* ---- the back end against its references ------------------------------ *)
+
+(* Every formed cell the references are checked on: each micro kernel
+   (the paper's 24 and the store-dense ones) under BB and the Table 1
+   orderings, under each block-selection policy, formed without the
+   back end. *)
+let formed_cells =
+  lazy
+    (let cache = Trips_harness.Stage.create () in
+     List.concat_map
+       (fun (w : Trips_workloads.Workload.t) ->
+         List.concat_map
+           (fun policy ->
+             let config = Result.get_ok (Trips_serve.Worker.policy_of_name policy) in
+             List.map
+               (fun ordering ->
+                 let c =
+                   Trips_harness.Pipeline.compile ~cache ~config ~backend:false ordering w
+                 in
+                 ( Fmt.str "%s %s %s" w.Trips_workloads.Workload.name
+                     (Chf.Phases.name ordering) policy,
+                   c.Trips_harness.Pipeline.cfg ))
+               (Chf.Phases.Basic_blocks :: Chf.Phases.table_orderings))
+           [ "bf"; "df"; "vliw" ])
+       (Trips_workloads.Micro.all @ Trips_workloads.Micro.store_dense))
+
+let mapping_t =
+  Alcotest.testable
+    (Fmt.Dump.list (Fmt.Dump.pair Fmt.int Fmt.int) |> Fmt.using IntMap.bindings)
+    (IntMap.equal Int.equal)
+
+(* The row allocator assigns exactly the clique allocator's colors. *)
+let allocation_agrees label cfg =
+  let expected = Regalloc_oracle.mapping cfg in
+  let got = (Reg_alloc.run (Cfg.copy cfg)).Reg_alloc.mapping in
+  check mapping_t (label ^ ": mapping") expected got
+
+let test_allocation_oracle () =
+  List.iter (fun (label, cfg) -> allocation_agrees label cfg) (Lazy.force formed_cells)
+
+(* After round 1's allocation, the one scan [Backend.offenders] reads
+   must name the blocks [Constraints.over_budget] names and the bank
+   violations the per-block reference recomputes.  Returns whether the
+   round found bank violations and whether it found blocks over budget:
+   either makes the cell need a second allocation round. *)
+let scan_agrees label cfg =
+  let cfg = Cfg.copy cfg in
+  ignore (Reg_alloc.run cfg);
+  let bank, over = Backend.offenders cfg in
+  check
+    Alcotest.(list int)
+    (label ^ ": over-budget blocks")
+    (List.map fst (Chf.Constraints.over_budget Chf.Constraints.trips_limits cfg))
+    over;
+  check
+    Alcotest.(list (triple int int int))
+    (label ^ ": bank violations")
+    (Regalloc_oracle.bank_violations cfg)
+    (List.map
+       (fun (v : Reg_alloc.violation) ->
+         (v.Reg_alloc.block, v.Reg_alloc.reads_over, v.Reg_alloc.writes_over))
+       bank);
+  (bank <> [], over <> [])
+
+(* Ten values precolored into bank 0 cross one boundary: the writing
+   block breaks the bank's write budget and the reading block its read
+   budget.  No micro cell breaks a bank budget in round 1. *)
+let bank_bound_cfg () =
+  let cfg = Cfg.create ~name:"bank0" () in
+  let b0 = Cfg.fresh_block_id cfg in
+  let b1 = Cfg.fresh_block_id cfg in
+  cfg.Cfg.entry <- b0;
+  let regs = List.init 10 (fun k -> k * Machine.num_banks) in
+  Cfg.set_block cfg
+    (Block.make b0
+       (List.mapi (fun k r -> Cfg.instr cfg (Instr.Mov (r, Instr.Imm k))) regs)
+       [ { Block.eguard = None; target = Block.Goto b1 } ]);
+  Cfg.set_block cfg
+    (Block.make b1
+       (List.mapi
+          (fun k r -> Cfg.instr cfg (Instr.Store (Instr.Reg r, Instr.Imm k, 0)))
+          regs)
+       [ { Block.eguard = None; target = Block.Ret None } ]);
+  Cfg.validate cfg;
+  cfg
+
+let test_scan_oracle () =
+  let cells = ("bank0", bank_bound_cfg ()) :: Lazy.force formed_cells in
+  let found = List.map (fun (label, cfg) -> scan_agrees label cfg) cells in
+  let count f = List.length (List.filter f found) in
+  check Alcotest.bool
+    (Fmt.str "%d of %d cells need a second allocation round for their budgets"
+       (count snd) (List.length cells))
+    true
+    (count snd > 0);
+  check Alcotest.bool
+    (Fmt.str "%d of %d cells need one for their banks" (count fst) (List.length cells))
+    true
+    (count fst > 0)
+
+(* The counting pass's per-definition counts are the quadratic rescan's. *)
+let counts_agree label cfg =
+  Cfg.iter_blocks
+    (fun b ->
+      check
+        Alcotest.(list int)
+        (Fmt.str "%s: b%d consumer counts" label b.Block.id)
+        (count_consumers b)
+        (Array.to_list (Fanout.consumers b)))
+    cfg
+
+let test_fanout_counts () =
+  List.iter (fun (label, cfg) -> counts_agree label cfg) (Lazy.force formed_cells)
+
+let references_random_programs =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"back end = references (random programs)" ~count:25
+       ~print:Generators.print_workload Generators.random_program_gen
+       (fun w ->
+         let cfg =
+           (Trips_harness.Pipeline.compile ~backend:false Chf.Phases.Iupo_merged w)
+             .Trips_harness.Pipeline.cfg
+         in
+         let label = w.Trips_workloads.Workload.name in
+         allocation_agrees label cfg;
+         ignore (scan_agrees label cfg);
+         counts_agree label cfg;
+         true))
+
+(* 129 values live across one boundary: one more than there are
+   architectural registers.  The back end fails through its one failure
+   path, which the pipeline classifies as a compile failure. *)
+let test_out_of_registers () =
+  let cfg = Cfg.create ~name:"wide" () in
+  let b0 = Cfg.fresh_block_id cfg in
+  let b1 = Cfg.fresh_block_id cfg in
+  cfg.Cfg.entry <- b0;
+  let values = List.init 129 (fun _ -> Cfg.fresh_reg cfg) in
+  Cfg.set_block cfg
+    (Block.make b0
+       (List.mapi (fun k r -> Cfg.instr cfg (Instr.Mov (r, Instr.Imm k))) values)
+       [ { Block.eguard = None; target = Block.Goto b1 } ]);
+  Cfg.set_block cfg
+    (Block.make b1
+       (List.mapi
+          (fun k r -> Cfg.instr cfg (Instr.Store (Instr.Reg r, Instr.Imm k, 0)))
+          values)
+       [ { Block.eguard = None; target = Block.Ret None } ]);
+  Cfg.validate cfg;
+  let w = Option.get (Trips_workloads.Micro.by_name "sieve") in
+  match Backend.run cfg with
+  | _ -> Alcotest.fail "129 interfering values were allocated"
+  | exception e ->
+    let f =
+      Trips_harness.Pipeline.failure_of_exn ~workload:w
+        ~ordering:(Some Chf.Phases.Basic_blocks) e
+    in
+    check Alcotest.string "phase" "compile" f.Trips_harness.Pipeline.fail_phase;
+    let prefix = "backend: wide: out of registers" in
+    check Alcotest.string "reason" prefix
+      (String.sub f.Trips_harness.Pipeline.fail_reason 0
+         (min (String.length prefix) (String.length f.Trips_harness.Pipeline.fail_reason)))
+
 let backend_random_programs =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"full backend preserves random programs" ~count:25
@@ -247,4 +405,10 @@ let suite =
       Alcotest.test_case "split refuses tiny" `Quick test_split_refuses_tiny;
       Alcotest.test_case "precolored second round" `Quick test_precolored_second_round;
       backend_random_programs;
+      Alcotest.test_case "allocation = clique oracle" `Quick test_allocation_oracle;
+      Alcotest.test_case "one budget scan = references" `Quick test_scan_oracle;
+      Alcotest.test_case "fanout counts = rescan" `Quick test_fanout_counts;
+      references_random_programs;
+      Alcotest.test_case "out of registers fails the compile" `Quick
+        test_out_of_registers;
     ] )

@@ -39,10 +39,13 @@ fuzz-smoke: build
 # already pinned by perf/golden/spec_gen_seed0.txt).  Events are (cell,
 # seq)-sorted on write, so byte comparisons are the checks; both runs
 # write each log under one name, so the tables' closing "written to"
-# lines match too.
-# Regenerate the golden, only for a change meant to alter formation
+# lines match too.  Last, the functional simulator's dynamic counts
+# over table 3 (blocks, fired and fetched instructions, from
+# --metrics) must match test/golden/table3_sim_counts.txt.
+# Regenerate the goldens, only for a change meant to alter formation
 # decisions or cycles, by running this target's -j 1 lines and then
 #   md5sum _build/trace-j1.jsonl _build/table1-j1.txt _build/trace3-j1.jsonl > test/golden/trace_check.md5
+#   cp _build/table3-sim-counts.txt test/golden/table3_sim_counts.txt
 TRACE_KERNELS = ammp_1 ammp_2 art_1 art_2 art_3 bzip2_1 bzip2_2 bzip2_3 \
 	dct8x8 dhry doppler_GMTI equake_1 fft2_GMTI fft4_GMTI forward_GMTI \
 	gzip_1 gzip_2 matrix_1 parser_1 sieve transpose_GMTI twolf_1 twolf_3 \
@@ -62,6 +65,8 @@ trace-check: build
 	cmp _build/trace3-j1.jsonl _build/trace3-j4.jsonl
 	cmp _build/table3-j1.txt _build/table3-j4.txt
 	md5sum -c test/golden/trace_check.md5
+	dune exec bin/chfc.exe -- table3 -j 1 --metrics | grep '^  sim\.func\.' > _build/table3-sim-counts.txt
+	diff test/golden/table3_sim_counts.txt _build/table3-sim-counts.txt
 	@echo "trace-check: event streams and tables identical across -j 1 / -j 4 and match the golden"
 
 # Fast-path equivalence: the formation suite includes the property test

@@ -32,7 +32,8 @@ let eval_binop op a b =
   | Shr -> a lsr (b land 63)
   | Asr -> a asr (b land 63)
 
-let eval_cmp op a b =
+(* [int] operands: compared inline, not through the polymorphic compare *)
+let eval_cmp op (a : int) (b : int) =
   let r =
     match op with
     | Eq -> a = b

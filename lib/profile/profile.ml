@@ -106,7 +106,7 @@ let record_edge c e =
   c.edge_n.(e) <- c.edge_n.(e) + 1;
   if c.header.(d) then begin
     let open_ = c.trips.(d) in
-    if c.back.(e) then c.trips.(d) <- max open_ 0 + 1
+    if c.back.(e) then c.trips.(d) <- Int.max open_ 0 + 1
     else begin
       (* fresh entry into the loop: close any previous episode *)
       if open_ >= 0 then record_trip c d open_;

@@ -18,9 +18,11 @@
 
    Each run first decodes the CFG (DESIGN.md §18): registers and
    immediates become slots of one flat register file, blocks become
-   array slots, and Goto targets become slot numbers, so the interpreter
-   loop reads arrays and allocates nothing per instruction.  Decoding is
-   per run because CFGs are mutable between runs. *)
+   array slots, Goto targets become slot numbers, and each instruction
+   becomes one closure specialised on its opcode and guard.  The
+   interpreter loop makes one indirect call per instruction, does no
+   opcode match and allocates nothing.  Decoding is per run because CFGs
+   are mutable between runs, and the closures die with the run. *)
 
 open Trips_ir
 
@@ -56,20 +58,19 @@ type result = {
    one, numbered densely (corpus files may name any integer, so the file
    is sized by the count, not the largest number), and each distinct
    immediate gets a slot preloaded with its value that no instruction
-   writes. *)
-type code =
-  | Binop of Opcode.binop * int * int * int  (* dst, src1, src2 *)
-  | Cmp of Opcode.cmpop * int * int * int
-  | Mov of int * int
-  | Load of int * int * int  (* dst, address, offset *)
-  | Store of int * int * int  (* value, address, offset *)
-  | Nullw
+   writes.
 
-(* [guard] is the guard's slot, -1 when unguarded *)
-type dinstr = { code : code; guard : int; sense : bool; instr : Instr.t }
+   A decoded instruction is one closure, specialised on its opcode and
+   its guard, over the run's memory and its operands' slots.  Applied to
+   the register file it returns [not_fired] when its guard does not
+   hold; otherwise it fires and returns the memory address it touched,
+   -1 for none. *)
+type code = int array -> int
+
+let not_fired = -2
 
 type dexit = {
-  eguard : int;
+  eguard : int;  (* the guard's slot, -1 when unguarded *)
   esense : bool;
   next : int;  (* Goto: target block slot; Ret: -1 *)
   ret : int;  (* Ret: returned operand's slot, -1 for none *)
@@ -78,8 +79,15 @@ type dexit = {
 }
 
 (* [present] is false for a Goto target the CFG lacks: entering it fails
-   the way [Cfg.block] does. *)
-type dblock = { id : int; present : bool; instrs : dinstr array; exits : dexit array }
+   the way [Cfg.block] does.  [instrs.(k)] is the instruction [code.(k)]
+   was decoded from, for the hooks. *)
+type dblock = {
+  id : int;
+  present : bool;
+  code : code array;
+  instrs : Instr.t array;
+  exits : dexit array;
+}
 
 type program = {
   name : string;
@@ -88,6 +96,61 @@ type program = {
   init : int array;  (* register file at start: parameters and immediates *)
   edges : (int * int) array;  (* distinct (source, target) block-slot pairs *)
 }
+
+(* [a] wrapped into [0, n): an address already in range is returned as
+   it is *)
+let[@inline] wrap_addr n a = if a >= 0 && a < n then a else ((a mod n) + n) mod n
+
+(* The closures of [Opcode.eval_binop] and [Opcode.eval_cmp], which stay
+   the specification (the sim suite compares against a reference
+   interpreter that evaluates through them). *)
+let binop (op : Opcode.binop) d a b : code =
+  match op with
+  | Add -> fun r -> r.(d) <- r.(a) + r.(b); -1
+  | Sub -> fun r -> r.(d) <- r.(a) - r.(b); -1
+  | Mul -> fun r -> r.(d) <- r.(a) * r.(b); -1
+  | Div -> fun r -> let y = r.(b) in r.(d) <- (if y = 0 then 0 else r.(a) / y); -1
+  | Rem -> fun r -> let y = r.(b) in r.(d) <- (if y = 0 then 0 else r.(a) mod y); -1
+  | And -> fun r -> r.(d) <- r.(a) land r.(b); -1
+  | Or -> fun r -> r.(d) <- r.(a) lor r.(b); -1
+  | Xor -> fun r -> r.(d) <- r.(a) lxor r.(b); -1
+  | Shl -> fun r -> r.(d) <- r.(a) lsl (r.(b) land 63); -1
+  | Shr -> fun r -> r.(d) <- r.(a) lsr (r.(b) land 63); -1
+  | Asr -> fun r -> r.(d) <- r.(a) asr (r.(b) land 63); -1
+
+let cmp (op : Opcode.cmpop) d a b : code =
+  match op with
+  | Eq -> fun r -> r.(d) <- Bool.to_int (r.(a) = r.(b)); -1
+  | Ne -> fun r -> r.(d) <- Bool.to_int (r.(a) <> r.(b)); -1
+  | Lt -> fun r -> r.(d) <- Bool.to_int (r.(a) < r.(b)); -1
+  | Le -> fun r -> r.(d) <- Bool.to_int (r.(a) <= r.(b)); -1
+  | Gt -> fun r -> r.(d) <- Bool.to_int (r.(a) > r.(b)); -1
+  | Ge -> fun r -> r.(d) <- Bool.to_int (r.(a) >= r.(b)); -1
+
+(* A zero-length memory has no addresses at all: loads read 0, stores
+   vanish, and neither reports an address (there is no memory system to
+   charge), keeping the semantics total on every input. *)
+let load memory d a off : code =
+  let n = Array.length memory in
+  if n = 0 then fun r -> r.(d) <- 0; -1
+  else fun r ->
+    let addr = wrap_addr n (r.(a) + off) in
+    r.(d) <- memory.(addr);
+    addr
+
+let store memory v a off : code =
+  let n = Array.length memory in
+  if n = 0 then fun _ -> -1
+  else fun r ->
+    let addr = wrap_addr n (r.(a) + off) in
+    memory.(addr) <- r.(v);
+    addr
+
+(* [fire] behind the guard test of slot [g] ([g < 0]: unguarded) *)
+let guarded g sense (fire : code) : code =
+  if g < 0 then fire
+  else if sense then fun r -> if r.(g) <> 0 then fire r else not_fired
+  else fun r -> if r.(g) = 0 then fire r else not_fired
 
 (* The number [tbl] gives [key], taking the next value of the counter
    [n] on first sight. *)
@@ -106,7 +169,7 @@ let by_number tbl n dummy =
   Hashtbl.iter (fun key s -> a.(s) <- key) tbl;
   a
 
-let decode ~registers (cfg : Cfg.t) =
+let decode ~registers ~memory (cfg : Cfg.t) =
   let regs = Hashtbl.create 256 and consts = Hashtbl.create 64 and n_slots = ref 0 in
   let reg = intern regs n_slots in
   let operand = function Instr.Reg r -> reg r | Instr.Imm n -> intern consts n_slots n in
@@ -118,17 +181,19 @@ let decode ~registers (cfg : Cfg.t) =
   List.iter (fun id -> ignore (intern slots n_blocks id)) present;
   let edges = Hashtbl.create 64 and n_edges = ref 0 in
   let decode_instr (i : Instr.t) =
-    let code =
+    let fire =
       match i.Instr.op with
-      | Instr.Binop (op, d, a, b) -> Binop (op, reg d, operand a, operand b)
-      | Instr.Cmp (op, d, a, b) -> Cmp (op, reg d, operand a, operand b)
-      | Instr.Mov (d, a) -> Mov (reg d, operand a)
-      | Instr.Load (d, a, off) -> Load (reg d, operand a, off)
-      | Instr.Store (v, a, off) -> Store (operand v, operand a, off)
-      | Instr.Nullw _ -> Nullw
+      | Instr.Binop (op, d, a, b) -> binop op (reg d) (operand a) (operand b)
+      | Instr.Cmp (op, d, a, b) -> cmp op (reg d) (operand a) (operand b)
+      | Instr.Mov (d, a) ->
+        let d = reg d and a = operand a in
+        fun r -> r.(d) <- r.(a); -1
+      | Instr.Load (d, a, off) -> load memory (reg d) (operand a) off
+      | Instr.Store (v, a, off) -> store memory (operand v) (operand a) off
+      | Instr.Nullw _ -> fun _ -> -1
     in
-    let guard, sense = guard i.Instr.guard in
-    { code; guard; sense; instr = i }
+    let g, sense = guard i.Instr.guard in
+    guarded g sense fire
   in
   let decode_exit src (e : Block.exit_) =
     let eguard, esense = guard e.Block.eguard in
@@ -145,16 +210,18 @@ let decode ~registers (cfg : Cfg.t) =
     List.mapi
       (fun src id ->
         let b = Cfg.block cfg id in
+        let instrs = Array.of_list b.Block.instrs in
         {
           id;
           present = true;
-          instrs = Array.of_list (List.map decode_instr b.Block.instrs);
+          code = Array.map decode_instr instrs;
+          instrs;
           exits = Array.of_list (List.map (decode_exit src) b.Block.exits);
         })
       present
   in
   let entry = intern slots n_blocks cfg.Cfg.entry in
-  let absent = { id = 0; present = false; instrs = [||]; exits = [||] } in
+  let absent = { id = 0; present = false; code = [||]; instrs = [||]; exits = [||] } in
   let blocks = Array.map (fun id -> { absent with id }) (by_number slots !n_blocks 0) in
   List.iteri (fun s b -> blocks.(s) <- b) decoded;
   let params = List.map (fun (r, v) -> (reg r, v)) registers in
@@ -164,43 +231,6 @@ let decode ~registers (cfg : Cfg.t) =
   { name = cfg.Cfg.name; blocks; entry; init; edges = by_number edges !n_edges (0, 0) }
 
 (* ---- interpreter -------------------------------------------------------- *)
-
-let wrap_addr n a = ((a mod n) + n) mod n
-
-(* Execute one fired instruction; returns the memory address touched, -1
-   for none.  A zero-length memory has no addresses at all: loads read 0,
-   stores vanish, and neither reports an address (there is no memory
-   system to charge), keeping the semantics total on every input. *)
-let exec_code regs memory = function
-  | Binop (op, d, a, b) ->
-    regs.(d) <- Opcode.eval_binop op regs.(a) regs.(b);
-    -1
-  | Cmp (op, d, a, b) ->
-    regs.(d) <- Opcode.eval_cmp op regs.(a) regs.(b);
-    -1
-  | Mov (d, a) ->
-    regs.(d) <- regs.(a);
-    -1
-  | Load (d, a, off) ->
-    let n = Array.length memory in
-    if n = 0 then begin
-      regs.(d) <- 0;
-      -1
-    end
-    else begin
-      let addr = wrap_addr n (regs.(a) + off) in
-      regs.(d) <- memory.(addr);
-      addr
-    end
-  | Store (v, a, off) ->
-    let n = Array.length memory in
-    if n = 0 then -1
-    else begin
-      let addr = wrap_addr n (regs.(a) + off) in
-      memory.(addr) <- regs.(v);
-      addr
-    end
-  | Nullw -> -1
 
 let holds regs g sense = g < 0 || regs.(g) <> 0 = sense
 
@@ -234,20 +264,20 @@ let exec ~fuel ~strict_exits ~hooks ~profile ~memory p =
     (* fuel is the number of dynamic instructions the run may execute, so
        a program needing exactly [fuel] instructions completes and the
        [fuel+1]-th raises *)
-    let n = Array.length b.instrs in
-    let admitted = if !fuel >= n then n else max !fuel 0 in
-    for k = 0 to admitted - 1 do
-      let d = b.instrs.(k) in
-      let fired = holds regs d.guard d.sense in
-      let addr =
-        if fired then begin
-          incr instrs_executed;
-          exec_code regs memory d.code
-        end
-        else -1
-      in
-      if observe then hooks.on_instr d.instr ~fired ~addr
-    done;
+    let code = b.code in
+    let n = Array.length code in
+    let admitted = if !fuel >= n then n else Int.max !fuel 0 in
+    if observe then
+      for k = 0 to admitted - 1 do
+        let r = code.(k) regs in
+        let fired = r <> not_fired in
+        if fired then incr instrs_executed;
+        hooks.on_instr b.instrs.(k) ~fired ~addr:(if fired then r else -1)
+      done
+    else
+      for k = 0 to admitted - 1 do
+        if code.(k) regs <> not_fired then incr instrs_executed
+      done;
     instrs_fetched := !instrs_fetched + admitted;
     fuel := !fuel - admitted;
     if admitted < n then
@@ -310,14 +340,15 @@ let exec ~fuel ~strict_exits ~hooks ~profile ~memory p =
     @param memory the data memory, mutated in place. *)
 let run ?(fuel = 50_000_000) ?(strict_exits = true) ?(hooks = no_hooks)
     ?(registers = []) ~memory cfg =
-  exec ~fuel ~strict_exits ~hooks ~profile:None ~memory (decode ~registers cfg)
+  exec ~fuel ~strict_exits ~hooks ~profile:None ~memory
+    (decode ~registers ~memory cfg)
 
 (** Run while collecting an edge/block/trip-count profile; returns the
     result and the profile.  Loop information, when provided, enables
     trip-count histograms. *)
 let run_profiled ?(fuel = 50_000_000) ?(strict_exits = true) ?(registers = [])
     ?loops ~memory cfg =
-  let p = decode ~registers cfg in
+  let p = decode ~registers ~memory cfg in
   let c =
     Trips_profile.Profile.collector ?loops
       ~ids:(Array.map (fun b -> b.id) p.blocks)

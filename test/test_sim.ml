@@ -909,6 +909,159 @@ let test_oracle_missing_block () =
   cfg.Cfg.entry <- 98;
   agree ~label:"missing entry" ~memory:(fun () -> Array.make 4 0) cfg
 
+(* The random CFGs above compare only [Cmp Lt] and never touch memory,
+   so these hand-built ones cover the rest of the decoding: every binop
+   and compare on edge operands, in register and immediate positions;
+   guards of both senses, holding and not, on every kind of instruction;
+   and loads and stores below, inside and beyond the memory, also on a
+   zero-length one.  Each result is stored or folded into the returned
+   register 400, so a wrong value shows in the checksum and a wrong
+   address in the hook stream. *)
+
+let edge_values = [ 0; 1; -1; 63; 64; -64; min_int; max_int ]
+
+(* registers 100.. hold [edge_values]; 200 holds 1 and 201 holds 0 *)
+let edge_registers =
+  (200, 1) :: (201, 0) :: List.mapi (fun k v -> (100 + k, v)) edge_values
+
+(* One block per list of instructions, each falling through to the
+   next; the last returns register 400. *)
+let chain name blocks =
+  let cfg = Cfg.create ~name () in
+  let ids = List.map (fun _ -> Cfg.fresh_block_id cfg) blocks in
+  cfg.Cfg.entry <- List.hd ids;
+  List.iteri
+    (fun k (id, instrs) ->
+      let target =
+        if k = List.length ids - 1 then Block.Ret (Some (Instr.Reg 400))
+        else Block.Goto (List.nth ids (k + 1))
+      in
+      Cfg.set_block cfg
+        (Block.make id instrs [ { Block.eguard = None; target } ]))
+    (List.combine ids blocks);
+  cfg
+
+let every_op =
+  List.map
+    (fun op d a b -> Instr.Binop (op, d, a, b))
+    Opcode.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr; Asr ]
+  @ List.map
+      (fun op d a b -> Instr.Cmp (op, d, a, b))
+      Opcode.[ Eq; Ne; Lt; Le; Gt; Ge ]
+
+(* every operator on every pair of edge values, each operand once from
+   its register and once as an immediate; result k is stored at k *)
+let alu_cfg () =
+  let slot = ref 0 in
+  let values = List.mapi (fun k v -> (k, v)) edge_values in
+  let operands (k, v) = [ Instr.Reg (100 + k); Instr.Imm v ] in
+  let block op =
+    List.concat_map
+      (fun x ->
+        List.concat_map
+          (fun y ->
+            List.concat_map
+              (fun a ->
+                List.concat_map
+                  (fun b ->
+                    incr slot;
+                    [ op 300 a b; Instr.Store (Instr.Reg 300, Instr.Imm !slot, 0) ])
+                  (operands y))
+              (operands x))
+          values)
+      values
+  in
+  let blocks = List.map (fun op -> List.map mkins (block op)) every_op in
+  (chain "alu" blocks, !slot + 1)
+
+(* every kind of instruction behind guard registers 200 (holds 1) and
+   201 (holds 0), under both senses; each writes register 300 or memory,
+   and 300 is reset before and stored after *)
+let guard_cfg () =
+  let slot = ref 0 in
+  let ops =
+    List.map (fun op -> op 300 (Instr.Reg 101) (Instr.Reg 102)) every_op
+    @ [
+        Instr.Mov (300, Instr.Reg 107);
+        Instr.Mov (300, Instr.Imm 9);
+        Instr.Load (300, Instr.Imm 3, 0);
+        Instr.Load (300, Instr.Imm (-1), 0);
+        Instr.Load (300, Instr.Reg 107, 1);
+        Instr.Store (Instr.Imm 5555, Instr.Imm 2, 0);
+        Instr.Store (Instr.Reg 102, Instr.Imm 4, 4);
+        Instr.Nullw 300;
+      ]
+  in
+  let guarded op =
+    List.concat_map
+      (fun greg ->
+        List.concat_map
+          (fun sense ->
+            incr slot;
+            [
+              mkins (Instr.Mov (300, Instr.Imm 7777));
+              mkins ~guard:{ Instr.greg; sense } op;
+              mkins (Instr.Store (Instr.Reg 300, Instr.Imm (8 + !slot), 0));
+            ])
+          [ true; false ])
+      [ 200; 201 ]
+  in
+  let cfg = chain "guards" [ List.concat_map guarded ops ] in
+  (cfg, !slot + 9)
+
+(* loads and stores around a memory of [n] words, through immediate and
+   register addresses, with offsets that cross either end; each load is
+   folded into register 400 before the store to the same place *)
+let memory_cfg n =
+  let addrs = [ 0; 1; n - 1; n; n + 1; 2 * n; -1; -n; -n - 1; min_int; max_int ] in
+  let value = ref 1000 in
+  let fold =
+    [
+      Instr.Binop (Opcode.Mul, 400, Instr.Reg 400, Instr.Imm 31);
+      Instr.Binop (Opcode.Add, 400, Instr.Reg 400, Instr.Reg 401);
+    ]
+  in
+  let access addr off =
+    incr value;
+    (Instr.Load (401, Instr.Imm addr, off) :: fold)
+    @ [
+        Instr.Store (Instr.Imm !value, Instr.Imm addr, off);
+        Instr.Mov (402, Instr.Imm addr);
+        Instr.Load (401, Instr.Reg 402, off);
+      ]
+    @ fold
+    @ [
+        Instr.Mov (403, Instr.Imm (- !value));
+        Instr.Store (Instr.Reg 403, Instr.Reg 402, off);
+      ]
+  in
+  chain (Fmt.str "memory %d" n)
+    (List.map
+       (fun off -> List.map mkins (List.concat_map (fun addr -> access addr off) addrs))
+       [ 0; 1; -1; n ])
+
+let test_oracle_every_opcode () =
+  let alu, words = alu_cfg () in
+  agree ~label:"every binop and compare" ~registers:edge_registers
+    ~memory:(fun () -> Array.make words 0)
+    alu;
+  let guards, words = guard_cfg () in
+  agree ~label:"guards" ~registers:edge_registers
+    ~memory:(fun () -> Array.init words (fun k -> (k * 7) + 1))
+    guards;
+  List.iter
+    (fun n ->
+      agree ~label:(Fmt.str "memory of %d words" n)
+        ~memory:(fun () -> Array.init n (fun k -> (k * 7) + 1))
+        (memory_cfg n))
+    [ 0; 1; 7; 16 ];
+  agree ~label:"16-word accesses, zero-length memory"
+    ~memory:(fun () -> [||])
+    (memory_cfg 16);
+  agree ~label:"guards, zero-length memory" ~registers:edge_registers
+    ~memory:(fun () -> [||])
+    guards
+
 let test_oracle_workloads () =
   (* the 24 micro kernels, lowered and formed (IUPO-merged, allocated),
      each also cut off halfway through its fuel; and the 19 SPEC-like
@@ -978,4 +1131,6 @@ let suite =
         `Quick test_oracle_fuzz_cases;
       Alcotest.test_case "decoded interpreter = reference: workloads" `Quick
         test_oracle_workloads;
+      Alcotest.test_case "decoded interpreter = reference: every opcode" `Quick
+        test_oracle_every_opcode;
     ] )
